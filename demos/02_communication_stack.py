@@ -9,11 +9,11 @@ count never depends on how many agents use it.
 
 import numpy as np
 
-from marlab.comm import CommConfig, CommStack
+from marlab.comm import CommSettings, CommStack
 from marlab.nn import Tensor, no_grad
 
-cfg = CommConfig(num_layers=2, ffn_dim=64, model_dim=32, heads=4, dropout=0.1)
-stack = CommStack(cfg, seed=42)
+settings = CommSettings(num_layers=2, ffn_dim=64, heads=4, dropout=0.1)
+stack = CommStack(settings, model_dim=32, seed=42)
 rng = np.random.default_rng(0)
 
 print("== exact passthrough at initialization ==")

@@ -9,11 +9,11 @@ numerically interchangeable.
 
 import numpy as np
 
-from marlab.comm import CommConfig, CommStack
+from marlab.comm import CommSettings, CommStack
 from marlab.netsim import Topology, centralized_round, distributed_round
 
-stack = CommStack(CommConfig(num_layers=3, ffn_dim=64, model_dim=32, heads=4,
-                             dropout=0.1), seed=1)
+stack = CommStack(CommSettings(num_layers=3, ffn_dim=64, heads=4, dropout=0.1),
+                  model_dim=32, seed=1)
 rng = np.random.default_rng(3)
 stack.out_proj.weight.data[...] = rng.standard_normal((32, 32)) * 0.3
 

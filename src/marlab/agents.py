@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .comm import CommConfig, CommStack
+from .comm import CommSettings, CommStack
 from .errors import ShapeError
 from .nn import Dense, GRUCell, Module, Tensor, TrainContext, relu
 from .nn import tensor as T
@@ -65,16 +65,10 @@ class AgentNet(Module):
 class TeamModel:
     """Shared agent net, optional communication stack, and a mixer."""
 
-    def __init__(self, agent: AgentNet, comm: Optional[CommStack], mixer,
-                 use_residual: bool = True):
+    def __init__(self, agent: AgentNet, comm: Optional[CommStack], mixer):
         self.agent = agent
         self.comm = comm
         self.mixer = mixer
-        self.use_residual = use_residual
-
-    @property
-    def use_comm(self) -> bool:
-        return self.comm is not None
 
     def parameters(self):
         out = list(self.agent.parameters())
@@ -115,19 +109,19 @@ class TeamModel:
         h = self.agent.encode(Tensor(inputs), h_prev)
         if self.comm is not None:
             z = self.comm(h, mask=comm_mask, sets=sets, ctx=ctx)
-            h_tilde = T.add(h, z) if self.use_residual else z
+            h_tilde = T.add(h, z) if self.comm.settings.residual else z
         else:
             h_tilde = h
         return self.agent.q_head(h_tilde), h
 
 
 def make_team(obs_dim: int, n_actions: int, n_agents: int, state_dim: int,
-              hidden_dim: int, mixer_kind: str, comm_config: Optional[CommConfig],
-              use_residual: bool, seed: int) -> TeamModel:
-    """Assemble a team model; comm_config=None disables communication."""
+              hidden_dim: int, mixer_kind: str, comm: CommSettings,
+              seed: int) -> TeamModel:
+    """Assemble a team model; the stack is as wide as the hidden state."""
     from .mixers import make_mixer
 
     agent = AgentNet(obs_dim, n_actions, n_agents, hidden_dim, seed)
-    comm = CommStack(comm_config, seed) if comm_config is not None else None
+    stack = CommStack(comm, hidden_dim, seed) if comm.enabled else None
     mixer = make_mixer(mixer_kind, n_agents, state_dim, seed)
-    return TeamModel(agent, comm, mixer, use_residual=use_residual)
+    return TeamModel(agent, stack, mixer)

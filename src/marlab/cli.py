@@ -20,24 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .checks import FAULTS, run_checks
-from .config import (
-    RunConfig,
-    load_run_config,
-    run_config_from_dict,
-    run_config_to_dict,
-)
+from .config import RunConfig, load_run_config, run_config_from_dict
 from .envs import make_env
 from .errors import ConfigError, MarlabError
-from .exploration import GREEDY
-from .learner import TrainConfig
-from .netsim import Topology, TrafficStats
+from .netsim import Topology, centralized_traffic, distributed_traffic
 from .nn import load_checkpoint
-from .runner import (
-    build_team_for_env,
-    evaluate,
-    rollout_episode,
-    train_all_seeds,
-)
+from .runner import build_team_for_env, evaluate, train_all_seeds
 
 
 def resolve_out_dir(path: str) -> Path:
@@ -185,41 +173,26 @@ def cmd_eval(args) -> int:
     ckpt = run_dir / "checkpoint.bin"
     load_checkpoint(ckpt, team.parameters())
 
-    comm_mask = None
-    traffic = None
-    if args.topology:
-        topo = Topology.from_json(args.topology)
-        comm_mask = topo.reachable
-    if args.deploy and team.comm is not None:
-        n, width = env.n_agents, config.train.hidden_dim
-        links = (Topology.full(n) if not args.topology
-                 else Topology.from_json(args.topology)).directed_links()
-        layers = team.comm.config.num_layers
-        if args.deploy == "centralized":
-            per_step = TrafficStats(2 * n, 2 * n * width, 1)
-        else:
-            per_step = TrafficStats(layers * links, layers * links * width, layers)
-        traffic = per_step
-
-    returns, successes, steps = [], 0, 0
-    for e in range(args.episodes):
-        record = rollout_episode(env, team, GREEDY, args.seed, episode_idx=e,
-                                 comm_mask=comm_mask)
-        total = float(record.rewards.sum())
-        returns.append(total)
-        successes += int(env.is_success(total))
-        steps += record.length
-
+    topology = Topology.from_json(args.topology) if args.topology else None
+    mean_return, success_rate, steps = evaluate(
+        env, team, args.episodes, args.seed, test_point=0,
+        comm_mask=topology.reachable if topology is not None else None)
     row = {
         "episodes": args.episodes,
-        "mean_return": float(np.mean(returns)),
-        "success_rate": successes / args.episodes,
+        "mean_return": mean_return,
+        "success_rate": success_rate,
         "env_steps": steps,
     }
-    if traffic is not None:
-        row["comm_messages"] = traffic.messages * steps
-        row["comm_floats"] = traffic.floats_transferred * steps
-        row["comm_rounds"] = traffic.rounds * steps
+    if args.deploy and team.comm is not None:
+        width = team.comm.model_dim
+        if args.deploy == "centralized":
+            per_step = centralized_traffic(env.n_agents, width)
+        else:
+            per_step = distributed_traffic(topology or Topology.full(env.n_agents),
+                                           team.comm.settings.num_layers, width)
+        row["comm_messages"] = per_step.messages * steps
+        row["comm_floats"] = per_step.floats_transferred * steps
+        row["comm_rounds"] = per_step.rounds * steps
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(row))

@@ -7,6 +7,9 @@ layer shapes, never on the team size.  The final output projection starts
 at exactly zero, so an untrained stack adds nothing: the surrounding
 network behaves as if communication were disabled until the projection
 learns otherwise.
+
+CommSettings is the one config type for the stack: the run config's "comm"
+section and every direct construction of a CommStack use it.
 """
 
 from __future__ import annotations
@@ -20,42 +23,30 @@ from .errors import ConfigError, ShapeError
 from .nn import Dense, EncoderLayer, Module, Tensor, TrainContext
 from .rng import stream
 
-# Encoder depth / feedforward width presets per benchmark scenario name.
-SCENARIO_SHAPES = {
-    "2c_vs_64zg": (2, 512),
-    "5m_vs_6m": (1, 128),
-    "27m_vs_30m": (1, 128),
-    "MMM2": (3, 256),
-    "6h_vs_8z": (4, 512),
-    "3s5z_vs_3s6z": (3, 512),
-}
-
 
 @dataclass(frozen=True)
-class CommConfig:
+class CommSettings:
+    """The communication stack's shape and switches, validated on construction.
+
+    The stack's width is not a setting: it is the agents' hidden size, passed
+    to CommStack alongside.  enabled=False builds no stack; residual=False
+    feeds the Q head the increment alone instead of hidden + increment.
+    """
+
+    enabled: bool = True
     num_layers: int = 1
     ffn_dim: int = 128
-    model_dim: int = 64
     heads: int = 4
     dropout: float = 0.10
+    residual: bool = True
 
     def __post_init__(self):
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.ffn_dim < 1 or self.model_dim < 1:
-            raise ConfigError("ffn_dim and model_dim must be positive")
-        if self.model_dim % self.heads != 0:
-            raise ConfigError(
-                f"model_dim {self.model_dim} not divisible by heads {self.heads}")
+        if self.ffn_dim < 1 or self.heads < 1:
+            raise ConfigError("ffn_dim and heads must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @classmethod
-    def for_scenario(cls, name: str, model_dim: int = 64, heads: int = 4,
-                     dropout: float = 0.10) -> "CommConfig":
-        layers, ffn = SCENARIO_SHAPES.get(name, (1, 128))
-        return cls(num_layers=layers, ffn_dim=ffn, model_dim=model_dim,
-                   heads=heads, dropout=dropout)
 
 
 class CommStack(Module):
@@ -65,18 +56,22 @@ class CommStack(Module):
     own optimizer.
     """
 
-    def __init__(self, config: CommConfig, seed: int):
+    def __init__(self, settings: CommSettings, model_dim: int, seed: int):
         super().__init__()
-        self.config = config
+        if model_dim < 1 or model_dim % settings.heads != 0:
+            raise ConfigError(
+                f"model_dim {model_dim} not a positive multiple of heads {settings.heads}")
+        self.settings = settings
+        self.model_dim = model_dim
         rng = stream(seed, "comm-init")
         self.layers = [
             self._register(EncoderLayer(
-                config.model_dim, config.heads, config.ffn_dim, config.dropout,
+                model_dim, settings.heads, settings.ffn_dim, settings.dropout,
                 rng, f"comm.layer{i}", group="comm"))
-            for i in range(config.num_layers)
+            for i in range(settings.num_layers)
         ]
         self.out_proj = self._register(Dense(
-            config.model_dim, config.model_dim, rng, "comm.out_proj",
+            model_dim, model_dim, rng, "comm.out_proj",
             group="comm", zero_init=True))
 
     def forward(self, hidden: Tensor, mask: Optional[np.ndarray] = None,
@@ -88,9 +83,8 @@ class CommStack(Module):
         communicates.  With sets > 1 the rows hold that many independent
         teams back to back; each team communicates only internally.
         """
-        if hidden.cols != self.config.model_dim:
-            raise ShapeError(
-                f"expected width {self.config.model_dim}, got {hidden.shape}")
+        if hidden.cols != self.model_dim:
+            raise ShapeError(f"expected width {self.model_dim}, got {hidden.shape}")
         x = hidden
         for layer in self.layers:
             x = layer(x, mask=mask, sets=sets, ctx=ctx)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .comm import CommConfig
+from .comm import CommSettings
 from .errors import ConfigError
 from .learner import TrainConfig
 
@@ -22,23 +22,6 @@ from .learner import TrainConfig
 class EnvSpec:
     name: str = "cue_passing"
     params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CommSettings:
-    enabled: bool = True
-    num_layers: int = 1
-    ffn_dim: int = 128
-    heads: int = 4
-    dropout: float = 0.10
-    residual: bool = True
-
-    def to_comm_config(self, model_dim: int) -> CommConfig | None:
-        if not self.enabled:
-            return None
-        return CommConfig(num_layers=self.num_layers, ffn_dim=self.ffn_dim,
-                          model_dim=model_dim, heads=self.heads,
-                          dropout=self.dropout)
 
 
 @dataclass(frozen=True)
@@ -63,6 +46,8 @@ class RunConfig:
             raise ConfigError(f"mixer must be 'vdn' or 'qmix', got {self.mixer!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if not all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds):
+            raise ConfigError(f"seeds must be integers, got {list(self.seeds)}")
         if self.total_env_steps < 1:
             raise ConfigError("total_env_steps must be positive")
 
@@ -85,7 +70,9 @@ def _build(cls, data: dict, where: str):
         elif name == "train":
             value = _build(TrainConfig, value, f"{where}.train")
         elif name == "seeds":
-            value = tuple(int(s) for s in value)
+            if not isinstance(value, list):
+                raise ConfigError(f"{where}.seeds: expected a list, got {value!r}")
+            value = tuple(value)
         kwargs[name] = value
     try:
         return cls(**kwargs)

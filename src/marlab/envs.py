@@ -85,17 +85,6 @@ class Env:
         raise NotImplementedError
 
 
-class RemoteEnvAdapter(Env):
-    """Attachment point for an external simulator spoken to over IPC.
-
-    Declared so run configurations can name it; no transport is bundled.
-    Subclass and implement the contract against your process boundary.
-    """
-
-    def __init__(self, *args, **kwargs):
-        raise NotImplementedError("bring your own transport: subclass and implement Env")
-
-
 class MatrixGame(Env):
     """One-shot two-player game defined by a payoff table.
 

@@ -11,13 +11,13 @@ shared global-norm clip.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .agents import TeamModel, build_inputs
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .mixers import mix_values
 from .nn import Adam, RMSProp, Tensor, TrainContext, clip_grad_norm, no_grad
 from .nn import tensor as T
@@ -99,6 +99,16 @@ class TrainConfig:
             raise ContractError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.epsilon_finish > self.epsilon_start:
             raise ContractError("epsilon_finish must not exceed epsilon_start")
+        # lr 0 is allowed: it freezes a group (comm_lr=0 trains the agents alone)
+        if self.lr < 0 or self.comm_lr < 0:
+            raise ConfigError(f"lr and comm_lr must be >= 0, got {self.lr}, {self.comm_lr}")
+        for name in ("batch_size", "hidden_dim", "target_update_interval",
+                     "test_interval", "test_episodes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.buffer_capacity < self.batch_size:
+            raise ConfigError(f"buffer_capacity {self.buffer_capacity} < batch_size "
+                              f"{self.batch_size}: no batch could ever be sampled")
 
 
 def epsilon(env_step: int, config: TrainConfig) -> float:
@@ -250,11 +260,8 @@ class Learner:
             batch["avail"][:, 1:], batch["states"][:, 1:],
             lambda q, s: mix_values(self.target.mixer, q, s), cfg.gamma)
 
+        # no zero_grad: both optimizers' step() leave every grad at None
         loss = td_loss(q_tot, targets, batch["mask"])
-        self.team.agent.zero_grad()
-        if self.team.comm is not None:
-            self.team.comm.zero_grad()
-        self.team.mixer.zero_grad()
         loss.backward()
 
         grad_norm = clip_grad_norm(self.team.parameters(), cfg.grad_clip)

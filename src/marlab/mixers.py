@@ -59,6 +59,11 @@ class QmixMixer(Module):
         self.v_hidden = self._register(Dense(state_dim, embed_dim, rng, "mixer.v_hidden"))
         self.v_out = self._register(Dense(embed_dim, 1, rng, "mixer.v_out"))
 
+    def hyper_weights(self, state: Tensor) -> tuple[Tensor, Tensor]:
+        """Both mixing layers' weights as the hypernets emit them, before |.|."""
+        return (self.w1_out(T.elu(self.w1_hidden(state))),
+                self.w2_out(T.elu(self.w2_hidden(state))))
+
     def _positivity(self, t: Tensor) -> Tensor:
         # Hook so diagnostics can probe what breaks without this constraint.
         return T.absolute(t)
@@ -68,10 +73,9 @@ class QmixMixer(Module):
             raise ShapeError(f"expected {self.n_agents} local values, got {q_locals.shape}")
         if state.cols != self.state_dim:
             raise ShapeError(f"expected state width {self.state_dim}, got {state.shape}")
-        w1 = self._positivity(self.w1_out(T.elu(self.w1_hidden(state))))
+        w1, w2 = (self._positivity(w) for w in self.hyper_weights(state))
         b1 = self.b1(state)
         hidden = T.elu(T.add(T.block_row_matmul(q_locals, w1, self.n_agents, self.embed_dim), b1))
-        w2 = self._positivity(self.w2_out(T.elu(self.w2_hidden(state))))
         v = self.v_out(T.elu(self.v_hidden(state)))
         return T.add(T.tsum(T.mul(hidden, w2), axis=1), v)
 

@@ -14,7 +14,9 @@ Two ways to run the same stack at inference time:
                received the row.
 
 Under full connectivity both produce identical increments; the simulator
-checks that and counts the traffic.
+checks that and counts the traffic.  centralized_traffic and
+distributed_traffic are the only home of the per-step traffic formulas:
+the rounds below and `marlab eval --deploy` both use them.
 """
 
 from __future__ import annotations
@@ -84,22 +86,28 @@ class TrafficStats:
         if min(self.messages, self.floats_transferred, self.rounds) < 0:
             raise ConfigError("traffic counters must be nonnegative")
 
-    def as_dict(self) -> dict:
-        return {"messages": self.messages,
-                "floats_transferred": self.floats_transferred,
-                "rounds": self.rounds}
+
+def centralized_traffic(n: int, width: int) -> TrafficStats:
+    """Per-step traffic of the aggregation node: up n states, back n increments."""
+    return TrafficStats(messages=2 * n, floats_transferred=2 * n * width, rounds=1)
+
+
+def distributed_traffic(topology: Topology, num_layers: int, width: int) -> TrafficStats:
+    """Per-step peer-to-peer traffic: one send per reachable link per layer."""
+    messages = num_layers * topology.directed_links()
+    return TrafficStats(messages=messages, floats_transferred=messages * width,
+                        rounds=num_layers)
 
 
 def centralized_round(comm: CommStack, hidden: np.ndarray) -> tuple[np.ndarray, TrafficStats]:
-    """Aggregation-node deployment: up n states, back n increments."""
+    """Aggregation-node deployment of one communication step."""
     hidden = np.asarray(hidden, dtype=float)
     n, width = hidden.shape
-    if width != comm.config.model_dim:
-        raise ShapeError(f"hidden width {width} != model dim {comm.config.model_dim}")
+    if width != comm.model_dim:
+        raise ShapeError(f"hidden width {width} != model dim {comm.model_dim}")
     with no_grad():
         z = comm(Tensor(hidden)).data.copy()
-    stats = TrafficStats(messages=2 * n, floats_transferred=2 * n * width, rounds=1)
-    return z, stats
+    return z, centralized_traffic(n, width)
 
 
 def distributed_round(comm: CommStack, hidden: np.ndarray,
@@ -109,13 +117,8 @@ def distributed_round(comm: CommStack, hidden: np.ndarray,
     n, width = hidden.shape
     if topology.n != n:
         raise ShapeError(f"topology is for {topology.n} agents, hidden has {n} rows")
-    if width != comm.config.model_dim:
-        raise ShapeError(f"hidden width {width} != model dim {comm.config.model_dim}")
+    if width != comm.model_dim:
+        raise ShapeError(f"hidden width {width} != model dim {comm.model_dim}")
     with no_grad():
         z = comm(Tensor(hidden), mask=topology.reachable).data.copy()
-    rounds = comm.config.num_layers
-    messages = rounds * topology.directed_links()
-    stats = TrafficStats(messages=messages,
-                         floats_transferred=messages * width,
-                         rounds=rounds)
-    return z, stats
+    return z, distributed_traffic(topology, comm.settings.num_layers, width)

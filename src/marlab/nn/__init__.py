@@ -12,20 +12,15 @@ from .tensor import (
     grad_enabled,
     gru_cell,
     layer_norm_rows,
-    matmul,
     mul,
     no_grad,
     relu,
     reshape,
     scale,
     set_attention,
-    sigmoid,
-    slice_cols,
     softmax_rows,
     square,
     sub,
-    tanh,
-    transpose,
     tsum,
 )
 from .layers import (

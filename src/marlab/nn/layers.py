@@ -9,7 +9,7 @@ bit-exactly.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class Module:
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
 
     def copy_from(self, other: "Module"):
         """Hard-copy parameter values from a module of identical structure."""

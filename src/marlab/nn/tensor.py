@@ -71,16 +71,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Accumulate gradients of this (scalar) tensor into the graph."""
@@ -108,22 +102,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the module-level functions do the work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -253,33 +231,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(data, (a,), make)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-
-    def make():
-        def backward(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-
-        return backward
-
-    return _result(data, (a, b), make)
-
-
-def transpose(a: Tensor) -> Tensor:
-    data = a.data.T.copy()
-
-    def make():
-        def backward(g):
-            _accum(a, g.T)
-
-        return backward
-
-    return _result(data, (a,), make)
-
-
 def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
     if axis is None:
         data = a.data.sum().reshape(1, 1)
@@ -303,30 +254,6 @@ def relu(a: Tensor) -> Tensor:
 
         def backward(g):
             _accum(a, g * pos)
-
-        return backward
-
-    return _result(data, (a,), make)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def make():
-        def backward(g):
-            _accum(a, g * data * (1.0 - data))
-
-        return backward
-
-    return _result(data, (a,), make)
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def make():
-        def backward(g):
-            _accum(a, g * (1.0 - data * data))
 
         return backward
 
@@ -366,21 +293,6 @@ def square(a: Tensor) -> Tensor:
     def make():
         def backward(g):
             _accum(a, 2.0 * g * a.data)
-
-        return backward
-
-    return _result(data, (a,), make)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    data = a.data[:, start:stop].copy()
-
-    def make():
-        def backward(g):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                a.grad[:, start:stop] += g
 
         return backward
 

@@ -21,19 +21,20 @@ import numpy as np
 from .agents import TeamModel, build_inputs, make_team
 from .config import RunConfig, save_run_config
 from .envs import Env, make_env
+from .errors import ContractError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
-from .learner import EpisodeRecord, Learner, ReplayBuffer, epsilon
+from .learner import EpisodeRecord, Learner, ReplayBuffer, epsilon, pad_batch
 from .nn import no_grad, save_checkpoint, load_checkpoint, read_records, write_records
 from .rng import stream, unit_uniform
 
 CSV_FIELDS = ["seed", "env_step", "mean_test_return", "success_rate", "loss", "epsilon"]
+# padded (episode, time, ...) arrays of a buffer snapshot, as pad_batch stacks them
+BUFFER_ARRAYS = ("obs", "states", "avail", "actions", "rewards")
 
 
 def build_team_for_env(config: RunConfig, env: Env, seed: int) -> TeamModel:
-    comm_config = config.comm.to_comm_config(config.train.hidden_dim)
     return make_team(env.obs_dim, env.n_actions, env.n_agents, env.state_dim,
-                     config.train.hidden_dim, config.mixer, comm_config,
-                     config.comm.residual, seed)
+                     config.train.hidden_dim, config.mixer, config.comm, seed)
 
 
 def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
@@ -73,16 +74,21 @@ def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
 
 
 def evaluate(env: Env, team: TeamModel, episodes: int, seed: int,
-             test_point: int) -> tuple[float, float]:
-    """Greedy test protocol; returns (mean return, success rate)."""
-    returns, successes = [], 0
+             test_point: int, comm_mask: Optional[np.ndarray] = None,
+             ) -> tuple[float, float, int]:
+    """Greedy test protocol; returns (mean return, success rate, env steps)."""
+    if episodes < 1:
+        raise ContractError(f"need at least one test episode, got {episodes}")
+    returns, successes, steps = [], 0, 0
     for e in range(episodes):
         record = rollout_episode(env, team, GREEDY, seed,
-                                 episode_idx=_test_episode_key(test_point, e))
+                                 episode_idx=_test_episode_key(test_point, e),
+                                 comm_mask=comm_mask)
         total = float(record.rewards.sum())
         returns.append(total)
         successes += int(env.is_success(total))
-    return float(np.mean(returns)), successes / episodes
+        steps += record.length
+    return float(np.mean(returns)), successes / episodes, steps
 
 
 def _test_episode_key(test_point: int, episode: int) -> int:
@@ -114,8 +120,8 @@ class SeedRun:
         return self.learner.team
 
     def _test_point(self):
-        test_idx = self.next_test // max(self.config.train.test_interval, 1)
-        mean_return, success = evaluate(
+        test_idx = self.next_test // self.config.train.test_interval
+        mean_return, success, _ = evaluate(
             self.test_env, self.team, self.config.train.test_episodes,
             self.seed, test_idx)
         self.rows.append({
@@ -201,42 +207,26 @@ class SeedRun:
         if not eps:
             np.savez(path, count=np.array(0))
             return
-        t_max = max(ep.length for ep in eps)
-        n, obs_dim = eps[0].obs.shape[1:]
-        n_actions = eps[0].avail.shape[-1]
-        count = len(eps)
-        arrays = {
-            "count": np.array(count),
-            "lengths": np.array([ep.length for ep in eps]),
-            "terminated": np.array([ep.terminated for ep in eps]),
-            "obs": np.zeros((count, t_max + 1, n, obs_dim)),
-            "states": np.zeros((count, t_max + 1, eps[0].states.shape[-1])),
-            "avail": np.zeros((count, t_max + 1, n, n_actions), dtype=bool),
-            "actions": np.zeros((count, t_max, n), dtype=np.intp),
-            "rewards": np.zeros((count, t_max)),
-        }
-        for i, ep in enumerate(eps):
-            t = ep.length
-            arrays["obs"][i, : t + 1] = ep.obs
-            arrays["states"][i, : t + 1] = ep.states
-            arrays["avail"][i, : t + 1] = ep.avail
-            arrays["actions"][i, :t] = ep.actions
-            arrays["rewards"][i, :t] = ep.rewards
-        np.savez(path, **arrays)
+        batch = pad_batch(eps)
+        np.savez(path, count=np.array(len(eps)),
+                 lengths=np.array([ep.length for ep in eps]),
+                 terminated=np.array([ep.terminated for ep in eps]),
+                 **{key: batch[key] for key in BUFFER_ARRAYS})
 
     def _load_buffer(self, path):
-        data = np.load(path)
+        # one lookup per key: each NpzFile lookup reads the whole array again
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
         self.buffer = ReplayBuffer(self.config.train.buffer_capacity)
-        count = int(data["count"])
-        for i in range(count):
-            t = int(data["lengths"][i])
+        for i in range(int(arrays["count"])):
+            t = int(arrays["lengths"][i])
             self.buffer.add(EpisodeRecord(
-                obs=data["obs"][i, : t + 1].copy(),
-                states=data["states"][i, : t + 1].copy(),
-                avail=data["avail"][i, : t + 1].copy(),
-                actions=data["actions"][i, :t].copy(),
-                rewards=data["rewards"][i, :t].copy(),
-                terminated=bool(data["terminated"][i])))
+                obs=arrays["obs"][i, : t + 1].copy(),
+                states=arrays["states"][i, : t + 1].copy(),
+                avail=arrays["avail"][i, : t + 1].copy(),
+                actions=arrays["actions"][i, :t].copy(),
+                rewards=arrays["rewards"][i, :t].copy(),
+                terminated=bool(arrays["terminated"][i])))
 
 
 def write_rows_csv(rows: list[dict], path):

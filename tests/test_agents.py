@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from marlab.agents import AgentNet, TeamModel, build_inputs, make_team
-from marlab.comm import CommConfig
+from marlab.comm import CommSettings
 from marlab.errors import ShapeError
 from marlab.nn import Parameter, Tensor
 from marlab.nn.gradcheck import max_gradient_error
@@ -12,10 +12,10 @@ from marlab.nn import tensor as T
 
 
 def small_team(mixer="vdn", comm=True, residual=True, seed=0, n=3):
-    cfg = CommConfig(num_layers=1, ffn_dim=16, model_dim=8, heads=2, dropout=0.0) if comm else None
+    settings = CommSettings(enabled=comm, num_layers=1, ffn_dim=16, heads=2,
+                            dropout=0.0, residual=residual)
     return make_team(obs_dim=4, n_actions=3, n_agents=n, state_dim=5,
-                     hidden_dim=8, mixer_kind=mixer, comm_config=cfg,
-                     use_residual=residual, seed=seed)
+                     hidden_dim=8, mixer_kind=mixer, comm=settings, seed=seed)
 
 
 def random_inputs(gen, team, sets=1):

@@ -8,6 +8,10 @@ import pytest
 
 from marlab.cli import curve_auc, main
 from marlab.config import load_run_config
+from marlab.envs import make_env
+from marlab.netsim import Topology, centralized_traffic, distributed_traffic
+from marlab.nn import load_checkpoint
+from marlab.runner import build_team_for_env, evaluate
 
 
 def write_toy_config(tmp_path, **overrides):
@@ -131,6 +135,39 @@ class TestEvalCommand:
         assert code == 0
         row = json.loads(capsys.readouterr().out)
         assert row["comm_messages"] == 0  # nobody hears anybody
+
+    def test_eval_without_episodes_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = write_toy_config(tmp_path)
+        main(["train", "--config", str(cfg)])
+        capsys.readouterr()  # drop training output
+        assert main(["eval", "--run", str(tmp_path / "run" / "seed_1"),
+                     "--episodes", "0"]) == 2
+        assert "test episode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("deploy", ["centralized", "distributed"])
+    def test_eval_is_evaluate_plus_netsim_traffic(self, tmp_path, capsys, deploy):
+        comm = {"enabled": True, "num_layers": 2, "ffn_dim": 8, "heads": 2, "dropout": 0.1}
+        cfg = write_toy_config(tmp_path, comm=comm)
+        main(["train", "--config", str(cfg)])
+        capsys.readouterr()  # drop training output
+        seed_dir = tmp_path / "run" / "seed_1"
+        assert main(["eval", "--run", str(seed_dir), "--episodes", "3",
+                     "--seed", "4", "--deploy", deploy]) == 0
+        row = json.loads(capsys.readouterr().out)
+
+        config = load_run_config(tmp_path / "run" / "config.json")
+        env = make_env(config.env.name, config.env.params)
+        team = build_team_for_env(config, env, seed=4)
+        load_checkpoint(seed_dir / "checkpoint.bin", team.parameters())
+        mean_return, success, steps = evaluate(env, team, 3, seed=4, test_point=0)
+        assert (row["mean_return"], row["success_rate"], row["env_steps"]) == \
+            (mean_return, success, steps)
+        # 2 agents, width 8, 2 layers
+        per_step = (centralized_traffic(2, 8) if deploy == "centralized"
+                    else distributed_traffic(Topology.full(2), 2, 8))
+        assert (row["comm_messages"], row["comm_floats"], row["comm_rounds"]) == \
+            (per_step.messages * steps, per_step.floats_transferred * steps,
+             per_step.rounds * steps)
 
 
 class TestSweepCommand:

@@ -3,22 +3,22 @@
 import numpy as np
 import pytest
 
-from marlab.comm import CommConfig, CommStack, SCENARIO_SHAPES
+from marlab.comm import CommSettings, CommStack
 from marlab.errors import ConfigError
 from marlab.nn import Dense, EncoderLayer, Tensor, TrainContext
 from marlab.nn.gradcheck import max_gradient_error
 from marlab.nn import tensor as T
 
 
-def small_config(**kw):
-    defaults = dict(num_layers=1, ffn_dim=16, model_dim=8, heads=2, dropout=0.1)
-    defaults.update(kw)
-    return CommConfig(**defaults)
+def small_stack(seed, **kw):
+    settings = dict(num_layers=1, ffn_dim=16, heads=2, dropout=0.1)
+    settings.update(kw)
+    return CommStack(CommSettings(**settings), model_dim=8, seed=seed)
 
 
 def warmed_stack(seed=0, **kw):
     """A stack whose output projection is no longer zero (as if trained)."""
-    stack = CommStack(small_config(**kw), seed=seed)
+    stack = small_stack(seed, **kw)
     rng = np.random.default_rng(seed + 100)
     stack.out_proj.weight.data[...] = rng.standard_normal(stack.out_proj.weight.shape) * 0.5
     stack.out_proj.bias.data[...] = rng.standard_normal(stack.out_proj.bias.shape) * 0.1
@@ -27,39 +27,34 @@ def warmed_stack(seed=0, **kw):
 
 class TestInit:
     def test_fresh_stack_outputs_exact_zero(self):
-        stack = CommStack(small_config(), seed=3)
+        stack = small_stack(3)
         for trial in range(5):
             h = Tensor(np.random.default_rng(trial).standard_normal((4, 8)))
             z = stack(h)
             assert np.all(z.data == 0.0)
 
-    def test_scenario_preset_constructs(self):
-        cfg = CommConfig.for_scenario("3s5z_vs_3s6z")
-        assert (cfg.num_layers, cfg.ffn_dim) == (3, 512)
-        CommStack(cfg, seed=0)
-
-    def test_unknown_scenario_gets_default_shape(self):
-        cfg = CommConfig.for_scenario("nonexistent")
-        assert (cfg.num_layers, cfg.ffn_dim) == (1, 128)
-
     def test_same_seed_bit_identical_params(self):
-        a = CommStack(small_config(), seed=7)
-        b = CommStack(small_config(), seed=7)
+        a = small_stack(7)
+        b = small_stack(7)
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa.data, pb.data)
 
     def test_zero_layers_rejected(self):
         with pytest.raises(ConfigError):
-            small_config(num_layers=0)
+            CommSettings(num_layers=0)
+
+    def test_width_not_divisible_by_heads_rejected(self):
+        with pytest.raises(ConfigError, match="heads"):
+            CommStack(CommSettings(heads=3), model_dim=8, seed=0)
 
     def test_all_params_in_comm_group(self):
-        stack = CommStack(small_config(num_layers=2), seed=1)
+        stack = small_stack(1, num_layers=2)
         assert all(p.group == "comm" for p in stack.parameters())
 
 
 class TestCommunicate:
     def test_passthrough_at_init_residual_is_identity(self):
-        stack = CommStack(small_config(), seed=5)
+        stack = small_stack(5)
         h = Tensor(np.random.default_rng(0).standard_normal((3, 8)))
         z = stack(h)
         assert np.array_equal(T.add(h, z).data, h.data)
@@ -94,7 +89,9 @@ class TestCommunicate:
         for i in range(3):
             h.grad = None
             z = stack(h)
-            T.tsum(T.slice_cols(T.transpose(z), i, i + 1)).backward()
+            row_i = np.zeros((3, 1))
+            row_i[i] = 1.0
+            T.tsum(T.mul(z, row_i)).backward()
             per_row = np.abs(h.grad).sum(axis=1)
             assert np.all(per_row > 0), f"row {i} increment ignores some agent"
 
@@ -120,17 +117,15 @@ class TestParamCount:
     def test_count_independent_of_team_size(self):
         # the stack never sees n at construction; exercising it with
         # different team sizes cannot change the parameter count
-        stack = CommStack(small_config(), seed=29)
+        stack = small_stack(29)
         before = stack.param_count()
         for n in (2, 8, 27):
             stack(Tensor(np.zeros((n, 8))))
         assert stack.param_count() == before
 
     def test_count_decomposes_into_layers_plus_projection(self):
-        cfg1 = small_config(num_layers=1)
-        cfg2 = small_config(num_layers=2)
-        one = CommStack(cfg1, seed=31)
-        two = CommStack(cfg2, seed=31)
+        one = small_stack(31, num_layers=1)
+        two = small_stack(31, num_layers=2)
         rng = np.random.default_rng(0)
         layer = EncoderLayer(8, 2, 16, 0.1, rng, "probe")
         proj = Dense(8, 8, rng, "probe_proj")

@@ -1,7 +1,10 @@
 """Config schema, training runs, resumption, and CSV determinism."""
 
+import collections
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,10 @@ from marlab.config import (
     save_run_config,
 )
 from marlab.errors import ConfigError
-from marlab.learner import TrainConfig
-from marlab.runner import SeedRun, train_all_seeds, train_one_seed
+from marlab.learner import EpisodeRecord, TrainConfig
+from marlab.runner import BUFFER_ARRAYS, SeedRun, train_all_seeds, train_one_seed
+
+EARLIER_STATE = Path(__file__).parent / "data" / "earlier_state"
 
 
 def toy_config(**kw):
@@ -66,6 +71,25 @@ class TestConfigSchema:
         assert cfg.mixer == "qmix"
         assert cfg.train.gamma == 0.99
         assert cfg.seeds == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("train", [
+        {"test_interval": 0},                       # test points never advance
+        {"test_episodes": 0},                       # mean over no episodes
+        {"buffer_capacity": 8, "batch_size": 16},   # never a full batch
+        {"batch_size": 0},                          # empty batch mid-run
+        {"target_update_interval": 0},              # modulo by zero
+        {"hidden_dim": 0},                          # division by zero in init
+        {"lr": -1e-3},
+        {"comm_lr": -1e-3},
+    ])
+    def test_train_settings_that_cannot_run_rejected(self, train):
+        with pytest.raises(ConfigError):
+            run_config_from_dict({"train": train})
+
+    @pytest.mark.parametrize("seeds", [5, "12", ["a"], [1.5], [True]])
+    def test_malformed_seeds_rejected(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            run_config_from_dict({"seeds": seeds})
 
 
 class TestTrainingRun:
@@ -138,3 +162,67 @@ class TestTrainingRun:
         )
         rows = train_one_seed(cfg, seed=1, out_dir=tmp_path / "learn")
         assert rows[-1]["success_rate"] >= 0.75
+
+
+def add_episodes(run, lengths, seed=0):
+    """Synthetic episodes of the given lengths; every other one truncated."""
+    gen = np.random.default_rng(seed)
+    env = run.env
+    n, a = env.n_agents, env.n_actions
+    for i, t in enumerate(lengths):
+        run.buffer.add(EpisodeRecord(
+            obs=gen.standard_normal((t + 1, n, env.obs_dim)),
+            states=gen.standard_normal((t + 1, env.state_dim)),
+            avail=gen.random((t + 1, n, a)) < 0.7,
+            actions=gen.integers(0, a, size=(t, n)),
+            rewards=gen.standard_normal(t),
+            terminated=(i % 2 == 0)))
+
+
+class TestSnapshot:
+    def test_buffer_round_trip_mixed_lengths_and_truncation(self, tmp_path):
+        run = SeedRun(toy_config(), seed=1, out_dir=tmp_path)
+        run.save_state()
+        empty = SeedRun(toy_config(), seed=1, out_dir=tmp_path)
+        empty.load_state()
+        assert len(empty.buffer) == 0
+
+        add_episodes(run, [3, 1, 5, 2, 4])
+        run.save_state()
+        fresh = SeedRun(toy_config(), seed=1, out_dir=tmp_path)
+        fresh.load_state()
+        assert len(fresh.buffer) == 5
+        for saved, loaded in zip(run.buffer.episodes, fresh.buffer.episodes):
+            assert loaded.terminated == saved.terminated
+            for key in BUFFER_ARRAYS:
+                a, b = getattr(saved, key), getattr(loaded, key)
+                assert a.shape == b.shape and np.array_equal(a, b), key
+
+    def test_load_buffer_reads_each_array_once(self, tmp_path, monkeypatch):
+        run = SeedRun(toy_config(), seed=1, out_dir=tmp_path)
+        add_episodes(run, [2] * 6)
+        run.save_state()
+        reads = collections.Counter()
+        original = np.lib.npyio.NpzFile.__getitem__
+
+        def counting(npz, key):
+            reads[key] += 1
+            return original(npz, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+        SeedRun(toy_config(), seed=1, out_dir=tmp_path).load_state()
+        assert set(BUFFER_ARRAYS) <= set(reads)
+        assert max(reads.values()) == 1, dict(reads)
+
+    def test_state_written_by_hand_padding_snapshot_code_resumes(self, tmp_path):
+        # EARLIER_STATE holds the state/ directory that the snapshot code
+        # before pad_batch wrote for train_one_seed(toy_config(total_env_steps=40), seed=5)
+        full = train_one_seed(toy_config(), seed=5, out_dir=tmp_path / "full")
+        shutil.copytree(EARLIER_STATE, tmp_path / "parts" / "state")
+        resumed = train_one_seed(toy_config(), seed=5, out_dir=tmp_path / "parts",
+                                 resume=True)
+        assert len(resumed) == len(full) == 3
+        assert (tmp_path / "full" / "metrics.csv").read_bytes() == \
+            (tmp_path / "parts" / "metrics.csv").read_bytes()
+        assert (tmp_path / "full" / "checkpoint.bin").read_bytes() == \
+            (tmp_path / "parts" / "checkpoint.bin").read_bytes()

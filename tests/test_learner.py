@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from marlab.agents import make_team
-from marlab.comm import CommConfig
+from marlab.comm import CommSettings
 from marlab.errors import ContractError
 from marlab.learner import (
     EpisodeRecord,
@@ -35,10 +35,9 @@ def make_episode(gen, n=2, obs_dim=3, n_actions=2, state_dim=4, length=2,
 
 
 def tiny_team(seed=0, comm=True, mixer="vdn"):
-    cfg = CommConfig(num_layers=1, ffn_dim=8, model_dim=8, heads=2, dropout=0.1) if comm else None
+    settings = CommSettings(enabled=comm, num_layers=1, ffn_dim=8, heads=2, dropout=0.1)
     return make_team(obs_dim=3, n_actions=2, n_agents=2, state_dim=4,
-                     hidden_dim=8, mixer_kind=mixer, comm_config=cfg,
-                     use_residual=True, seed=seed)
+                     hidden_dim=8, mixer_kind=mixer, comm=settings, seed=seed)
 
 
 def tiny_config(**kw):

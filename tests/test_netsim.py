@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from marlab.comm import CommConfig, CommStack
+from marlab.comm import CommSettings, CommStack
 from marlab.errors import ConfigError, ShapeError
 from marlab.netsim import Topology, TrafficStats, centralized_round, distributed_round
 from marlab.nn import Tensor, no_grad
 
 
 def warmed_stack(layers=2, dim=8, seed=0):
-    stack = CommStack(CommConfig(num_layers=layers, ffn_dim=16, model_dim=dim,
-                                 heads=2, dropout=0.1), seed=seed)
+    stack = CommStack(CommSettings(num_layers=layers, ffn_dim=16, heads=2, dropout=0.1),
+                      model_dim=dim, seed=seed)
     gen = np.random.default_rng(seed + 50)
     stack.out_proj.weight.data[...] = gen.standard_normal(stack.out_proj.weight.shape) * 0.4
     stack.out_proj.bias.data[...] = gen.standard_normal(stack.out_proj.bias.shape) * 0.1
