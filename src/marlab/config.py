@@ -9,19 +9,51 @@ reproduces the run bit-exactly on the same build.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .comm import CommSettings
+from .envs import env_class
 from .errors import ConfigError
 from .learner import TrainConfig
 
 
+# JSON types a field or env parameter accepts, by its annotation
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+               "dict": (dict,)}
+
+
+def _check_type(where: str, annotation, value):
+    """Reject a value of the wrong JSON type, such as 2.5 for an int or "no" for a bool.
+
+    The annotation is the string form that `from __future__ import annotations`
+    leaves on dataclass fields and constructor parameters.
+    """
+    kinds = _JSON_TYPES.get(annotation)
+    if kinds is None:
+        return
+    # bool is an int subclass, but true is not a count and 1 is not a switch
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ConfigError(f"{where}: expected {annotation}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnvSpec:
+    """An environment by name; params must be arguments its constructor takes."""
+
     name: str = "cue_passing"
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        accepted = inspect.signature(env_class(self.name)).parameters
+        unknown = set(self.params) - set(accepted)
+        if unknown:
+            raise ConfigError(f"env {self.name!r}: unknown params {sorted(unknown)}, "
+                              f"it takes {sorted(accepted)}")
+        for key, value in self.params.items():
+            _check_type(f"env.params.{key}", accepted[key].annotation, value)
 
 
 @dataclass(frozen=True)
@@ -61,6 +93,7 @@ def _build(cls, data: dict, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
+        _check_type(f"{where}.{name}", fields[name].type, value)
         if name == "env":
             value = _build(EnvSpec, value, f"{where}.env")
         elif name == "comm":

@@ -291,17 +291,17 @@ class TwoStepCoop(Env):
         return float(self.BRANCH_B_TABLE[joint_action[0], joint_action[1]]), None
 
 
+ENVS = {"matrix_game": MatrixGame, "cue_passing": CuePassing, "two_step_coop": TwoStepCoop}
+
+
+def env_class(name: str) -> type:
+    if name not in ENVS:
+        raise ConfigError(f"unknown environment {name!r}")
+    return ENVS[name]
+
+
 def make_env(name: str, params: Optional[dict] = None) -> Env:
-    params = dict(params or {})
-    if name == "matrix_game":
-        if "payoff" in params:
-            params["payoff"] = np.asarray(params["payoff"], dtype=float)
-        return MatrixGame(**params)
-    if name == "cue_passing":
-        return CuePassing(**params)
-    if name == "two_step_coop":
-        return TwoStepCoop()
-    raise ConfigError(f"unknown environment {name!r}")
+    return env_class(name)(**(params or {}))
 
 
 def discounted_return(rewards, gamma: float) -> float:

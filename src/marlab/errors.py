@@ -27,3 +27,7 @@ class CapacityError(MarlabError):
 
 class EpisodeOverError(MarlabError):
     """step() was called on an episode that already terminated."""
+
+
+class CheckpointError(MarlabError):
+    """A checkpoint file is truncated or malformed."""

@@ -6,6 +6,20 @@ Targets pick the next action with the online network and evaluate it with
 the target network.  Two optimizers run side by side: RMSProp on the main
 group (agents and mixer) and Adam on the communication group, after one
 shared global-norm clip.
+
+A train step unrolls only the steps its loss reads.  Let k be one past the
+last transition t at which some row has mask * (1 - terminated) > 0 (k = 0
+if there is none); only transitions before k bootstrap.  The online unroll
+runs steps 0..max(t_max - 1, k): every step up to t_max - 1 feeds the
+chosen-action values, and step k selects the last bootstrapped action.  The
+target unroll returns Q values for steps 1..k only; at step 0 it just
+advances the recurrent carry, and nothing after k runs.  Targets at
+transitions from k on are the rewards.  This is exact: every skipped step
+fed either a term multiplied by (1 - terminated) = 0 or a padded row that
+the mask zeroes, and none of them is on the gradient path, so losses,
+gradients and parameters are bit-identical to the full unroll.  One
+difference shows only on broken networks: a non-finite target value at a
+skipped step used to make the loss NaN (0 * inf) and now does not.
 """
 
 from __future__ import annotations
@@ -159,19 +173,28 @@ def pad_batch(episodes: list[EpisodeRecord]) -> dict:
 
 
 def unroll_team(team: TeamModel, batch: dict,
-                ctx: Optional[TrainContext] = None) -> list[Tensor]:
-    """Run the team over every step of a padded batch.
+                ctx: Optional[TrainContext] = None,
+                steps: Optional[range] = None) -> list[Tensor]:
+    """Run the team over a padded batch; return the local Q values of `steps`.
 
-    Returns one (batch*n, n_actions) local-Q tensor per step t = 0..t_max.
-    Hidden states start at zero and are carried inside.
+    Returns one (batch*n, n_actions) tensor per step of the contiguous range
+    `steps`, by default every step t = 0..t_max.  Hidden states start at
+    zero and are carried inside; steps before steps.start only advance the
+    recurrent carry (no communication, no Q head) and steps from steps.stop
+    on do not run.
     """
     bsz, t_max, n = batch["batch_size"], batch["t_max"], batch["n_agents"]
+    if steps is None:
+        steps = range(t_max + 1)
     h = team.initial_hidden(bsz * n)
     out = []
-    for t in range(t_max + 1):
+    for t in range(steps.stop if steps else 0):
         flat_obs = batch["obs"][:, t].reshape(bsz * n, -1)
         last = batch["actions"][:, t - 1].reshape(-1) if t > 0 else None
         inputs = build_inputs(flat_obs, last, batch["n_actions"], n)
+        if t < steps.start:
+            h = team.agent.encode(Tensor(inputs), h)
+            continue
         q, h = team.step(inputs, h, sets=bsz, ctx=ctx)
         out.append(q)
     return out
@@ -237,10 +260,14 @@ class Learner:
         batch = pad_batch(episodes)
         bsz, t_max, n = batch["batch_size"], batch["t_max"], batch["n_agents"]
 
+        # transitions from k on never bootstrap (see the module docstring)
+        bootstraps = (batch["mask"] * (1.0 - batch["terminated"]) > 0).any(axis=0)
+        k = int(np.flatnonzero(bootstraps)[-1]) + 1 if bootstraps.any() else 0
+
         ctx = TrainContext(self.seed, self.train_steps)
-        online_q = unroll_team(self.team, batch, ctx=ctx)
+        online_q = unroll_team(self.team, batch, ctx=ctx, steps=range(max(t_max - 1, k) + 1))
         with no_grad():
-            target_q = unroll_team(self.target, batch)
+            target_q = unroll_team(self.target, batch, steps=range(1, k + 1))
 
         # joint value of the actions actually taken, per step
         q_taken = []
@@ -253,12 +280,13 @@ class Learner:
         def stack_values(tensors):
             return np.stack([q.data.reshape(bsz, n, -1) for q in tensors], axis=1)
 
-        online_next = stack_values(online_q[1:])
-        target_next = stack_values(target_q[1:])
-        targets = double_q_targets(
-            batch["rewards"], batch["terminated"], online_next, target_next,
-            batch["avail"][:, 1:], batch["states"][:, 1:],
-            lambda q, s: mix_values(self.target.mixer, q, s), cfg.gamma)
+        targets = batch["rewards"].copy()
+        if k:
+            targets[:, :k] = double_q_targets(
+                batch["rewards"][:, :k], batch["terminated"][:, :k],
+                stack_values(online_q[1 : k + 1]), stack_values(target_q),
+                batch["avail"][:, 1 : k + 1], batch["states"][:, 1 : k + 1],
+                lambda q, s: mix_values(self.target.mixer, q, s), cfg.gamma)
 
         # no zero_grad: both optimizers' step() leave every grad at None
         loss = td_loss(q_tot, targets, batch["mask"])

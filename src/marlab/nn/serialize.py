@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import CheckpointError, ContractError
 from .tensor import Parameter
 
 FORMAT_NAME = "marlab-params-v1"
@@ -44,21 +44,30 @@ def read_records(path) -> list[tuple[str, np.ndarray]]:
     blob = Path(path).read_bytes()
     pos = 0
 
-    def take_u64():
+    def take(size: int, what: str) -> int:
+        """Offset of the next `size` bytes, which must all be in the file."""
         nonlocal pos
-        (value,) = _U64.unpack_from(blob, pos)
-        pos += 8
-        return value
+        if size > len(blob) - pos:
+            raise CheckpointError(f"{path}: truncated at byte {pos}: {what} needs "
+                                  f"{size} bytes, {len(blob) - pos} left")
+        start, pos = pos, pos + size
+        return start
+
+    def take_u64(what: str) -> int:
+        return _U64.unpack_from(blob, take(8, what))[0]
 
     while pos < len(blob):
-        name_len = take_u64()
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        rows = take_u64()
-        cols = take_u64()
+        name_len = take_u64("a name length")
+        start = take(name_len, "a record name")
+        try:
+            name = blob[start : start + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: record name at byte {start} is not utf-8") from exc
+        rows = take_u64(f"the row count of {name!r}")
+        cols = take_u64(f"the column count of {name!r}")
         count = rows * cols
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(rows, cols)
-        pos += count * 8
+        start = take(count * 8, f"the values of {name!r}")
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start).reshape(rows, cols)
         out.append((name, arr.astype(np.float64)))
     return out
 

@@ -377,10 +377,11 @@ def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     d = a.cols
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ShapeError("layer_norm: gamma/beta must be 1 x d row vectors")
-    mean = a.data.mean(axis=1, keepdims=True)
-    var = a.data.var(axis=1, keepdims=True)
+    # the arithmetic of np.mean and np.var, with the mean subtracted once
+    centered = a.data - a.data.sum(axis=1, keepdims=True) / d
+    var = (centered * centered).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mean) * inv
+    xhat = centered * inv
     data = xhat * gamma.data + beta.data
 
     def make():
@@ -388,8 +389,8 @@ def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
             _accum(beta, g.sum(axis=0, keepdims=True))
             _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
             dxhat = g * gamma.data
-            row_mean = dxhat.mean(axis=1, keepdims=True)
-            proj = (dxhat * xhat).mean(axis=1, keepdims=True)
+            row_mean = dxhat.sum(axis=1, keepdims=True) / d
+            proj = (dxhat * xhat).sum(axis=1, keepdims=True) / d
             _accum(a, inv * (dxhat - row_mean - xhat * proj))
 
         return backward
@@ -423,7 +424,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def make():
         def backward(g):
-            _accum(x, g @ w.data)
+            if x.requires_grad:   # inputs such as observations need no g @ W
+                _accum(x, g @ w.data)
             _accum(w, g.T @ x.data)
             _accum(b, g.sum(axis=0, keepdims=True))
 

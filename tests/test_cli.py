@@ -107,6 +107,18 @@ class TestEvalCommand:
         assert row["episodes"] == 4
         assert 0.0 <= row["success_rate"] <= 1.0
 
+    @pytest.mark.parametrize("keep", [5, 20, -3])
+    def test_eval_of_truncated_checkpoint_is_a_one_line_error(self, tmp_path, capsys, keep):
+        cfg = write_toy_config(tmp_path)
+        main(["train", "--config", str(cfg)])
+        capsys.readouterr()
+        ckpt = tmp_path / "run" / "seed_1" / "checkpoint.bin"
+        ckpt.write_bytes(ckpt.read_bytes()[:keep])
+        assert main(["eval", "--run", str(tmp_path / "run" / "seed_1")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(ckpt) in err and "truncated at byte" in err
+
     def test_eval_with_deployment_traffic(self, tmp_path, capsys):
         cfg = write_toy_config(tmp_path)
         main(["train", "--config", str(cfg)])

@@ -86,6 +86,54 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             run_config_from_dict({"train": train})
 
+    @pytest.mark.parametrize("params", [
+        {"n_agents": 3, "num_cues": 3, "bogus": 1},   # TypeError in CuePassing.__init__
+        {"n_agents": 2.5},
+        {"num_cues": True},
+        {"cheat_obs": "no"},
+    ])
+    def test_bad_env_params_rejected(self, params):
+        with pytest.raises(ConfigError, match="env"):
+            run_config_from_dict({"env": {"name": "cue_passing", "params": params}})
+
+    def test_env_params_of_a_parameterless_env_rejected(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            run_config_from_dict({"env": {"name": "two_step_coop", "params": {"bogus": 1}}})
+
+    @pytest.mark.parametrize("name", ["starcraft", ["cue_passing"]])
+    def test_unknown_env_rejected_at_load(self, name):
+        with pytest.raises(ConfigError, match="starcraft|expected str"):
+            run_config_from_dict({"env": {"name": name}})
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "total_env_steps", 1.5),          # ran with a float step budget
+        ("train", "anneal_steps", 10.5),         # ran silently
+        ("train", "target_update_interval", 3.5),
+        ("train", "batch_size", 2.5),            # TypeError mid-run
+        ("train", "hidden_dim", 8.0),
+        ("train", "test_episodes", 2.5),
+        ("train", "buffer_capacity", 50.5),
+        ("train", "batch_size", True),
+        ("comm", "heads", 2.0),
+        ("exploration", "k", 1.5),
+        ("comm", "enabled", "no"),     # a non-empty string is truthy: comm stayed on
+        ("comm", "residual", 0),
+        ("train", "lr", True),          # ran with lr 1
+        (None, "out_dir", 5),          # TypeError when the run directory is made
+    ])
+    def test_wrong_json_type_rejected(self, section, key, value):
+        data = {key: value} if section is None else {section: {key: value}}
+        with pytest.raises(ConfigError, match=key):
+            run_config_from_dict(data)
+
+    def test_integer_for_float_field_accepted(self):
+        assert run_config_from_dict({"train": {"gamma": 1, "lr": 0}}).train.gamma == 1
+
+    def test_matrix_game_payoff_param_accepted(self):
+        cfg = run_config_from_dict({"env": {"name": "matrix_game",
+                                            "params": {"payoff": [[1, 0], [0, 2]]}}})
+        assert cfg.env.params["payoff"] == [[1, 0], [0, 2]]
+
     @pytest.mark.parametrize("seeds", [5, "12", ["a"], [1.5], [True]])
     def test_malformed_seeds_rejected(self, seeds):
         with pytest.raises(ConfigError, match="seeds"):

@@ -1,0 +1,70 @@
+"""Golden losses: the first train-step losses of two small runs, exactly.
+
+tests/data/golden_losses.json holds repr() of the first 30 losses of a
+cue_passing run with VDN and communication, and of one with QMIX and no
+communication.  A change meant to be bit-exact (a faster op, a skipped
+computation) must leave every one of them unchanged.  Only a change that is
+meant to alter training may rewrite the file:
+
+    PYTHONPATH=src python tests/test_golden_losses.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from marlab.config import CommSettings, EnvSpec, RunConfig
+from marlab.learner import TrainConfig
+from marlab.runner import SeedRun
+
+GOLDEN = Path(__file__).parent / "data" / "golden_losses.json"
+STEPS = 30
+BATCH = 8
+RUNS = {
+    "vdn_comm": dict(mixer="vdn", comm=CommSettings(
+        enabled=True, num_layers=1, ffn_dim=16, heads=2, dropout=0.1)),
+    "qmix_nocomm": dict(mixer="qmix", comm=CommSettings(enabled=False)),
+}
+
+
+def first_losses(name: str, tmp_dir) -> list[str]:
+    # cue_passing episodes are 2 steps long and the first update comes with
+    # the BATCH-th episode, so this budget gives exactly STEPS updates
+    total = 2 * (BATCH + STEPS - 1)
+    config = RunConfig(
+        env=EnvSpec("cue_passing", {"n_agents": 3, "num_cues": 3}),
+        train=TrainConfig(batch_size=BATCH, buffer_capacity=64, hidden_dim=16,
+                          anneal_steps=total, test_interval=total, test_episodes=2,
+                          target_update_interval=10),
+        seeds=(3,), total_env_steps=total, out_dir=str(tmp_dir), **RUNS[name])
+    run = SeedRun(config, seed=3, out_dir=tmp_dir)
+    losses = []
+    train_step = run.learner.train_step
+
+    def recording(buffer):
+        out = train_step(buffer)
+        if out is not None:
+            losses.append(repr(out["loss"]))
+        return out
+
+    run.learner.train_step = recording
+    run.run()
+    return losses
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_first_losses_match_golden(name, tmp_path):
+    golden = json.loads(GOLDEN.read_text())[name]
+    assert len(golden) == STEPS
+    assert first_losses(name, tmp_path) == golden
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {name: first_losses(name, Path(tmp) / name) for name in sorted(RUNS)}
+    GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

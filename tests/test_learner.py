@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from marlab.agents import make_team
+from marlab.agents import TeamModel, make_team
 from marlab.comm import CommSettings
 from marlab.errors import ContractError
 from marlab.learner import (
@@ -17,7 +19,8 @@ from marlab.learner import (
     td_loss,
     unroll_team,
 )
-from marlab.nn import Parameter, Tensor
+from marlab.mixers import mix_values
+from marlab.nn import Parameter, Tensor, TrainContext, clip_grad_norm, no_grad
 from marlab.nn import tensor as T
 from marlab.rng import stream
 
@@ -275,3 +278,128 @@ def test_unroll_matches_manual_stepping():
     inputs = build_inputs(episodes[0].obs[0], None, 2, 2)
     q0, _ = team.step(inputs, h)
     assert np.allclose(q0.data, qs[0].data[:2], atol=1e-12)
+
+
+def test_unroll_steps_range_matches_full_unroll():
+    team = tiny_team(12)
+    gen = np.random.default_rng(10)
+    batch = pad_batch([make_episode(gen, length=3), make_episode(gen, length=2)])
+    full = unroll_team(team, batch)
+    part = unroll_team(team, batch, steps=range(1, 3))
+    assert len(part) == 2
+    for a, b in zip(full[1:3], part):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert unroll_team(team, batch, steps=range(1, 1)) == []
+
+
+def reference_train_step(learner, buffer):
+    """Learner.train_step as the full-unroll formula: every step of both
+    unrolls, and double-Q targets at every transition."""
+    cfg = learner.config
+    episodes = buffer.sample(cfg.batch_size, stream(learner.seed, "sample", learner.train_steps))
+    batch = pad_batch(episodes)
+    bsz, t_max, n = batch["batch_size"], batch["t_max"], batch["n_agents"]
+    online_q = unroll_team(learner.team, batch,
+                           ctx=TrainContext(learner.seed, learner.train_steps))
+    with no_grad():
+        target_q = unroll_team(learner.target, batch)
+    q_tot = T.concat_cols([
+        learner.team.mixer(
+            T.reshape(T.gather_cols(online_q[t], batch["actions"][:, t].reshape(-1)), bsz, n),
+            Tensor(batch["states"][:, t]))
+        for t in range(t_max)])
+
+    def stack_values(tensors):
+        return np.stack([q.data.reshape(bsz, n, -1) for q in tensors], axis=1)
+
+    targets = double_q_targets(
+        batch["rewards"], batch["terminated"], stack_values(online_q[1:]),
+        stack_values(target_q[1:]), batch["avail"][:, 1:], batch["states"][:, 1:],
+        lambda q, s: mix_values(learner.target.mixer, q, s), cfg.gamma)
+    loss = td_loss(q_tot, targets, batch["mask"])
+    loss.backward()
+    clip_grad_norm(learner.team.parameters(), cfg.grad_clip)
+    learner.opt_main.step()
+    if learner.opt_comm is not None:
+        learner.opt_comm.step()
+    learner.train_steps += 1
+    if learner.train_steps % cfg.target_update_interval == 0:
+        learner.target.copy_from(learner.team)
+    return loss.item()
+
+
+def episode_of(gen, length, terminated, n=2, obs_dim=3, n_actions=2, state_dim=4):
+    avail = gen.random((length + 1, n, n_actions)) < 0.7
+    avail[..., 0] |= ~avail.any(axis=-1)
+    return EpisodeRecord(
+        obs=gen.standard_normal((length + 1, n, obs_dim)),
+        states=gen.standard_normal((length + 1, state_dim)),
+        avail=avail, actions=(gen.random((length, n, n_actions)) * avail[:length]).argmax(-1),
+        rewards=gen.standard_normal(length), terminated=terminated)
+
+
+def learner_pair(lengths, terminated, mixer, comm, seed):
+    """Two identical learners whose target nets differ from the online nets."""
+    gen = np.random.default_rng(seed)
+    buf = ReplayBuffer(len(lengths))
+    for t, term in zip(lengths, terminated):
+        buf.add(episode_of(gen, t, term))
+    noise = [gen.standard_normal(p.shape) * 0.1
+             for p in tiny_team(seed, comm=comm, mixer=mixer).parameters()]
+    learners = []
+    for _ in range(2):
+        cfg = tiny_config(batch_size=len(lengths), buffer_capacity=len(lengths),
+                          target_update_interval=2)
+        learner = Learner(tiny_team(seed, comm=comm, mixer=mixer),
+                          tiny_team(seed, comm=comm, mixer=mixer), cfg, seed=seed)
+        for p, d in zip(learner.target.parameters(), noise):
+            p.data += d
+        learners.append(learner)
+    return learners, buf
+
+
+@settings(max_examples=60, deadline=None)
+@given(episodes=st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=5),
+       mixer=st.sampled_from(["vdn", "qmix"]), comm=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_train_step_is_bitwise_the_full_unroll_formula(episodes, mixer, comm, seed):
+    lengths, terminated = zip(*episodes)
+    (fast, ref), buf = learner_pair(lengths, terminated, mixer, comm, seed)
+    for _ in range(3):   # the third step runs after a target copy
+        loss = fast.train_step(buf)["loss"]
+        assert loss.hex() == reference_train_step(ref, buf).hex()
+        for a, b in zip(fast.team.parameters(), ref.team.parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+        for a, b in zip(fast.target.parameters(), ref.target.parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+        for opt_a, opt_b in ((fast.opt_main, ref.opt_main), (fast.opt_comm, ref.opt_comm)):
+            if opt_a is not None:
+                for (name, a), b in zip(opt_a.state_arrays().items(),
+                                        opt_b.state_arrays().values()):
+                    assert a.tobytes() == b.tobytes(), name
+
+
+def team_steps_per_train_step(monkeypatch, lengths, terminated):
+    calls = []
+    original = TeamModel.step
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    (learner, _), buf = learner_pair(lengths, terminated, "vdn", True, seed=0)
+    monkeypatch.setattr(TeamModel, "step", counting)
+    learner.train_step(buf)
+    return len(calls)
+
+
+def test_all_terminated_two_step_batch_runs_three_team_steps(monkeypatch):
+    # online steps 0 and 1, target step 1 only (step 0 just advances the carry)
+    assert team_steps_per_train_step(monkeypatch, [2, 2, 2], [True] * 3) == 3
+
+
+def test_truncated_max_length_episode_runs_every_needed_step(monkeypatch):
+    # online 0..t_max, target 1..t_max
+    t_max = 5
+    assert team_steps_per_train_step(monkeypatch, [2, t_max, 3],
+                                     [True, False, True]) == 2 * t_max + 1

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from marlab.errors import ContractError
+from marlab.errors import CheckpointError, ContractError, MarlabError
 from marlab.nn import Parameter, load_checkpoint, read_records, save_checkpoint
 
 
@@ -72,3 +72,36 @@ def test_load_shape_mismatch_raises(tmp_path):
     wrong = Parameter(np.zeros((2, 3)), name="w")
     with pytest.raises(ContractError, match="shape"):
         load_checkpoint(path, [wrong])
+
+
+@pytest.mark.parametrize("keep, offset", [
+    (5, 0),     # inside the first name length
+    (20, 17),   # inside the column count of the first record
+    (-3, -24),  # inside the 3 values of the last record
+])
+def test_truncated_file_names_path_and_offset(tmp_path, keep, offset):
+    params = [Parameter(np.arange(4.0).reshape(2, 2), name="w"),
+              Parameter(np.ones((1, 3)), name="b")]
+    path = tmp_path / "cut.bin"
+    save_checkpoint(params, path)
+    blob = path.read_bytes()
+    offset %= len(blob)
+    path.write_bytes(blob[:keep])
+    with pytest.raises(CheckpointError, match=f"truncated at byte {offset}:") as info:
+        read_records(path)
+    assert isinstance(info.value, MarlabError)
+    assert str(path) in str(info.value)
+
+
+def test_absurd_name_length_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(struct.pack("<Q", 2**62) + b"w")
+    with pytest.raises(CheckpointError, match="byte 8"):
+        read_records(path)
+
+
+def test_name_that_is_not_utf8_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(struct.pack("<Q", 1) + b"\xff" + struct.pack("<QQ", 0, 0))
+    with pytest.raises(CheckpointError, match="byte 8 is not utf-8"):
+        read_records(path)
