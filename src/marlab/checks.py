@@ -253,18 +253,19 @@ def check_exploration_reductions(seed: int, fault: str) -> tuple[bool, str]:
         if not avail.any():
             avail[0] = True
         eps = float(gen.random())
-        base = action_distribution(q, avail, ExplorationConfig(eps, k=1, temperature=1.0))
-        k1 = action_distribution(q, avail, ExplorationConfig(eps, k=int(gen.integers(1, 5)), temperature=0.0))
+        base = action_distribution(q, avail, ExplorationConfig(k=1, temperature=1.0), eps)
+        k1 = action_distribution(
+            q, avail, ExplorationConfig(k=int(gen.integers(1, 5)), temperature=0.0), eps)
         worst = max(worst, float(np.abs(base - k1).max()))
     sample_rng = stream(seed, "explore-mc")
-    cfg = ExplorationConfig(0.1, k=2, temperature=0.33)
+    cfg = ExplorationConfig(k=2, temperature=0.33)
     q = np.array([0.8, 0.3, -0.5, 0.1])
     avail = np.ones(4, dtype=bool)
     counts = np.zeros(4)
     trials = 20_000
     for _ in range(trials):
-        counts[select_action(q, avail, cfg, sample_rng)] += 1
-    mc_gap = float(np.abs(counts / trials - action_distribution(q, avail, cfg)).max())
+        counts[select_action(q, avail, cfg, 0.1, sample_rng)] += 1
+    mc_gap = float(np.abs(counts / trials - action_distribution(q, avail, cfg, 0.1)).max())
     ok = worst <= 1e-12 and mc_gap < 0.015
     return ok, f"reduction gap {worst:.1e}, monte-carlo gap {mc_gap:.3f}"
 

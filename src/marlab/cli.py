@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import os
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import FAULTS, run_checks
-from .config import RunConfig, load_run_config, run_config_from_dict
+from .config import load_run_config, patch_run_config, read_json, run_config_from_dict
 from .envs import make_env
 from .errors import ConfigError, MarlabError
 from .netsim import Topology, centralized_traffic, distributed_traffic
@@ -36,36 +35,31 @@ def resolve_out_dir(path: str) -> Path:
     return p
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        config = dataclasses.replace(config, seeds=tuple(args.seed))
-    if args.out is not None:
-        config = dataclasses.replace(config, out_dir=args.out)
-    if args.total_steps is not None:
-        config = dataclasses.replace(config, total_env_steps=args.total_steps)
-    if args.mixer is not None:
-        config = dataclasses.replace(config, mixer=args.mixer)
-    comm = config.comm
+def _overrides(args) -> dict:
+    """The train flags as a patch for patch_run_config."""
+    patch = {"comm": {}, "exploration": {}}
+    for flag, key in (("seed", "seeds"), ("out", "out_dir"),
+                      ("total_steps", "total_env_steps"), ("mixer", "mixer")):
+        if getattr(args, flag) is not None:
+            patch[key] = getattr(args, flag)
     if args.comm is not None:
-        comm = dataclasses.replace(comm, enabled=(args.comm == "mactas"))
+        patch["comm"]["enabled"] = args.comm == "mactas"
     if args.no_residual:
-        comm = dataclasses.replace(comm, residual=False)
-    config = dataclasses.replace(config, comm=comm)
-    explore = config.exploration
+        patch["comm"]["residual"] = False
+    explore = patch["exploration"]
     if args.explore == "eps":
-        explore = dataclasses.replace(explore, k=1, temperature=0.0)
+        explore.update(k=1, temperature=0.0)
+    elif args.k is not None:
+        explore["k"] = args.k
     elif args.explore == "topk":
-        explore = dataclasses.replace(explore, k=args.k if args.k else 2)
-    if args.k is not None and args.explore != "eps":
-        explore = dataclasses.replace(explore, k=args.k)
+        explore["k"] = 2
     if args.temperature is not None:
-        explore = dataclasses.replace(explore, temperature=args.temperature)
-    return dataclasses.replace(config, exploration=explore)
+        explore["temperature"] = args.temperature
+    return patch
 
 
 def cmd_train(args) -> int:
-    config = load_run_config(args.config)
-    config = _apply_overrides(config, args)
+    config = patch_run_config(load_run_config(args.config), _overrides(args))
     out_dir = resolve_out_dir(config.out_dir)
     results = train_all_seeds(config, out_dir, resume=args.resume,
                               workers=args.workers)
@@ -78,20 +72,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-GRID_KEYS = ("num_layers", "ffn_dim", "dropout", "temperature")
-
-
-def _cell_config(base: RunConfig, cell: dict) -> RunConfig:
-    comm = base.comm
-    explore = base.exploration
-    for key, value in cell.items():
-        if key in ("num_layers", "ffn_dim"):
-            comm = dataclasses.replace(comm, **{key: int(value)})
-        elif key == "dropout":
-            comm = dataclasses.replace(comm, dropout=float(value))
-        elif key == "temperature":
-            explore = dataclasses.replace(explore, temperature=float(value))
-    return dataclasses.replace(base, comm=comm, exploration=explore)
+# sweepable keys and the config section each lives in
+GRID_KEYS = {"num_layers": "comm", "ffn_dim": "comm", "dropout": "comm",
+             "temperature": "exploration"}
 
 
 def curve_auc(steps: np.ndarray, returns: np.ndarray) -> float:
@@ -117,27 +100,35 @@ def summarize_cell(results: dict[int, list[dict]]) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    spec = json.loads(Path(args.config).read_text())
-    if set(spec) - {"base", "grid"}:
-        raise ConfigError(f"sweep file allows keys 'base' and 'grid', got {sorted(spec)}")
+    spec = read_json(args.config)
+    if not isinstance(spec, dict) or set(spec) - {"base", "grid"}:
+        raise ConfigError(f"{args.config}: expected an object with keys 'base' and 'grid'")
     base = run_config_from_dict(spec.get("base", {}))
     grid = spec.get("grid", {})
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+        raise ConfigError(f"grid: expected an object of value lists, got {grid!r}")
     unknown = set(grid) - set(GRID_KEYS)
     if unknown:
-        raise ConfigError(f"grid allows {GRID_KEYS}, got unknown {sorted(unknown)}")
-    grid = {k: list(v) for k, v in grid.items() if v}
+        raise ConfigError(f"grid allows {sorted(GRID_KEYS)}, got unknown {sorted(unknown)}")
+    grid = {k: v for k, v in grid.items() if v}
     if not grid:
         raise ConfigError("empty sweep grid")
     out_dir = resolve_out_dir(args.out if args.out else base.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # every cell is checked before the first one trains
     keys = sorted(grid)
-    summary = []
+    cells = []
     for values in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, values))
         tag = "_".join(f"{k}{v}" for k, v in cell.items())
-        cell_cfg = dataclasses.replace(_cell_config(base, cell),
-                                       out_dir=str(out_dir / f"cell_{tag}"))
+        patch = {"out_dir": str(out_dir / f"cell_{tag}")}
+        for key, value in cell.items():
+            patch.setdefault(GRID_KEYS[key], {})[key] = value
+        cells.append((cell, tag, patch_run_config(base, patch)))
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = []
+    for cell, tag, cell_cfg in cells:
         print(f"sweep cell {tag}")
         results = train_all_seeds(cell_cfg, out_dir / f"cell_{tag}",
                                   workers=args.workers)

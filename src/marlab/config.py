@@ -4,6 +4,9 @@ Unknown keys are rejected everywhere so a typo in a hyperparameter name
 fails loudly instead of silently running defaults.  The resolved config is
 written verbatim into every run directory; re-running from that file
 reproduces the run bit-exactly on the same build.
+
+Config files, command-line flags and sweep cells (patch_run_config) all
+become a RunConfig through run_config_from_dict and its checks.
 """
 
 from __future__ import annotations
@@ -11,32 +14,29 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .comm import CommSettings
 from .envs import env_class
 from .errors import ConfigError
+from .exploration import ExplorationConfig
 from .learner import TrainConfig
 
 
-# JSON types a field or env parameter accepts, by its annotation
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
-               "dict": (dict,)}
+# JSON types a field or env parameter accepts, by its annotated type
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), dict: (dict,)}
 
 
 def _check_type(where: str, annotation, value):
-    """Reject a value of the wrong JSON type, such as 2.5 for an int or "no" for a bool.
-
-    The annotation is the string form that `from __future__ import annotations`
-    leaves on dataclass fields and constructor parameters.
-    """
+    """Reject a value of the wrong JSON type, such as 2.5 for an int or "no" for a bool."""
     kinds = _JSON_TYPES.get(annotation)
     if kinds is None:
         return
     # bool is an int subclass, but true is not a count and 1 is not a switch
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise ConfigError(f"{where}: expected {annotation}, got {value!r}")
+        raise ConfigError(f"{where}: expected {annotation.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class EnvSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        accepted = inspect.signature(env_class(self.name)).parameters
+        accepted = inspect.signature(env_class(self.name), eval_str=True).parameters
         unknown = set(self.params) - set(accepted)
         if unknown:
             raise ConfigError(f"env {self.name!r}: unknown params {sorted(unknown)}, "
@@ -57,17 +57,11 @@ class EnvSpec:
 
 
 @dataclass(frozen=True)
-class ExploreSettings:
-    k: int = 1
-    temperature: float = 0.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     env: EnvSpec = field(default_factory=EnvSpec)
     mixer: str = "vdn"
     comm: CommSettings = field(default_factory=CommSettings)
-    exploration: ExploreSettings = field(default_factory=ExploreSettings)
+    exploration: ExplorationConfig = field(default_factory=ExplorationConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     seeds: tuple = (1, 2, 3, 4, 5)
     total_env_steps: int = 50_000
@@ -85,50 +79,61 @@ class RunConfig:
 
 
 def _build(cls, data: dict, where: str):
+    """A `cls` from a JSON object: dataclass-typed fields recurse, tuples take lists."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    types = typing.get_type_hints(cls)
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        _check_type(f"{where}.{name}", fields[name].type, value)
-        if name == "env":
-            value = _build(EnvSpec, value, f"{where}.env")
-        elif name == "comm":
-            value = _build(CommSettings, value, f"{where}.comm")
-        elif name == "exploration":
-            value = _build(ExploreSettings, value, f"{where}.exploration")
-        elif name == "train":
-            value = _build(TrainConfig, value, f"{where}.train")
-        elif name == "seeds":
+        kind, path = types[name], f"{where}.{name}"
+        if dataclasses.is_dataclass(kind):
+            value = _build(kind, value, path)
+        elif kind is tuple:
             if not isinstance(value, list):
-                raise ConfigError(f"{where}.seeds: expected a list, got {value!r}")
+                raise ConfigError(f"{path}: expected a list, got {value!r}")
             value = tuple(value)
+        else:
+            _check_type(path, kind, value)
         kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
     return _build(RunConfig, data, "config")
 
 
-def load_run_config(path) -> RunConfig:
+def read_json(path):
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return run_config_from_dict(data)
+
+
+def load_run_config(path) -> RunConfig:
+    return run_config_from_dict(read_json(path))
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
     out = dataclasses.asdict(cfg)
     out["seeds"] = list(cfg.seeds)
     return out
+
+
+def _merge(base: dict, patch: dict) -> dict:
+    out = dict(base)
+    for key, value in patch.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _merge(out[key], value)
+        out[key] = value
+    return out
+
+
+def patch_run_config(cfg: RunConfig, patch: dict) -> RunConfig:
+    """cfg with a patch merged in (objects key by key), checked like a config file."""
+    return run_config_from_dict(_merge(run_config_to_dict(cfg), patch))
 
 
 def save_run_config(cfg: RunConfig, path):

@@ -4,6 +4,10 @@ With probability epsilon the agent acts uniformly at random over its
 available actions; otherwise it samples among its k best available actions
 from a temperature-scaled softmax.  k = 1 or temperature 0 collapse the
 Boltzmann part to the greedy action, recovering plain epsilon-greedy.
+
+ExplorationConfig, the run config's "exploration" section, holds k and the
+temperature.  Epsilon anneals with the env step (learner.epsilon), so callers
+pass it alongside.
 """
 
 from __future__ import annotations
@@ -17,13 +21,12 @@ from .errors import ConfigError, ContractError
 
 @dataclass(frozen=True)
 class ExplorationConfig:
-    epsilon: float = 0.0
+    """Top-k Boltzmann settings, validated on construction."""
+
     k: int = 1
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.temperature < 0.0:
@@ -33,13 +36,15 @@ class ExplorationConfig:
 GREEDY = ExplorationConfig()
 
 
-def action_distribution(q: np.ndarray, avail: np.ndarray,
-                        config: ExplorationConfig) -> np.ndarray:
+def action_distribution(q: np.ndarray, avail: np.ndarray, config: ExplorationConfig,
+                        epsilon: float) -> np.ndarray:
     """Probability over actions; unavailable actions get exactly zero.
 
     Ties rank by lowest action index, and the cut after the k-th rank is
     deterministic: exactly min(k, #available) actions enter the softmax.
     """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
     q = np.asarray(q, dtype=float).reshape(-1)
     avail = np.asarray(avail, dtype=bool).reshape(-1)
     if q.shape != avail.shape:
@@ -63,7 +68,7 @@ def action_distribution(q: np.ndarray, avail: np.ndarray,
 
     uniform = np.zeros_like(q)
     uniform[avail_idx] = 1.0 / avail_idx.size
-    return config.epsilon * uniform + (1.0 - config.epsilon) * boltzmann
+    return epsilon * uniform + (1.0 - epsilon) * boltzmann
 
 
 def sample_from(probs: np.ndarray, u: float) -> int:
@@ -73,5 +78,5 @@ def sample_from(probs: np.ndarray, u: float) -> int:
 
 
 def select_action(q: np.ndarray, avail: np.ndarray, config: ExplorationConfig,
-                  rng: np.random.Generator) -> int:
-    return sample_from(action_distribution(q, avail, config), rng.random())
+                  epsilon: float, rng: np.random.Generator) -> int:
+    return sample_from(action_distribution(q, avail, config, epsilon), rng.random())

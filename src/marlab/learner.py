@@ -109,8 +109,9 @@ class TrainConfig:
     hidden_dim: int = 64
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ContractError(f"gamma must be in [0, 1], got {self.gamma}")
+        for name in ("gamma", "epsilon_start", "epsilon_finish"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.epsilon_finish > self.epsilon_start:
             raise ContractError("epsilon_finish must not exceed epsilon_start")
         # lr 0 is allowed: it freezes a group (comm_lr=0 trains the agents alone)

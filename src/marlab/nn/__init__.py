@@ -36,4 +36,4 @@ from .layers import (
 )
 from .optim import Adam, RMSProp, clip_grad_norm
 from .gradcheck import finite_difference_gradient, max_gradient_error, relative_errors
-from .serialize import load_checkpoint, read_records, save_checkpoint, write_records
+from .serialize import load_checkpoint, load_records, read_records, save_checkpoint, write_records

@@ -93,14 +93,19 @@ def save_checkpoint(params: Sequence[Parameter], bin_path, manifest_path=None,
     Path(manifest_path).write_text(json.dumps(manifest, indent=2))
 
 
+def load_records(path, targets: Iterable[tuple[str, np.ndarray]]):
+    """Fill each (name, array) target in place from the record of that name."""
+    stored = dict(read_records(path))
+    for name, target in targets:
+        if name not in stored:
+            raise ContractError(f"{path}: checkpoint is missing parameter {name!r}")
+        arr = stored[name]
+        if arr.shape != target.shape:
+            raise ContractError(
+                f"{path}: checkpoint shape {arr.shape} does not match {name} {target.shape}")
+        target[...] = arr
+
+
 def load_checkpoint(bin_path, params: Sequence[Parameter]):
     """Fill the given parameters in place from a checkpoint file."""
-    stored = dict(read_records(bin_path))
-    for p in params:
-        if p.name not in stored:
-            raise ContractError(f"checkpoint is missing parameter {p.name!r}")
-        arr = stored[p.name]
-        if arr.shape != p.data.shape:
-            raise ContractError(
-                f"checkpoint shape {arr.shape} does not match {p.name} {p.data.shape}")
-        p.data[...] = arr
+    load_records(bin_path, ((p.name, p.data) for p in params))

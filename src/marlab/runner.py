@@ -19,12 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .agents import TeamModel, build_inputs, make_team
-from .config import RunConfig, save_run_config
+from .config import RunConfig, run_config_from_dict, run_config_to_dict, save_run_config
 from .envs import Env, make_env
 from .errors import ContractError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
 from .learner import EpisodeRecord, Learner, ReplayBuffer, epsilon, pad_batch
-from .nn import no_grad, save_checkpoint, load_checkpoint, read_records, write_records
+from .nn import no_grad, save_checkpoint, load_checkpoint, load_records, write_records
 from .rng import stream, unit_uniform
 
 CSV_FIELDS = ["seed", "env_step", "mean_test_return", "success_rate", "loss", "epsilon"]
@@ -38,7 +38,7 @@ def build_team_for_env(config: RunConfig, env: Env, seed: int) -> TeamModel:
 
 
 def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
-                    seed: int, episode_idx: int,
+                    eps: float, seed: int, episode_idx: int,
                     comm_mask: Optional[np.ndarray] = None) -> EpisodeRecord:
     """Collect one episode; action noise streams are keyed per (agent, step)."""
     obs, state = env.reset(stream(seed, "env", episode_idx))
@@ -55,7 +55,7 @@ def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
             q, h = team.step(inputs, h, comm_mask=comm_mask)
             avail = avail_list[-1]
             actions = np.array([
-                sample_from(action_distribution(q.data[i], avail[i], explore),
+                sample_from(action_distribution(q.data[i], avail[i], explore, eps),
                             unit_uniform(seed, "act", episode_idx, t, i))
                 for i in range(n)
             ])
@@ -81,7 +81,7 @@ def evaluate(env: Env, team: TeamModel, episodes: int, seed: int,
         raise ContractError(f"need at least one test episode, got {episodes}")
     returns, successes, steps = [], 0, 0
     for e in range(episodes):
-        record = rollout_episode(env, team, GREEDY, seed,
+        record = rollout_episode(env, team, GREEDY, 0.0, seed,
                                  episode_idx=_test_episode_key(test_point, e),
                                  comm_mask=comm_mask)
         total = float(record.rewards.sum())
@@ -144,11 +144,8 @@ class SeedRun:
         cfg = self.config
         while self.env_step < cfg.total_env_steps:
             self._due_test_points(snapshot_interval)
-            explore = ExplorationConfig(
-                epsilon=epsilon(self.env_step, cfg.train),
-                k=cfg.exploration.k,
-                temperature=cfg.exploration.temperature)
-            record = rollout_episode(self.env, self.team, explore,
+            record = rollout_episode(self.env, self.team, cfg.exploration,
+                                     epsilon(self.env_step, cfg.train),
                                      self.seed, self.episode_idx)
             self.buffer.add(record)
             self.env_step += record.length
@@ -165,10 +162,7 @@ class SeedRun:
         state_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(self.team.parameters(), state_dir / "params.bin")
         save_checkpoint(self.learner.target.parameters(), state_dir / "target.bin")
-        opt_arrays = dict(self.learner.opt_main.state_arrays())
-        if self.learner.opt_comm is not None:
-            opt_arrays.update(self.learner.opt_comm.state_arrays())
-        write_records(state_dir / "optimizer.bin", opt_arrays.items())
+        write_records(state_dir / "optimizer.bin", self._optimizer_arrays().items())
         self._save_buffer(state_dir / "buffer.npz")
         (state_dir / "progress.json").write_text(json.dumps({
             "env_step": self.env_step,
@@ -187,10 +181,7 @@ class SeedRun:
         progress = json.loads((state_dir / "progress.json").read_text())
         load_checkpoint(state_dir / "params.bin", self.team.parameters())
         load_checkpoint(state_dir / "target.bin", self.learner.target.parameters())
-        stored = dict(read_records(state_dir / "optimizer.bin"))
-        for opt in filter(None, [self.learner.opt_main, self.learner.opt_comm]):
-            for name, arr in opt.state_arrays().items():
-                arr[...] = stored[name]
+        load_records(state_dir / "optimizer.bin", self._optimizer_arrays().items())
         self._load_buffer(state_dir / "buffer.npz")
         self.env_step = progress["env_step"]
         self.episode_idx = progress["episode_idx"]
@@ -201,6 +192,10 @@ class SeedRun:
             self.learner.opt_comm.step_count = progress["opt_comm_steps"]
         self.last_loss = progress["last_loss"] if progress["last_loss"] is not None else math.nan
         self.rows = progress["rows"]
+
+    def _optimizer_arrays(self) -> dict:
+        opts = filter(None, [self.learner.opt_main, self.learner.opt_comm])
+        return {name: arr for opt in opts for name, arr in opt.state_arrays().items()}
 
     def _save_buffer(self, path):
         eps = self.buffer.episodes
@@ -263,8 +258,6 @@ def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False,
 
 def _seed_worker(args):
     config_dict, seed, out_dir, resume = args
-    from .config import run_config_from_dict
-
     config = run_config_from_dict(config_dict)
     return seed, train_one_seed(config, seed, out_dir, resume=resume)
 
@@ -272,8 +265,6 @@ def _seed_worker(args):
 def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
                     workers: int = 1) -> dict[int, list[dict]]:
     """Run every configured seed, in processes when workers > 1."""
-    from .config import run_config_to_dict
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_run_config(config, out_dir / "config.json")

@@ -10,7 +10,7 @@ from marlab.cli import curve_auc, main
 from marlab.config import load_run_config
 from marlab.envs import make_env
 from marlab.netsim import Topology, centralized_traffic, distributed_traffic
-from marlab.nn import load_checkpoint
+from marlab.nn import load_checkpoint, read_records, write_records
 from marlab.runner import build_team_for_env, evaluate
 
 
@@ -64,6 +64,31 @@ class TestTrainCommand:
         path.write_text(json.dumps({"mixer": "qplex"}))
         assert main(["train", "--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"exploration": {"k": 0}}, []),
+        ({"train": {"epsilon_start": 1.5}}, []),
+        ({}, ["--k", "0"]),
+        ({}, ["--explore", "topk", "--temperature", "-1"]),
+    ])
+    def test_bad_exploration_rejected_before_any_output(self, tmp_path, capsys,
+                                                        overrides, flags):
+        cfg = write_toy_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg), *flags]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_with_missing_optimizer_record_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        opt = tmp_path / "run" / "seed_1" / "state" / "optimizer.bin"
+        records = read_records(opt)
+        write_records(opt, records[:-1])
+        assert main(["train", "--config", str(cfg), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert records[-1][0] in err and str(opt) in err
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MARLAB_OUT", str(tmp_path / "root"))
@@ -219,6 +244,10 @@ class TestSweepCommand:
         assert len(summary) == 4
         combos = {(c["num_layers"], c["dropout"]) for c in summary}
         assert combos == {(1, 0.0), (1, 0.1), (2, 0.0), (2, 0.1)}
+        for layers, dropout in combos:
+            cell = tmp_path / "grid" / f"cell_dropout{dropout}_num_layers{layers}"
+            comm = load_run_config(cell / "config.json").comm
+            assert (comm.num_layers, comm.dropout) == (layers, dropout)
         csv_header = (tmp_path / "grid" / "summary.csv").read_text().splitlines()[0]
         assert csv_header == "dropout,num_layers,auc,final_return,final_success"
 
@@ -227,3 +256,38 @@ class TestSweepCommand:
         path.write_text(json.dumps({"base": {}, "grid": {}}))
         assert main(["sweep", "--config", str(path)]) == 2
         assert "grid" in capsys.readouterr().err
+
+    def test_invalid_later_cell_rejected_before_any_cell_trains(self, tmp_path, capsys):
+        base = json.loads(write_toy_config(tmp_path).read_text())
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": base, "grid": {"num_layers": [1, 0]}}))
+        out = tmp_path / "sweepout"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert "num_layers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [
+        {"num_layers": 5},          # TypeError from list(5)
+        {"num_layers": [1.7]},      # trained 1 layer, labelled 1.7
+        {"num_layers": [True]},     # trained 1 layer, labelled True
+        {"dropout": ["x"]},         # ValueError from float("x")
+        {"temperature": [-0.5]},
+        5,
+    ])
+    def test_malformed_grid_is_a_one_line_error(self, tmp_path, capsys, grid):
+        base = json.loads(write_toy_config(tmp_path).read_text())
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": base, "grid": grid}))
+        out = tmp_path / "sweepout"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["{not json", "5"])
+    def test_sweep_file_that_is_not_a_json_object_is_a_one_line_error(self, tmp_path,
+                                                                      capsys, text):
+        path = tmp_path / "sweep.json"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and str(path) in err

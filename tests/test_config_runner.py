@@ -8,12 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marlab.config import (
     CommSettings,
     EnvSpec,
+    ExplorationConfig,
     RunConfig,
+    _build,
     load_run_config,
+    patch_run_config,
     run_config_from_dict,
     run_config_to_dict,
     save_run_config,
@@ -81,6 +86,8 @@ class TestConfigSchema:
         {"hidden_dim": 0},                          # division by zero in init
         {"lr": -1e-3},
         {"comm_lr": -1e-3},
+        {"epsilon_start": 1.5},                     # failed at the first episode
+        {"epsilon_finish": -0.1},
     ])
     def test_train_settings_that_cannot_run_rejected(self, train):
         with pytest.raises(ConfigError):
@@ -138,6 +145,83 @@ class TestConfigSchema:
     def test_malformed_seeds_rejected(self, seeds):
         with pytest.raises(ConfigError, match="seeds"):
             run_config_from_dict({"seeds": seeds})
+
+
+    def test_patch_merges_nested_objects_and_checks_values(self):
+        cfg = toy_config()
+        patched = patch_run_config(cfg, {"comm": {"dropout": 0.2}, "seeds": [7]})
+        assert patched == dataclasses.replace(
+            cfg, comm=dataclasses.replace(cfg.comm, dropout=0.2), seeds=(7,))
+        with pytest.raises(ConfigError, match="num_layers"):
+            patch_run_config(cfg, {"comm": {"num_layers": 1.7}})
+        with pytest.raises(ConfigError, match="k must be"):
+            patch_run_config(cfg, {"exploration": {"k": 0}})
+
+    def test_sections_are_found_by_field_type(self):
+        built = _build(Outer, {"part": {"width": 3}, "ids": [1, 2]}, "outer")
+        assert built == Outer(part=Inner(width=3), ids=(1, 2))
+        with pytest.raises(ConfigError, match="outer.part.width: expected int"):
+            _build(Outer, {"part": {"width": 1.5}}, "outer")
+
+
+@dataclasses.dataclass(frozen=True)
+class Inner:
+    width: int = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class Outer:
+    part: Inner = dataclasses.field(default_factory=Inner)
+    ids: tuple = ()
+
+
+@st.composite
+def train_configs(draw):
+    unit = st.floats(0, 1)
+    batch = draw(st.integers(1, 64))
+    eps_finish, eps_start = sorted(draw(st.lists(unit, min_size=2, max_size=2)))
+    return TrainConfig(
+        gamma=draw(unit), batch_size=batch, lr=draw(unit), comm_lr=draw(unit),
+        rmsprop_decay=draw(unit), rmsprop_eps=draw(st.floats(1e-9, 1)),
+        epsilon_start=eps_start, epsilon_finish=eps_finish,
+        anneal_steps=draw(st.integers(1, 10**6)), grad_clip=draw(st.floats(0, 100)),
+        target_update_interval=draw(st.integers(1, 1000)),
+        test_interval=draw(st.integers(1, 10**5)), test_episodes=draw(st.integers(1, 64)),
+        buffer_capacity=batch + draw(st.integers(0, 1000)),
+        hidden_dim=draw(st.integers(1, 256)))
+
+
+env_specs = st.one_of(
+    st.builds(EnvSpec, st.just("cue_passing"), st.fixed_dictionaries({}, optional={
+        "n_agents": st.integers(1, 6), "num_cues": st.integers(1, 6),
+        "cheat_obs": st.booleans()})),
+    st.builds(EnvSpec, st.just("two_step_coop")),
+    st.builds(EnvSpec, st.just("matrix_game"), st.fixed_dictionaries({}, optional={
+        "payoff": st.lists(st.lists(st.integers(-20, 20), min_size=2, max_size=2),
+                           min_size=2, max_size=2)})),
+)
+
+run_configs = st.builds(
+    RunConfig,
+    env=env_specs,
+    mixer=st.sampled_from(["vdn", "qmix"]),
+    comm=st.builds(CommSettings, enabled=st.booleans(), num_layers=st.integers(1, 4),
+                   ffn_dim=st.integers(1, 512), heads=st.integers(1, 8),
+                   dropout=st.floats(0, 1, exclude_max=True), residual=st.booleans()),
+    exploration=st.builds(ExplorationConfig, k=st.integers(1, 10),
+                          temperature=st.floats(0, 100)),
+    train=train_configs(),
+    seeds=st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=5).map(tuple),
+    total_env_steps=st.integers(1, 10**9),
+    out_dir=st.text(max_size=20),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=run_configs)
+def test_config_round_trips_through_json_and_empty_patch(cfg):
+    assert run_config_from_dict(json.loads(json.dumps(run_config_to_dict(cfg)))) == cfg
+    assert patch_run_config(cfg, {}) == cfg
 
 
 class TestTrainingRun:

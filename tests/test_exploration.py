@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from marlab.errors import ConfigError, ContractError
-from marlab.exploration import ExplorationConfig, action_distribution, select_action
+from marlab.exploration import GREEDY, ExplorationConfig, action_distribution, select_action
 
 
 def eps_greedy_reference(q, avail, epsilon):
@@ -35,7 +35,7 @@ class TestDistribution:
             q, avail = random_case(gen)
             eps = gen.random()
             tau = gen.random() * 2
-            got = action_distribution(q, avail, ExplorationConfig(eps, k=1, temperature=tau))
+            got = action_distribution(q, avail, ExplorationConfig(k=1, temperature=tau), eps)
             assert np.allclose(got, eps_greedy_reference(q, avail, eps), atol=1e-12)
 
     def test_zero_temperature_equals_eps_greedy_for_any_k(self):
@@ -44,13 +44,13 @@ class TestDistribution:
             q, avail = random_case(gen)
             eps = gen.random()
             k = int(gen.integers(1, 5))
-            got = action_distribution(q, avail, ExplorationConfig(eps, k=k, temperature=0.0))
+            got = action_distribution(q, avail, ExplorationConfig(k=k, temperature=0.0), eps)
             assert np.allclose(got, eps_greedy_reference(q, avail, eps), atol=1e-12)
 
     def test_two_term_softmax_hand_case(self):
         # eps = 0, k = 2, tau = 1, q = [3, 1, 0]
         got = action_distribution([3.0, 1.0, 0.0], [True] * 3,
-                                  ExplorationConfig(0.0, k=2, temperature=1.0))
+                                  ExplorationConfig(k=2, temperature=1.0), 0.0)
         z = math.exp(3.0) + math.exp(1.0)
         assert np.allclose(got, [math.exp(3.0) / z, math.exp(1.0) / z, 0.0])
         assert abs(got[0] - 0.8808) < 1e-4
@@ -58,16 +58,16 @@ class TestDistribution:
     def test_full_epsilon_is_uniform_over_available(self):
         q = np.array([5.0, -1.0, 2.0, 0.0])
         avail = np.array([True, False, True, True])
-        got = action_distribution(q, avail, ExplorationConfig(1.0, k=2, temperature=0.5))
+        got = action_distribution(q, avail, ExplorationConfig(k=2, temperature=0.5), 1.0)
         assert np.allclose(got, [1 / 3, 0.0, 1 / 3, 1 / 3])
 
     def test_probabilities_sum_to_one_and_respect_mask(self):
         gen = np.random.default_rng(2)
         for _ in range(500):
             q, avail = random_case(gen)
-            cfg = ExplorationConfig(gen.random(), k=int(gen.integers(1, 7)),
-                                    temperature=gen.random())
-            p = action_distribution(q, avail, cfg)
+            eps = gen.random()
+            cfg = ExplorationConfig(k=int(gen.integers(1, 7)), temperature=gen.random())
+            p = action_distribution(q, avail, cfg, eps)
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0.0)
             assert np.all(p[~avail] == 0.0)
@@ -76,29 +76,29 @@ class TestDistribution:
         q = np.array([2.0, 1.0, -1.0])
         avail = np.ones(3, dtype=bool)
         taus = [0.01, 0.1, 0.33, 1.0, 4.0, 20.0]
-        probs = [action_distribution(q, avail, ExplorationConfig(0.0, 2, t))[0]
+        probs = [action_distribution(q, avail, ExplorationConfig(2, t), 0.0)[0]
                  for t in taus]
         assert all(a >= b - 1e-12 for a, b in zip(probs, probs[1:]))
 
     def test_k_larger_than_available_is_clamped(self):
         q = np.array([1.0, 2.0, 3.0])
         avail = np.array([True, True, False])
-        p = action_distribution(q, avail, ExplorationConfig(0.0, k=5, temperature=1.0))
+        p = action_distribution(q, avail, ExplorationConfig(k=5, temperature=1.0), 0.0)
         assert p[2] == 0.0 and abs(p.sum() - 1.0) < 1e-12
 
     def test_duplicate_values_cut_at_exactly_k_lowest_indices(self):
         q = np.array([1.0, 1.0, 1.0, 0.0])
-        p = action_distribution(q, np.ones(4, bool), ExplorationConfig(0.0, 2, 1.0))
+        p = action_distribution(q, np.ones(4, bool), ExplorationConfig(2, 1.0), 0.0)
         # three tied actions at the top rank: exactly two (indices 0, 1) survive
         assert np.allclose(p, [0.5, 0.5, 0.0, 0.0])
 
     def test_no_available_action_raises(self):
         with pytest.raises(ContractError):
-            action_distribution([1.0, 2.0], [False, False], ExplorationConfig(0.1))
+            action_distribution([1.0, 2.0], [False, False], GREEDY, 0.1)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            ExplorationConfig(epsilon=1.5)
+            action_distribution([1.0, 2.0], [True, True], GREEDY, 1.5)
         with pytest.raises(ConfigError):
             ExplorationConfig(k=0)
         with pytest.raises(ConfigError):
@@ -108,29 +108,29 @@ class TestDistribution:
 class TestSelectAction:
     def test_pure_greedy_always_argmax(self):
         gen = np.random.default_rng(3)
-        cfg = ExplorationConfig(0.0, k=1, temperature=0.0)
+        cfg = ExplorationConfig(k=1, temperature=0.0)
         for _ in range(200):
             q, avail = random_case(gen)
-            a = select_action(q, avail, cfg, gen)
+            a = select_action(q, avail, cfg, 0.0, gen)
             masked = np.where(avail, q, -np.inf)
             assert a == int(np.argmax(masked))
 
     def test_argmax_restricted_to_available(self):
         q = np.array([10.0, 1.0, 2.0])
         avail = np.array([False, True, True])
-        cfg = ExplorationConfig(0.0, k=1, temperature=0.0)
-        a = select_action(q, avail, cfg, np.random.default_rng(0))
+        cfg = ExplorationConfig(k=1, temperature=0.0)
+        a = select_action(q, avail, cfg, 0.0, np.random.default_rng(0))
         assert a == 2
 
     def test_monte_carlo_matches_analytic_distribution(self):
         q = np.array([1.0, 0.5, -0.2, 0.1])
         avail = np.array([True, True, True, False])
-        cfg = ExplorationConfig(0.1, k=2, temperature=0.33)
-        expected = action_distribution(q, avail, cfg)
+        cfg = ExplorationConfig(k=2, temperature=0.33)
+        expected = action_distribution(q, avail, cfg, 0.1)
         gen = np.random.default_rng(4)
         samples = 100_000
         counts = np.bincount(
-            [select_action(q, avail, cfg, gen) for _ in range(samples)],
+            [select_action(q, avail, cfg, 0.1, gen) for _ in range(samples)],
             minlength=4)
         freq = counts / samples
         assert np.abs(freq - expected).max() < 0.01
@@ -138,6 +138,6 @@ class TestSelectAction:
     def test_deterministic_given_stream(self):
         q = np.array([1.0, 0.9, 0.5])
         avail = np.ones(3, bool)
-        cfg = ExplorationConfig(0.3, k=2, temperature=0.5)
-        a = [select_action(q, avail, cfg, np.random.default_rng(9)) for _ in range(5)]
+        cfg = ExplorationConfig(k=2, temperature=0.5)
+        a = [select_action(q, avail, cfg, 0.3, np.random.default_rng(9)) for _ in range(5)]
         assert len(set(a)) == 1
