@@ -62,20 +62,18 @@ class AgentNet(Module):
         return self.fc_out(h)
 
 
-class TeamModel:
-    """Shared agent net, optional communication stack, and a mixer."""
+class TeamModel(Module):
+    """Shared agent net, optional communication stack, and a mixer.
 
-    def __init__(self, agent: AgentNet, comm: Optional[CommStack], mixer):
-        self.agent = agent
-        self.comm = comm
-        self.mixer = mixer
+    Parameters come in that order, so a team with a stack never lines up
+    with one without: copy_from between them is a ShapeError.
+    """
 
-    def parameters(self):
-        out = list(self.agent.parameters())
-        if self.comm is not None:
-            out.extend(self.comm.parameters())
-        out.extend(self.mixer.parameters())
-        return out
+    def __init__(self, agent: AgentNet, comm: Optional[CommStack], mixer: Module):
+        super().__init__()
+        self.agent = self._register(agent)
+        self.comm = self._register(comm) if comm is not None else None
+        self.mixer = self._register(mixer)
 
     def main_parameters(self):
         return [p for p in self.parameters() if p.group == "main"]
@@ -85,14 +83,6 @@ class TeamModel:
 
     def initial_hidden(self, rows: int) -> Tensor:
         return Tensor(np.zeros((rows, self.agent.hidden_dim)))
-
-    def copy_from(self, other: "TeamModel"):
-        self.agent.copy_from(other.agent)
-        if (self.comm is None) != (other.comm is None):
-            raise ShapeError("copy_from: communication stacks differ")
-        if self.comm is not None:
-            self.comm.copy_from(other.comm)
-        self.mixer.copy_from(other.mixer)
 
     def step(self, inputs: np.ndarray, h_prev: Tensor, sets: int = 1,
              ctx: Optional[TrainContext] = None,

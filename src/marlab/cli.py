@@ -159,12 +159,11 @@ def cmd_eval(args) -> int:
     if not config_path.exists():
         config_path = run_dir.parent / "config.json"
     config = load_run_config(config_path)
+    topology = Topology.from_json(args.topology) if args.topology else None
     env = make_env(config.env.name, config.env.params)
     team = build_team_for_env(config, env, seed=args.seed)
-    ckpt = run_dir / "checkpoint.bin"
-    load_checkpoint(ckpt, team.parameters())
+    load_checkpoint(run_dir / "checkpoint.bin", team.parameters())
 
-    topology = Topology.from_json(args.topology) if args.topology else None
     mean_return, success_rate, steps = evaluate(
         env, team, args.episodes, args.seed, test_point=0,
         comm_mask=topology.reachable if topology is not None else None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,13 +31,16 @@ _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), dic
 
 
 def _check_type(where: str, annotation, value):
-    """Reject a value of the wrong JSON type, such as 2.5 for an int or "no" for a bool."""
+    """Reject a value of the wrong JSON type, such as 2.5 for an int or "no" for a bool,
+    and the NaN and Infinity that Python's JSON reader accepts for a float."""
     kinds = _JSON_TYPES.get(annotation)
     if kinds is None:
         return
     # bool is an int subclass, but true is not a count and 1 is not a switch
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise ConfigError(f"{where}: expected {annotation.__name__}, got {value!r}")
+    if annotation is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,13 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 
 def read_json(path):
+    """The JSON value in a file; a file that cannot be read or parsed is a ConfigError."""
     try:
         return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not utf-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 

@@ -304,13 +304,6 @@ def make_env(name: str, params: Optional[dict] = None) -> Env:
     return env_class(name)(**(params or {}))
 
 
-def discounted_return(rewards, gamma: float) -> float:
-    total = 0.0
-    for i, r in enumerate(rewards):
-        total += (gamma ** i) * r
-    return total
-
-
 def value_iteration(env: Env, gamma: float):
     """Exact optimal value and one optimal joint policy by backward recursion.
 

@@ -21,13 +21,12 @@ the rounds below and `marlab eval --deploy` both use them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .comm import CommStack
+from .config import read_json
 from .errors import ConfigError, ShapeError
 from .nn import Tensor, no_grad
 
@@ -68,12 +67,18 @@ class Topology:
 
     @classmethod
     def from_json(cls, path) -> "Topology":
-        spec = json.loads(Path(path).read_text())
-        return cls(np.asarray(spec["reachable"], dtype=bool))
-
-    def to_json(self, path):
-        Path(path).write_text(json.dumps(
-            {"n": self.n, "reachable": self.reachable.astype(int).tolist()}))
+        """A topology from a JSON object whose "reachable" is a square 0/1 matrix."""
+        spec = read_json(path)
+        if not isinstance(spec, dict) or "reachable" not in spec:
+            raise ConfigError(f"{path}: expected an object with a 'reachable' matrix")
+        try:
+            reach = np.asarray(spec["reachable"], dtype=bool)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: 'reachable' has rows of unequal length") from exc
+        try:
+            return cls(reach)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,10 @@ def write_records(path, records: Iterable[tuple[str, np.ndarray]]):
 
 def read_records(path) -> list[tuple[str, np.ndarray]]:
     out = []
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     pos = 0
 
     def take(size: int, what: str) -> int:

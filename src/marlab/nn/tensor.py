@@ -4,10 +4,15 @@ A Tensor wraps a numpy matrix and remembers how it was produced; calling
 backward() on a scalar result accumulates exact gradients into every
 reachable tensor with requires_grad set.  Only the operations the Q-learning
 architecture needs are provided.  Shapes are always 2-D: vectors are rows.
+
+Importing this module, and so importing marlab, sets two malloc tunables for
+the whole process where the C library has mallopt (glibc): a trim threshold
+of 256 MiB and an mmap threshold of 32 MiB.  See _keep_freed_heap.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -15,6 +20,30 @@ import numpy as np
 from ..errors import MaskError, ShapeError
 
 DTYPE = np.float64
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap():
+    """Keep the heap pages a train step's autograd graph frees for the next step.
+
+    By default glibc returns a freed heap top above 128 KiB to the OS, so each
+    step would page-fault the same megabytes in again.  Setting the trim
+    threshold also switches off glibc's dynamic mmap threshold, which would
+    then give every array of 128 KiB or more fresh mmap pages on each
+    allocation; so the mmap threshold is raised too, to glibc's dynamic maximum.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+_keep_freed_heap()
 
 _GRAD_ENABLED = True
 

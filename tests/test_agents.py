@@ -85,6 +85,27 @@ class TestAgentNet:
         assert err <= 1e-3
 
 
+class TestTeamModel:
+    def test_parameters_are_agent_then_comm_then_mixer(self):
+        team = small_team(mixer="qmix", comm=True)
+        expected = (team.agent.parameters() + team.comm.parameters()
+                    + team.mixer.parameters())
+        assert [p.name for p in team.parameters()] == [p.name for p in expected]
+        assert team.main_parameters() == [p for p in expected if p.group == "main"]
+        assert team.comm_parameters() == team.comm.parameters()
+
+    @pytest.mark.parametrize("comm_here, comm_there", [(True, False), (False, True)])
+    def test_copy_between_teams_with_and_without_comm_raises(self, comm_here, comm_there):
+        with pytest.raises(ShapeError):
+            small_team(comm=comm_here).copy_from(small_team(comm=comm_there))
+
+    def test_copy_from_copies_every_parameter(self):
+        a, b = small_team(mixer="qmix", seed=1), small_team(mixer="qmix", seed=2)
+        a.copy_from(b)
+        for p, q in zip(a.parameters(), b.parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), p.name
+
+
 class TestTeamForward:
     def test_fresh_comm_bit_identical_to_no_comm(self):
         with_comm = small_team(comm=True, seed=5)

@@ -14,6 +14,13 @@ from marlab.nn import load_checkpoint, read_records, write_records
 from marlab.runner import build_team_for_env, evaluate
 
 
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
 def write_toy_config(tmp_path, **overrides):
     cfg = {
         "env": {"name": "cue_passing", "params": {"n_agents": 2, "num_cues": 2}},
@@ -90,6 +97,29 @@ class TestTrainCommand:
         assert len(err.strip().splitlines()) == 1
         assert records[-1][0] in err and str(opt) in err
 
+    def test_missing_config_file_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["train", "--config", str(path)]) == 2   # FileNotFoundError
+        assert_one_line_error(capsys, str(path))
+
+    def test_config_that_is_a_directory_is_a_one_line_error(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == 2   # IsADirectoryError
+        assert_one_line_error(capsys, str(tmp_path))
+
+    def test_non_finite_lr_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = write_toy_config(tmp_path, train={"lr": float("nan")})
+        assert "NaN" in cfg.read_text()
+        assert main(["train", "--config", str(cfg)]) == 2   # trained with nan losses
+        assert_one_line_error(capsys, "lr")
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_temperature_flag_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--explore", "topk",
+                     "--temperature", "nan"]) == 2
+        assert_one_line_error(capsys, "temperature")
+        assert not (tmp_path / "run").exists()
+
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MARLAB_OUT", str(tmp_path / "root"))
         cfg = write_toy_config(tmp_path, out_dir="rel_run")
@@ -143,6 +173,28 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert str(ckpt) in err and "truncated at byte" in err
+
+    def test_eval_of_run_without_checkpoint_is_a_one_line_error(self, tmp_path, capsys):
+        write_toy_config(tmp_path)   # the run directory's parent holds config.json
+        seed_dir = tmp_path / "seed_1"
+        seed_dir.mkdir()
+        assert main(["eval", "--run", str(seed_dir)]) == 2   # FileNotFoundError
+        assert_one_line_error(capsys, str(seed_dir / "checkpoint.bin"))
+
+    @pytest.mark.parametrize("text", [
+        None,                              # FileNotFoundError
+        "{not json",                       # JSONDecodeError
+        json.dumps({"n": 2}),              # KeyError
+        json.dumps({"reachable": [[1, 0]]}),
+    ])
+    def test_eval_with_bad_topology_file_is_a_one_line_error(self, tmp_path, capsys, text):
+        write_toy_config(tmp_path)
+        topo_path = tmp_path / "topo.json"
+        if text is not None:
+            topo_path.write_text(text)
+        assert main(["eval", "--run", str(tmp_path / "seed_1"),
+                     "--topology", str(topo_path)]) == 2
+        assert_one_line_error(capsys, str(topo_path))
 
     def test_eval_with_deployment_traffic(self, tmp_path, capsys):
         cfg = write_toy_config(tmp_path)
@@ -282,6 +334,11 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_missing_sweep_file_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["sweep", "--config", str(path)]) == 2   # FileNotFoundError
+        assert_one_line_error(capsys, str(path))
 
     @pytest.mark.parametrize("text", ["{not json", "5"])
     def test_sweep_file_that_is_not_a_json_object_is_a_one_line_error(self, tmp_path,

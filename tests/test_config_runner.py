@@ -133,6 +133,20 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=key):
             run_config_from_dict(data)
 
+    @pytest.mark.parametrize("section, key", [
+        ("train", "lr"),            # trained to exit 0 with nan losses
+        ("train", "comm_lr"),
+        ("exploration", "temperature"),
+        ("train", "grad_clip"),
+        ("comm", "dropout"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, section, key, value):
+        # Python's JSON reader turns NaN and Infinity into these floats
+        data = json.loads(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            run_config_from_dict(data)
+
     def test_integer_for_float_field_accepted(self):
         assert run_config_from_dict({"train": {"gamma": 1, "lr": 0}}).train.gamma == 1
 

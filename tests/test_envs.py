@@ -11,7 +11,6 @@ from marlab.envs import (
     MatrixGame,
     TwoStepCoop,
     blind_optimum,
-    discounted_return,
     make_env,
     value_iteration,
 )
@@ -141,9 +140,6 @@ class TestTwoStepCoop:
 
 
 class TestOracles:
-    def test_discounted_return_geometric(self):
-        assert discounted_return([1.0, 1.0, 1.0], 0.5) == 1.75
-
     def test_cue_passing_full_information_value_is_one(self):
         v, _, _ = value_iteration(CuePassing(3, 3, cheat_obs=True), gamma=1.0)
         assert abs(v - 1.0) < 1e-9

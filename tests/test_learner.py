@@ -1,10 +1,17 @@
 """Learner: schedule, replay, double-Q targets, loss, and the update step."""
 
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marlab
 from marlab.agents import TeamModel, make_team
 from marlab.comm import CommSettings
 from marlab.errors import ContractError
@@ -403,3 +410,52 @@ def test_truncated_max_length_episode_runs_every_needed_step(monkeypatch):
     t_max = 5
     assert team_steps_per_train_step(monkeypatch, [2, t_max, 3],
                                      [True, False, True]) == 2 * t_max + 1
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# cue_passing VDN + comm at the benchmark's shapes: each train step's graph is
+# megabytes, which glibc would return to the OS and fault in again next step
+FAULTS_PER_TRAIN_STEP = """
+import resource
+
+from marlab.agents import make_team
+from marlab.comm import CommSettings
+from marlab.envs import make_env
+from marlab.exploration import ExplorationConfig
+from marlab.learner import Learner, ReplayBuffer, TrainConfig
+from marlab.runner import rollout_episode
+
+env = make_env("cue_passing", {"n_agents": 3, "num_cues": 3})
+cfg = TrainConfig(batch_size=32, buffer_capacity=32, hidden_dim=64)
+teams = [make_team(env.obs_dim, env.n_actions, env.n_agents, env.state_dim,
+                   cfg.hidden_dim, "vdn", CommSettings(enabled=True), seed=0)
+         for _ in range(2)]
+learner = Learner(*teams, cfg, seed=0)
+buf = ReplayBuffer(cfg.buffer_capacity)
+for e in range(cfg.batch_size):
+    buf.add(rollout_episode(env, learner.team, ExplorationConfig(), 1.0, 0, e))
+for _ in range(5):
+    learner.train_step(buf)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    learner.train_step(buf)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_train_steps_reuse_the_heap_pages_of_the_previous_step():
+    # a fresh interpreter: what earlier tests freed moves glibc's thresholds
+    src = str(Path(marlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", FAULTS_PER_TRAIN_STEP],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 20

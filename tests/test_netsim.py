@@ -1,5 +1,7 @@
 """Deployment modes: equivalence under full reach, traffic arithmetic, isolation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,9 +36,21 @@ class TestTopology:
     def test_json_roundtrip(self, tmp_path):
         topo = Topology.isolate(4, 2)
         path = tmp_path / "topo.json"
-        topo.to_json(path)
+        path.write_text(json.dumps({"n": 4, "reachable": topo.reachable.astype(int).tolist()}))
         loaded = Topology.from_json(path)
         assert np.array_equal(loaded.reachable, topo.reachable)
+
+    @pytest.mark.parametrize("spec", [
+        {"n": 2},                               # KeyError
+        {"reachable": [[1, 0], [0]]},           # ragged rows
+        {"reachable": [[1, 0, 1], [0, 1, 1]]},  # not square
+        [[1, 0], [0, 1]],                       # not an object
+    ])
+    def test_malformed_json_rejected(self, tmp_path, spec):
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ConfigError, match="topo.json"):
+            Topology.from_json(path)
 
     def test_asymmetric_reachability_allowed(self):
         reach = np.eye(2, dtype=bool)
