@@ -185,7 +185,6 @@ class TestEvalCommand:
         None,                              # FileNotFoundError
         "{not json",                       # JSONDecodeError
         json.dumps({"n": 2}),              # KeyError
-        json.dumps({"reachable": [[1, 0]]}),
     ])
     def test_eval_with_bad_topology_file_is_a_one_line_error(self, tmp_path, capsys, text):
         write_toy_config(tmp_path)

@@ -138,7 +138,6 @@ class TestConfigSchema:
         ("train", "comm_lr"),
         ("exploration", "temperature"),
         ("train", "grad_clip"),
-        ("comm", "dropout"),
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected(self, section, key, value):
