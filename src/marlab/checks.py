@@ -19,9 +19,11 @@ from .envs import CuePassing, TwoStepCoop, value_iteration
 from .exploration import ExplorationConfig, action_distribution, select_action
 from .learner import (
     EpisodeRecord,
-    pad_batch,
-    td_loss,
     double_q_targets,
+    pad_batch,
+    stack_values,
+    taken_joint_values,
+    td_loss,
     unroll_team,
 )
 from .mixers import QmixMixer, VdnMixer, mix_values
@@ -144,20 +146,14 @@ def check_gradient_end_to_end(seed: int, fault: str) -> tuple[bool, str]:
     # freeze the targets first: they are detached from the online graph, so
     # the finite-difference probe must hold them fixed too
     with no_grad():
-        frozen = [q.data.copy() for q in unroll_team(team, batch)]
-    stacked = np.stack([v.reshape(2, 2, -1) for v in frozen[1:]], axis=1)
+        stacked = stack_values(unroll_team(team, batch)[1:], batch)
     y = double_q_targets(batch["rewards"], batch["terminated"], stacked,
                          stacked, batch["avail"][:, 1:], batch["states"][:, 1:],
                          lambda q, s: q.sum(axis=1), 0.9)
 
     def loss():
-        qs = unroll_team(team, batch)
-        taken = []
-        for t in range(batch["t_max"]):
-            picked = T.gather_cols(qs[t], batch["actions"][:, t].reshape(-1))
-            taken.append(team.mixer(T.reshape(picked, 2, 2),
-                                    Tensor(batch["states"][:, t])))
-        return td_loss(T.concat_cols(taken), y, batch["mask"])
+        q_tot = taken_joint_values(team, unroll_team(team, batch), batch)
+        return td_loss(q_tot, y, batch["mask"])
 
     err = max_gradient_error(loss, team.parameters(), samples_per_param=12,
                              rng=gen)

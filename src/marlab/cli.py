@@ -46,15 +46,9 @@ def _overrides(args) -> dict:
         patch["comm"]["enabled"] = args.comm == "mactas"
     if args.no_residual:
         patch["comm"]["residual"] = False
-    explore = patch["exploration"]
-    if args.explore == "eps":
-        explore.update(k=1, temperature=0.0)
-    elif args.k is not None:
-        explore["k"] = args.k
-    elif args.explore == "topk":
-        explore["k"] = 2
-    if args.temperature is not None:
-        explore["temperature"] = args.temperature
+    for flag in ("k", "temperature"):
+        if getattr(args, flag) is not None:
+            patch["exploration"][flag] = getattr(args, flag)
     return patch
 
 
@@ -159,6 +153,9 @@ def cmd_eval(args) -> int:
     if not config_path.exists():
         config_path = run_dir.parent / "config.json"
     config = load_run_config(config_path)
+    if not config.comm.enabled and (args.topology or args.deploy):
+        raise ConfigError(f"--topology and --deploy need a run trained with comm; "
+                          f"{config_path} has comm disabled")
     topology = Topology.from_json(args.topology) if args.topology else None
     env = make_env(config.env.name, config.env.params)
     team = build_team_for_env(config, env, seed=args.seed)
@@ -173,7 +170,7 @@ def cmd_eval(args) -> int:
         "success_rate": success_rate,
         "env_steps": steps,
     }
-    if args.deploy and team.comm is not None:
+    if args.deploy:
         width = team.comm.model_dim
         if args.deploy == "centralized":
             per_step = centralized_traffic(env.n_agents, width)
@@ -209,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="enable or disable the communication stack")
     p_train.add_argument("--no-residual", action="store_true",
                          help="feed the q-head the increment alone")
-    p_train.add_argument("--explore", choices=["eps", "topk"], default=None)
     p_train.add_argument("--k", type=int, default=None)
     p_train.add_argument("--temperature", type=float, default=None)
     p_train.add_argument("--workers", type=int, default=1)

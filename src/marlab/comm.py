@@ -89,5 +89,3 @@ class CommStack(Module):
         for layer in self.layers:
             x = layer(x, mask=mask, sets=sets, ctx=ctx)
         return self.out_proj(x)
-
-    __call__ = forward

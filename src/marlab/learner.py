@@ -201,6 +201,26 @@ def unroll_team(team: TeamModel, batch: dict,
     return out
 
 
+def taken_joint_values(team: TeamModel, online_q: list[Tensor], batch: dict) -> Tensor:
+    """Mixed value of the actions actually taken: one (batch, 1) column per step.
+
+    online_q holds the local Q values of steps 0..t_max-1 (and possibly more);
+    the columns cover t = 0..t_max-1.
+    """
+    bsz, n = batch["batch_size"], batch["n_agents"]
+    q_taken = []
+    for t in range(batch["t_max"]):
+        picked = T.gather_cols(online_q[t], batch["actions"][:, t].reshape(-1))
+        q_taken.append(team.mixer(T.reshape(picked, bsz, n), Tensor(batch["states"][:, t])))
+    return T.concat_cols(q_taken)
+
+
+def stack_values(q_values: list[Tensor], batch: dict) -> np.ndarray:
+    """Per-step local Q tensors as one (batch, steps, n, n_actions) array."""
+    bsz, n = batch["batch_size"], batch["n_agents"]
+    return np.stack([q.data.reshape(bsz, n, -1) for q in q_values], axis=1)
+
+
 def double_q_targets(rewards: np.ndarray, terminated: np.ndarray,
                      online_next_q: np.ndarray, target_next_q: np.ndarray,
                      avail_next: np.ndarray, states_next: np.ndarray,
@@ -259,7 +279,7 @@ class Learner:
             return None
         episodes = buffer.sample(cfg.batch_size, stream(self.seed, "sample", self.train_steps))
         batch = pad_batch(episodes)
-        bsz, t_max, n = batch["batch_size"], batch["t_max"], batch["n_agents"]
+        t_max = batch["t_max"]
 
         # transitions from k on never bootstrap (see the module docstring)
         bootstraps = (batch["mask"] * (1.0 - batch["terminated"]) > 0).any(axis=0)
@@ -270,22 +290,12 @@ class Learner:
         with no_grad():
             target_q = unroll_team(self.target, batch, steps=range(1, k + 1))
 
-        # joint value of the actions actually taken, per step
-        q_taken = []
-        for t in range(t_max):
-            picked = T.gather_cols(online_q[t], batch["actions"][:, t].reshape(-1))
-            per_team = T.reshape(picked, bsz, n)
-            q_taken.append(self.team.mixer(per_team, Tensor(batch["states"][:, t])))
-        q_tot = T.concat_cols(q_taken)
-
-        def stack_values(tensors):
-            return np.stack([q.data.reshape(bsz, n, -1) for q in tensors], axis=1)
-
+        q_tot = taken_joint_values(self.team, online_q, batch)
         targets = batch["rewards"].copy()
         if k:
             targets[:, :k] = double_q_targets(
                 batch["rewards"][:, :k], batch["terminated"][:, :k],
-                stack_values(online_q[1 : k + 1]), stack_values(target_q),
+                stack_values(online_q[1 : k + 1], batch), stack_values(target_q, batch),
                 batch["avail"][:, 1 : k + 1], batch["states"][:, 1 : k + 1],
                 lambda q, s: mix_values(self.target.mixer, q, s), cfg.gamma)
 

@@ -30,8 +30,6 @@ class VdnMixer(Module):
             raise ShapeError(f"expected {self.n_agents} local values, got {q_locals.shape}")
         return T.tsum(q_locals, axis=1)
 
-    __call__ = forward
-
 
 class QmixMixer(Module):
     """Two-layer monotonic mixing network generated by state hypernetworks.
@@ -78,8 +76,6 @@ class QmixMixer(Module):
         hidden = T.elu(T.add(T.block_row_matmul(q_locals, w1, self.n_agents, self.embed_dim), b1))
         v = self.v_out(T.elu(self.v_hidden(state)))
         return T.add(T.tsum(T.mul(hidden, w2), axis=1), v)
-
-    __call__ = forward
 
 
 def make_mixer(kind: str, n_agents: int, state_dim: int, seed: int):

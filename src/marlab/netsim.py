@@ -71,8 +71,15 @@ class Topology:
         spec = read_json(path)
         if not isinstance(spec, dict) or "reachable" not in spec:
             raise ConfigError(f"{path}: expected an object with a 'reachable' matrix")
+        rows = spec["reachable"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ConfigError(f"{path}: 'reachable' must be a list of rows")
+        for v in (v for r in rows for v in r):
+            if type(v) not in (int, bool) or v not in (0, 1):
+                raise ConfigError(f"{path}: 'reachable' entries must be 0, 1, true "
+                                  f"or false, got {v!r}")
         try:
-            reach = np.asarray(spec["reachable"], dtype=bool)
+            reach = np.asarray(rows, dtype=bool)
         except ValueError as exc:
             raise ConfigError(f"{path}: 'reachable' has rows of unequal length") from exc
         try:

@@ -36,11 +36,19 @@ class TrainContext:
 
 
 class Module:
-    """Minimal container: tracks parameters and child modules."""
+    """Minimal container: tracks parameters and child modules.
+
+    Calling a module, module(*args), goes through Module.__call__ to the
+    subclass's forward(*args); forward is the one name to override and the
+    name perfbench traces.
+    """
 
     def __init__(self):
         self._params: list[Parameter] = []
         self._children: list[Module] = []
+
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
     def _register(self, child: "Module") -> "Module":
         self._children.append(child)
@@ -98,8 +106,6 @@ class Dense(Module):
             raise ShapeError(f"dense expects {self.in_dim} input columns, got {x.shape}")
         return T.affine(x, self.weight, self.bias)
 
-    __call__ = forward
-
 
 class GRUCell(Module):
     """Gated recurrent cell.
@@ -141,8 +147,6 @@ class GRUCell(Module):
                           self.wxr, self.whr, self.br,
                           self.wxc, self.whc, self.bc)
 
-    __call__ = forward
-
 
 class LayerNorm(Module):
     def __init__(self, dim: int, name: str, group: str = "main", eps: float = 1e-5):
@@ -153,8 +157,6 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return T.layer_norm_rows(x, self.gamma, self.beta, self.eps)
-
-    __call__ = forward
 
 
 class Dropout(Module):
@@ -171,8 +173,6 @@ class Dropout(Module):
         if ctx is None or self.rate == 0.0:
             return x
         return T.dropout(x, self.rate, ctx.dropout_rng(self.name))
-
-    __call__ = forward
 
 
 class MultiHeadSelfAttention(Module):
@@ -216,8 +216,6 @@ class MultiHeadSelfAttention(Module):
             return out, per_head
         return out
 
-    __call__ = forward
-
 
 class FeedForward(Module):
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator,
@@ -228,8 +226,6 @@ class FeedForward(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc2(T.relu(self.fc1(x)))
-
-    __call__ = forward
 
 
 class EncoderLayer(Module):
@@ -253,7 +249,5 @@ class EncoderLayer(Module):
                 sets: int = 1, ctx: Optional[TrainContext] = None) -> Tensor:
         a = T.add(x, self.drop1(self.attn(self.norm1(x), mask, sets=sets), ctx))
         return T.add(a, self.drop2(self.ffn(self.norm2(a)), ctx))
-
-    __call__ = forward
 
 

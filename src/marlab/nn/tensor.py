@@ -5,6 +5,12 @@ backward() on a scalar result accumulates exact gradients into every
 reachable tensor with requires_grad set.  Only the operations the Q-learning
 architecture needs are provided.  Shapes are always 2-D: vectors are rows.
 
+Every op follows one protocol: compute the result array `data`, define a
+closure `backward(g)` that `_accum`s the gradient of each parent from the
+output gradient g, and return `_result(data, parents, backward)`.  `_result`
+keeps the closure and the parents only when grad is enabled and some parent
+requires grad; otherwise the result is a leaf.
+
 Importing this module, and so importing marlab, sets two malloc tunables for
 the whole process where the C library has mallopt (glibc): a trim threshold
 of 256 MiB and an mmap threshold of 32 MiB.  See _keep_freed_heap.
@@ -166,12 +172,8 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out.data = data
     out.grad = None
     out.requires_grad = needs
-    if needs:
-        out._parents = tuple(parents)
-        out._backward = backward()
-    else:
-        out._parents = ()
-        out._backward = None
+    out._parents = tuple(parents) if needs else ()
+    out._backward = backward if needs else None
     return out
 
 
@@ -207,14 +209,11 @@ def add(a: Tensor, b) -> Tensor:
     _check_broadcast(a, b, "add")
     data = a.data + b.data
 
-    def make():
-        def backward(g):
-            _accum(a, _unbroadcast(g, a.shape))
-            _accum(b, _unbroadcast(g, b.shape))
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(g, b.shape))
 
-        return backward
-
-    return _result(data, (a, b), make)
+    return _result(data, (a, b), backward)
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -222,14 +221,11 @@ def sub(a: Tensor, b) -> Tensor:
     _check_broadcast(a, b, "sub")
     data = a.data - b.data
 
-    def make():
-        def backward(g):
-            _accum(a, _unbroadcast(g, a.shape))
-            _accum(b, _unbroadcast(-g, b.shape))
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(-g, b.shape))
 
-        return backward
-
-    return _result(data, (a, b), make)
+    return _result(data, (a, b), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -237,27 +233,21 @@ def mul(a: Tensor, b) -> Tensor:
     _check_broadcast(a, b, "mul")
     data = a.data * b.data
 
-    def make():
-        def backward(g):
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+    def backward(g):
+        _accum(a, _unbroadcast(g * b.data, a.shape))
+        _accum(b, _unbroadcast(g * a.data, b.shape))
 
-        return backward
-
-    return _result(data, (a, b), make)
+    return _result(data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     data = a.data * c
 
-    def make():
-        def backward(g):
-            _accum(a, g * c)
+    def backward(g):
+        _accum(a, g * c)
 
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -266,66 +256,47 @@ def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
     else:
         data = a.data.sum(axis=axis, keepdims=True)
 
-    def make():
-        def backward(g):
-            _accum(a, np.broadcast_to(g, a.shape))
+    def backward(g):
+        _accum(a, np.broadcast_to(g, a.shape))
 
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
-    def make():
-        pos = a.data > 0
+    def backward(g):
+        _accum(a, g * (a.data > 0))
 
-        def backward(g):
-            _accum(a, g * pos)
-
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     pos = a.data > 0
     data = np.where(pos, a.data, alpha * np.expm1(a.data))
 
-    def make():
-        def backward(g):
-            _accum(a, g * np.where(pos, 1.0, data + alpha))
+    def backward(g):
+        _accum(a, g * np.where(pos, 1.0, data + alpha))
 
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def absolute(a: Tensor) -> Tensor:
     data = np.abs(a.data)
 
-    def make():
-        sgn = np.sign(a.data)
+    def backward(g):
+        _accum(a, g * np.sign(a.data))
 
-        def backward(g):
-            _accum(a, g * sgn)
-
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def square(a: Tensor) -> Tensor:
     data = a.data * a.data
 
-    def make():
-        def backward(g):
-            _accum(a, 2.0 * g * a.data)
+    def backward(g):
+        _accum(a, 2.0 * g * a.data)
 
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -335,18 +306,13 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeError("concat_cols: row counts differ")
     data = np.concatenate([p.data for p in parts], axis=1)
 
-    def make():
-        widths = [p.cols for p in parts]
+    def backward(g):
+        j = 0
+        for p in parts:
+            _accum(p, g[:, j : j + p.cols])
+            j += p.cols
 
-        def backward(g):
-            j = 0
-            for p, w in zip(parts, widths):
-                _accum(p, g[:, j : j + w])
-                j += w
-
-        return backward
-
-    return _result(data, tuple(parts), make)
+    return _result(data, tuple(parts), backward)
 
 
 def gather_cols(a: Tensor, index: np.ndarray) -> Tensor:
@@ -357,16 +323,13 @@ def gather_cols(a: Tensor, index: np.ndarray) -> Tensor:
     rows = np.arange(a.rows)
     data = a.data[rows, index].reshape(-1, 1)
 
-    def make():
-        def backward(g):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                np.add.at(a.grad, (rows, index), g[:, 0])
+    def backward(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, (rows, index), g[:, 0])
 
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
@@ -391,14 +354,11 @@ def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         e = np.exp(x - m)
     data = e / e.sum(axis=1, keepdims=True)
 
-    def make():
-        def backward(g):
-            dot = (g * data).sum(axis=1, keepdims=True)
-            _accum(a, data * (g - dot))
+    def backward(g):
+        dot = (g * data).sum(axis=1, keepdims=True)
+        _accum(a, data * (g - dot))
 
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -413,18 +373,15 @@ def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     xhat = centered * inv
     data = xhat * gamma.data + beta.data
 
-    def make():
-        def backward(g):
-            _accum(beta, g.sum(axis=0, keepdims=True))
-            _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
-            dxhat = g * gamma.data
-            row_mean = dxhat.sum(axis=1, keepdims=True) / d
-            proj = (dxhat * xhat).sum(axis=1, keepdims=True) / d
-            _accum(a, inv * (dxhat - row_mean - xhat * proj))
+    def backward(g):
+        _accum(beta, g.sum(axis=0, keepdims=True))
+        _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
+        dxhat = g * gamma.data
+        row_mean = dxhat.sum(axis=1, keepdims=True) / d
+        proj = (dxhat * xhat).sum(axis=1, keepdims=True) / d
+        _accum(a, inv * (dxhat - row_mean - xhat * proj))
 
-        return backward
-
-    return _result(data, (a, gamma, beta), make)
+    return _result(data, (a, gamma, beta), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -436,13 +393,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
     data = a.data * keep
 
-    def make():
-        def backward(g):
-            _accum(a, g * keep)
+    def backward(g):
+        _accum(a, g * keep)
 
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -451,16 +405,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"affine: input {x.shape} does not match weight {w.shape}")
     data = x.data @ w.data.T + b.data
 
-    def make():
-        def backward(g):
-            if x.requires_grad:   # inputs such as observations need no g @ W
-                _accum(x, g @ w.data)
-            _accum(w, g.T @ x.data)
-            _accum(b, g.sum(axis=0, keepdims=True))
+    def backward(g):
+        if x.requires_grad:   # inputs such as observations need no g @ W
+            _accum(x, g @ w.data)
+        _accum(w, g.T @ x.data)
+        _accum(b, g.sum(axis=0, keepdims=True))
 
-        return backward
-
-    return _result(data, (x, w, b), make)
+    return _result(data, (x, w, b), backward)
 
 
 def gru_cell(x: Tensor, h: Tensor,
@@ -481,30 +432,27 @@ def gru_cell(x: Tensor, h: Tensor,
     c = np.tanh(xd @ wxc.data.T + r * u + bc.data)
     data = (1.0 - z) * c + z * hd
 
-    def make():
-        def backward(g):
-            dc = g * (1.0 - z)
-            dz = g * (hd - c)
-            dac = dc * (1.0 - c * c)
-            daz = dz * z * (1.0 - z)
-            dr = dac * u
-            dar = dr * r * (1.0 - r)
-            du = dac * r
-            _accum(x, daz @ wxz.data + dar @ wxr.data + dac @ wxc.data)
-            _accum(h, g * z + daz @ whz.data + dar @ whr.data + du @ whc.data)
-            _accum(wxz, daz.T @ xd)
-            _accum(whz, daz.T @ hd)
-            _accum(bz, daz.sum(axis=0, keepdims=True))
-            _accum(wxr, dar.T @ xd)
-            _accum(whr, dar.T @ hd)
-            _accum(br, dar.sum(axis=0, keepdims=True))
-            _accum(wxc, dac.T @ xd)
-            _accum(whc, du.T @ hd)
-            _accum(bc, dac.sum(axis=0, keepdims=True))
+    def backward(g):
+        dc = g * (1.0 - z)
+        dz = g * (hd - c)
+        dac = dc * (1.0 - c * c)
+        daz = dz * z * (1.0 - z)
+        dr = dac * u
+        dar = dr * r * (1.0 - r)
+        du = dac * r
+        _accum(x, daz @ wxz.data + dar @ wxr.data + dac @ wxc.data)
+        _accum(h, g * z + daz @ whz.data + dar @ whr.data + du @ whc.data)
+        _accum(wxz, daz.T @ xd)
+        _accum(whz, daz.T @ hd)
+        _accum(bz, daz.sum(axis=0, keepdims=True))
+        _accum(wxr, dar.T @ xd)
+        _accum(whr, dar.T @ hd)
+        _accum(br, dar.sum(axis=0, keepdims=True))
+        _accum(wxc, dac.T @ xd)
+        _accum(whc, du.T @ hd)
+        _accum(bc, dac.sum(axis=0, keepdims=True))
 
-        return backward
-
-    return _result(data, (x, h, wxz, whz, bz, wxr, whr, br, wxc, whc, bc), make)
+    return _result(data, (x, h, wxz, whz, bz, wxr, whr, br, wxc, whc, bc), backward)
 
 
 def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
@@ -546,25 +494,22 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
     ctx = np.einsum("shqk,shkd->shqd", probs, vh)
     data = ctx.transpose(0, 2, 1, 3).reshape(rows, dim)
 
-    def make():
-        def backward(g):
-            gh = split(g)
-            dv = np.einsum("shqk,shqd->shkd", probs, gh)
-            dp = np.einsum("shqd,shkd->shqk", gh, vh)
-            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-            dq = np.einsum("shqk,shkd->shqd", ds, kh) * scale_
-            dk_ = np.einsum("shqk,shqd->shkd", ds, qh) * scale_
+    def backward(g):
+        gh = split(g)
+        dv = np.einsum("shqk,shqd->shkd", probs, gh)
+        dp = np.einsum("shqd,shkd->shqk", gh, vh)
+        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+        dq = np.einsum("shqk,shkd->shqd", ds, kh) * scale_
+        dk_ = np.einsum("shqk,shqd->shkd", ds, qh) * scale_
 
-            def merge(t):
-                return t.transpose(0, 2, 1, 3).reshape(rows, dim)
+        def merge(t):
+            return t.transpose(0, 2, 1, 3).reshape(rows, dim)
 
-            _accum(q, merge(dq))
-            _accum(k, merge(dk_))
-            _accum(v, merge(dv))
+        _accum(q, merge(dq))
+        _accum(k, merge(dk_))
+        _accum(v, merge(dv))
 
-        return backward
-
-    return _result(data, (q, k, v), make)
+    return _result(data, (q, k, v), backward)
 
 
 def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
@@ -572,13 +517,10 @@ def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
         raise ShapeError(f"cannot reshape {a.shape} to ({rows}, {cols})")
     data = a.data.reshape(rows, cols).copy()
 
-    def make():
-        def backward(g):
-            _accum(a, g.reshape(a.shape))
+    def backward(g):
+        _accum(a, g.reshape(a.shape))
 
-        return backward
-
-    return _result(data, (a,), make)
+    return _result(data, (a,), backward)
 
 
 def block_row_matmul(q: Tensor, w: Tensor, n: int, k: int) -> Tensor:
@@ -593,11 +535,8 @@ def block_row_matmul(q: Tensor, w: Tensor, n: int, k: int) -> Tensor:
     w3 = w.data.reshape(bsz, n, k)
     data = np.einsum("bi,bik->bk", q.data, w3)
 
-    def make():
-        def backward(g):
-            _accum(q, np.einsum("bk,bik->bi", g, w3))
-            _accum(w, np.einsum("bi,bk->bik", q.data, g).reshape(bsz, n * k))
+    def backward(g):
+        _accum(q, np.einsum("bk,bik->bi", g, w3))
+        _accum(w, np.einsum("bi,bk->bik", q.data, g).reshape(bsz, n * k))
 
-        return backward
-
-    return _result(data, (q, w), make)
+    return _result(data, (q, w), backward)

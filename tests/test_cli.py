@@ -56,7 +56,7 @@ class TestTrainCommand:
         out = tmp_path / "alt"
         assert main(["train", "--config", str(cfg), "--out", str(out),
                      "--mixer", "qmix", "--comm", "none", "--no-residual",
-                     "--explore", "topk", "--k", "2", "--temperature", "0.33",
+                     "--k", "2", "--temperature", "0.33",
                      "--seed", "7"]) == 0
         resolved = load_run_config(out / "config.json")
         assert resolved.mixer == "qmix"
@@ -76,7 +76,7 @@ class TestTrainCommand:
         ({"exploration": {"k": 0}}, []),
         ({"train": {"epsilon_start": 1.5}}, []),
         ({}, ["--k", "0"]),
-        ({}, ["--explore", "topk", "--temperature", "-1"]),
+        ({}, ["--temperature", "-1"]),
     ])
     def test_bad_exploration_rejected_before_any_output(self, tmp_path, capsys,
                                                         overrides, flags):
@@ -115,9 +115,16 @@ class TestTrainCommand:
 
     def test_non_finite_temperature_flag_is_a_one_line_error(self, tmp_path, capsys):
         cfg = write_toy_config(tmp_path)
-        assert main(["train", "--config", str(cfg), "--explore", "topk",
-                     "--temperature", "nan"]) == 2
+        assert main(["train", "--config", str(cfg), "--temperature", "nan"]) == 2
         assert_one_line_error(capsys, "temperature")
+        assert not (tmp_path / "run").exists()
+
+    def test_explore_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_toy_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg), "--explore", "eps"])
+        assert exc.value.code == 2
+        assert "--explore" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
@@ -231,6 +238,23 @@ class TestEvalCommand:
         assert main(["eval", "--run", str(tmp_path / "run" / "seed_1"),
                      "--episodes", "0"]) == 2
         assert "test episode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--deploy", "centralized"],
+        ["--topology", "TOPO"],
+        ["--topology", "TOPO", "--deploy", "distributed"],
+    ])
+    def test_comm_flags_on_a_run_without_comm_are_a_one_line_error(self, tmp_path,
+                                                                   capsys, flags):
+        cfg = write_toy_config(tmp_path, mixer="qmix", comm={"enabled": False})
+        assert main(["train", "--config", str(cfg)]) == 0
+        topo_path = tmp_path / "topo.json"
+        topo_path.write_text(json.dumps({"reachable": [[1, 0], [0, 1]]}))
+        capsys.readouterr()  # drop training output
+        flags = [str(topo_path) if f == "TOPO" else f for f in flags]
+        assert main(["eval", "--run", str(tmp_path / "run" / "seed_1"),
+                     "--episodes", "2", *flags]) == 2   # exited 0, no comm_* field
+        assert_one_line_error(capsys, "comm disabled")
 
     @pytest.mark.parametrize("deploy", ["centralized", "distributed"])
     def test_eval_is_evaluate_plus_netsim_traffic(self, tmp_path, capsys, deploy):

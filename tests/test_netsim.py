@@ -45,12 +45,23 @@ class TestTopology:
         {"reachable": [[1, 0], [0]]},           # ragged rows
         {"reachable": [[1, 0, 1], [0, 1, 1]]},  # not square
         [[1, 0], [0, 1]],                       # not an object
+        {"reachable": [[1, "no"], [0, 1]]},     # truthy string
+        {"reachable": [[1, 0.5], [0, 1]]},      # fraction
+        {"reachable": [[1.0, 0], [0, 1]]},      # float one
+        {"reachable": [[1, 0], [-3, 1]]},       # negative integer
+        {"reachable": [[1, 0], [None, 1]]},     # null
+        {"reachable": 5},                       # not a list of rows
     ])
     def test_malformed_json_rejected(self, tmp_path, spec):
         path = tmp_path / "topo.json"
         path.write_text(json.dumps(spec))
         with pytest.raises(ConfigError, match="topo.json"):
             Topology.from_json(path)
+
+    def test_json_booleans_accepted(self, tmp_path):
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps({"reachable": [[True, False], [1, True]]}))
+        assert Topology.from_json(path).reachable.tolist() == [[True, False], [True, True]]
 
     def test_asymmetric_reachability_allowed(self):
         reach = np.eye(2, dtype=bool)

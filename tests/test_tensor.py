@@ -1,5 +1,7 @@
 """Autodiff engine: forward values and gradients against finite differences."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -147,11 +149,55 @@ def test_dropout_statistics_and_scaling():
     assert np.allclose(kept, 1.0 / 0.75)
 
 
-def test_no_grad_builds_no_graph():
-    x = Parameter(np.ones((2, 2)), name="x")
+# one call of every op; leaf(rows, cols) makes each input
+OP_CALLS = {
+    "add": lambda leaf: T.add(leaf(2, 3), leaf(1, 3)),
+    "sub": lambda leaf: T.sub(leaf(2, 3), leaf(2, 1)),
+    "mul": lambda leaf: T.mul(leaf(2, 3), leaf(2, 3)),
+    "scale": lambda leaf: T.scale(leaf(2, 3), 0.5),
+    "tsum": lambda leaf: T.tsum(leaf(2, 3)),
+    "relu": lambda leaf: T.relu(leaf(2, 3)),
+    "elu": lambda leaf: T.elu(leaf(2, 3)),
+    "absolute": lambda leaf: T.absolute(leaf(2, 3)),
+    "square": lambda leaf: T.square(leaf(2, 3)),
+    "concat_cols": lambda leaf: T.concat_cols([leaf(2, 3), leaf(2, 1)]),
+    "gather_cols": lambda leaf: T.gather_cols(leaf(2, 3), np.array([0, 2])),
+    "softmax_rows": lambda leaf: T.softmax_rows(leaf(2, 3)),
+    "layer_norm_rows": lambda leaf: T.layer_norm_rows(leaf(2, 3), leaf(1, 3), leaf(1, 3)),
+    "dropout": lambda leaf: T.dropout(leaf(2, 3), 0.5, np.random.default_rng(0)),
+    "affine": lambda leaf: T.affine(leaf(2, 3), leaf(4, 3), leaf(1, 4)),
+    "gru_cell": lambda leaf: T.gru_cell(leaf(2, 3), leaf(2, 4),
+                                        *[leaf(4, 3), leaf(4, 4), leaf(1, 4)] * 3),
+    "set_attention": lambda leaf: T.set_attention(leaf(4, 4), leaf(4, 4), leaf(4, 4),
+                                                  heads=2, sets=2),
+    "reshape": lambda leaf: T.reshape(leaf(2, 3), 3, 2),
+    "block_row_matmul": lambda leaf: T.block_row_matmul(leaf(2, 3), leaf(2, 6), n=3, k=2),
+}
+
+
+def test_op_table_covers_every_op():
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__
+           and not name.startswith("_") and name != "grad_enabled"}
+    assert ops == set(OP_CALLS)
+
+
+@pytest.mark.parametrize("op", sorted(OP_CALLS))
+def test_no_grad_builds_no_graph(op):
+    rng = np.random.default_rng(0)
+
+    def trainable(rows, cols):
+        return Parameter(rng.standard_normal((rows, cols)), name="x")
+
+    def fixed(rows, cols):
+        return Tensor(rng.standard_normal((rows, cols)))
+
     with no_grad():
-        y = T.tsum(T.square(x))
-    assert y._backward is None and not y.requires_grad
+        off = OP_CALLS[op](trainable)
+    for y in (off, OP_CALLS[op](fixed)):
+        assert y._backward is None and y._parents == () and not y.requires_grad
+    on = OP_CALLS[op](trainable)
+    assert on._backward is not None and on._parents and on.requires_grad
 
 
 def test_grad_accumulates_across_uses():
