@@ -52,8 +52,8 @@ class CommSettings:
 class CommStack(Module):
     """Stacked encoder layers plus a zero-initialized output projection.
 
-    All parameters carry group="comm" so the learner can hand them to their
-    own optimizer.
+    All parameters are marked group "comm" so the learner can hand them to
+    their own optimizer.
     """
 
     def __init__(self, settings: CommSettings, model_dim: int, seed: int):
@@ -67,12 +67,13 @@ class CommStack(Module):
         self.layers = [
             self._register(EncoderLayer(
                 model_dim, settings.heads, settings.ffn_dim, settings.dropout,
-                rng, f"comm.layer{i}", group="comm"))
+                rng, f"comm.layer{i}"))
             for i in range(settings.num_layers)
         ]
         self.out_proj = self._register(Dense(
-            model_dim, model_dim, rng, "comm.out_proj",
-            group="comm", zero_init=True))
+            model_dim, model_dim, rng, "comm.out_proj", zero_init=True))
+        for p in self.parameters():
+            p.group = "comm"
 
     def forward(self, hidden: Tensor, mask: Optional[np.ndarray] = None,
                 sets: int = 1, ctx: Optional[TrainContext] = None) -> Tensor:

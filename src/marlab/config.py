@@ -80,6 +80,9 @@ class RunConfig:
             raise ConfigError(f"seeds must be integers, got {list(self.seeds)}")
         if self.total_env_steps < 1:
             raise ConfigError("total_env_steps must be positive")
+        if self.comm.enabled and self.train.hidden_dim % self.comm.heads != 0:
+            raise ConfigError(f"train.hidden_dim {self.train.hidden_dim} is the comm width and "
+                              f"must be a multiple of comm.heads {self.comm.heads}")
 
 
 def _build(cls, data: dict, where: str):
@@ -129,6 +132,14 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
     out = dataclasses.asdict(cfg)
     out["seeds"] = list(cfg.seeds)
     return out
+
+
+def differing_keys(a, b, path: str = "config") -> list[str]:
+    """Dotted paths at which two JSON values differ, objects compared key by key."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [path]
+    return [diff for key in sorted(set(a) | set(b))
+            for diff in differing_keys(a.get(key), b.get(key), f"{path}.{key}")]
 
 
 def _merge(base: dict, patch: dict) -> dict:

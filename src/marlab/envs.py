@@ -1,11 +1,20 @@
 """Cooperative environments and exact planning oracles.
 
-All environments follow one contract: reset() yields per-agent observations
-plus a global state, step() takes the team action and returns a single
-shared reward.  Observations are deterministic functions of the underlying
-state.  The three built-in tasks are deliberately small enough for exact
-dynamic programming, so learned values can be checked against a
-brute-force optimum:
+Each environment states its dynamics once, as a model over hashable
+states, and the same model drives both the learner and the planner:
+
+  model_initial()            [(start state, probability), ...]
+  model_step(state, joint)   (shared reward, next state, or None at the end)
+  model_joint_actions(state) the legal joint actions: every combination of
+                             the rows of avail_actions()
+
+reset() draws a start state with the env's _start(rng), and step() checks
+the team action, advances with model_step and returns the observations
+that _observe(state) gives; after the last step those are the final
+state's.  Observations are deterministic functions of the state.  The
+three built-in tasks are deliberately small enough for exact dynamic
+programming, so learned values can be checked against a brute-force
+optimum:
 
   MatrixGame    one-shot payoff table; the default "climbing" table has a
                 tempting suboptimal equilibrium.
@@ -40,23 +49,33 @@ POLICY_ENUM_LIMIT = 2_000_000
 class Env:
     """Behavioral contract shared by all environments.
 
-    Subclasses define the class attributes n_agents, n_actions, obs_dim,
-    state_dim and episode_limit, and implement reset/step.  Enumerable
-    environments additionally expose the model_* methods used by the exact
-    planner.
+    Subclasses set n_agents, n_actions, obs_dim and state_dim and define
+    the model: _start(rng) draws a start state from model_initial's
+    support, _observe(state) gives the (per-agent observations, global
+    state) arrays of a state, and model_initial/model_step are the
+    dynamics the planner enumerates and step() runs.
     """
 
     n_agents: int
     n_actions: int
     obs_dim: int
     state_dim: int
-    episode_limit: int
+    _state = None  # current model state; None before reset and after the last step
 
     def reset(self, rng: np.random.Generator):
-        raise NotImplementedError
+        """Start an episode; returns (observations (n, obs_dim), global state)."""
+        self._state = self._start(rng)
+        return self._observe(self._state)
 
     def step(self, actions):
-        raise NotImplementedError
+        """Apply one team action; returns (reward, done, observations, global state)."""
+        if self._state is None:
+            raise EpisodeOverError("episode already finished")
+        actions = self._check_actions(actions)
+        reward, nxt = self.model_step(self._state, tuple(actions.tolist()))
+        obs, state = self._observe(self._state if nxt is None else nxt)
+        self._state = nxt
+        return reward, nxt is None, obs, state
 
     def avail_actions(self) -> np.ndarray:
         return np.ones((self.n_agents, self.n_actions), dtype=bool)
@@ -74,12 +93,18 @@ class Env:
                 raise ContractError(f"agent {i} took unavailable action {a}")
         return actions
 
-    # Model interface for exact planning (enumerable environments only).
+    def _start(self, rng: np.random.Generator):
+        raise NotImplementedError
+
+    def _observe(self, state) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
     def model_initial(self) -> list[tuple[object, float]]:
         raise NotImplementedError
 
     def model_joint_actions(self, state) -> list[tuple[int, ...]]:
-        raise NotImplementedError
+        return list(itertools.product(
+            *(np.flatnonzero(row).tolist() for row in self.avail_actions())))
 
     def model_step(self, state, joint_action) -> tuple[float, Optional[object]]:
         raise NotImplementedError
@@ -103,15 +128,12 @@ class MatrixGame(Env):
         self.n_actions = max(payoff.shape)
         self.obs_dim = 1
         self.state_dim = 1
-        self.episode_limit = 1
-        self._done = True
 
-    def _obs(self):
+    def _start(self, rng):
+        return "s0"
+
+    def _observe(self, state):
         return np.ones((2, 1)), np.ones(1)
-
-    def reset(self, rng: np.random.Generator):
-        self._done = False
-        return self._obs()
 
     def avail_actions(self):
         avail = np.zeros((2, self.n_actions), dtype=bool)
@@ -119,24 +141,11 @@ class MatrixGame(Env):
         avail[1, : self.payoff.shape[1]] = True
         return avail
 
-    def step(self, actions):
-        if self._done:
-            raise EpisodeOverError("episode already finished")
-        actions = self._check_actions(actions)
-        self._done = True
-        reward = float(self.payoff[actions[0], actions[1]])
-        obs, state = self._obs()
-        return reward, True, obs, state
-
     def is_success(self, episode_return: float) -> bool:
         return episode_return >= self.payoff.max() - 1e-9
 
     def model_initial(self):
         return [("s0", 1.0)]
-
-    def model_joint_actions(self, state):
-        return list(itertools.product(range(self.payoff.shape[0]),
-                                      range(self.payoff.shape[1])))
 
     def model_step(self, state, joint_action):
         return float(self.payoff[joint_action[0], joint_action[1]]), None
@@ -151,7 +160,7 @@ class CuePassing(Env):
     the agent's own cue and the timestep; the global state carries all
     cues (legal for centralized training, hidden from the agents).  With
     cheat_obs=True every agent sees all cues, removing the need to
-    communicate.
+    communicate.  A state is (cues, t).
     """
 
     def __init__(self, n_agents: int = 3, num_cues: int = 3, cheat_obs: bool = False):
@@ -163,10 +172,9 @@ class CuePassing(Env):
         self.n_actions = num_cues
         self.obs_dim = (n_agents * num_cues if cheat_obs else num_cues) + 2
         self.state_dim = n_agents * num_cues + 2
-        self.episode_limit = 2
-        self._cues = None
-        self._t = 0
-        self._done = True
+
+    # perfbench traces envs.CuePassing.step, which it looks up in this class's own namespace
+    step = Env.step
 
     def _cue_block(self, cues) -> np.ndarray:
         block = np.zeros(self.n_agents * self.num_cues)
@@ -174,38 +182,21 @@ class CuePassing(Env):
             block[i * self.num_cues + c] = 1.0
         return block
 
-    def _obs_state(self):
+    def _start(self, rng):
+        return tuple(rng.integers(0, self.num_cues, size=self.n_agents).tolist()), 0
+
+    def _observe(self, state):
+        cues, t = state
         t_onehot = np.zeros(2)
-        t_onehot[min(self._t, 1)] = 1.0
+        t_onehot[t] = 1.0
         obs = np.zeros((self.n_agents, self.obs_dim))
         for i in range(self.n_agents):
             if self.cheat_obs:
-                obs[i, : self.n_agents * self.num_cues] = self._cue_block(self._cues)
+                obs[i, : self.n_agents * self.num_cues] = self._cue_block(cues)
             else:
-                obs[i, self._cues[i]] = 1.0
+                obs[i, cues[i]] = 1.0
             obs[i, -2:] = t_onehot
-        state = np.concatenate([self._cue_block(self._cues), t_onehot])
-        return obs, state
-
-    def reset(self, rng: np.random.Generator):
-        self._cues = rng.integers(0, self.num_cues, size=self.n_agents)
-        self._t = 0
-        self._done = False
-        return self._obs_state()
-
-    def step(self, actions):
-        if self._done:
-            raise EpisodeOverError("episode already finished")
-        actions = self._check_actions(actions)
-        if self._t == 0:
-            self._t = 1
-            obs, state = self._obs_state()
-            return 0.0, False, obs, state
-        targets = np.roll(self._cues, 1)  # agent i must say cue of agent i-1
-        reward = 1.0 if np.array_equal(actions, targets) else 0.0
-        self._done = True
-        obs, state = self._obs_state()
-        return reward, True, obs, state
+        return obs, np.concatenate([self._cue_block(cues), t_onehot])
 
     def is_success(self, episode_return: float) -> bool:
         return episode_return >= 1.0 - 1e-9
@@ -215,15 +206,13 @@ class CuePassing(Env):
         p = 1.0 / self.num_cues ** self.n_agents
         return [((cues, 0), p) for cues in combos]
 
-    def model_joint_actions(self, state):
-        return list(itertools.product(range(self.num_cues), repeat=self.n_agents))
-
     def model_step(self, state, joint_action):
         cues, t = state
         if t == 0:
             return 0.0, (cues, 1)
-        targets = tuple(np.roll(np.array(cues), 1))
-        return (1.0 if tuple(joint_action) == targets else 0.0), None
+        # agent i must say the cue of agent i-1 (agent 0 that of the last agent)
+        said = all(joint_action[i] == cues[i - 1] for i in range(self.n_agents))
+        return (1.0 if said else 0.0), None
 
 
 class TwoStepCoop(Env):
@@ -233,7 +222,7 @@ class TwoStepCoop(Env):
     Branch A pays a flat amount regardless of actions; branch B pays by a
     table whose best entry beats branch A but whose worst entry is zero.
     Fully enumerable, so the learned joint value can be held against the
-    planner's optimum.
+    planner's optimum.  States are 0 (start), 1 (branch A), 2 (branch B).
     """
 
     BRANCH_A_PAYOFF = 7.0
@@ -244,44 +233,20 @@ class TwoStepCoop(Env):
         self.n_actions = 2
         self.obs_dim = 3
         self.state_dim = 3
-        self.episode_limit = 2
-        self._state_id = 0
-        self._done = True
 
-    def _obs_state(self):
-        state = np.zeros(3)
-        state[self._state_id] = 1.0
-        return np.repeat(state[None, :], 2, axis=0), state
+    def _start(self, rng):
+        return 0
 
-    def reset(self, rng: np.random.Generator):
-        self._state_id = 0
-        self._done = False
-        return self._obs_state()
-
-    def step(self, actions):
-        if self._done:
-            raise EpisodeOverError("episode already finished")
-        actions = self._check_actions(actions)
-        if self._state_id == 0:
-            self._state_id = 1 if actions[0] == 0 else 2
-            obs, state = self._obs_state()
-            return 0.0, False, obs, state
-        if self._state_id == 1:
-            reward = self.BRANCH_A_PAYOFF
-        else:
-            reward = float(self.BRANCH_B_TABLE[actions[0], actions[1]])
-        self._done = True
-        obs, state = self._obs_state()
-        return reward, True, obs, state
+    def _observe(self, state):
+        onehot = np.zeros(3)
+        onehot[state] = 1.0
+        return np.repeat(onehot[None, :], 2, axis=0), onehot
 
     def is_success(self, episode_return: float) -> bool:
         return episode_return >= self.BRANCH_B_TABLE.max() - 1e-9
 
     def model_initial(self):
         return [(0, 1.0)]
-
-    def model_joint_actions(self, state):
-        return [(a, b) for a in range(2) for b in range(2)]
 
     def model_step(self, state, joint_action):
         if state == 0:

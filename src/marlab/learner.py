@@ -113,7 +113,8 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.epsilon_finish > self.epsilon_start:
-            raise ContractError("epsilon_finish must not exceed epsilon_start")
+            raise ConfigError(f"epsilon_finish {self.epsilon_finish} exceeds "
+                              f"epsilon_start {self.epsilon_start}")
         # lr 0 is allowed: it freezes a group (comm_lr=0 trains the agents alone)
         if self.lr < 0 or self.comm_lr < 0:
             raise ConfigError(f"lr and comm_lr must be >= 0, got {self.lr}, {self.comm_lr}")

@@ -15,6 +15,9 @@ from .nn import Dense, Module, Tensor, no_grad
 from .nn import tensor as T
 from .rng import stream
 
+EMBED_DIM = 32      # width of the QMIX mixing layer
+HYPER_HIDDEN = 64   # hidden width of its weight hypernetworks
+
 
 class VdnMixer(Module):
     """Joint value = exact sum of the local values.  Stateless, no parameters."""
@@ -40,22 +43,20 @@ class QmixMixer(Module):
     two mixing layers.
     """
 
-    def __init__(self, n_agents: int, state_dim: int, seed: int,
-                 embed_dim: int = 32, hyper_hidden: int = 64):
+    def __init__(self, n_agents: int, state_dim: int, seed: int):
         super().__init__()
         if n_agents < 1:
             raise ConfigError("need at least one agent")
         self.n_agents = n_agents
         self.state_dim = state_dim
-        self.embed_dim = embed_dim
         rng = stream(seed, "mixer-init")
-        self.w1_hidden = self._register(Dense(state_dim, hyper_hidden, rng, "mixer.w1_hidden"))
-        self.w1_out = self._register(Dense(hyper_hidden, n_agents * embed_dim, rng, "mixer.w1_out"))
-        self.b1 = self._register(Dense(state_dim, embed_dim, rng, "mixer.b1"))
-        self.w2_hidden = self._register(Dense(state_dim, hyper_hidden, rng, "mixer.w2_hidden"))
-        self.w2_out = self._register(Dense(hyper_hidden, embed_dim, rng, "mixer.w2_out"))
-        self.v_hidden = self._register(Dense(state_dim, embed_dim, rng, "mixer.v_hidden"))
-        self.v_out = self._register(Dense(embed_dim, 1, rng, "mixer.v_out"))
+        self.w1_hidden = self._register(Dense(state_dim, HYPER_HIDDEN, rng, "mixer.w1_hidden"))
+        self.w1_out = self._register(Dense(HYPER_HIDDEN, n_agents * EMBED_DIM, rng, "mixer.w1_out"))
+        self.b1 = self._register(Dense(state_dim, EMBED_DIM, rng, "mixer.b1"))
+        self.w2_hidden = self._register(Dense(state_dim, HYPER_HIDDEN, rng, "mixer.w2_hidden"))
+        self.w2_out = self._register(Dense(HYPER_HIDDEN, EMBED_DIM, rng, "mixer.w2_out"))
+        self.v_hidden = self._register(Dense(state_dim, EMBED_DIM, rng, "mixer.v_hidden"))
+        self.v_out = self._register(Dense(EMBED_DIM, 1, rng, "mixer.v_out"))
 
     def hyper_weights(self, state: Tensor) -> tuple[Tensor, Tensor]:
         """Both mixing layers' weights as the hypernets emit them, before |.|."""
@@ -73,7 +74,7 @@ class QmixMixer(Module):
             raise ShapeError(f"expected state width {self.state_dim}, got {state.shape}")
         w1, w2 = (self._positivity(w) for w in self.hyper_weights(state))
         b1 = self.b1(state)
-        hidden = T.elu(T.add(T.block_row_matmul(q_locals, w1, self.n_agents, self.embed_dim), b1))
+        hidden = T.elu(T.add(T.block_row_matmul(q_locals, w1, self.n_agents, EMBED_DIM), b1))
         v = self.v_out(T.elu(self.v_hidden(state)))
         return T.add(T.tsum(T.mul(hidden, w2), axis=1), v)
 

@@ -54,8 +54,8 @@ class Module:
         self._children.append(child)
         return child
 
-    def _param(self, data, name: str, group: str) -> Parameter:
-        p = Parameter(data, name=name, group=group)
+    def _param(self, data, name: str) -> Parameter:
+        p = Parameter(data, name=name)
         self._params.append(p)
         return p
 
@@ -88,7 +88,7 @@ class Dense(Module):
     """Affine map y = x W^T + b with W of shape (out, in)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 name: str, group: str = "main", zero_init: bool = False):
+                 name: str, zero_init: bool = False):
         super().__init__()
         self.in_dim = in_dim
         self.out_dim = out_dim
@@ -98,8 +98,8 @@ class Dense(Module):
         else:
             w = _uniform_init(rng, out_dim, in_dim, in_dim)
             b = _uniform_init(rng, 1, out_dim, in_dim)
-        self.weight = self._param(w, f"{name}.weight", group)
-        self.bias = self._param(b, f"{name}.bias", group)
+        self.weight = self._param(w, f"{name}.weight")
+        self.bias = self._param(b, f"{name}.bias")
 
     def forward(self, x: Tensor) -> Tensor:
         if x.cols != self.in_dim:
@@ -116,23 +116,22 @@ class GRUCell(Module):
     h' = (1 - z) * c + z * h
     """
 
-    def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator,
-                 name: str, group: str = "main"):
+    def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator, name: str):
         super().__init__()
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
 
         def wx(tag):
             return self._param(_uniform_init(rng, hidden_dim, in_dim, in_dim),
-                               f"{name}.wx{tag}", group)
+                               f"{name}.wx{tag}")
 
         def wh(tag):
             return self._param(_uniform_init(rng, hidden_dim, hidden_dim, hidden_dim),
-                               f"{name}.wh{tag}", group)
+                               f"{name}.wh{tag}")
 
         def bias(tag):
             return self._param(_uniform_init(rng, 1, hidden_dim, hidden_dim),
-                               f"{name}.b{tag}", group)
+                               f"{name}.b{tag}")
 
         self.wxz, self.whz, self.bz = wx("z"), wh("z"), bias("z")
         self.wxr, self.whr, self.br = wx("r"), wh("r"), bias("r")
@@ -149,14 +148,13 @@ class GRUCell(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, name: str, group: str = "main", eps: float = 1e-5):
+    def __init__(self, dim: int, name: str):
         super().__init__()
-        self.eps = eps
-        self.gamma = self._param(np.ones((1, dim)), f"{name}.gamma", group)
-        self.beta = self._param(np.zeros((1, dim)), f"{name}.beta", group)
+        self.gamma = self._param(np.ones((1, dim)), f"{name}.gamma")
+        self.beta = self._param(np.zeros((1, dim)), f"{name}.beta")
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.layer_norm_rows(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm_rows(x, self.gamma, self.beta)
 
 
 class Dropout(Module):
@@ -184,18 +182,17 @@ class MultiHeadSelfAttention(Module):
     the mask then applies within every group.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 name: str, group: str = "main"):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator, name: str):
         super().__init__()
         if dim % heads != 0:
             raise ConfigError(f"model dim {dim} not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.q_proj = self._register(Dense(dim, dim, rng, f"{name}.q", group))
-        self.k_proj = self._register(Dense(dim, dim, rng, f"{name}.k", group))
-        self.v_proj = self._register(Dense(dim, dim, rng, f"{name}.v", group))
-        self.out_proj = self._register(Dense(dim, dim, rng, f"{name}.out", group))
+        self.q_proj = self._register(Dense(dim, dim, rng, f"{name}.q"))
+        self.k_proj = self._register(Dense(dim, dim, rng, f"{name}.k"))
+        self.v_proj = self._register(Dense(dim, dim, rng, f"{name}.v"))
+        self.out_proj = self._register(Dense(dim, dim, rng, f"{name}.out"))
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None,
                 sets: int = 1, return_weights: bool = False):
@@ -218,11 +215,10 @@ class MultiHeadSelfAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator,
-                 name: str, group: str = "main"):
+    def __init__(self, dim: int, hidden: int, rng: np.random.Generator, name: str):
         super().__init__()
-        self.fc1 = self._register(Dense(dim, hidden, rng, f"{name}.fc1", group))
-        self.fc2 = self._register(Dense(hidden, dim, rng, f"{name}.fc2", group))
+        self.fc1 = self._register(Dense(dim, hidden, rng, f"{name}.fc1"))
+        self.fc2 = self._register(Dense(hidden, dim, rng, f"{name}.fc2"))
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc2(T.relu(self.fc1(x)))
@@ -236,13 +232,13 @@ class EncoderLayer(Module):
     """
 
     def __init__(self, dim: int, heads: int, ffn_dim: int, dropout_rate: float,
-                 rng: np.random.Generator, name: str, group: str = "main"):
+                 rng: np.random.Generator, name: str):
         super().__init__()
-        self.norm1 = self._register(LayerNorm(dim, f"{name}.norm1", group))
-        self.attn = self._register(MultiHeadSelfAttention(dim, heads, rng, f"{name}.attn", group))
+        self.norm1 = self._register(LayerNorm(dim, f"{name}.norm1"))
+        self.attn = self._register(MultiHeadSelfAttention(dim, heads, rng, f"{name}.attn"))
         self.drop1 = self._register(Dropout(dropout_rate, f"{name}.drop1"))
-        self.norm2 = self._register(LayerNorm(dim, f"{name}.norm2", group))
-        self.ffn = self._register(FeedForward(dim, ffn_dim, rng, f"{name}.ffn", group))
+        self.norm2 = self._register(LayerNorm(dim, f"{name}.norm2"))
+        self.ffn = self._register(FeedForward(dim, ffn_dim, rng, f"{name}.ffn"))
         self.drop2 = self._register(Dropout(dropout_rate, f"{name}.drop2"))
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None,

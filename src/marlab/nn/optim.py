@@ -51,10 +51,10 @@ class _OptimizerBase:
 
 
 class Adam(_OptimizerBase):
-    def __init__(self, params, lr: float = 0.0005, betas=(0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float = 0.0005):
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 

@@ -75,9 +75,9 @@ def read_records(path) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def save_checkpoint(params: Sequence[Parameter], bin_path, manifest_path=None,
-                    extra: dict | None = None):
-    """Write parameters plus a JSON manifest describing them."""
+def save_checkpoint(params: Sequence[Parameter], bin_path, extra: dict | None = None):
+    """Write parameters plus a JSON manifest describing them, beside bin_path
+    with the suffix .json."""
     bin_path = Path(bin_path)
     write_records(bin_path, ((p.name, p.data) for p in params))
     manifest = {
@@ -91,9 +91,7 @@ def save_checkpoint(params: Sequence[Parameter], bin_path, manifest_path=None,
     }
     if extra:
         manifest["extra"] = extra
-    if manifest_path is None:
-        manifest_path = bin_path.with_suffix(".json")
-    Path(manifest_path).write_text(json.dumps(manifest, indent=2))
+    bin_path.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
 
 
 def load_records(path, targets: Iterable[tuple[str, np.ndarray]]):

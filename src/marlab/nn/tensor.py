@@ -271,12 +271,13 @@ def relu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
+def elu(a: Tensor) -> Tensor:
+    """ELU with alpha 1: x for x > 0, exp(x) - 1 otherwise."""
     pos = a.data > 0
-    data = np.where(pos, a.data, alpha * np.expm1(a.data))
+    data = np.where(pos, a.data, np.expm1(a.data))
 
     def backward(g):
-        _accum(a, g * np.where(pos, 1.0, data + alpha))
+        _accum(a, g * np.where(pos, 1.0, data + 1.0))
 
     return _result(data, (a,), backward)
 
@@ -361,15 +362,16 @@ def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization with learned scale and shift (both 1 x d)."""
+def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row normalization with learned scale and shift (both 1 x d); 1e-5 is
+    added to the variance."""
     d = a.cols
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ShapeError("layer_norm: gamma/beta must be 1 x d row vectors")
     # the arithmetic of np.mean and np.var, with the mean subtracted once
     centered = a.data - a.data.sum(axis=1, keepdims=True) / d
     var = (centered * centered).sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv
     data = xhat * gamma.data + beta.data
 

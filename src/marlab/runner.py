@@ -19,9 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .agents import TeamModel, build_inputs, make_team
-from .config import RunConfig, run_config_from_dict, run_config_to_dict, save_run_config
+from .config import (RunConfig, differing_keys, read_json, run_config_from_dict,
+                     run_config_to_dict, save_run_config)
 from .envs import Env, make_env
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
 from .learner import EpisodeRecord, Learner, ReplayBuffer, epsilon, pad_batch
 from .nn import no_grad, save_checkpoint, load_checkpoint, load_records, write_records
@@ -104,7 +105,6 @@ class SeedRun:
         self.seed = seed
         self.out_dir = Path(out_dir)
         self.env = make_env(config.env.name, config.env.params)
-        self.test_env = make_env(config.env.name, config.env.params)
         team = build_team_for_env(config, self.env, seed)
         target = build_team_for_env(config, self.env, seed)
         self.learner = Learner(team, target, config.train, seed)
@@ -122,7 +122,7 @@ class SeedRun:
     def _test_point(self):
         test_idx = self.next_test // self.config.train.test_interval
         mean_return, success, _ = evaluate(
-            self.test_env, self.team, self.config.train.test_episodes,
+            self.env, self.team, self.config.train.test_episodes,
             self.seed, test_idx)
         self.rows.append({
             "seed": self.seed,
@@ -264,10 +264,22 @@ def _seed_worker(args):
 
 def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
                     workers: int = 1) -> dict[int, list[dict]]:
-    """Run every configured seed, in processes when workers > 1."""
+    """Run every configured seed, in processes when workers > 1.
+
+    Resuming refuses a config that differs from the stored config.json in
+    anything but total_env_steps, before any file is written.
+    """
     out_dir = Path(out_dir)
+    stored_path = out_dir / "config.json"
+    if resume and stored_path.exists():
+        changed = [key for key in differing_keys(read_json(stored_path),
+                                                 run_config_to_dict(config))
+                   if key != "config.total_env_steps"]
+        if changed:
+            raise ConfigError(f"cannot resume {out_dir}: config differs from {stored_path} "
+                              f"in {', '.join(changed)}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_run_config(config, out_dir / "config.json")
+    save_run_config(config, stored_path)
     jobs = [(run_config_to_dict(config), seed, out_dir / f"seed_{seed}", resume)
             for seed in config.seeds]
     results: dict[int, list[dict]] = {}

@@ -97,6 +97,41 @@ class TestTrainCommand:
         assert len(err.strip().splitlines()) == 1
         assert records[-1][0] in err and str(opt) in err
 
+    @pytest.mark.parametrize("flags, keys", [
+        (["--k", "2", "--temperature", "0.5"],        # resumed under the new settings
+         ["config.exploration.k", "config.exploration.temperature"]),
+        (["--mixer", "qmix"], ["config.mixer"]),      # "missing parameter" after rewriting
+    ])
+    def test_resume_refuses_a_changed_config(self, tmp_path, capsys, flags, keys):
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        run = tmp_path / "run"
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(cfg), "--resume", *flags]) == 2
+        assert_one_line_error(capsys, "cannot resume", *keys)
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    def test_resume_may_extend_total_steps(self, tmp_path):
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg), "--resume", "--total-steps", "80"]) == 0
+        assert load_run_config(tmp_path / "run" / "config.json").total_env_steps == 80
+
+    def test_comm_heads_not_dividing_hidden_dim_rejected_before_any_output(self, tmp_path,
+                                                                           capsys):
+        comm = {"enabled": True, "num_layers": 1, "ffn_dim": 8, "heads": 3, "dropout": 0.1}
+        cfg = write_toy_config(tmp_path, comm=comm)   # toy hidden_dim is 8
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert_one_line_error(capsys, "heads")
+        assert not (tmp_path / "run").exists()
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"base": json.loads(cfg.read_text()),
+                                     "grid": {"num_layers": [1]}}))
+        assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw")]) == 2
+        assert_one_line_error(capsys, "heads")
+        assert not (tmp_path / "sw").exists()
+
     def test_missing_config_file_is_a_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
         assert main(["train", "--config", str(path)]) == 2   # FileNotFoundError

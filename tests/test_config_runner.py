@@ -88,10 +88,18 @@ class TestConfigSchema:
         {"comm_lr": -1e-3},
         {"epsilon_start": 1.5},                     # failed at the first episode
         {"epsilon_finish": -0.1},
+        {"epsilon_start": 0.1, "epsilon_finish": 0.5},   # was a ContractError
     ])
     def test_train_settings_that_cannot_run_rejected(self, train):
         with pytest.raises(ConfigError):
             run_config_from_dict({"train": train})
+
+    def test_comm_heads_must_divide_hidden_dim(self):
+        # used to pass load and fail in CommStack after the run directory was written
+        with pytest.raises(ConfigError, match="heads"):
+            run_config_from_dict({"train": {"hidden_dim": 10}, "comm": {"heads": 4}})
+        run_config_from_dict({"train": {"hidden_dim": 10},
+                              "comm": {"heads": 4, "enabled": False}})
 
     @pytest.mark.parametrize("params", [
         {"n_agents": 3, "num_cues": 3, "bogus": 1},   # TypeError in CuePassing.__init__
@@ -214,24 +222,29 @@ env_specs = st.one_of(
                            min_size=2, max_size=2)})),
 )
 
-run_configs = st.builds(
-    RunConfig,
-    env=env_specs,
-    mixer=st.sampled_from(["vdn", "qmix"]),
-    comm=st.builds(CommSettings, enabled=st.booleans(), num_layers=st.integers(1, 4),
-                   ffn_dim=st.integers(1, 512), heads=st.integers(1, 8),
-                   dropout=st.floats(0, 1, exclude_max=True), residual=st.booleans()),
-    exploration=st.builds(ExplorationConfig, k=st.integers(1, 10),
-                          temperature=st.floats(0, 100)),
-    train=train_configs(),
-    seeds=st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=5).map(tuple),
-    total_env_steps=st.integers(1, 10**9),
-    out_dir=st.text(max_size=20),
-)
+@st.composite
+def run_configs(draw):
+    train = draw(train_configs())
+    # the comm stack's width is hidden_dim, which its heads must divide
+    heads = draw(st.sampled_from([h for h in range(1, 9) if train.hidden_dim % h == 0]))
+    return draw(st.builds(
+        RunConfig,
+        env=env_specs,
+        mixer=st.sampled_from(["vdn", "qmix"]),
+        comm=st.builds(CommSettings, enabled=st.booleans(), num_layers=st.integers(1, 4),
+                       ffn_dim=st.integers(1, 512), heads=st.just(heads),
+                       dropout=st.floats(0, 1, exclude_max=True), residual=st.booleans()),
+        exploration=st.builds(ExplorationConfig, k=st.integers(1, 10),
+                              temperature=st.floats(0, 100)),
+        train=st.just(train),
+        seeds=st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=5).map(tuple),
+        total_env_steps=st.integers(1, 10**9),
+        out_dir=st.text(max_size=20),
+    ))
 
 
 @settings(max_examples=100, deadline=None)
-@given(cfg=run_configs)
+@given(cfg=run_configs())
 def test_config_round_trips_through_json_and_empty_patch(cfg):
     assert run_config_from_dict(json.loads(json.dumps(run_config_to_dict(cfg)))) == cfg
     assert patch_run_config(cfg, {}) == cfg

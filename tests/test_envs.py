@@ -26,6 +26,13 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def cues_of(state, n_agents, num_cues):
+    """The cues a CuePassing global state carries, one per agent."""
+    block = state[: n_agents * num_cues].reshape(n_agents, num_cues)
+    assert np.array_equal(block.sum(axis=1), np.ones(n_agents))
+    return block.argmax(axis=1)
+
+
 class TestMatrixGame:
     def test_climbing_optimum_action_pays_11_and_terminates(self):
         env = MatrixGame()
@@ -75,17 +82,17 @@ class TestMatrixGame:
 class TestCuePassing:
     def test_correct_shifted_cues_pay_one(self):
         env = CuePassing(3, 3)
-        env.reset(rng(1))
+        _, state = env.reset(rng(1))
         env.step([0, 0, 0])
-        targets = np.roll(env._cues, 1)
+        targets = np.roll(cues_of(state, 3, 3), 1)
         reward, done, _, _ = env.step(targets)
         assert reward == 1.0 and done
 
     def test_any_wrong_action_pays_zero(self):
         env = CuePassing(3, 3)
-        env.reset(rng(2))
+        _, state = env.reset(rng(2))
         env.step([0, 0, 0])
-        wrong = np.roll(env._cues, 1)
+        wrong = np.roll(cues_of(state, 3, 3), 1)
         wrong[1] = (wrong[1] + 1) % 3
         reward, done, _, _ = env.step(wrong)
         assert reward == 0.0 and done
@@ -94,9 +101,10 @@ class TestCuePassing:
         env = CuePassing(3, 4)
         obs, state = env.reset(rng(3))
         assert obs.shape == (3, 4 + 2)
+        cues = cues_of(state, 3, 4)
         for i in range(3):
             onehot = np.zeros(4)
-            onehot[env._cues[i]] = 1.0
+            onehot[cues[i]] = 1.0
             assert np.array_equal(obs[i, :4], onehot)
         # global state carries every cue
         assert state[: 3 * 4].sum() == 3.0
@@ -192,3 +200,66 @@ def test_env_determinism_given_action_sequence():
 
     for (r1, o1, s1), (r2, o2, s2) in zip(run(5), run(5)):
         assert r1 == r2 and np.array_equal(o1, o2) and np.array_equal(s1, s2)
+
+
+PLANNED_ENVS = {
+    "climbing": MatrixGame,
+    "rectangular": lambda: MatrixGame(payoff=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])),
+    "two_step_coop": TwoStepCoop,
+    "cue_passing_2x2": lambda: CuePassing(2, 2),
+    "cue_passing_3x2": lambda: CuePassing(3, 2),
+}
+
+
+def model_states_by_global_state(env):
+    """Every model state reachable from model_initial, keyed by its global state."""
+    todo = [s for s, _ in env.model_initial()]
+    seen = set(todo)
+    while todo:
+        s = todo.pop()
+        for action in env.model_joint_actions(s):
+            _, nxt = env.model_step(s, action)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    decode = {env._observe(s)[1].tobytes(): s for s in seen}
+    assert len(decode) == len(seen), "two model states share a global state"
+    return decode
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@pytest.mark.parametrize("make", PLANNED_ENVS.values(), ids=PLANNED_ENVS.keys())
+def test_planned_policy_earns_planned_value_through_step(make, gamma):
+    env = make()
+    _, policy, values = value_iteration(env, gamma)
+    decode = model_states_by_global_state(env)
+    starts = {s for s, p in env.model_initial() if p > 0}
+    played = set()
+    for seed in range(200):
+        _, global_state = env.reset(rng(seed))
+        start = s = decode[global_state.tobytes()]
+        if start in played:
+            continue
+        played.add(start)
+        total, discount, done = 0.0, 1.0, False
+        while not done:
+            reward, done, _, global_state = env.step(policy[s])
+            total += discount * reward
+            discount *= gamma
+            if not done:
+                s = decode[global_state.tobytes()]
+        assert total == pytest.approx(values[start], abs=1e-12)
+        if played == starts:
+            break
+    assert played == starts
+
+
+@pytest.mark.parametrize("make", [*PLANNED_ENVS.values(), lambda: CuePassing(3, 3)],
+                         ids=[*PLANNED_ENVS.keys(), "cue_passing_3x3"])
+def test_reset_starts_only_in_model_initial_support(make):
+    env = make()
+    starts = {s for s, p in env.model_initial() if p > 0}
+    decode = model_states_by_global_state(env)
+    for seed in range(100):
+        _, global_state = env.reset(rng(seed))
+        assert decode[global_state.tobytes()] in starts

@@ -14,7 +14,7 @@ def scalar_param(value, name="w"):
 def test_adam_first_step_bias_corrected():
     # g = 2.0, lr = 1e-3: update = -lr * g / (|g| + eps) on the first step
     p = scalar_param(1.0)
-    opt = Adam([p], lr=1e-3, eps=1e-8)
+    opt = Adam([p], lr=1e-3)
     p.grad = np.array([[2.0]])
     opt.step()
     expected = 1.0 - 1e-3 * (2.0 / (2.0 + 1e-8))

@@ -5,9 +5,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from marlab.agents import make_team
+from marlab.comm import CommSettings
 from marlab.errors import CheckpointError, ContractError, MarlabError
-from marlab.nn import Parameter, load_checkpoint, read_records, save_checkpoint
+from marlab.nn import Parameter, load_checkpoint, read_records, save_checkpoint, write_records
 
 
 def test_roundtrip(tmp_path):
@@ -105,3 +110,40 @@ def test_name_that_is_not_utf8_is_a_checkpoint_error(tmp_path):
     path.write_bytes(struct.pack("<Q", 1) + b"\xff" + struct.pack("<QQ", 0, 0))
     with pytest.raises(CheckpointError, match="byte 8 is not utf-8"):
         read_records(path)
+
+
+# any float64, with the values a byte-level round trip is most likely to bend
+# drawn often: NaN, both infinities, negative zero and subnormals
+record_values = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     5e-324, -2.5e-310, np.nextafter(2.2250738585072014e-308, 0)]))
+records = st.lists(st.tuples(
+    st.text(max_size=12),
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 3)),
+               elements=record_values)), max_size=5)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(recs=records)
+def test_write_read_records_round_trip_is_bit_exact(tmp_path, recs):
+    path = tmp_path / "records.bin"
+    write_records(path, recs)
+    back = read_records(path)
+    assert [name for name, _ in back] == [name for name, _ in recs]
+    for (_, arr), (_, orig) in zip(back, recs):
+        assert arr.dtype == np.float64 and arr.shape == orig.shape
+        assert arr.tobytes() == orig.tobytes()
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("comm", [True, False], ids=["comm", "no_comm"])
+@pytest.mark.parametrize("mixer", ["vdn", "qmix"])
+def test_every_team_configuration_has_unique_parameter_names(mixer, comm, layers):
+    # load_records fills arrays by name, so a repeated name would load silently
+    comm_settings = CommSettings(enabled=comm, num_layers=layers, ffn_dim=8, heads=2)
+    team = make_team(obs_dim=5, n_actions=3, n_agents=3, state_dim=4, hidden_dim=8,
+                     mixer_kind=mixer, comm=comm_settings, seed=0)
+    names = [p.name for p in team.parameters()]
+    assert len(names) == len(set(names))
