@@ -35,6 +35,7 @@ from .nn import (
     MultiHeadSelfAttention,
     Parameter,
     Tensor,
+    dropout_mask,
     no_grad,
 )
 from .nn import tensor as T
@@ -269,7 +270,7 @@ def check_exploration_reductions(seed: int, fault: str) -> tuple[bool, str]:
 def check_dropout_statistics(seed: int, fault: str) -> tuple[bool, str]:
     gen = stream(seed, "dropout")
     rate = 0.25
-    out = T.dropout(Tensor(np.ones((200, 500))), rate, gen)
+    out = T.dropout(Tensor(np.ones((200, 500))), dropout_mask((200, 500), rate, gen))
     frac = float((out.data == 0.0).mean())
     kept = out.data[out.data != 0.0]
     scale_ok = bool(np.allclose(kept, 1.0 / (1.0 - rate)))

@@ -51,13 +51,15 @@ class EnvSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        accepted = inspect.signature(env_class(self.name), eval_str=True).parameters
+        cls = env_class(self.name)
+        accepted = inspect.signature(cls, eval_str=True).parameters
         unknown = set(self.params) - set(accepted)
         if unknown:
             raise ConfigError(f"env {self.name!r}: unknown params {sorted(unknown)}, "
                               f"it takes {sorted(accepted)}")
         for key, value in self.params.items():
             _check_type(f"env.params.{key}", accepted[key].annotation, value)
+        cls(**self.params)  # the constructor's value checks, before any output
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ optimum:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional
 
 import numpy as np
@@ -120,12 +121,9 @@ class MatrixGame(Env):
     """
 
     def __init__(self, payoff=CLIMBING_PAYOFF):
-        payoff = np.asarray(payoff, dtype=float)
-        if payoff.ndim != 2:
-            raise ConfigError("payoff must be a 2-D table")
-        self.payoff = payoff
+        self.payoff = _payoff_table(payoff)
         self.n_agents = 2
-        self.n_actions = max(payoff.shape)
+        self.n_actions = max(self.payoff.shape)
         self.obs_dim = 1
         self.state_dim = 1
 
@@ -149,6 +147,22 @@ class MatrixGame(Env):
 
     def model_step(self, state, joint_action):
         return float(self.payoff[joint_action[0], joint_action[1]]), None
+
+
+def _payoff_table(payoff) -> np.ndarray:
+    """payoff as a float array; it must be a list of equally long, non-empty
+    rows of finite numbers."""
+    rows = payoff.tolist() if isinstance(payoff, np.ndarray) else payoff
+    if not (isinstance(rows, (list, tuple)) and rows
+            and all(isinstance(row, (list, tuple)) and row for row in rows)):
+        raise ConfigError("payoff must be a 2-D table: a non-empty list of non-empty rows")
+    if len({len(row) for row in rows}) != 1:
+        raise ConfigError(f"payoff rows differ in length: {[len(row) for row in rows]}")
+    for value in (v for row in rows for v in row):
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
+            raise ConfigError(f"payoff entries must be finite numbers, got {value!r}")
+    return np.array(rows, dtype=float)
 
 
 class CuePassing(Env):

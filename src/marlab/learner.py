@@ -20,6 +20,10 @@ the mask zeroes, and none of them is on the gradient path, so losses,
 gradients and parameters are bit-identical to the full unroll.  One
 difference shows only on broken networks: a non-finite target value at a
 skipped step used to make the loss NaN (0 * inf) and now does not.
+
+A train step's peak memory is its forward graph: backward() frees each
+node's gradient and saved arrays once it has used them, and every dropout
+layer applies one mask, drawn once per train step, at all time steps.
 """
 
 from __future__ import annotations

@@ -14,25 +14,38 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
+from ..rng import stream
 from . import tensor as T
 from .tensor import Parameter, Tensor
+
+
+def dropout_mask(shape: tuple, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout keep mask: 0 with probability rate, else 1/(1 - rate)."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 class TrainContext:
     """Carries what a training-mode forward pass needs for reproducible noise.
 
-    Dropout draws from a stream keyed by (seed, layer id, step), so the same
-    step of the same run produces the same masks no matter what ran before.
+    Each dropout layer has one keep mask per train step and input shape,
+    drawn from a stream keyed by (seed, layer name, step) and shared by every
+    time step of an unroll (locked dropout).  The same step of the same run
+    produces the same masks no matter what ran before.
     """
 
     def __init__(self, seed: int, step: int):
         self.seed = seed
         self.step = step
+        self._masks: dict[tuple, np.ndarray] = {}
 
-    def dropout_rng(self, layer_name: str) -> np.random.Generator:
-        from ..rng import stream
-
-        return stream(self.seed, "dropout", layer_name, self.step)
+    def dropout_mask(self, layer_name: str, shape: tuple, rate: float) -> np.ndarray:
+        key = (layer_name, shape)
+        if key not in self._masks:
+            gen = stream(self.seed, "dropout", layer_name, self.step)
+            self._masks[key] = dropout_mask(shape, rate, gen)
+        return self._masks[key]
 
 
 class Module:
@@ -158,7 +171,12 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Train-mode-only dropout; its name keys the reproducible noise stream."""
+    """Train-mode-only dropout; its name keys the reproducible noise stream.
+
+    Under one TrainContext the layer applies the same mask at every call of
+    a given input shape: one mask per train step, shared by the unroll's
+    time steps.
+    """
 
     def __init__(self, rate: float, name: str):
         super().__init__()
@@ -170,7 +188,7 @@ class Dropout(Module):
     def forward(self, x: Tensor, ctx: Optional[TrainContext]) -> Tensor:
         if ctx is None or self.rate == 0.0:
             return x
-        return T.dropout(x, self.rate, ctx.dropout_rng(self.name))
+        return T.dropout(x, ctx.dropout_mask(self.name, x.shape, self.rate))
 
 
 class MultiHeadSelfAttention(Module):

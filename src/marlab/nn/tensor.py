@@ -9,7 +9,15 @@ Every op follows one protocol: compute the result array `data`, define a
 closure `backward(g)` that `_accum`s the gradient of each parent from the
 output gradient g, and return `_result(data, parents, backward)`.  `_result`
 keeps the closure and the parents only when grad is enabled and some parent
-requires grad; otherwise the result is a leaf.
+requires grad; otherwise the result is a leaf.  A closure computes a
+parent's gradient only when that parent requires grad.
+
+backward() frees the graph as it goes: once a node's closure has run, the
+node drops its gradient, its closure (and with it the arrays the op saved)
+and its parents, so a train step's peak memory is its forward graph, not
+the graph plus every intermediate gradient.  Leaves keep their gradients:
+Parameters and requires_grad tensors built by the caller.  A second
+backward() through a freed node raises ContractError.
 
 Importing this module, and so importing marlab, sets two malloc tunables for
 the whole process where the C library has mallopt (glibc): a trim threshold
@@ -23,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..errors import MaskError, ShapeError
+from ..errors import ContractError, MaskError, ShapeError
 
 DTYPE = np.float64
 
@@ -85,7 +93,7 @@ def _as_matrix(data) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_matrix(data)
@@ -112,7 +120,8 @@ class Tensor:
         return float(self.data[0, 0])
 
     def backward(self):
-        """Accumulate gradients of this (scalar) tensor into the graph."""
+        """Accumulate gradients of this (scalar) tensor into the graph's leaves,
+        freeing every other node of the graph once its closure has run."""
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a 1x1 tensor, got {self.shape}")
         topo: list[Tensor] = []
@@ -125,18 +134,29 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _freed:   # raise before any gradient moves
+                _freed(None)
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:   # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _freed, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _freed(g):
+    """Stands in for the closure of a node that backward() has freed."""
+    raise ContractError("backward() through a graph that an earlier backward() freed")
 
 
 class Parameter(Tensor):
@@ -210,8 +230,10 @@ def add(a: Tensor, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -222,8 +244,10 @@ def sub(a: Tensor, b) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:   # such as the TD targets
+            _accum(b, _unbroadcast(-g, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -234,8 +258,10 @@ def mul(a: Tensor, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:   # such as the TD mask
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -386,13 +412,11 @@ def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _result(data, (a, gamma, beta), backward)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return a
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+def dropout(a: Tensor, keep: np.ndarray) -> Tensor:
+    """Inverted dropout by a given keep mask, 0 for a dropped entry and
+    1/(1 - rate) for a survivor (see layers.dropout_mask)."""
+    if keep.shape != a.shape:
+        raise ShapeError(f"dropout: mask shape {keep.shape} != input {a.shape}")
     data = a.data * keep
 
     def backward(g):
@@ -442,8 +466,10 @@ def gru_cell(x: Tensor, h: Tensor,
         dr = dac * u
         dar = dr * r * (1.0 - r)
         du = dac * r
-        _accum(x, daz @ wxz.data + dar @ wxr.data + dac @ wxc.data)
-        _accum(h, g * z + daz @ whz.data + dar @ whr.data + du @ whc.data)
+        if x.requires_grad:
+            _accum(x, daz @ wxz.data + dar @ wxr.data + dac @ wxc.data)
+        if h.requires_grad:   # the zero initial state needs none
+            _accum(h, g * z + daz @ whz.data + dar @ whr.data + du @ whc.data)
         _accum(wxz, daz.T @ xd)
         _accum(whz, daz.T @ hd)
         _accum(bz, daz.sum(axis=0, keepdims=True))

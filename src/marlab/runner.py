@@ -156,10 +156,12 @@ class SeedRun:
         self._due_test_points(snapshot_interval)
         return self.rows
 
-    # Snapshots: everything needed to continue the run bit-exactly.
+    # Snapshots: everything needed to continue the run bit-exactly, and the
+    # run config, which load_state checks like train_all_seeds does.
     def save_state(self):
         state_dir = self.out_dir / "state"
         state_dir.mkdir(parents=True, exist_ok=True)
+        save_run_config(self.config, state_dir / "config.json")
         save_checkpoint(self.team.parameters(), state_dir / "params.bin")
         save_checkpoint(self.learner.target.parameters(), state_dir / "target.bin")
         write_records(state_dir / "optimizer.bin", self._optimizer_arrays().items())
@@ -178,6 +180,8 @@ class SeedRun:
 
     def load_state(self):
         state_dir = self.out_dir / "state"
+        if (state_dir / "config.json").exists():   # absent in older snapshots
+            _refuse_changed_config(state_dir, state_dir / "config.json", self.config)
         progress = json.loads((state_dir / "progress.json").read_text())
         load_checkpoint(state_dir / "params.bin", self.team.parameters())
         load_checkpoint(state_dir / "target.bin", self.learner.target.parameters())
@@ -256,6 +260,16 @@ def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False,
     return rows
 
 
+def _refuse_changed_config(out_dir: Path, stored_path: Path, config: RunConfig):
+    """A resumed run may change total_env_steps and nothing else of its config."""
+    changed = [key for key in differing_keys(read_json(stored_path),
+                                             run_config_to_dict(config))
+               if key != "config.total_env_steps"]
+    if changed:
+        raise ConfigError(f"cannot resume {out_dir}: config differs from {stored_path} "
+                          f"in {', '.join(changed)}")
+
+
 def _seed_worker(args):
     config_dict, seed, out_dir, resume = args
     config = run_config_from_dict(config_dict)
@@ -272,12 +286,7 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
     out_dir = Path(out_dir)
     stored_path = out_dir / "config.json"
     if resume and stored_path.exists():
-        changed = [key for key in differing_keys(read_json(stored_path),
-                                                 run_config_to_dict(config))
-                   if key != "config.total_env_steps"]
-        if changed:
-            raise ConfigError(f"cannot resume {out_dir}: config differs from {stored_path} "
-                              f"in {', '.join(changed)}")
+        _refuse_changed_config(out_dir, stored_path, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_run_config(config, stored_path)
     jobs = [(run_config_to_dict(config), seed, out_dir / f"seed_{seed}", resume)

@@ -85,6 +85,21 @@ class TestTrainCommand:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("payoff, fragment", [
+        ([[1, "x"], [0, 1]], "finite numbers"),   # raw ValueError from float("x")
+        ([[1, 2], [3]], "differ in length"),      # raw ValueError, inhomogeneous shape
+        ([[]], "2-D table"),                      # failed after output: no available action
+        (5, "2-D table"),                         # failed after output
+        ([[1, True], [0, 1]], "finite numbers"),
+    ])
+    def test_malformed_payoff_rejected_before_any_output(self, tmp_path, capsys,
+                                                         payoff, fragment):
+        cfg = write_toy_config(tmp_path, env={"name": "matrix_game",
+                                              "params": {"payoff": payoff}})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert_one_line_error(capsys, "payoff", fragment)
+        assert not (tmp_path / "run").exists()
+
     def test_resume_with_missing_optimizer_record_is_a_one_line_error(self, tmp_path, capsys):
         cfg = write_toy_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0

@@ -213,8 +213,9 @@ def train_configs(draw):
 
 
 env_specs = st.one_of(
+    # the env constructor's checks run at load: a team needs two agents
     st.builds(EnvSpec, st.just("cue_passing"), st.fixed_dictionaries({}, optional={
-        "n_agents": st.integers(1, 6), "num_cues": st.integers(1, 6),
+        "n_agents": st.integers(2, 6), "num_cues": st.integers(1, 6),
         "cheat_obs": st.booleans()})),
     st.builds(EnvSpec, st.just("two_step_coop")),
     st.builds(EnvSpec, st.just("matrix_game"), st.fixed_dictionaries({}, optional={
@@ -285,6 +286,20 @@ class TestTrainingRun:
         assert (tmp_path / "multi" / "config.json").exists()
         for s in (1, 2, 3):
             assert (tmp_path / "multi" / f"seed_{s}" / "checkpoint.bin").exists()
+
+    def test_seed_resume_refuses_a_changed_config(self, tmp_path):
+        train_one_seed(toy_config(), seed=5, out_dir=tmp_path)
+        state = tmp_path / "state"
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert load_run_config(state / "config.json") == toy_config()
+        changed = toy_config(mixer="qmix", seeds=(5,))
+        with pytest.raises(ConfigError, match=r"config\.mixer, config\.seeds"):
+            train_one_seed(changed, seed=5, out_dir=tmp_path, resume=True)
+        with pytest.raises(ConfigError, match="cannot resume"):
+            SeedRun(changed, seed=5, out_dir=tmp_path).load_state()
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        # a longer budget is allowed, as for train_all_seeds
+        SeedRun(toy_config(total_env_steps=120), seed=5, out_dir=tmp_path).load_state()
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         cfg_full = toy_config(total_env_steps=80)

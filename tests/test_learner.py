@@ -4,6 +4,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,59 @@ def test_truncated_max_length_episode_runs_every_needed_step(monkeypatch):
     t_max = 5
     assert team_steps_per_train_step(monkeypatch, [2, t_max, 3],
                                      [True, False, True]) == 2 * t_max + 1
+
+
+def test_one_dropout_mask_per_layer_per_train_step(monkeypatch):
+    masks = []
+    original = T.dropout
+
+    def recording(a, *args):
+        masks.append(args[-1])
+        return original(a, *args)
+
+    (learner, _), buf = learner_pair([6, 6, 6], [False] * 3, "vdn", True, seed=0)
+    monkeypatch.setattr(T, "dropout", recording)
+    learner.train_step(buf)
+    # online steps 0..6, each through drop1 and drop2 of the one comm layer
+    assert len(masks) == 7 * 2
+    assert len({id(m) for m in masks}) == 2
+    assert masks[0] is masks[2] and masks[1] is masks[3]
+
+
+def test_train_step_peak_memory_is_its_forward_graph(monkeypatch):
+    # QMIX + comm over truncated 12-step episodes: every step's graph is needed
+    n, obs_dim, n_actions, state_dim, hidden, length = 3, 4, 3, 5, 32, 12
+    gen = np.random.default_rng(0)
+    cfg = TrainConfig(batch_size=8, buffer_capacity=8, hidden_dim=hidden)
+    comm = CommSettings(enabled=True, num_layers=1, ffn_dim=64, heads=2, dropout=0.1)
+    learner = Learner(*[make_team(obs_dim, n_actions, n, state_dim, hidden, "qmix", comm, 0)
+                        for _ in range(2)], cfg, seed=0)
+    buf = ReplayBuffer(cfg.buffer_capacity)
+    for _ in range(cfg.batch_size):
+        buf.add(EpisodeRecord(
+            obs=gen.standard_normal((length + 1, n, obs_dim)),
+            states=gen.standard_normal((length + 1, state_dim)),
+            avail=np.ones((length + 1, n, n_actions), dtype=bool),
+            actions=gen.integers(0, n_actions, size=(length, n)),
+            rewards=gen.standard_normal(length), terminated=False))
+    learner.train_step(buf)
+    at_backward = []
+    original = Tensor.backward
+
+    def recording(self):
+        at_backward.append(tracemalloc.get_traced_memory()[0])
+        return original(self)
+
+    monkeypatch.setattr(Tensor, "backward", recording)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        learner.train_step(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    graph = at_backward[0] - base
+    assert peak - base <= 1.2 * graph, (peak - base, graph)
 
 
 def _has_mallopt():

@@ -1,13 +1,17 @@
 """Autodiff engine: forward values and gradients against finite differences."""
 
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from marlab.errors import MaskError, ShapeError
+from marlab.errors import ContractError, MaskError, ShapeError
 from marlab.nn import tensor as T
-from marlab.nn import Parameter, Tensor, no_grad
+from marlab.nn import Parameter, Tensor, dropout_mask, no_grad
 from marlab.nn.gradcheck import finite_difference_gradient, relative_errors
 
 
@@ -142,37 +146,44 @@ def test_block_row_matmul_matches_loop():
 def test_dropout_statistics_and_scaling():
     rng = np.random.default_rng(9)
     x = Tensor(np.ones((100, 1000)))
-    out = T.dropout(x, 0.25, rng)
+    out = T.dropout(x, dropout_mask(x.shape, 0.25, rng))
     dropped = float((out.data == 0.0).mean())
     assert abs(dropped - 0.25) < 0.01
     kept = out.data[out.data != 0.0]
     assert np.allclose(kept, 1.0 / 0.75)
 
 
-# one call of every op; leaf(rows, cols) makes each input
+def _gru(leaf, r, c):
+    gates = [t for _ in range(3) for t in (leaf(c + 1, c), leaf(c + 1, c + 1), leaf(1, c + 1))]
+    return T.gru_cell(leaf(r, c), leaf(r, c + 1), *gates)
+
+
+# one call of every op at size (r, c); leaf(rows, cols) makes each input
 OP_CALLS = {
-    "add": lambda leaf: T.add(leaf(2, 3), leaf(1, 3)),
-    "sub": lambda leaf: T.sub(leaf(2, 3), leaf(2, 1)),
-    "mul": lambda leaf: T.mul(leaf(2, 3), leaf(2, 3)),
-    "scale": lambda leaf: T.scale(leaf(2, 3), 0.5),
-    "tsum": lambda leaf: T.tsum(leaf(2, 3)),
-    "relu": lambda leaf: T.relu(leaf(2, 3)),
-    "elu": lambda leaf: T.elu(leaf(2, 3)),
-    "absolute": lambda leaf: T.absolute(leaf(2, 3)),
-    "square": lambda leaf: T.square(leaf(2, 3)),
-    "concat_cols": lambda leaf: T.concat_cols([leaf(2, 3), leaf(2, 1)]),
-    "gather_cols": lambda leaf: T.gather_cols(leaf(2, 3), np.array([0, 2])),
-    "softmax_rows": lambda leaf: T.softmax_rows(leaf(2, 3)),
-    "layer_norm_rows": lambda leaf: T.layer_norm_rows(leaf(2, 3), leaf(1, 3), leaf(1, 3)),
-    "dropout": lambda leaf: T.dropout(leaf(2, 3), 0.5, np.random.default_rng(0)),
-    "affine": lambda leaf: T.affine(leaf(2, 3), leaf(4, 3), leaf(1, 4)),
-    "gru_cell": lambda leaf: T.gru_cell(leaf(2, 3), leaf(2, 4),
-                                        *[leaf(4, 3), leaf(4, 4), leaf(1, 4)] * 3),
-    "set_attention": lambda leaf: T.set_attention(leaf(4, 4), leaf(4, 4), leaf(4, 4),
-                                                  heads=2, sets=2),
-    "reshape": lambda leaf: T.reshape(leaf(2, 3), 3, 2),
-    "block_row_matmul": lambda leaf: T.block_row_matmul(leaf(2, 3), leaf(2, 6), n=3, k=2),
+    "add": lambda leaf, r, c: T.add(leaf(r, c), leaf(1, c)),
+    "sub": lambda leaf, r, c: T.sub(leaf(r, c), leaf(r, 1)),
+    "mul": lambda leaf, r, c: T.mul(leaf(r, c), leaf(r, c)),
+    "scale": lambda leaf, r, c: T.scale(leaf(r, c), 0.5),
+    "tsum": lambda leaf, r, c: T.tsum(leaf(r, c)),
+    "relu": lambda leaf, r, c: T.relu(leaf(r, c)),
+    "elu": lambda leaf, r, c: T.elu(leaf(r, c)),
+    "absolute": lambda leaf, r, c: T.absolute(leaf(r, c)),
+    "square": lambda leaf, r, c: T.square(leaf(r, c)),
+    "concat_cols": lambda leaf, r, c: T.concat_cols([leaf(r, c), leaf(r, 1)]),
+    "gather_cols": lambda leaf, r, c: T.gather_cols(leaf(r, c), np.arange(r) % c),
+    "softmax_rows": lambda leaf, r, c: T.softmax_rows(leaf(r, c)),
+    "layer_norm_rows": lambda leaf, r, c: T.layer_norm_rows(leaf(r, c), leaf(1, c), leaf(1, c)),
+    "dropout": lambda leaf, r, c: T.dropout(
+        leaf(r, c), dropout_mask((r, c), 0.5, np.random.default_rng(0))),
+    "affine": lambda leaf, r, c: T.affine(leaf(r, c), leaf(c + 1, c), leaf(1, c + 1)),
+    "gru_cell": _gru,
+    "set_attention": lambda leaf, r, c: T.set_attention(
+        leaf(2 * r, 2 * c), leaf(2 * r, 2 * c), leaf(2 * r, 2 * c), heads=2, sets=2),
+    "reshape": lambda leaf, r, c: T.reshape(leaf(r, c), c, r),
+    "block_row_matmul": lambda leaf, r, c: T.block_row_matmul(leaf(r, c), leaf(r, 2 * c),
+                                                              n=c, k=2),
 }
+MAX_LEAVES = 11  # gru_cell's
 
 
 def test_op_table_covers_every_op():
@@ -193,10 +204,10 @@ def test_no_grad_builds_no_graph(op):
         return Tensor(rng.standard_normal((rows, cols)))
 
     with no_grad():
-        off = OP_CALLS[op](trainable)
-    for y in (off, OP_CALLS[op](fixed)):
+        off = OP_CALLS[op](trainable, 2, 3)
+    for y in (off, OP_CALLS[op](fixed, 2, 3)):
         assert y._backward is None and y._parents == () and not y.requires_grad
-    on = OP_CALLS[op](trainable)
+    on = OP_CALLS[op](trainable, 2, 3)
     assert on._backward is not None and on._parents and on.requires_grad
 
 
@@ -205,3 +216,93 @@ def test_grad_accumulates_across_uses():
     y = T.add(T.square(x), T.scale(x, 3.0))  # x^2 + 3x
     y.backward()
     assert np.allclose(x.grad, [[7.0]])
+
+
+def reference_backward(root):
+    """Tensor.backward before it freed the graph: the same traversal, with
+    every node, gradient and closure kept."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=st.sampled_from(sorted(OP_CALLS)), rows=st.integers(1, 4), cols=st.integers(1, 4),
+       needs_grad=st.lists(st.booleans(), min_size=MAX_LEAVES, max_size=MAX_LEAVES),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_op_gradient_matches_finite_differences(op, rows, cols, needs_grad, seed):
+    gen = np.random.default_rng(seed)
+    leaves, calls = [], [0]
+
+    def leaf(r, c):
+        # the first call makes the leaves; later calls reuse them in order
+        if calls[0] == len(leaves):
+            data = gen.standard_normal((r, c))
+            data += 0.1 * np.sign(data)  # keep entries off relu/abs kinks
+            needs = needs_grad[len(leaves)]
+            leaves.append(Parameter(data, name=f"leaf{len(leaves)}") if needs
+                          else Tensor(data))
+        calls[0] += 1
+        return leaves[calls[0] - 1]
+
+    out_shape = OP_CALLS[op](leaf, rows, cols).shape
+    weights = gen.standard_normal(out_shape)
+
+    def loss():
+        calls[0] = 0
+        return T.tsum(T.mul(OP_CALLS[op](leaf, rows, cols), weights))
+
+    reference_backward(loss())
+    kept = [None if t.grad is None else t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.grad = None
+    loss().backward()
+    for t, ref in zip(leaves, kept):
+        if not t.requires_grad:
+            assert t.grad is None and ref is None
+            continue
+        assert ref is not None and np.array_equal(t.grad, ref)
+        numeric = finite_difference_gradient(lambda: loss().item(), t)
+        err = relative_errors(t.grad, numeric).max()
+        assert err <= 1e-4, f"{op} {t.name}: worst relative error {err}"
+
+
+def test_backward_frees_intermediates_and_keeps_leaf_grads():
+    x = Parameter(np.array([[1.0, -2.0, 3.0]]), name="x")
+    hidden = T.relu(T.scale(x, 2.0))   # only the graph will reference it
+    alive = weakref.ref(hidden)
+    loss = T.tsum(T.square(hidden))
+    del hidden
+    gc.collect()
+    assert alive() is not None
+    loss.backward()
+    assert alive() is None
+    assert np.array_equal(x.grad, [[8.0, 0.0, 24.0]])
+    assert loss._parents == () and loss.grad is None
+
+
+def test_second_backward_raises_and_leaves_grads_untouched():
+    x = Parameter(np.array([[2.0]]), name="x")
+    y = T.square(x)
+    loss = T.scale(y, 3.0)
+    loss.backward()
+    assert np.array_equal(x.grad, [[12.0]])
+    with pytest.raises(ContractError, match="freed"):
+        loss.backward()
+    with pytest.raises(ContractError, match="freed"):
+        T.add(y, 1.0).backward()   # a new graph over a freed node
+    assert np.array_equal(x.grad, [[12.0]])
