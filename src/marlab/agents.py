@@ -75,12 +75,6 @@ class TeamModel(Module):
         self.comm = self._register(comm) if comm is not None else None
         self.mixer = self._register(mixer)
 
-    def main_parameters(self):
-        return [p for p in self.parameters() if p.group == "main"]
-
-    def comm_parameters(self):
-        return [p for p in self.parameters() if p.group == "comm"]
-
     def initial_hidden(self, rows: int) -> Tensor:
         return Tensor(np.zeros((rows, self.agent.hidden_dim)))
 

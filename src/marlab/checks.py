@@ -15,6 +15,7 @@ import numpy as np
 
 from .agents import make_team
 from .comm import CommSettings, CommStack
+from .config import check_seed
 from .envs import CuePassing, TwoStepCoop, value_iteration
 from .exploration import ExplorationConfig, action_distribution, select_action
 from .learner import (
@@ -303,6 +304,7 @@ CHECKS = [
 
 
 def run_checks(seed: int = 0, fault: str = "none") -> dict:
+    check_seed("seed", seed)
     if fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
     results = {}

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .checks import FAULTS, run_checks
-from .config import load_run_config, patch_run_config, read_json, run_config_from_dict
+from .config import (check_seed, load_run_config, patch_run_config, read_json,
+                     run_config_from_dict)
 from .envs import make_env
 from .errors import ConfigError, MarlabError
 from .netsim import Topology, centralized_traffic, distributed_traffic
@@ -148,6 +149,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_seed("--seed", args.seed)
     run_dir = Path(args.run)
     config_path = run_dir / "config.json"
     if not config_path.exists():

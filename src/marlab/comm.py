@@ -50,11 +50,7 @@ class CommSettings:
 
 
 class CommStack(Module):
-    """Stacked encoder layers plus a zero-initialized output projection.
-
-    All parameters are marked group "comm" so the learner can hand them to
-    their own optimizer.
-    """
+    """Stacked encoder layers plus a zero-initialized output projection."""
 
     def __init__(self, settings: CommSettings, model_dim: int, seed: int):
         super().__init__()
@@ -72,8 +68,6 @@ class CommStack(Module):
         ]
         self.out_proj = self._register(Dense(
             model_dim, model_dim, rng, "comm.out_proj", zero_init=True))
-        for p in self.parameters():
-            p.group = "comm"
 
     def forward(self, hidden: Tensor, mask: Optional[np.ndarray] = None,
                 sets: int = 1, ctx: Optional[TrainContext] = None) -> Tensor:

@@ -43,6 +43,12 @@ def _check_type(where: str, annotation, value):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 
+def check_seed(where: str, seed):
+    """A seed keys every random stream (rng.stream), which takes integers >= 0."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"{where}: expected an integer >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """An environment by name; params must be arguments its constructor takes."""
@@ -78,8 +84,8 @@ class RunConfig:
             raise ConfigError(f"mixer must be 'vdn' or 'qmix', got {self.mixer!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        if not all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds):
-            raise ConfigError(f"seeds must be integers, got {list(self.seeds)}")
+        for seed in self.seeds:
+            check_seed("seeds", seed)
         if self.total_env_steps < 1:
             raise ConfigError("total_env_steps must be positive")
         if self.comm.enabled and self.train.hidden_dim % self.comm.heads != 0:

@@ -61,9 +61,10 @@ def action_distribution(q: np.ndarray, avail: np.ndarray, config: ExplorationCon
     if config.temperature == 0.0 or top.size == 1:
         boltzmann[top[0]] = 1.0
     else:
-        logits = q[top] / config.temperature
-        logits -= logits.max()
-        weights = np.exp(logits)
+        # top[0] holds the largest value, so every logit is <= 0; a tiny
+        # temperature sends the others to -inf, which weighs 0
+        with np.errstate(over="ignore"):
+            weights = np.exp((q[top] - q[top[0]]) / config.temperature)
         boltzmann[top] = weights / weights.sum()
 
     uniform = np.zeros_like(q)

@@ -3,9 +3,9 @@
 Episodes are stored whole and replayed in padded batches; hidden states are
 re-unrolled from zero for both the online and the frozen target networks.
 Targets pick the next action with the online network and evaluate it with
-the target network.  Two optimizers run side by side: RMSProp on the main
-group (agents and mixer) and Adam on the communication group, after one
-shared global-norm clip.
+the target network.  After one shared global-norm clip two optimizers step
+side by side, both built by the Learner from the team's modules: RMSProp on
+the agent network and the mixer, Adam on the communication stack.
 
 A train step unrolls only the steps its loss reads.  Let k be one past the
 last transition t at which some row has mask * (1 - terminated) > 0 (k = 0
@@ -268,10 +268,14 @@ class Learner:
         self.seed = seed
         self.train_steps = 0
         self.target.copy_from(team)
-        self.opt_main = RMSProp(team.main_parameters(), lr=config.lr,
+        self.opt_main = RMSProp(team.agent.parameters() + team.mixer.parameters(), lr=config.lr,
                                 decay=config.rmsprop_decay, eps=config.rmsprop_eps)
-        comm_params = team.comm_parameters()
-        self.opt_comm = Adam(comm_params, lr=config.comm_lr) if comm_params else None
+        self.opt_comm = (Adam(team.comm.parameters(), lr=config.comm_lr)
+                         if team.comm is not None else None)
+
+    @property
+    def optimizers(self) -> list:
+        return [opt for opt in (self.opt_main, self.opt_comm) if opt is not None]
 
     def train_step(self, buffer: ReplayBuffer) -> Optional[dict]:
         """One gradient update from a sampled batch.
@@ -309,9 +313,8 @@ class Learner:
         loss.backward()
 
         grad_norm = clip_grad_norm(self.team.parameters(), cfg.grad_clip)
-        self.opt_main.step()
-        if self.opt_comm is not None:
-            self.opt_comm.step()
+        for opt in self.optimizers:
+            opt.step()
 
         self.train_steps += 1
         if self.train_steps % cfg.target_update_interval == 0:

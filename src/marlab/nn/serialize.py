@@ -85,8 +85,7 @@ def save_checkpoint(params: Sequence[Parameter], bin_path, extra: dict | None = 
         "endianness": "little",
         "record_layout": "u64 name_len | name utf-8 | u64 rows | u64 cols | rows*cols f64",
         "params": [
-            {"name": p.name, "rows": p.rows, "cols": p.cols, "group": p.group}
-            for p in params
+            {"name": p.name, "rows": p.rows, "cols": p.cols} for p in params
         ],
     }
     if extra:

@@ -160,24 +160,17 @@ def _freed(g):
 
 
 class Parameter(Tensor):
-    """A trainable tensor with a name and an optimizer group.
+    """A trainable tensor named by its checkpoint key.  Which optimizer trains
+    it is up to the learner, which hands each module's parameters to one."""
 
-    Each parameter belongs to exactly one group: "main" covers the agent
-    networks and the mixer, "comm" covers the communication stack, which
-    is trained by its own optimizer.
-    """
+    __slots__ = ("name",)
 
-    __slots__ = ("name", "group")
-
-    def __init__(self, data, name: str, group: str = "main"):
-        if group not in ("main", "comm"):
-            raise ValueError(f"unknown parameter group {group!r}")
+    def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.group = group
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.shape}, group={self.group!r})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def _const(value) -> Tensor:
@@ -359,31 +352,30 @@ def gather_cols(a: Tensor, index: np.ndarray) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Row-wise softmax; masked-out entries get exactly zero weight.
+def _masked_softmax(x: np.ndarray, mask: Optional[np.ndarray], what: str):
+    """Softmax over the last axis, and its backward map from the output
+    gradient to the gradient of x.  Where mask (broadcast against x) is False
+    the weight is exactly zero; a row with no allowed entry raises MaskError."""
+    if mask is not None:
+        if not mask.any(axis=-1).all():
+            raise MaskError(f"{what} with every entry masked out")
+        x = np.where(mask, x, -np.inf)   # exp gives these exactly 0
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return probs, lambda g: probs * (g - (g * probs).sum(axis=-1, keepdims=True))
 
-    mask is a boolean array (True = allowed).  A row with no allowed entry
-    is degenerate and raises MaskError.
-    """
-    x = a.data
+
+def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Row-wise softmax; entries where the boolean mask is False get exactly
+    zero weight, and a row with none allowed raises MaskError."""
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeError(f"softmax mask shape {mask.shape} != input {x.shape}")
-        if not mask.any(axis=1).all():
-            raise MaskError("softmax row with every entry masked out")
-        shifted = np.where(mask, x, -np.inf)
-        m = shifted.max(axis=1, keepdims=True)
-        e = np.exp(shifted - m)
-        e = np.where(mask, e, 0.0)
-    else:
-        m = x.max(axis=1, keepdims=True)
-        e = np.exp(x - m)
-    data = e / e.sum(axis=1, keepdims=True)
+        if mask.shape != a.shape:
+            raise ShapeError(f"softmax mask shape {mask.shape} != input {a.shape}")
+    data, grad = _masked_softmax(a.data, mask, "softmax row")
 
     def backward(g):
-        dot = (g * data).sum(axis=1, keepdims=True)
-        _accum(a, data * (g - dot))
+        _accum(a, grad(g))
 
     return _result(data, (a,), backward)
 
@@ -509,14 +501,7 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n, n):
             raise ShapeError(f"attention mask must be {n}x{n}, got {mask.shape}")
-        if not mask.any(axis=1).all():
-            raise MaskError("attention query row with every key masked out")
-        scores = np.where(mask, scores, -np.inf)
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs, softmax_grad = _masked_softmax(scores, mask, "attention query row")
     if probs_out is not None:
         probs_out.append(probs.copy())
     ctx = np.einsum("shqk,shkd->shqd", probs, vh)
@@ -526,7 +511,7 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
         gh = split(g)
         dv = np.einsum("shqk,shqd->shkd", probs, gh)
         dp = np.einsum("shqd,shkd->shqk", gh, vh)
-        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+        ds = softmax_grad(dp)
         dq = np.einsum("shqk,shkd->shqd", ds, kh) * scale_
         dk_ = np.einsum("shqk,shqd->shkd", ds, qh) * scale_
 

@@ -6,6 +6,13 @@ collected episode.  Every test_interval environment steps the greedy policy
 is measured on fresh test episodes and one CSV row is emitted.  All
 randomness is drawn from streams keyed by (seed, purpose, counter), so a
 run is a pure function of its seed and resumes bit-exactly from a snapshot.
+
+A snapshot, a seed directory's state/, holds the run config, the online and
+target parameters, the optimizer state, the replay buffer, and the counters
+and CSV rows so far; both optimizers step once per train step, so their step
+counts are the stored train_steps.  It is written as a unit: a process that
+dies while saving leaves the previous snapshot whole.  Files are not synced
+to disk, so a crash of the machine itself is not covered.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 from typing import Optional
 
@@ -156,30 +164,33 @@ class SeedRun:
         self._due_test_points(snapshot_interval)
         return self.rows
 
-    # Snapshots: everything needed to continue the run bit-exactly, and the
-    # run config, which load_state checks like train_all_seeds does.
     def save_state(self):
-        state_dir = self.out_dir / "state"
-        state_dir.mkdir(parents=True, exist_ok=True)
-        save_run_config(self.config, state_dir / "config.json")
-        save_checkpoint(self.team.parameters(), state_dir / "params.bin")
-        save_checkpoint(self.learner.target.parameters(), state_dir / "target.bin")
-        write_records(state_dir / "optimizer.bin", self._optimizer_arrays().items())
-        self._save_buffer(state_dir / "buffer.npz")
-        (state_dir / "progress.json").write_text(json.dumps({
+        """Write the snapshot to state.new/, then swap it in for state/, which
+        is state.old/ during the swap (see _settled_state_dir)."""
+        new, state, old = (self.out_dir / f"state{s}" for s in (".new", "", ".old"))
+        for stale in (new, old):
+            shutil.rmtree(stale, ignore_errors=True)
+        new.mkdir(parents=True)
+        save_run_config(self.config, new / "config.json")
+        save_checkpoint(self.team.parameters(), new / "params.bin")
+        save_checkpoint(self.learner.target.parameters(), new / "target.bin")
+        write_records(new / "optimizer.bin", self._optimizer_arrays().items())
+        self._save_buffer(new / "buffer.npz")
+        (new / "progress.json").write_text(json.dumps({
             "env_step": self.env_step,
             "episode_idx": self.episode_idx,
             "next_test": self.next_test,
             "train_steps": self.learner.train_steps,
-            "opt_main_steps": self.learner.opt_main.step_count,
-            "opt_comm_steps": (self.learner.opt_comm.step_count
-                               if self.learner.opt_comm else 0),
             "last_loss": None if math.isnan(self.last_loss) else self.last_loss,
             "rows": self.rows,
         }))
+        if state.exists():
+            state.rename(old)
+        new.rename(state)
+        shutil.rmtree(old, ignore_errors=True)
 
     def load_state(self):
-        state_dir = self.out_dir / "state"
+        state_dir = _settled_state_dir(self.out_dir)
         if (state_dir / "config.json").exists():   # absent in older snapshots
             _refuse_changed_config(state_dir, state_dir / "config.json", self.config)
         progress = json.loads((state_dir / "progress.json").read_text())
@@ -191,15 +202,14 @@ class SeedRun:
         self.episode_idx = progress["episode_idx"]
         self.next_test = progress["next_test"]
         self.learner.train_steps = progress["train_steps"]
-        self.learner.opt_main.step_count = progress["opt_main_steps"]
-        if self.learner.opt_comm is not None:
-            self.learner.opt_comm.step_count = progress["opt_comm_steps"]
+        for opt in self.learner.optimizers:   # each steps once per train step
+            opt.step_count = self.learner.train_steps
         self.last_loss = progress["last_loss"] if progress["last_loss"] is not None else math.nan
         self.rows = progress["rows"]
 
     def _optimizer_arrays(self) -> dict:
-        opts = filter(None, [self.learner.opt_main, self.learner.opt_comm])
-        return {name: arr for opt in opts for name, arr in opt.state_arrays().items()}
+        return {name: arr for opt in self.learner.optimizers
+                for name, arr in opt.state_arrays().items()}
 
     def _save_buffer(self, path):
         eps = self.buffer.episodes
@@ -250,7 +260,7 @@ def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run = SeedRun(config, seed, out_dir)
-    if resume and (out_dir / "state" / "progress.json").exists():
+    if resume and (_settled_state_dir(out_dir) / "progress.json").exists():
         run.load_state()
     rows = run.run(snapshot_interval=snapshot_interval)
     write_rows_csv(rows, out_dir / "metrics.csv")
@@ -258,6 +268,15 @@ def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False,
                     extra={"seed": seed, "env_step": run.env_step})
     run.save_state()
     return rows
+
+
+def _settled_state_dir(out_dir: Path) -> Path:
+    """out_dir/state, moved back from state.old first if a save_state stopped
+    between its two renames: state.old then holds the last whole snapshot."""
+    state, old = out_dir / "state", out_dir / "state.old"
+    if old.exists() and not state.exists():
+        old.rename(state)
+    return state
 
 
 def _refuse_changed_config(out_dir: Path, stored_path: Path, config: RunConfig):

@@ -6,6 +6,7 @@ import pytest
 from marlab.agents import AgentNet, TeamModel, build_inputs, make_team
 from marlab.comm import CommSettings
 from marlab.errors import ShapeError
+from marlab.learner import Learner, TrainConfig
 from marlab.nn import Parameter, Tensor
 from marlab.nn.gradcheck import max_gradient_error
 from marlab.nn import tensor as T
@@ -91,8 +92,10 @@ class TestTeamModel:
         expected = (team.agent.parameters() + team.comm.parameters()
                     + team.mixer.parameters())
         assert [p.name for p in team.parameters()] == [p.name for p in expected]
-        assert team.main_parameters() == [p for p in expected if p.group == "main"]
-        assert team.comm_parameters() == team.comm.parameters()
+        # the learner splits them between its two optimizers in the same order
+        learner = Learner(team, small_team(mixer="qmix", comm=True), TrainConfig(), seed=0)
+        assert learner.opt_main.params == team.agent.parameters() + team.mixer.parameters()
+        assert learner.opt_comm.params == team.comm.parameters()
 
     @pytest.mark.parametrize("comm_here, comm_there", [(True, False), (False, True)])
     def test_copy_between_teams_with_and_without_comm_raises(self, comm_here, comm_there):

@@ -127,6 +127,14 @@ class TestTrainCommand:
         assert_one_line_error(capsys, "cannot resume", *keys)
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("overrides, flags", [({"seeds": [-3]}, []), ({}, ["--seed", "-3"])])
+    def test_negative_seed_rejected_before_any_output(self, tmp_path, capsys, overrides, flags):
+        # a raw ValueError from the random streams, after config.json was written
+        cfg = write_toy_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg), *flags]) == 2
+        assert_one_line_error(capsys, "seeds: expected an integer >= 0, got -3")
+        assert not (tmp_path / "run").exists()
+
     def test_resume_may_extend_total_steps(self, tmp_path):
         cfg = write_toy_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
@@ -200,6 +208,12 @@ class TestCheckCommand:
         report = json.loads(out)
         assert report["checks"]["qmix_monotonicity"]["passed"] is False
 
+    def test_negative_seed_is_a_one_line_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["check", "--seed", "-1", "--out", str(report)]) == 2   # raw ValueError
+        assert_one_line_error(capsys, "seed: expected an integer >= 0, got -1")
+        assert not report.exists()
+
     def test_comm_zero_init_fault_detected(self, capsys):
         code = main(["check", "--seed", "0", "--inject-fault", "comm-hot-init"])
         report = json.loads(capsys.readouterr().out)
@@ -218,6 +232,16 @@ class TestEvalCommand:
         row = json.loads(capsys.readouterr().out)
         assert row["episodes"] == 4
         assert 0.0 <= row["success_rate"] <= 1.0
+
+    def test_eval_with_negative_seed_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = write_toy_config(tmp_path)
+        main(["train", "--config", str(cfg)])
+        capsys.readouterr()
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--run", str(tmp_path / "run" / "seed_1"), "--seed", "-1",
+                     "--out", str(out)]) == 2   # raw ValueError
+        assert_one_line_error(capsys, "--seed: expected an integer >= 0, got -1")
+        assert not out.exists()
 
     @pytest.mark.parametrize("keep", [5, 20, -3])
     def test_eval_of_truncated_checkpoint_is_a_one_line_error(self, tmp_path, capsys, keep):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from marlab.agents import make_team
 from marlab.comm import CommSettings, CommStack
 from marlab.errors import ConfigError
+from marlab.learner import Learner, TrainConfig
 from marlab.nn import Dense, EncoderLayer, Tensor, TrainContext
 from marlab.nn.gradcheck import max_gradient_error
 from marlab.nn import tensor as T
@@ -48,8 +50,20 @@ class TestInit:
             CommStack(CommSettings(heads=3), model_dim=8, seed=0)
 
     def test_all_params_in_comm_group(self):
-        stack = small_stack(1, num_layers=2)
-        assert all(p.group == "comm" for p in stack.parameters())
+        # the learner's comm optimizer trains exactly the stack's parameters,
+        # and a team without a stack has no comm optimizer
+        def learner(enabled):
+            settings = CommSettings(enabled=enabled, num_layers=2, ffn_dim=16, heads=2)
+            team, target = (make_team(obs_dim=3, n_actions=2, n_agents=3, state_dim=4,
+                                      hidden_dim=8, mixer_kind="qmix", comm=settings,
+                                      seed=seed) for seed in (1, 2))
+            return Learner(team, target, TrainConfig(), seed=0)
+
+        with_stack = learner(True)
+        comm = with_stack.team.comm.parameters()
+        assert with_stack.opt_comm.params == comm
+        assert not {id(p) for p in comm} & {id(p) for p in with_stack.opt_main.params}
+        assert learner(False).opt_comm is None
 
 
 class TestCommunicate:

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marlab.nn.serialize
+import marlab.runner
 from marlab.config import (
     CommSettings,
     EnvSpec,
@@ -23,7 +25,7 @@ from marlab.config import (
     run_config_to_dict,
     save_run_config,
 )
-from marlab.errors import ConfigError
+from marlab.errors import ConfigError, MarlabError
 from marlab.learner import EpisodeRecord, TrainConfig
 from marlab.runner import BUFFER_ARRAYS, SeedRun, train_all_seeds, train_one_seed
 
@@ -162,7 +164,8 @@ class TestConfigSchema:
                                             "params": {"payoff": [[1, 0], [0, 2]]}}})
         assert cfg.env.params["payoff"] == [[1, 0], [0, 2]]
 
-    @pytest.mark.parametrize("seeds", [5, "12", ["a"], [1.5], [True]])
+    # [1, -3] passed load and failed in training with a raw ValueError
+    @pytest.mark.parametrize("seeds", [5, "12", ["a"], [1.5], [True], [1, -3]])
     def test_malformed_seeds_rejected(self, seeds):
         with pytest.raises(ConfigError, match="seeds"):
             run_config_from_dict({"seeds": seeds})
@@ -238,7 +241,7 @@ def run_configs(draw):
         exploration=st.builds(ExplorationConfig, k=st.integers(1, 10),
                               temperature=st.floats(0, 100)),
         train=st.just(train),
-        seeds=st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=5).map(tuple),
+        seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=5).map(tuple),
         total_env_steps=st.integers(1, 10**9),
         out_dir=st.text(max_size=20),
     ))
@@ -399,3 +402,85 @@ class TestSnapshot:
             (tmp_path / "parts" / "metrics.csv").read_bytes()
         assert (tmp_path / "full" / "checkpoint.bin").read_bytes() == \
             (tmp_path / "parts" / "checkpoint.bin").read_bytes()
+
+    def test_optimizer_step_counts_are_the_train_steps(self, tmp_path):
+        run = SeedRun(toy_config(), seed=5, out_dir=tmp_path / "fresh")
+        run.run()
+        run.save_state()
+        assert run.learner.opt_main.step_count == run.learner.opt_comm.step_count \
+            == run.learner.train_steps > 0
+        progress = json.loads((tmp_path / "fresh" / "state" / "progress.json").read_text())
+        assert "opt_main_steps" not in progress and "opt_comm_steps" not in progress
+        shutil.copytree(EARLIER_STATE, tmp_path / "earlier" / "state")   # stores 17/17/17
+        for out_dir, steps in ((tmp_path / "fresh", run.learner.train_steps),
+                               (tmp_path / "earlier", 17)):
+            loaded = SeedRun(toy_config(), seed=5, out_dir=out_dir)
+            loaded.load_state()
+            assert loaded.learner.train_steps == steps
+            assert loaded.learner.opt_main.step_count == steps
+            assert loaded.learner.opt_comm.step_count == steps
+
+
+class _Crash(Exception):
+    pass
+
+
+# every call through which save_state writes, renames or deletes a file
+SNAPSHOT_WRITES = [(marlab.runner, "write_records"), (marlab.nn.serialize, "write_records"),
+                   (Path, "write_text"), (Path, "mkdir"), (Path, "rename"),
+                   (np, "savez"), (shutil, "rmtree")]
+
+
+def crash_in_snapshot(monkeypatch, cfg, out_dir, at: int, env_step: int) -> bool:
+    """train_one_seed with a snapshot at every test point, where the `at`-th
+    write of the snapshot at env_step raises; True if that write was reached."""
+    armed, writes = [False], [0]
+
+    def failing(fn):
+        def call(*args, **kwargs):
+            if armed[0]:
+                writes[0] += 1
+                if writes[0] == at:
+                    raise _Crash
+            return fn(*args, **kwargs)
+        return call
+
+    save_state = SeedRun.save_state
+
+    def saving(run):
+        armed[0] = run.env_step == env_step
+        try:
+            save_state(run)
+        finally:
+            armed[0] = False
+
+    with monkeypatch.context() as patch:
+        for owner, name in SNAPSHOT_WRITES:
+            patch.setattr(owner, name, failing(getattr(owner, name)))
+        patch.setattr(SeedRun, "save_state", saving)
+        try:
+            train_one_seed(cfg, seed=5, out_dir=out_dir, snapshot_interval=1)
+        except _Crash:
+            return True
+    return False
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_a_crash_at_any_write_of_a_snapshot_resumes_exactly_or_refuses(tmp_path, monkeypatch):
+    cfg = toy_config(total_env_steps=80)
+    train_one_seed(cfg, seed=5, out_dir=tmp_path / "full", snapshot_interval=1)
+    full = tree_bytes(tmp_path / "full")
+    at = 1
+    while crash_in_snapshot(monkeypatch, cfg, tmp_path / str(at), at, env_step=40):
+        try:
+            train_one_seed(cfg, seed=5, out_dir=tmp_path / str(at), resume=True,
+                           snapshot_interval=1)
+        except MarlabError as exc:
+            assert len(str(exc).splitlines()) == 1
+        else:
+            assert tree_bytes(tmp_path / str(at)) == full, f"crash at write {at}"
+        at += 1
+    assert at > 10   # every file of the snapshot, the renames and the clean-up

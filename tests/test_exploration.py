@@ -55,6 +55,19 @@ class TestDistribution:
         assert np.allclose(got, [math.exp(3.0) / z, math.exp(1.0) / z, 0.0])
         assert abs(got[0] - 0.8808) < 1e-4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
+    def test_tiny_temperature_is_finite_and_greedy_among_top_k(self, temperature):
+        # q / temperature overflowed, and the distribution was NaN
+        gen = np.random.default_rng(8)
+        for _ in range(300):
+            q, avail = random_case(gen)
+            eps = float(gen.choice([0.0, gen.random()]))
+            config = ExplorationConfig(k=int(gen.integers(2, 7)), temperature=temperature)
+            got = action_distribution(q, avail, config, eps)
+            assert np.isfinite(got).all() and abs(got.sum() - 1.0) < 1e-12
+            assert np.allclose(got, eps_greedy_reference(q, avail, eps), rtol=0, atol=1e-15)
+
     def test_full_epsilon_is_uniform_over_available(self):
         q = np.array([5.0, -1.0, 2.0, 0.0])
         avail = np.array([True, False, True, True])

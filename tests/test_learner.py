@@ -240,13 +240,13 @@ class TestTrainStep:
         team, target = tiny_team(5), tiny_team(6)
         learner = Learner(team, target, cfg, seed=1)
         buf = filled_buffer(cfg, seed=6)
-        comm_before = [p.data.copy() for p in team.comm_parameters()]
-        main_before = [p.data.copy() for p in team.main_parameters()]
+        comm_before = [p.data.copy() for p in team.comm.parameters()]
+        main_before = [p.data.copy() for p in learner.opt_main.params]
         learner.train_step(buf)
-        for b, p in zip(comm_before, team.comm_parameters()):
+        for b, p in zip(comm_before, team.comm.parameters()):
             assert np.array_equal(b, p.data)
         assert any(not np.array_equal(b, p.data)
-                   for b, p in zip(main_before, team.main_parameters()))
+                   for b, p in zip(main_before, learner.opt_main.params))
 
     def test_target_updates_only_at_interval_and_copies_exactly(self):
         cfg = tiny_config(target_update_interval=3)

@@ -19,7 +19,7 @@ def test_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     params = [
         Parameter(rng.standard_normal((3, 4)), name="fc.weight"),
-        Parameter(rng.standard_normal((1, 4)), name="fc.bias", group="comm"),
+        Parameter(rng.standard_normal((1, 4)), name="fc.bias"),
     ]
     path = tmp_path / "ckpt.bin"
     save_checkpoint(params, path)
@@ -33,8 +33,8 @@ def test_roundtrip(tmp_path):
 
     manifest = json.loads((tmp_path / "ckpt.json").read_text())
     assert manifest["endianness"] == "little"
-    assert [e["name"] for e in manifest["params"]] == ["fc.weight", "fc.bias"]
-    assert manifest["params"][1]["group"] == "comm"
+    assert manifest["params"] == [{"name": "fc.weight", "rows": 3, "cols": 4},
+                                  {"name": "fc.bias", "rows": 1, "cols": 4}]
 
 
 def test_binary_layout_is_length_prefixed_little_endian(tmp_path):

@@ -109,6 +109,30 @@ def test_masked_softmax_gradients():
     check_op(lambda: T.tsum(T.mul(T.softmax_rows(x, mask), w)), [x])
 
 
+@settings(max_examples=100, deadline=None)
+@given(sets=st.integers(1, 3), n=st.integers(1, 4), heads=st.integers(1, 3),
+       dk=st.integers(1, 4), density=st.sampled_from([None, 0.0, 0.3, 0.7, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_attention_weights_are_softmax_rows_of_the_scores(sets, n, heads, dk, density, seed):
+    gen = np.random.default_rng(seed)
+    q, k, v = (Tensor(gen.standard_normal((sets * n, heads * dk))) for _ in range(3))
+    mask = None if density is None else gen.random((n, n)) < density
+    # the scores exactly as set_attention forms them: (sets, heads, n, n)
+    qh, kh = (t.data.reshape(sets, n, heads, dk).transpose(0, 2, 1, 3) for t in (q, k))
+    scores = (np.einsum("shqd,shkd->shqk", qh, kh) * (1.0 / np.sqrt(dk))).reshape(-1, n)
+    rows_mask = None if mask is None else np.broadcast_to(mask, (sets, heads, n, n)).reshape(-1, n)
+    if mask is not None and not mask.any(axis=1).all():
+        with pytest.raises(MaskError):
+            T.set_attention(q, k, v, heads, sets, mask=mask)
+        with pytest.raises(MaskError):
+            T.softmax_rows(Tensor(scores), rows_mask)
+        return
+    probs = []
+    T.set_attention(q, k, v, heads, sets, mask=mask, probs_out=probs)
+    expected = T.softmax_rows(Tensor(scores), rows_mask).data
+    assert probs[0].reshape(-1, n).tobytes() == expected.tobytes()
+
+
 def test_layer_norm_gradients():
     rng = np.random.default_rng(5)
     x = param(rng, 4, 6, "x")
