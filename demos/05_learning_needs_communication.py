@@ -7,9 +7,11 @@ any non-communicating team at m^(1-n); with the attention stack in the
 loop, the team learns to beat that ceiling and solve the task.
 
 Runs two short trainings (with and without the stack); a couple of minutes
-on one core.
+on one core.  Exits with status 1 if the communicating team's final greedy
+success is not above the blind ceiling.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -51,3 +53,8 @@ for a, b in zip(with_comm, bare):
 
 print(f"\nthe bare agents cannot beat {ceiling:.3f} except by luck; the")
 print("communicating team climbs toward the oracle optimum of 1.0.")
+final = with_comm[-1]["success_rate"]
+if final <= ceiling:
+    print(f"FAILED: the communicating team ends at {final:.3f}, "
+          f"not above the blind ceiling {ceiling:.3f}")
+    sys.exit(1)

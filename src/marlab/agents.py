@@ -76,7 +76,7 @@ class TeamModel(Module):
         self.mixer = self._register(mixer)
 
     def initial_hidden(self, rows: int) -> Tensor:
-        return Tensor(np.zeros((rows, self.agent.hidden_dim)))
+        return Tensor(np.zeros((rows, self.agent.hidden_dim), dtype=self.dtype))
 
     def step(self, inputs: np.ndarray, h_prev: Tensor, sets: int = 1,
              ctx: Optional[TrainContext] = None,
@@ -90,7 +90,7 @@ class TeamModel(Module):
         n = self.agent.n_agents
         if inputs.shape[0] != sets * n:
             raise ShapeError(f"expected {sets * n} rows, got {inputs.shape[0]}")
-        h = self.agent.encode(Tensor(inputs), h_prev)
+        h = self.agent.encode(Tensor(inputs.astype(self.dtype, copy=False)), h_prev)
         if self.comm is not None:
             z = self.comm(h, mask=comm_mask, sets=sets, ctx=ctx)
             h_tilde = T.add(h, z) if self.comm.settings.residual else z
@@ -101,11 +101,18 @@ class TeamModel(Module):
 
 def make_team(obs_dim: int, n_actions: int, n_agents: int, state_dim: int,
               hidden_dim: int, mixer_kind: str, comm: CommSettings,
-              seed: int) -> TeamModel:
-    """Assemble a team model; the stack is as wide as the hidden state."""
+              seed: int, dtype=np.float64) -> TeamModel:
+    """Assemble a team model; the stack is as wide as the hidden state.
+
+    The parameters are drawn in float64 and then cast to dtype, so a float32
+    team starts from the float64 team's values rounded.
+    """
     from .mixers import make_mixer
 
     agent = AgentNet(obs_dim, n_actions, n_agents, hidden_dim, seed)
     stack = CommStack(comm, hidden_dim, seed) if comm.enabled else None
     mixer = make_mixer(mixer_kind, n_agents, state_dim, seed)
-    return TeamModel(agent, stack, mixer)
+    team = TeamModel(agent, stack, mixer)
+    for p in team.parameters():
+        p.data = p.data.astype(dtype, copy=False)
+    return team

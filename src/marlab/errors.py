@@ -30,4 +30,4 @@ class EpisodeOverError(MarlabError):
 
 
 class CheckpointError(MarlabError):
-    """A checkpoint file is truncated or malformed."""
+    """A checkpoint file is truncated, malformed, or cannot be loaded exactly."""

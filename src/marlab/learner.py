@@ -24,6 +24,13 @@ skipped step used to make the loss NaN (0 * inf) and now does not.
 A train step's peak memory is its forward graph: backward() frees each
 node's gradient and saved arrays once it has used them, and every dropout
 layer applies one mask, drawn once per train step, at all time steps.
+
+A train step computes in the dtype of the team's parameters: float32 for
+the teams a run builds (runner.build_team_for_env), float64 for the models
+the invariant oracles in checks.py build.  Batches stay float64 arrays;
+unroll_team, taken_joint_values, mix_values and td_loss cast what they feed
+into the graph to the parameters' dtype.  The TD targets are formed in
+float64 from the float32 target-network values and then cast.
 """
 
 from __future__ import annotations
@@ -193,13 +200,14 @@ def unroll_team(team: TeamModel, batch: dict,
     if steps is None:
         steps = range(t_max + 1)
     h = team.initial_hidden(bsz * n)
+    dtype = team.dtype
     out = []
     for t in range(steps.stop if steps else 0):
         flat_obs = batch["obs"][:, t].reshape(bsz * n, -1)
         last = batch["actions"][:, t - 1].reshape(-1) if t > 0 else None
         inputs = build_inputs(flat_obs, last, batch["n_actions"], n)
         if t < steps.start:
-            h = team.agent.encode(Tensor(inputs), h)
+            h = team.agent.encode(Tensor(inputs.astype(dtype, copy=False)), h)
             continue
         q, h = team.step(inputs, h, sets=bsz, ctx=ctx)
         out.append(q)
@@ -213,10 +221,11 @@ def taken_joint_values(team: TeamModel, online_q: list[Tensor], batch: dict) -> 
     the columns cover t = 0..t_max-1.
     """
     bsz, n = batch["batch_size"], batch["n_agents"]
+    states = batch["states"].astype(team.dtype, copy=False)
     q_taken = []
     for t in range(batch["t_max"]):
         picked = T.gather_cols(online_q[t], batch["actions"][:, t].reshape(-1))
-        q_taken.append(team.mixer(T.reshape(picked, bsz, n), Tensor(batch["states"][:, t])))
+        q_taken.append(team.mixer(T.reshape(picked, bsz, n), Tensor(states[:, t])))
     return T.concat_cols(q_taken)
 
 
@@ -249,11 +258,14 @@ def double_q_targets(rewards: np.ndarray, terminated: np.ndarray,
 
 
 def td_loss(q_tot: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean squared TD error over valid steps; targets enter as constants."""
+    """Mean squared TD error over valid steps; targets enter as constants,
+    cast to the dtype of q_tot."""
     total = float(mask.sum())
     if total == 0:
         raise ContractError("batch has no valid steps")
-    diff = T.mul(T.sub(q_tot, Tensor(targets)), Tensor(mask))
+    dtype = q_tot.data.dtype
+    diff = T.mul(T.sub(q_tot, Tensor(targets.astype(dtype, copy=False))),
+                 Tensor(mask.astype(dtype, copy=False)))
     return T.scale(T.tsum(T.square(diff)), 1.0 / total)
 
 

@@ -113,7 +113,7 @@ def distributed_traffic(topology: Topology, num_layers: int, width: int) -> Traf
 
 def centralized_round(comm: CommStack, hidden: np.ndarray) -> tuple[np.ndarray, TrafficStats]:
     """Aggregation-node deployment of one communication step."""
-    hidden = np.asarray(hidden, dtype=float)
+    hidden = np.asarray(hidden, dtype=comm.dtype)
     n, width = hidden.shape
     if width != comm.model_dim:
         raise ShapeError(f"hidden width {width} != model dim {comm.model_dim}")
@@ -125,7 +125,7 @@ def centralized_round(comm: CommStack, hidden: np.ndarray) -> tuple[np.ndarray, 
 def distributed_round(comm: CommStack, hidden: np.ndarray,
                       topology: Topology) -> tuple[np.ndarray, TrafficStats]:
     """Peer-to-peer deployment: one exchange of rows per encoder layer."""
-    hidden = np.asarray(hidden, dtype=float)
+    hidden = np.asarray(hidden, dtype=comm.dtype)
     n, width = hidden.shape
     if topology.n != n:
         raise ShapeError(f"topology is for {topology.n} agents, hidden has {n} rows")

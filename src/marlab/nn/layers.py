@@ -32,7 +32,8 @@ class TrainContext:
     Each dropout layer has one keep mask per train step and input shape,
     drawn from a stream keyed by (seed, layer name, step) and shared by every
     time step of an unroll (locked dropout).  The same step of the same run
-    produces the same masks no matter what ran before.
+    produces the same masks no matter what ran before.  A mask is kept in
+    the dtype of the input it scales, so it never promotes a float32 graph.
     """
 
     def __init__(self, seed: int, step: int):
@@ -40,11 +41,12 @@ class TrainContext:
         self.step = step
         self._masks: dict[tuple, np.ndarray] = {}
 
-    def dropout_mask(self, layer_name: str, shape: tuple, rate: float) -> np.ndarray:
-        key = (layer_name, shape)
+    def dropout_mask(self, layer_name: str, shape: tuple, rate: float,
+                     dtype) -> np.ndarray:
+        key = (layer_name, shape, np.dtype(dtype))
         if key not in self._masks:
             gen = stream(self.seed, "dropout", layer_name, self.step)
-            self._masks[key] = dropout_mask(shape, rate, gen)
+            self._masks[key] = dropout_mask(shape, rate, gen).astype(dtype, copy=False)
         return self._masks[key]
 
 
@@ -77,6 +79,18 @@ class Module:
         for c in self._children:
             out.extend(c.parameters())
         return out
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Its first parameter's dtype, to which a forward casts arrays from
+        outside; float64 for a module without parameters."""
+        stack = [self]
+        while stack:   # depth first, in parameters() order, to the first one
+            module = stack.pop()
+            if module._params:
+                return module._params[0].data.dtype
+            stack.extend(reversed(module._children))
+        return np.dtype(T.DTYPE)
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
@@ -188,7 +202,7 @@ class Dropout(Module):
     def forward(self, x: Tensor, ctx: Optional[TrainContext]) -> Tensor:
         if ctx is None or self.rate == 0.0:
             return x
-        return T.dropout(x, ctx.dropout_mask(self.name, x.shape, self.rate))
+        return T.dropout(x, ctx.dropout_mask(self.name, x.shape, self.rate, x.data.dtype))
 
 
 class MultiHeadSelfAttention(Module):

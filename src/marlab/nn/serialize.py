@@ -7,6 +7,12 @@ A checkpoint is a flat sequence of records, every integer little-endian
 
 A JSON manifest alongside lists the records so checkpoints are inspectable
 without parsing binary.
+
+float32 arrays, such as a trained team's parameters and optimizer state, are
+widened to float64 on writing, which is exact, so loading them back into
+float32 arrays restores every bit.  A load that would change a value, such
+as a float64-trained record read into a float32 array, is refused with
+CheckpointError instead of rounding it.
 """
 
 from __future__ import annotations
@@ -94,7 +100,8 @@ def save_checkpoint(params: Sequence[Parameter], bin_path, extra: dict | None = 
 
 
 def load_records(path, targets: Iterable[tuple[str, np.ndarray]]):
-    """Fill each (name, array) target in place from the record of that name."""
+    """Fill each (name, array) target in place from the record of that name;
+    a record the target's dtype cannot hold exactly raises CheckpointError."""
     stored = dict(read_records(path))
     for name, target in targets:
         if name not in stored:
@@ -104,6 +111,9 @@ def load_records(path, targets: Iterable[tuple[str, np.ndarray]]):
             raise ContractError(
                 f"{path}: checkpoint shape {arr.shape} does not match {name} {target.shape}")
         target[...] = arr
+        if not np.array_equal(target, arr, equal_nan=True):
+            raise CheckpointError(f"{path}: record {name!r} does not fit a "
+                                  f"{target.dtype} array exactly; refusing to round it")
 
 
 def load_checkpoint(bin_path, params: Sequence[Parameter]):

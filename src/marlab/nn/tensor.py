@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over 2-D float64 arrays.
+"""Reverse-mode automatic differentiation over 2-D float32 or float64 arrays.
 
 A Tensor wraps a numpy matrix and remembers how it was produced; calling
 backward() on a scalar result accumulates exact gradients into every
@@ -19,6 +19,13 @@ the graph plus every intermediate gradient.  Leaves keep their gradients:
 Parameters and requires_grad tensors built by the caller.  A second
 backward() through a freed node raises ContractError.
 
+A Tensor keeps a float32 array as float32 and stores anything else as
+float64 (DTYPE).  Every op computes in its inputs' dtype, so a model whose
+parameters are float32 runs in float32 as long as what enters its graph from
+outside is cast to that dtype too: training casts there and runs in float32,
+while the gradient oracles build float64 models.  An op that mixes the two
+dtypes computes in float64 (numpy's promotion).
+
 Importing this module, and so importing marlab, sets two malloc tunables for
 the whole process where the C library has mallopt (glibc): a trim threshold
 of 256 MiB and an mmap threshold of 32 MiB.  See _keep_freed_heap.
@@ -27,6 +34,7 @@ of 256 MiB and an mmap threshold of 32 MiB.  See _keep_freed_heap.
 from __future__ import annotations
 
 import ctypes
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -82,7 +90,9 @@ def grad_enabled() -> bool:
 
 
 def _as_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=DTYPE)
+    arr = np.asarray(data)
+    if arr.dtype != np.float32:
+        arr = arr.astype(DTYPE, copy=False)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -495,8 +505,10 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
         return t.reshape(sets, n, heads, dk).transpose(0, 2, 1, 3)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale_ = 1.0 / np.sqrt(dk)
-    scores = np.einsum("shqd,shkd->shqk", qh, kh) * scale_
+    # a Python float, which keeps float32 scores float32 (a numpy float64
+    # scalar would promote them)
+    scale_ = 1.0 / math.sqrt(dk)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale_
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n, n):
@@ -504,16 +516,16 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
     probs, softmax_grad = _masked_softmax(scores, mask, "attention query row")
     if probs_out is not None:
         probs_out.append(probs.copy())
-    ctx = np.einsum("shqk,shkd->shqd", probs, vh)
+    ctx = probs @ vh
     data = ctx.transpose(0, 2, 1, 3).reshape(rows, dim)
 
     def backward(g):
         gh = split(g)
-        dv = np.einsum("shqk,shqd->shkd", probs, gh)
-        dp = np.einsum("shqd,shkd->shqk", gh, vh)
+        dv = probs.swapaxes(-1, -2) @ gh
+        dp = gh @ vh.swapaxes(-1, -2)
         ds = softmax_grad(dp)
-        dq = np.einsum("shqk,shkd->shqd", ds, kh) * scale_
-        dk_ = np.einsum("shqk,shqd->shkd", ds, qh) * scale_
+        dq = (ds @ kh) * scale_
+        dk_ = (ds.swapaxes(-1, -2) @ qh) * scale_
 
         def merge(t):
             return t.transpose(0, 2, 1, 3).reshape(rows, dim)
@@ -546,10 +558,10 @@ def block_row_matmul(q: Tensor, w: Tensor, n: int, k: int) -> Tensor:
     if q.cols != n or w.shape != (bsz, n * k):
         raise ShapeError(f"block_row_matmul: got q {q.shape}, w {w.shape}, n={n}, k={k}")
     w3 = w.data.reshape(bsz, n, k)
-    data = np.einsum("bi,bik->bk", q.data, w3)
+    data = (q.data[:, None, :] @ w3)[:, 0, :]
 
     def backward(g):
-        _accum(q, np.einsum("bk,bik->bi", g, w3))
+        _accum(q, (w3 @ g[:, :, None])[:, :, 0])
         _accum(w, np.einsum("bi,bk->bik", q.data, g).reshape(bsz, n * k))
 
     return _result(data, (q, w), backward)

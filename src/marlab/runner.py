@@ -7,6 +7,12 @@ is measured on fresh test episodes and one CSV row is emitted.  All
 randomness is drawn from streams keyed by (seed, purpose, counter), so a
 run is a pure function of its seed and resumes bit-exactly from a snapshot.
 
+Training runs in float32: the online and target teams, and so the
+optimizer state, are float32, and acting computes in float32 too.  The
+invariant oracles (checks.py, nn.gradcheck) build float64 models.  Snapshot
+and checkpoint files keep float64 records; widening float32 is exact, and a
+float64-trained snapshot, which float32 cannot hold, is refused on load.
+
 A snapshot, a seed directory's state/, holds the run config, the online and
 target parameters, the optimizer state, the replay buffer, and the counters
 and CSV rows so far; both optimizers step once per train step, so their step
@@ -42,8 +48,10 @@ BUFFER_ARRAYS = ("obs", "states", "avail", "actions", "rewards")
 
 
 def build_team_for_env(config: RunConfig, env: Env, seed: int) -> TeamModel:
+    """The team a run trains and evaluates, in float32."""
     return make_team(env.obs_dim, env.n_actions, env.n_agents, env.state_dim,
-                     config.train.hidden_dim, config.mixer, config.comm, seed)
+                     config.train.hidden_dim, config.mixer, config.comm, seed,
+                     dtype=np.float32)
 
 
 def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,

@@ -25,7 +25,7 @@ from marlab.config import (
     run_config_to_dict,
     save_run_config,
 )
-from marlab.errors import ConfigError, MarlabError
+from marlab.errors import CheckpointError, ConfigError, MarlabError
 from marlab.learner import EpisodeRecord, TrainConfig
 from marlab.runner import BUFFER_ARRAYS, SeedRun, train_all_seeds, train_one_seed
 
@@ -390,18 +390,33 @@ class TestSnapshot:
         assert set(BUFFER_ARRAYS) <= set(reads)
         assert max(reads.values()) == 1, dict(reads)
 
-    def test_state_written_by_hand_padding_snapshot_code_resumes(self, tmp_path):
-        # EARLIER_STATE holds the state/ directory that the snapshot code
-        # before pad_batch wrote for train_one_seed(toy_config(total_env_steps=40), seed=5)
-        full = train_one_seed(toy_config(), seed=5, out_dir=tmp_path / "full")
-        shutil.copytree(EARLIER_STATE, tmp_path / "parts" / "state")
-        resumed = train_one_seed(toy_config(), seed=5, out_dir=tmp_path / "parts",
-                                 resume=True)
-        assert len(resumed) == len(full) == 3
-        assert (tmp_path / "full" / "metrics.csv").read_bytes() == \
-            (tmp_path / "parts" / "metrics.csv").read_bytes()
-        assert (tmp_path / "full" / "checkpoint.bin").read_bytes() == \
-            (tmp_path / "parts" / "checkpoint.bin").read_bytes()
+    def test_float64_earlier_state_is_refused_in_one_line(self, tmp_path):
+        # EARLIER_STATE holds the state/ directory that the float64 snapshot
+        # code before pad_batch wrote for
+        # train_one_seed(toy_config(total_env_steps=40), seed=5); training
+        # now runs in float32, which cannot hold its parameters exactly
+        shutil.copytree(EARLIER_STATE, tmp_path / "state")
+        with pytest.raises(CheckpointError) as info:
+            train_one_seed(toy_config(), seed=5, out_dir=tmp_path, resume=True)
+        message = str(info.value)
+        assert len(message.splitlines()) == 1
+        assert "params.bin" in message and "'agent.fc_in.weight'" in message
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_earlier_state_buffer_round_trips_through_load_and_save(self, tmp_path):
+        # the padded layout the old snapshot code wrote is the one
+        # _save_buffer writes now
+        run = SeedRun(toy_config(), seed=5, out_dir=tmp_path)
+        run._load_buffer(EARLIER_STATE / "buffer.npz")
+        assert len(run.buffer) == 20
+        run._save_buffer(tmp_path / "buffer.npz")
+        with np.load(EARLIER_STATE / "buffer.npz") as old, \
+                np.load(tmp_path / "buffer.npz") as new:
+            assert sorted(old.files) == sorted(new.files)
+            for key in old.files:
+                a, b = old[key], new[key]
+                assert a.dtype == b.dtype and a.shape == b.shape, key
+                assert np.array_equal(a, b), key
 
     def test_optimizer_step_counts_are_the_train_steps(self, tmp_path):
         run = SeedRun(toy_config(), seed=5, out_dir=tmp_path / "fresh")
@@ -411,9 +426,16 @@ class TestSnapshot:
             == run.learner.train_steps > 0
         progress = json.loads((tmp_path / "fresh" / "state" / "progress.json").read_text())
         assert "opt_main_steps" not in progress and "opt_comm_steps" not in progress
-        shutil.copytree(EARLIER_STATE, tmp_path / "earlier" / "state")   # stores 17/17/17
+        # snapshots once stored each optimizer's step count too; they still load
+        older = SeedRun(toy_config(total_env_steps=40), seed=5, out_dir=tmp_path / "older")
+        older.run()
+        older.save_state()
+        path = tmp_path / "older" / "state" / "progress.json"
+        progress = json.loads(path.read_text())
+        progress.update(opt_main_steps=17, opt_comm_steps=17)
+        path.write_text(json.dumps(progress))
         for out_dir, steps in ((tmp_path / "fresh", run.learner.train_steps),
-                               (tmp_path / "earlier", 17)):
+                               (tmp_path / "older", 17)):
             loaded = SeedRun(toy_config(), seed=5, out_dir=out_dir)
             loaded.load_state()
             assert loaded.learner.train_steps == steps

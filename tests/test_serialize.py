@@ -79,6 +79,25 @@ def test_load_shape_mismatch_raises(tmp_path):
         load_checkpoint(path, [wrong])
 
 
+def test_float32_round_trip_is_exact_and_a_lossy_load_is_refused(tmp_path):
+    values = np.array([[0.1, 1e-40, np.nan, np.inf, -3.0]])
+    narrow = Parameter(values.astype(np.float32), name="w")
+    path = tmp_path / "narrow.bin"
+    save_checkpoint([narrow], path)
+    target = Parameter(np.zeros((1, 5), dtype=np.float32), name="w")
+    load_checkpoint(path, [target])
+    assert target.data.dtype == np.float32
+    assert target.data.tobytes() == narrow.data.tobytes()
+
+    save_checkpoint([Parameter(values, name="w")], path)
+    with pytest.raises(CheckpointError, match="'w'") as info:
+        load_checkpoint(path, [target])
+    assert len(str(info.value).splitlines()) == 1
+    wide = Parameter(np.zeros((1, 5)), name="w")
+    load_checkpoint(path, [wide])   # float64 targets hold every record
+    assert np.array_equal(wide.data, values, equal_nan=True)
+
+
 @pytest.mark.parametrize("keep, offset", [
     (5, 0),     # inside the first name length
     (20, 17),   # inside the column count of the first record

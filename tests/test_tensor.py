@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import math
 import weakref
 
 import numpy as np
@@ -119,7 +120,7 @@ def test_attention_weights_are_softmax_rows_of_the_scores(sets, n, heads, dk, de
     mask = None if density is None else gen.random((n, n)) < density
     # the scores exactly as set_attention forms them: (sets, heads, n, n)
     qh, kh = (t.data.reshape(sets, n, heads, dk).transpose(0, 2, 1, 3) for t in (q, k))
-    scores = (np.einsum("shqd,shkd->shqk", qh, kh) * (1.0 / np.sqrt(dk))).reshape(-1, n)
+    scores = ((qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(dk))).reshape(-1, n)
     rows_mask = None if mask is None else np.broadcast_to(mask, (sets, heads, n, n)).reshape(-1, n)
     if mask is not None and not mask.any(axis=1).all():
         with pytest.raises(MaskError):
