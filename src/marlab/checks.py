@@ -1,9 +1,7 @@
 """Self-contained invariant suite behind the `check` command.
 
 Every check builds randomized instances, exercises one contract, and
-returns a pass/fail verdict with a measured detail.  The checks build
-float64 models (make_team's default), so their tolerances are float64
-ones, while training runs in float32.  Fault injection swaps
+returns a pass/fail verdict with a measured detail.  Fault injection swaps
 in deliberately broken components so the suite can demonstrate it would
 catch the corresponding defect:
 
