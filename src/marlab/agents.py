@@ -78,18 +78,18 @@ class TeamModel(Module):
     def initial_hidden(self, rows: int) -> Tensor:
         return Tensor(np.zeros((rows, self.agent.hidden_dim), dtype=self.dtype))
 
-    def step(self, inputs: np.ndarray, h_prev: Tensor, sets: int = 1,
+    def step(self, inputs: np.ndarray, h_prev: Tensor,
              ctx: Optional[TrainContext] = None,
              comm_mask: Optional[np.ndarray] = None):
-        """One team-forward over sets independent teams stacked row-wise.
+        """One team-forward over independent teams of n_agents rows, stacked row-wise.
 
         Returns (local Q values (rows, actions), next recurrent state).
         An optional n x n comm_mask restricts which agents hear which; it is
         applied inside every team block.
         """
-        n = self.agent.n_agents
-        if inputs.shape[0] != sets * n:
-            raise ShapeError(f"expected {sets * n} rows, got {inputs.shape[0]}")
+        sets, extra = divmod(inputs.shape[0], self.agent.n_agents)
+        if extra or not sets:
+            raise ShapeError(f"{len(inputs)} rows do not split into teams of {self.agent.n_agents}")
         h = self.agent.encode(Tensor(inputs.astype(self.dtype, copy=False)), h_prev)
         if self.comm is not None:
             z = self.comm(h, mask=comm_mask, sets=sets, ctx=ctx)

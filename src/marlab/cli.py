@@ -105,6 +105,9 @@ def cmd_sweep(args) -> int:
     unknown = set(grid) - set(GRID_KEYS)
     if unknown:
         raise ConfigError(f"grid allows {sorted(GRID_KEYS)}, got unknown {sorted(unknown)}")
+    for key, values in grid.items():
+        if any(v in values[:i] for i, v in enumerate(values)):   # by ==: 0 repeats 0.0
+            raise ConfigError(f"grid.{key} repeats a value: {values}")
     grid = {k: v for k, v in grid.items() if v}
     if not grid:
         raise ConfigError("empty sweep grid")
@@ -211,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--k", type=int, default=None)
     p_train.add_argument("--temperature", type=float, default=None)
     p_train.add_argument("--workers", type=int, default=1)
-    p_train.add_argument("--resume", action="store_true")
+    p_train.add_argument("--resume", action="store_true",
+                         help="continue each seed from its last test-point snapshot")
     p_train.set_defaults(fn=cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over comm shape and temperature")

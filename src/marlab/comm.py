@@ -54,9 +54,6 @@ class CommStack(Module):
 
     def __init__(self, settings: CommSettings, model_dim: int, seed: int):
         super().__init__()
-        if model_dim < 1 or model_dim % settings.heads != 0:
-            raise ConfigError(
-                f"model_dim {model_dim} not a positive multiple of heads {settings.heads}")
         self.settings = settings
         self.model_dim = model_dim
         rng = stream(seed, "comm-init")

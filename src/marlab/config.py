@@ -86,6 +86,8 @@ class RunConfig:
             raise ConfigError("need at least one seed")
         for seed in self.seeds:
             check_seed("seeds", seed)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds repeat a seed: {list(self.seeds)}")
         if self.total_env_steps < 1:
             raise ConfigError("total_env_steps must be positive")
         if self.comm.enabled and self.train.hidden_dim % self.comm.heads != 0:

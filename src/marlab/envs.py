@@ -190,27 +190,19 @@ class CuePassing(Env):
     # perfbench traces envs.CuePassing.step, which it looks up in this class's own namespace
     step = Env.step
 
-    def _cue_block(self, cues) -> np.ndarray:
-        block = np.zeros(self.n_agents * self.num_cues)
-        for i, c in enumerate(cues):
-            block[i * self.num_cues + c] = 1.0
-        return block
-
     def _start(self, rng):
         return tuple(rng.integers(0, self.num_cues, size=self.n_agents).tolist()), 0
 
     def _observe(self, state):
         cues, t = state
-        t_onehot = np.zeros(2)
-        t_onehot[t] = 1.0
+        onehot = np.zeros(self.state_dim)   # the global state: each agent's cue, then t
+        for i, c in enumerate(cues):
+            onehot[i * self.num_cues + c] = 1.0
+        onehot[-2 + t] = 1.0
+        cue_rows = onehot[:-2] if self.cheat_obs else onehot[:-2].reshape(self.n_agents, -1)
         obs = np.zeros((self.n_agents, self.obs_dim))
-        for i in range(self.n_agents):
-            if self.cheat_obs:
-                obs[i, : self.n_agents * self.num_cues] = self._cue_block(cues)
-            else:
-                obs[i, cues[i]] = 1.0
-            obs[i, -2:] = t_onehot
-        return obs, np.concatenate([self._cue_block(cues), t_onehot])
+        obs[:, :-2], obs[:, -2:] = cue_rows, onehot[-2:]
+        return obs, onehot
 
     def is_success(self, episode_return: float) -> bool:
         return episode_return >= 1.0 - 1e-9
@@ -252,8 +244,7 @@ class TwoStepCoop(Env):
         return 0
 
     def _observe(self, state):
-        onehot = np.zeros(3)
-        onehot[state] = 1.0
+        onehot = np.eye(3)[state]
         return np.repeat(onehot[None, :], 2, axis=0), onehot
 
     def is_success(self, episode_return: float) -> bool:

@@ -1,11 +1,13 @@
 """Episodic double Q-learning over whole-episode replay.
 
-Episodes are stored whole and replayed in padded batches; hidden states are
-re-unrolled from zero for both the online and the frozen target networks.
-Targets pick the next action with the online network and evaluate it with
-the target network.  After one shared global-norm clip two optimizers step
-side by side, both built by the Learner from the team's modules: RMSProp on
-the agent network and the mixer, Adam on the communication stack.
+Episodes are stored whole and replayed in padded batches, which hold only
+arrays: the batch size, t_max, n_agents and n_actions are their shapes.
+Hidden states are re-unrolled from zero for both the online and the frozen
+target networks.  Targets pick the next action with the online network and
+evaluate it with the target network.  After one shared global-norm clip two
+optimizers step side by side, both built by the Learner from the team's
+modules: RMSProp on the agent network and the mixer, Adam on the
+communication stack.
 
 A train step unrolls only the steps its loss reads.  Let k be one past the
 last transition t at which some row has mask * (1 - terminated) > 0 (k = 0
@@ -81,7 +83,6 @@ class ReplayBuffer:
     """Fixed-capacity episode store with strict oldest-first eviction."""
 
     def __init__(self, capacity: int = 5000):
-        self.capacity = capacity
         self._store: deque[EpisodeRecord] = deque(maxlen=capacity)
 
     def add(self, episode: EpisodeRecord):
@@ -149,6 +150,7 @@ def epsilon(env_step: int, config: TrainConfig) -> float:
 def pad_batch(episodes: list[EpisodeRecord]) -> dict:
     """Stack episodes into fixed arrays padded to the longest episode.
 
+    The batch holds only its seven arrays; sizes are read from their shapes.
     Padded steps carry a zero validity mask and all-available action masks
     (so argmax stays well defined; they never reach the loss).
     """
@@ -180,9 +182,7 @@ def pad_batch(episodes: list[EpisodeRecord]) -> dict:
             terminated[b, t - 1] = 1.0
 
     return {"obs": obs, "states": states, "avail": avail, "actions": actions,
-            "rewards": rewards, "mask": mask, "terminated": terminated,
-            "batch_size": bsz, "t_max": t_max, "n_agents": n,
-            "n_actions": n_actions}
+            "rewards": rewards, "mask": mask, "terminated": terminated}
 
 
 def unroll_team(team: TeamModel, batch: dict,
@@ -196,7 +196,8 @@ def unroll_team(team: TeamModel, batch: dict,
     recurrent carry (no communication, no Q head) and steps from steps.stop
     on do not run.
     """
-    bsz, t_max, n = batch["batch_size"], batch["t_max"], batch["n_agents"]
+    bsz, t_max, n = batch["actions"].shape
+    n_actions = batch["avail"].shape[-1]
     if steps is None:
         steps = range(t_max + 1)
     h = team.initial_hidden(bsz * n)
@@ -205,11 +206,11 @@ def unroll_team(team: TeamModel, batch: dict,
     for t in range(steps.stop if steps else 0):
         flat_obs = batch["obs"][:, t].reshape(bsz * n, -1)
         last = batch["actions"][:, t - 1].reshape(-1) if t > 0 else None
-        inputs = build_inputs(flat_obs, last, batch["n_actions"], n)
+        inputs = build_inputs(flat_obs, last, n_actions, n)
         if t < steps.start:
             h = team.agent.encode(Tensor(inputs.astype(dtype, copy=False)), h)
             continue
-        q, h = team.step(inputs, h, sets=bsz, ctx=ctx)
+        q, h = team.step(inputs, h, ctx=ctx)
         out.append(q)
     return out
 
@@ -220,10 +221,10 @@ def taken_joint_values(team: TeamModel, online_q: list[Tensor], batch: dict) -> 
     online_q holds the local Q values of steps 0..t_max-1 (and possibly more);
     the columns cover t = 0..t_max-1.
     """
-    bsz, n = batch["batch_size"], batch["n_agents"]
+    bsz, t_max, n = batch["actions"].shape
     states = batch["states"].astype(team.dtype, copy=False)
     q_taken = []
-    for t in range(batch["t_max"]):
+    for t in range(t_max):
         picked = T.gather_cols(online_q[t], batch["actions"][:, t].reshape(-1))
         q_taken.append(team.mixer(T.reshape(picked, bsz, n), Tensor(states[:, t])))
     return T.concat_cols(q_taken)
@@ -231,7 +232,7 @@ def taken_joint_values(team: TeamModel, online_q: list[Tensor], batch: dict) -> 
 
 def stack_values(q_values: list[Tensor], batch: dict) -> np.ndarray:
     """Per-step local Q tensors as one (batch, steps, n, n_actions) array."""
-    bsz, n = batch["batch_size"], batch["n_agents"]
+    bsz, _, n = batch["actions"].shape
     return np.stack([q.data.reshape(bsz, n, -1) for q in q_values], axis=1)
 
 
@@ -300,7 +301,7 @@ class Learner:
             return None
         episodes = buffer.sample(cfg.batch_size, stream(self.seed, "sample", self.train_steps))
         batch = pad_batch(episodes)
-        t_max = batch["t_max"]
+        t_max = batch["actions"].shape[1]
 
         # transitions from k on never bootstrap (see the module docstring)
         bootstraps = (batch["mask"] * (1.0 - batch["terminated"]) > 0).any(axis=0)

@@ -74,7 +74,7 @@ class QmixMixer(Module):
             raise ShapeError(f"expected state width {self.state_dim}, got {state.shape}")
         w1, w2 = (self._positivity(w) for w in self.hyper_weights(state))
         b1 = self.b1(state)
-        hidden = T.elu(T.add(T.block_row_matmul(q_locals, w1, self.n_agents, EMBED_DIM), b1))
+        hidden = T.elu(T.add(T.block_row_matmul(q_locals, w1), b1))
         v = self.v_out(T.elu(self.v_hidden(state)))
         return T.add(T.tsum(T.mul(hidden, w2), axis=1), v)
 

@@ -94,10 +94,6 @@ class TrafficStats:
     floats_transferred: int
     rounds: int
 
-    def __post_init__(self):
-        if min(self.messages, self.floats_transferred, self.rounds) < 0:
-            raise ConfigError("traffic counters must be nonnegative")
-
 
 def centralized_traffic(n: int, width: int) -> TrafficStats:
     """Per-step traffic of the aggregation node: up n states, back n increments."""
@@ -115,8 +111,6 @@ def centralized_round(comm: CommStack, hidden: np.ndarray) -> tuple[np.ndarray, 
     """Aggregation-node deployment of one communication step."""
     hidden = np.asarray(hidden, dtype=comm.dtype)
     n, width = hidden.shape
-    if width != comm.model_dim:
-        raise ShapeError(f"hidden width {width} != model dim {comm.model_dim}")
     with no_grad():
         z = comm(Tensor(hidden)).data.copy()
     return z, centralized_traffic(n, width)
@@ -129,8 +123,6 @@ def distributed_round(comm: CommStack, hidden: np.ndarray,
     n, width = hidden.shape
     if topology.n != n:
         raise ShapeError(f"topology is for {topology.n} agents, hidden has {n} rows")
-    if width != comm.model_dim:
-        raise ShapeError(f"hidden width {width} != model dim {comm.model_dim}")
     with no_grad():
         z = comm(Tensor(hidden), mask=topology.reachable).data.copy()
     return z, distributed_traffic(topology, comm.settings.num_layers, width)

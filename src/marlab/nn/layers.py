@@ -216,11 +216,9 @@ class MultiHeadSelfAttention(Module):
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, name: str):
         super().__init__()
-        if dim % heads != 0:
-            raise ConfigError(f"model dim {dim} not divisible by {heads} heads")
-        self.dim = dim
+        if dim < 1 or dim % heads != 0:
+            raise ConfigError(f"model dim {dim} is not a positive multiple of {heads} heads")
         self.heads = heads
-        self.head_dim = dim // heads
         self.q_proj = self._register(Dense(dim, dim, rng, f"{name}.q"))
         self.k_proj = self._register(Dense(dim, dim, rng, f"{name}.k"))
         self.v_proj = self._register(Dense(dim, dim, rng, f"{name}.v"))
@@ -228,8 +226,6 @@ class MultiHeadSelfAttention(Module):
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None,
                 sets: int = 1, return_weights: bool = False):
-        if x.cols != self.dim:
-            raise ShapeError(f"attention expects width {self.dim}, got {x.shape}")
         q = self.q_proj(x)
         k = self.k_proj(x)
         v = self.v_proj(x)

@@ -548,20 +548,20 @@ def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def block_row_matmul(q: Tensor, w: Tensor, n: int, k: int) -> Tensor:
+def block_row_matmul(q: Tensor, w: Tensor) -> Tensor:
     """Per-row matrix product: out[b] = q[b] @ w[b].reshape(n, k).
 
     q is (B, n); w is (B, n*k) holding a per-row mixing matrix.  Used by the
     state-conditioned mixer, where every sample gets its own weights.
     """
-    bsz = q.rows
-    if q.cols != n or w.shape != (bsz, n * k):
-        raise ShapeError(f"block_row_matmul: got q {q.shape}, w {w.shape}, n={n}, k={k}")
-    w3 = w.data.reshape(bsz, n, k)
+    bsz, n = q.shape
+    if not n or w.rows != bsz or w.cols % n:
+        raise ShapeError(f"block_row_matmul: got q {q.shape}, w {w.shape}")
+    w3 = w.data.reshape(bsz, n, -1)
     data = (q.data[:, None, :] @ w3)[:, 0, :]
 
     def backward(g):
         _accum(q, (w3 @ g[:, :, None])[:, :, 0])
-        _accum(w, np.einsum("bi,bk->bik", q.data, g).reshape(bsz, n * k))
+        _accum(w, np.einsum("bi,bk->bik", q.data, g).reshape(w.shape))
 
     return _result(data, (q, w), backward)

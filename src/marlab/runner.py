@@ -3,9 +3,10 @@
 Episodes are collected greedily-with-noise (epsilon-greedy blended with
 top-k Boltzmann when configured), stored whole, and trained on once per
 collected episode.  Every test_interval environment steps the greedy policy
-is measured on fresh test episodes and one CSV row is emitted.  All
-randomness is drawn from streams keyed by (seed, purpose, counter), so a
-run is a pure function of its seed and resumes bit-exactly from a snapshot.
+is measured on fresh test episodes and one CSV row is emitted; the rows
+count the test points, so the next one is due at len(rows) * test_interval.
+All randomness is drawn from streams keyed by (seed, purpose, counter), so
+a run is a pure function of its seed and resumes bit-exactly from a snapshot.
 
 Training runs in float32: the online and target teams, and so the
 optimizer state, are float32, and acting computes in float32 too.  The
@@ -16,9 +17,11 @@ float64-trained snapshot, which float32 cannot hold, is refused on load.
 A snapshot, a seed directory's state/, holds the run config, the online and
 target parameters, the optimizer state, the replay buffer, and the counters
 and CSV rows so far; both optimizers step once per train step, so their step
-counts are the stored train_steps.  It is written as a unit: a process that
-dies while saving leaves the previous snapshot whole.  Files are not synced
-to disk, so a crash of the machine itself is not covered.
+counts are the stored train_steps.  Every run snapshots at each test point,
+so resuming after a crash continues from the last one.  A snapshot is
+written as a unit: a process that dies while saving leaves the previous
+snapshot whole, and a damaged one is a CheckpointError naming the file.
+Files are not synced to disk, so a crash of the machine is not covered.
 """
 
 from __future__ import annotations
@@ -27,16 +30,17 @@ import csv
 import json
 import math
 import shutil
+import zipfile
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .agents import TeamModel, build_inputs, make_team
-from .config import (RunConfig, differing_keys, read_json, run_config_from_dict,
-                     run_config_to_dict, save_run_config)
+from .config import (RunConfig, differing_keys, read_json, run_config_to_dict,
+                     save_run_config)
 from .envs import Env, make_env
-from .errors import ConfigError, ContractError
+from .errors import CheckpointError, ConfigError, ContractError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
 from .learner import EpisodeRecord, Learner, ReplayBuffer, epsilon, pad_batch
 from .nn import no_grad, save_checkpoint, load_checkpoint, load_records, write_records
@@ -127,7 +131,6 @@ class SeedRun:
         self.buffer = ReplayBuffer(config.train.buffer_capacity)
         self.env_step = 0
         self.episode_idx = 0
-        self.next_test = 0
         self.last_loss = math.nan
         self.rows: list[dict] = []
 
@@ -135,11 +138,15 @@ class SeedRun:
     def team(self) -> TeamModel:
         return self.learner.team
 
+    @property
+    def next_test(self) -> int:
+        """The env step at which the next test point is due."""
+        return len(self.rows) * self.config.train.test_interval
+
     def _test_point(self):
-        test_idx = self.next_test // self.config.train.test_interval
         mean_return, success, _ = evaluate(
             self.env, self.team, self.config.train.test_episodes,
-            self.seed, test_idx)
+            self.seed, len(self.rows))
         self.rows.append({
             "seed": self.seed,
             "env_step": self.env_step,
@@ -152,8 +159,7 @@ class SeedRun:
     def _due_test_points(self, snapshot_interval: Optional[int]):
         while self.env_step >= self.next_test:
             self._test_point()
-            self.next_test += self.config.train.test_interval
-            if snapshot_interval and (self.next_test // self.config.train.test_interval) % snapshot_interval == 0:
+            if snapshot_interval and len(self.rows) % snapshot_interval == 0:
                 self.save_state()
 
     def run(self, snapshot_interval: Optional[int] = None) -> list[dict]:
@@ -187,7 +193,6 @@ class SeedRun:
         (new / "progress.json").write_text(json.dumps({
             "env_step": self.env_step,
             "episode_idx": self.episode_idx,
-            "next_test": self.next_test,
             "train_steps": self.learner.train_steps,
             "last_loss": None if math.isnan(self.last_loss) else self.last_loss,
             "rows": self.rows,
@@ -201,19 +206,25 @@ class SeedRun:
         state_dir = _settled_state_dir(self.out_dir)
         if (state_dir / "config.json").exists():   # absent in older snapshots
             _refuse_changed_config(state_dir, state_dir / "config.json", self.config)
-        progress = json.loads((state_dir / "progress.json").read_text())
+        path = state_dir / "progress.json"
+        try:
+            progress = read_json(path)
+        except ConfigError as exc:
+            raise CheckpointError(str(exc)) from exc
         load_checkpoint(state_dir / "params.bin", self.team.parameters())
         load_checkpoint(state_dir / "target.bin", self.learner.target.parameters())
         load_records(state_dir / "optimizer.bin", self._optimizer_arrays().items())
         self._load_buffer(state_dir / "buffer.npz")
-        self.env_step = progress["env_step"]
-        self.episode_idx = progress["episode_idx"]
-        self.next_test = progress["next_test"]
-        self.learner.train_steps = progress["train_steps"]
+        try:   # older snapshots also hold a next_test, which the rows now give
+            self.env_step = progress["env_step"]
+            self.episode_idx = progress["episode_idx"]
+            self.learner.train_steps = progress["train_steps"]
+            last_loss, self.rows = progress["last_loss"], progress["rows"]
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: missing {exc}") from exc
         for opt in self.learner.optimizers:   # each steps once per train step
             opt.step_count = self.learner.train_steps
-        self.last_loss = progress["last_loss"] if progress["last_loss"] is not None else math.nan
-        self.rows = progress["rows"]
+        self.last_loss = last_loss if last_loss is not None else math.nan
 
     def _optimizer_arrays(self) -> dict:
         return {name: arr for opt in self.learner.optimizers
@@ -231,9 +242,11 @@ class SeedRun:
                  **{key: batch[key] for key in BUFFER_ARRAYS})
 
     def _load_buffer(self, path):
-        # one lookup per key: each NpzFile lookup reads the whole array again
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
+        try:   # one lookup per key: each NpzFile lookup reads the whole array again
+            with np.load(path) as data:
+                arrays = {key: data[key] for key in data.files}
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
         self.buffer = ReplayBuffer(self.config.train.buffer_capacity)
         for i in range(int(arrays["count"])):
             t = int(arrays["lengths"][i])
@@ -252,25 +265,18 @@ def write_rows_csv(rows: list[dict], path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for row in rows:
-            writer.writerow([_format(row[k]) for k in CSV_FIELDS])
+        writer.writerows([row[k] for k in CSV_FIELDS] for row in rows)
 
 
-def _format(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
-def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False,
-                   snapshot_interval: Optional[int] = None) -> list[dict]:
-    """Full training for one seed; writes metrics.csv and a final checkpoint."""
+def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False) -> list[dict]:
+    """Full training for one seed, snapshotting state/ at every test point;
+    writes metrics.csv, a final checkpoint and a final snapshot."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run = SeedRun(config, seed, out_dir)
     if resume and (_settled_state_dir(out_dir) / "progress.json").exists():
         run.load_state()
-    rows = run.run(snapshot_interval=snapshot_interval)
+    rows = run.run(snapshot_interval=1)
     write_rows_csv(rows, out_dir / "metrics.csv")
     save_checkpoint(run.team.parameters(), out_dir / "checkpoint.bin",
                     extra={"seed": seed, "env_step": run.env_step})
@@ -298,8 +304,7 @@ def _refuse_changed_config(out_dir: Path, stored_path: Path, config: RunConfig):
 
 
 def _seed_worker(args):
-    config_dict, seed, out_dir, resume = args
-    config = run_config_from_dict(config_dict)
+    config, seed, out_dir, resume = args
     return seed, train_one_seed(config, seed, out_dir, resume=resume)
 
 
@@ -316,8 +321,7 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
         _refuse_changed_config(out_dir, stored_path, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_run_config(config, stored_path)
-    jobs = [(run_config_to_dict(config), seed, out_dir / f"seed_{seed}", resume)
-            for seed in config.seeds]
+    jobs = [(config, seed, out_dir / f"seed_{seed}", resume) for seed in config.seeds]
     results: dict[int, list[dict]] = {}
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp

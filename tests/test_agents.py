@@ -159,13 +159,15 @@ class TestTeamForward:
         gen = np.random.default_rng(9)
         x = random_inputs(gen, team, sets=2)
         h = gen.standard_normal((6, 8))
-        q_all, _ = team.step(x, Tensor(h), sets=2)
-        q_one, _ = team.step(x[:3], Tensor(h[:3]), sets=1)
-        q_two, _ = team.step(x[3:], Tensor(h[3:]), sets=1)
+        q_all, _ = team.step(x, Tensor(h))
+        q_one, _ = team.step(x[:3], Tensor(h[:3]))
+        q_two, _ = team.step(x[3:], Tensor(h[3:]))
         assert np.allclose(q_all.data[:3], q_one.data, atol=1e-12)
         assert np.allclose(q_all.data[3:], q_two.data, atol=1e-12)
 
     def test_wrong_row_count_raises(self):
         team = small_team()
         with pytest.raises(ShapeError):
-            team.step(np.zeros((4, team.agent.in_dim)), Tensor(np.zeros((4, 8))), sets=1)
+            team.step(np.zeros((4, team.agent.in_dim)), Tensor(np.zeros((4, 8))))
+        with pytest.raises(ShapeError, match="0 rows"):
+            team.step(np.zeros((0, team.agent.in_dim)), Tensor(np.zeros((0, 8))))

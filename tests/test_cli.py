@@ -135,6 +135,49 @@ class TestTrainCommand:
         assert_one_line_error(capsys, "seeds: expected an integer >= 0, got -3")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides, flags", [({"seeds": [1, 1]}, []),
+                                                  ({}, ["--seed", "1", "1"])])
+    def test_repeated_seed_rejected_before_any_output(self, tmp_path, capsys, overrides, flags):
+        # trained seed 1 twice and wrote each of its rows twice into metrics.csv
+        cfg = write_toy_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg), *flags]) == 2
+        assert_one_line_error(capsys, "seeds repeat", "[1, 1]")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name", ["progress.json", "buffer.npz"])
+    @pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99])
+    def test_resume_from_a_truncated_snapshot_is_a_one_line_error(self, tmp_path, capsys,
+                                                                   name, keep):
+        # JSONDecodeError and zipfile.BadZipFile tracebacks
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "run" / "seed_1" / "state" / name
+        blob = path.read_bytes()
+        path.write_bytes(blob[: int(keep * len(blob))])
+        run = tmp_path / "run"
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(cfg), "--resume"]) == 2
+        assert_one_line_error(capsys, str(path))
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("key", ["env_step", "rows"])
+    def test_resume_from_progress_without_a_counter_is_a_one_line_error(self, tmp_path,
+                                                                        capsys, key):
+        # a KeyError traceback
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "run" / "seed_1" / "state" / "progress.json"
+        progress = json.loads(path.read_text())
+        del progress[key]
+        path.write_text(json.dumps(progress))
+        run = tmp_path / "run"
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(cfg), "--resume"]) == 2
+        assert_one_line_error(capsys, str(path), repr(key))
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
     def test_resume_may_extend_total_steps(self, tmp_path):
         cfg = write_toy_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
@@ -399,6 +442,21 @@ class TestSweepCommand:
             assert (comm.num_layers, comm.dropout) == (layers, dropout)
         csv_header = (tmp_path / "grid" / "summary.csv").read_text().splitlines()[0]
         assert csv_header == "dropout,num_layers,auc,final_return,final_success"
+
+    @pytest.mark.parametrize("grid, shown", [
+        ({"num_layers": [1, 1]}, "grid.num_layers repeats a value: [1, 1]"),
+        ({"dropout": [0.1, 0, 0.0]}, "grid.dropout repeats a value: [0.1, 0, 0.0]"),
+    ])
+    def test_repeated_grid_value_rejected_before_any_cell_trains(self, tmp_path, capsys,
+                                                                 grid, shown):
+        # trained the same cell twice into one directory and listed it twice
+        base = json.loads(write_toy_config(tmp_path).read_text())
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": base, "grid": grid}))
+        out = tmp_path / "sweepout"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, shown)
+        assert not out.exists() and not (tmp_path / "run").exists()
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"

@@ -49,6 +49,10 @@ class TestInit:
         with pytest.raises(ConfigError, match="heads"):
             CommStack(CommSettings(heads=3), model_dim=8, seed=0)
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ConfigError, match="heads"):
+            CommStack(CommSettings(heads=3), model_dim=0, seed=0)
+
     def test_all_params_in_comm_group(self):
         # the learner's comm optimizer trains exactly the stack's parameters,
         # and a team without a stack has no comm optimizer

@@ -26,7 +26,7 @@ from marlab.config import (
     save_run_config,
 )
 from marlab.errors import CheckpointError, ConfigError, MarlabError
-from marlab.learner import EpisodeRecord, TrainConfig
+from marlab.learner import EpisodeRecord, Learner, TrainConfig
 from marlab.runner import BUFFER_ARRAYS, SeedRun, train_all_seeds, train_one_seed
 
 EARLIER_STATE = Path(__file__).parent / "data" / "earlier_state"
@@ -241,7 +241,7 @@ def run_configs(draw):
         exploration=st.builds(ExplorationConfig, k=st.integers(1, 10),
                               temperature=st.floats(0, 100)),
         train=st.just(train),
-        seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=5).map(tuple),
+        seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=5, unique=True).map(tuple),
         total_env_steps=st.integers(1, 10**9),
         out_dir=st.text(max_size=20),
     ))
@@ -418,6 +418,20 @@ class TestSnapshot:
                 assert a.dtype == b.dtype and a.shape == b.shape, key
                 assert np.array_equal(a, b), key
 
+    def test_next_test_point_comes_from_the_rows(self, tmp_path):
+        run = SeedRun(toy_config(), seed=5, out_dir=tmp_path)
+        run.run()   # test points at 0, 40 and 80
+        assert len(run.rows) == 3 and run.next_test == 120
+        run.save_state()
+        path = tmp_path / "state" / "progress.json"
+        progress = json.loads(path.read_text())
+        assert "next_test" not in progress
+        progress["next_test"] = 7   # older snapshots stored the counter; it is ignored
+        path.write_text(json.dumps(progress))
+        loaded = SeedRun(toy_config(), seed=5, out_dir=tmp_path)
+        loaded.load_state()
+        assert len(loaded.rows) == 3 and loaded.next_test == 120
+
     def test_optimizer_step_counts_are_the_train_steps(self, tmp_path):
         run = SeedRun(toy_config(), seed=5, out_dir=tmp_path / "fresh")
         run.run()
@@ -481,7 +495,7 @@ def crash_in_snapshot(monkeypatch, cfg, out_dir, at: int, env_step: int) -> bool
             patch.setattr(owner, name, failing(getattr(owner, name)))
         patch.setattr(SeedRun, "save_state", saving)
         try:
-            train_one_seed(cfg, seed=5, out_dir=out_dir, snapshot_interval=1)
+            train_one_seed(cfg, seed=5, out_dir=out_dir)
         except _Crash:
             return True
     return False
@@ -493,16 +507,49 @@ def tree_bytes(root: Path) -> dict:
 
 def test_a_crash_at_any_write_of_a_snapshot_resumes_exactly_or_refuses(tmp_path, monkeypatch):
     cfg = toy_config(total_env_steps=80)
-    train_one_seed(cfg, seed=5, out_dir=tmp_path / "full", snapshot_interval=1)
+    train_one_seed(cfg, seed=5, out_dir=tmp_path / "full")
     full = tree_bytes(tmp_path / "full")
     at = 1
     while crash_in_snapshot(monkeypatch, cfg, tmp_path / str(at), at, env_step=40):
         try:
-            train_one_seed(cfg, seed=5, out_dir=tmp_path / str(at), resume=True,
-                           snapshot_interval=1)
+            train_one_seed(cfg, seed=5, out_dir=tmp_path / str(at), resume=True)
         except MarlabError as exc:
             assert len(str(exc).splitlines()) == 1
         else:
             assert tree_bytes(tmp_path / str(at)) == full, f"crash at write {at}"
         at += 1
     assert at > 10   # every file of the snapshot, the renames and the clean-up
+
+
+def test_a_run_that_crashes_resumes_from_its_last_test_point(tmp_path, monkeypatch):
+    cfg = toy_config(seeds=(5,), total_env_steps=120)   # test points at 0, 40, 80, 120
+    train_all_seeds(cfg, tmp_path / "full")
+    full = tree_bytes(tmp_path / "full")
+    tests, steps, crash_after = [0], [0], [2]
+    test_point, train_step = SeedRun._test_point, Learner.train_step
+
+    def counted_test_point(run):
+        test_point(run)
+        tests[0] += 1
+
+    def crashing_train_step(learner, buffer):
+        if tests[0] == crash_after[0]:
+            raise _Crash
+        steps[0] += 1
+        return train_step(learner, buffer)
+
+    monkeypatch.setattr(SeedRun, "_test_point", counted_test_point)
+    monkeypatch.setattr(Learner, "train_step", crashing_train_step)
+    with pytest.raises(_Crash):   # at the first train step after the second test point
+        train_all_seeds(cfg, tmp_path / "run")
+    # a train_one_seed run used to write state/ only after its last step
+    progress = json.loads((tmp_path / "run" / "seed_5" / "state" / "progress.json").read_text())
+    assert progress["env_step"] == 40 and len(progress["rows"]) == 2
+
+    crash_after[0] = None
+    steps[0] = 0
+    train_all_seeds(cfg, tmp_path / "run", resume=True)
+    resumed, steps[0] = steps[0], 0
+    train_all_seeds(cfg, tmp_path / "fresh")
+    assert 0 < resumed < steps[0]
+    assert tree_bytes(tmp_path / "run") == full

@@ -139,6 +139,13 @@ class TestAttention:
     def test_dim_not_divisible_by_heads_raises(self):
         with pytest.raises(ConfigError):
             MultiHeadSelfAttention(10, 4, rng(), "attn")
+        with pytest.raises(ConfigError, match="heads"):
+            MultiHeadSelfAttention(0, 2, rng(), "attn")
+
+    def test_wrong_input_width_raises_in_the_q_projection(self):
+        attn = MultiHeadSelfAttention(8, 2, rng(), "attn")
+        with pytest.raises(ShapeError, match="8 input columns"):
+            attn(Tensor(np.zeros((2, 6))))
 
     def test_gradients_match_finite_differences(self):
         attn = MultiHeadSelfAttention(8, 2, rng(19), "attn")

@@ -119,7 +119,7 @@ class TestPadBatch:
         short = make_episode(gen, length=1)
         long = make_episode(gen, length=3)
         batch = pad_batch([short, long])
-        assert batch["t_max"] == 3
+        assert batch["actions"].shape[1] == 3
         assert np.array_equal(batch["mask"], [[1, 0, 0], [1, 1, 1]])
         assert batch["terminated"][0, 0] == 1.0
         assert batch["terminated"][1, 2] == 1.0
@@ -276,7 +276,7 @@ def test_unroll_matches_manual_stepping():
     episodes = [make_episode(gen) for _ in range(2)]
     batch = pad_batch(episodes)
     qs = unroll_team(team, batch)
-    assert len(qs) == batch["t_max"] + 1
+    assert len(qs) == batch["actions"].shape[1] + 1
     assert qs[0].shape == (2 * 2, 2)
 
     # replay episode 0 by hand with sets=1 and compare step 0
@@ -306,7 +306,7 @@ def reference_train_step(learner, buffer):
     cfg = learner.config
     episodes = buffer.sample(cfg.batch_size, stream(learner.seed, "sample", learner.train_steps))
     batch = pad_batch(episodes)
-    bsz, t_max, n = batch["batch_size"], batch["t_max"], batch["n_agents"]
+    bsz, t_max, n = batch["actions"].shape
     online_q = unroll_team(learner.team, batch,
                            ctx=TrainContext(learner.seed, learner.train_steps))
     with no_grad():

@@ -165,3 +165,10 @@ class TestModeEquivalence:
         stack = warmed_stack()
         with pytest.raises(ShapeError):
             distributed_round(stack, np.zeros((3, 8)), Topology.full(4))
+
+    def test_hidden_width_mismatch_raises_in_both_rounds(self):
+        stack = warmed_stack(dim=8)
+        with pytest.raises(ShapeError, match="width 8"):
+            centralized_round(stack, np.zeros((3, 6)))
+        with pytest.raises(ShapeError, match="width 8"):
+            distributed_round(stack, np.zeros((3, 6)), Topology.full(3))

@@ -162,10 +162,20 @@ def test_block_row_matmul_matches_loop():
     rng = np.random.default_rng(8)
     q = param(rng, 5, 3, "q")
     w = param(rng, 5, 12, "w")
-    out = T.block_row_matmul(q, w, n=3, k=4)
+    out = T.block_row_matmul(q, w)
     expect = np.stack([q.data[b] @ w.data[b].reshape(3, 4) for b in range(5)])
     assert np.allclose(out.data, expect)
-    check_op(lambda: T.tsum(T.square(T.block_row_matmul(q, w, 3, 4))), [q, w])
+    check_op(lambda: T.tsum(T.square(T.block_row_matmul(q, w))), [q, w])
+
+
+@pytest.mark.parametrize("q_shape, w_shape", [
+    ((5, 3), (5, 10)),   # 10 columns are no whole number of 3-row matrices
+    ((5, 3), (4, 12)),   # one weight row short
+    ((5, 0), (5, 0)),    # no agents
+])
+def test_block_row_matmul_rejects_operands_that_do_not_fit(q_shape, w_shape):
+    with pytest.raises(ShapeError, match="block_row_matmul"):
+        T.block_row_matmul(Tensor(np.zeros(q_shape)), Tensor(np.zeros(w_shape)))
 
 
 def test_dropout_statistics_and_scaling():
@@ -205,8 +215,7 @@ OP_CALLS = {
     "set_attention": lambda leaf, r, c: T.set_attention(
         leaf(2 * r, 2 * c), leaf(2 * r, 2 * c), leaf(2 * r, 2 * c), heads=2, sets=2),
     "reshape": lambda leaf, r, c: T.reshape(leaf(r, c), c, r),
-    "block_row_matmul": lambda leaf, r, c: T.block_row_matmul(leaf(r, c), leaf(r, 2 * c),
-                                                              n=c, k=2),
+    "block_row_matmul": lambda leaf, r, c: T.block_row_matmul(leaf(r, c), leaf(r, 2 * c)),
 }
 MAX_LEAVES = 11  # gru_cell's
 
