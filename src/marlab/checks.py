@@ -40,11 +40,10 @@ from .nn import (
     no_grad,
 )
 from .nn import tensor as T
-from .nn.gradcheck import max_gradient_error
+from .nn.gradcheck import FD_STEP, max_gradient_error
 from .rng import stream
 
 FAULTS = ("none", "qmix-signed", "comm-hot-init")
-FD_STEP = 1e-5   # finite-difference step, max_gradient_error's default
 
 
 class _SignedQmix(QmixMixer):
@@ -121,8 +120,7 @@ def check_gradient_qmix(seed: int, fault: str) -> tuple[bool, str]:
                          for w in mixer.hyper_weights(Tensor(state)))
     s = Parameter(state, name="s")
     err = max_gradient_error(lambda: T.tsum(mixer(q, s)),
-                             mixer.parameters() + [q, s], step=FD_STEP,
-                             samples_per_param=25, rng=gen)
+                             mixer.parameters() + [q, s], samples_per_param=25, rng=gen)
     return err <= 1e-3, f"worst rel err {err:.2e}, state redraws {redraws}"
 
 

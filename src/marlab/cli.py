@@ -23,6 +23,7 @@ from .config import (check_seed, load_run_config, patch_run_config, read_json,
                      run_config_from_dict)
 from .envs import make_env
 from .errors import ConfigError, MarlabError
+from .mixers import MIXERS
 from .netsim import Topology, centralized_traffic, distributed_traffic
 from .nn import load_checkpoint
 from .runner import build_team_for_env, evaluate, train_all_seeds
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the config's seed list")
     p_train.add_argument("--out", default=None, help="override output directory")
     p_train.add_argument("--total-steps", type=int, default=None)
-    p_train.add_argument("--mixer", choices=["vdn", "qmix"], default=None)
+    p_train.add_argument("--mixer", choices=MIXERS, default=None)
     p_train.add_argument("--comm", choices=["mactas", "none"], default=None,
                          help="enable or disable the communication stack")
     p_train.add_argument("--no-residual", action="store_true",

@@ -24,6 +24,7 @@ from .envs import env_class
 from .errors import ConfigError
 from .exploration import ExplorationConfig
 from .learner import TrainConfig
+from .mixers import MIXERS
 
 
 # JSON types a field or env parameter accepts, by its annotated type
@@ -80,8 +81,8 @@ class RunConfig:
     out_dir: str = "runs/run"
 
     def __post_init__(self):
-        if self.mixer not in ("vdn", "qmix"):
-            raise ConfigError(f"mixer must be 'vdn' or 'qmix', got {self.mixer!r}")
+        if self.mixer not in MIXERS:
+            raise ConfigError(f"mixer must be one of {MIXERS}, got {self.mixer!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         for seed in self.seeds:

@@ -37,6 +37,7 @@ float64 from the float32 target-network values and then cast.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -82,7 +83,7 @@ class EpisodeRecord:
 class ReplayBuffer:
     """Fixed-capacity episode store with strict oldest-first eviction."""
 
-    def __init__(self, capacity: int = 5000):
+    def __init__(self, capacity: int):
         self._store: deque[EpisodeRecord] = deque(maxlen=capacity)
 
     def add(self, episode: EpisodeRecord):
@@ -271,16 +272,16 @@ def td_loss(q_tot: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
 
 
 class Learner:
-    """Owns the optimizers, the target networks, and the training counter."""
+    """Owns the optimizers, the target networks, and the training counter.
+    The target networks are its own deep copy of the team, whose parameters
+    they copy again every target_update_interval train steps."""
 
-    def __init__(self, team: TeamModel, target_team: TeamModel,
-                 config: TrainConfig, seed: int):
+    def __init__(self, team: TeamModel, config: TrainConfig, seed: int):
         self.team = team
-        self.target = target_team
+        self.target = copy.deepcopy(team)
         self.config = config
         self.seed = seed
         self.train_steps = 0
-        self.target.copy_from(team)
         self.opt_main = RMSProp(team.agent.parameters() + team.mixer.parameters(), lr=config.lr,
                                 decay=config.rmsprop_decay, eps=config.rmsprop_eps)
         self.opt_comm = (Adam(team.comm.parameters(), lr=config.comm_lr)

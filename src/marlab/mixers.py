@@ -15,6 +15,7 @@ from .nn import Dense, Module, Tensor, no_grad
 from .nn import tensor as T
 from .rng import stream
 
+MIXERS = ("vdn", "qmix")   # the kinds make_mixer builds
 EMBED_DIM = 32      # width of the QMIX mixing layer
 HYPER_HIDDEN = 64   # hidden width of its weight hypernetworks
 
@@ -84,7 +85,7 @@ def make_mixer(kind: str, n_agents: int, state_dim: int, seed: int):
         return VdnMixer(n_agents)
     if kind == "qmix":
         return QmixMixer(n_agents, state_dim, seed)
-    raise ConfigError(f"unknown mixer kind {kind!r}")
+    raise ConfigError(f"mixer must be one of {MIXERS}, got {kind!r}")
 
 
 def mix_values(mixer, q_locals: np.ndarray, states: np.ndarray) -> np.ndarray:

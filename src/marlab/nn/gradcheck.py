@@ -11,10 +11,11 @@ from .tensor import Parameter, Tensor, no_grad
 # Below this magnitude the comparison becomes absolute rather than relative,
 # since finite differences bottom out around 1e-9 in float64.
 REL_FLOOR = 1e-4
+FD_STEP = 1e-5   # the central-difference step
 
 
 def finite_difference_gradient(f: Callable[[], float], param: Parameter,
-                               step: float = 1e-5,
+                               step: float = FD_STEP,
                                entries: Optional[np.ndarray] = None) -> np.ndarray:
     """Estimate df/dparam entrywise with central differences.
 
@@ -42,7 +43,7 @@ def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 
 def max_gradient_error(loss_fn: Callable[[], Tensor], params: Sequence[Parameter],
-                       step: float = 1e-5, samples_per_param: Optional[int] = None,
+                       step: float = FD_STEP, samples_per_param: Optional[int] = None,
                        rng: Optional[np.random.Generator] = None) -> float:
     """Worst relative disagreement between backprop and finite differences.
 

@@ -194,8 +194,6 @@ class Dropout(Module):
 
     def __init__(self, rate: float, name: str):
         super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self.name = name
 
@@ -211,7 +209,9 @@ class MultiHeadSelfAttention(Module):
     An optional boolean mask (True = query row i may attend key j) forces
     exactly zero weight on disallowed pairs.  With sets > 1 the rows split
     into consecutive independent groups that never attend across groups;
-    the mask then applies within every group.
+    the mask then applies within every group.  return_weights also returns
+    the (sets, heads, n, n) weights, n rows per set: [s, h, i, j] is what
+    row i of set s puts on its row j in head h, and each [s, h, i] sums to 1.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, name: str):
@@ -233,13 +233,7 @@ class MultiHeadSelfAttention(Module):
         ctx = T.set_attention(q, k, v, self.heads, sets, mask=mask,
                               probs_out=probs_out)
         out = self.out_proj(ctx)
-        if return_weights:
-            # one (rows, rows-per-set) matrix per head, sets stacked row-wise
-            probs = probs_out[0]
-            per_head = [np.concatenate(list(probs[:, h]), axis=0)
-                        for h in range(self.heads)]
-            return out, per_head
-        return out
+        return (out, probs_out[0]) if return_weights else out
 
 
 class FeedForward(Module):

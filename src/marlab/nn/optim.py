@@ -53,7 +53,7 @@ class _OptimizerBase:
 class Adam(_OptimizerBase):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr: float = 0.0005):
+    def __init__(self, params, lr: float):
         super().__init__(params, lr)
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -81,7 +81,7 @@ class Adam(_OptimizerBase):
 
 
 class RMSProp(_OptimizerBase):
-    def __init__(self, params, lr: float = 0.0005, decay: float = 0.99, eps: float = 1e-5):
+    def __init__(self, params, lr: float, decay: float, eps: float):
         super().__init__(params, lr)
         self.decay = decay
         self.eps = eps

@@ -3,7 +3,8 @@
 A Tensor wraps a numpy matrix and remembers how it was produced; calling
 backward() on a scalar result accumulates exact gradients into every
 reachable tensor with requires_grad set.  Only the operations the Q-learning
-architecture needs are provided.  Shapes are always 2-D: vectors are rows.
+architecture needs are provided.  Operands are 2-D, a vector being a 1 x d
+row, and add, sub and mul take operands of equal shape.
 
 Every op follows one protocol: compute the result array `data`, define a
 closure `backward(g)` that `_accum`s the gradient of each parent from the
@@ -93,11 +94,7 @@ def _as_matrix(data) -> np.ndarray:
     arr = np.asarray(data)
     if arr.dtype != np.float32:
         arr = arr.astype(DTYPE, copy=False)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
+    if arr.ndim != 2:
         raise ShapeError(f"tensors are 2-D; got array of ndim {arr.ndim}")
     return arr
 
@@ -210,61 +207,46 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    if shape[0] == 1 and g.shape[0] != 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
-
-
-def _check_broadcast(a: Tensor, b: Tensor, op: str):
-    ra, ca = a.shape
-    rb, cb = b.shape
-    if (ra != rb and 1 not in (ra, rb)) or (ca != cb and 1 not in (ca, cb)):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+def _check_same_shape(a: Tensor, b: Tensor, op: str):
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def add(a: Tensor, b) -> Tensor:
     a, b = _const(a), _const(b)
-    _check_broadcast(a, b, "add")
+    _check_same_shape(a, b, "add")
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     return _result(data, (a, b), backward)
 
 
 def sub(a: Tensor, b) -> Tensor:
     a, b = _const(a), _const(b)
-    _check_broadcast(a, b, "sub")
+    _check_same_shape(a, b, "sub")
     data = a.data - b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
+        _accum(a, g)
         if b.requires_grad:   # such as the TD targets
-            _accum(b, _unbroadcast(-g, b.shape))
+            _accum(b, -g)
 
     return _result(data, (a, b), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
     a, b = _const(a), _const(b)
-    _check_broadcast(a, b, "mul")
+    _check_same_shape(a, b, "mul")
     data = a.data * b.data
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
+            _accum(a, g * b.data)
         if b.requires_grad:   # such as the TD mask
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+            _accum(b, g * a.data)
 
     return _result(data, (a, b), backward)
 
@@ -303,7 +285,8 @@ def relu(a: Tensor) -> Tensor:
 def elu(a: Tensor) -> Tensor:
     """ELU with alpha 1: x for x > 0, exp(x) - 1 otherwise."""
     pos = a.data > 0
-    data = np.where(pos, a.data, np.expm1(a.data))
+    with np.errstate(over="ignore"):   # expm1 of a large x > 0 is discarded
+        data = np.where(pos, a.data, np.expm1(a.data))
 
     def backward(g):
         _accum(a, g * np.where(pos, 1.0, data + 1.0))
@@ -454,8 +437,9 @@ def gru_cell(x: Tensor, h: Tensor,
     out = (1 - z) * c + z * h
     """
     xd, hd = x.data, h.data
-    z = 1.0 / (1.0 + np.exp(-(xd @ wxz.data.T + hd @ whz.data.T + bz.data)))
-    r = 1.0 / (1.0 + np.exp(-(xd @ wxr.data.T + hd @ whr.data.T + br.data)))
+    with np.errstate(over="ignore"):   # exp overflows to inf: the gate is exactly 0
+        z = 1.0 / (1.0 + np.exp(-(xd @ wxz.data.T + hd @ whz.data.T + bz.data)))
+        r = 1.0 / (1.0 + np.exp(-(xd @ wxr.data.T + hd @ whr.data.T + br.data)))
     u = hd @ whc.data.T
     c = np.tanh(xd @ wxc.data.T + r * u + bc.data)
     data = (1.0 - z) * c + z * hd

@@ -125,9 +125,7 @@ class SeedRun:
         self.seed = seed
         self.out_dir = Path(out_dir)
         self.env = make_env(config.env.name, config.env.params)
-        team = build_team_for_env(config, self.env, seed)
-        target = build_team_for_env(config, self.env, seed)
-        self.learner = Learner(team, target, config.train, seed)
+        self.learner = Learner(build_team_for_env(config, self.env, seed), config.train, seed)
         self.buffer = ReplayBuffer(config.train.buffer_capacity)
         self.env_step = 0
         self.episode_idx = 0

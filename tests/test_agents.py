@@ -93,7 +93,7 @@ class TestTeamModel:
                     + team.mixer.parameters())
         assert [p.name for p in team.parameters()] == [p.name for p in expected]
         # the learner splits them between its two optimizers in the same order
-        learner = Learner(team, small_team(mixer="qmix", comm=True), TrainConfig(), seed=0)
+        learner = Learner(team, TrainConfig(), seed=0)
         assert learner.opt_main.params == team.agent.parameters() + team.mixer.parameters()
         assert learner.opt_comm.params == team.comm.parameters()
 

@@ -58,10 +58,9 @@ class TestInit:
         # and a team without a stack has no comm optimizer
         def learner(enabled):
             settings = CommSettings(enabled=enabled, num_layers=2, ffn_dim=16, heads=2)
-            team, target = (make_team(obs_dim=3, n_actions=2, n_agents=3, state_dim=4,
-                                      hidden_dim=8, mixer_kind="qmix", comm=settings,
-                                      seed=seed) for seed in (1, 2))
-            return Learner(team, target, TrainConfig(), seed=0)
+            team = make_team(obs_dim=3, n_actions=2, n_agents=3, state_dim=4,
+                             hidden_dim=8, mixer_kind="qmix", comm=settings, seed=1)
+            return Learner(team, TrainConfig(), seed=0)
 
         with_stack = learner(True)
         comm = with_stack.team.comm.parameters()
@@ -107,7 +106,7 @@ class TestCommunicate:
         for i in range(3):
             h.grad = None
             z = stack(h)
-            row_i = np.zeros((3, 1))
+            row_i = np.zeros((3, 8))
             row_i[i] = 1.0
             T.tsum(T.mul(z, row_i)).backward()
             per_row = np.abs(h.grad).sum(axis=1)

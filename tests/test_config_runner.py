@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from marlab.config import (
 )
 from marlab.errors import CheckpointError, ConfigError, MarlabError
 from marlab.learner import EpisodeRecord, Learner, TrainConfig
+from marlab.mixers import MIXERS
 from marlab.runner import BUFFER_ARRAYS, SeedRun, train_all_seeds, train_one_seed
 
 EARLIER_STATE = Path(__file__).parent / "data" / "earlier_state"
@@ -234,7 +236,7 @@ def run_configs(draw):
     return draw(st.builds(
         RunConfig,
         env=env_specs,
-        mixer=st.sampled_from(["vdn", "qmix"]),
+        mixer=st.sampled_from(MIXERS),
         comm=st.builds(CommSettings, enabled=st.booleans(), num_layers=st.integers(1, 4),
                        ffn_dim=st.integers(1, 512), heads=st.just(heads),
                        dropout=st.floats(0, 1, exclude_max=True), residual=st.booleans()),
@@ -252,6 +254,31 @@ def run_configs(draw):
 def test_config_round_trips_through_json_and_empty_patch(cfg):
     assert run_config_from_dict(json.loads(json.dumps(run_config_to_dict(cfg)))) == cfg
     assert patch_run_config(cfg, {}) == cfg
+
+
+def small_budget(cfg: RunConfig) -> RunConfig:
+    """cfg with its run, batch and model sizes clamped; every other value kept."""
+    t, comm = cfg.train, cfg.comm
+    batch = min(t.batch_size, 3)
+    train = dataclasses.replace(
+        t, test_interval=min(t.test_interval, 6), test_episodes=min(t.test_episodes, 2),
+        batch_size=batch, buffer_capacity=max(batch, min(t.buffer_capacity, 3)),
+        hidden_dim=comm.heads * max(1, min(t.hidden_dim, 16) // comm.heads))
+    comm = dataclasses.replace(comm, num_layers=min(comm.num_layers, 2),
+                               ffn_dim=min(comm.ffn_dim, 8))
+    return dataclasses.replace(cfg, train=train, comm=comm,
+                               total_env_steps=min(cfg.total_env_steps, 12))
+
+
+# accepted configs such as lr=1.0 with grad_clip=0 genuinely diverge and overflow
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(cfg=run_configs().map(small_budget))
+def test_every_accepted_config_trains_to_completion(cfg):
+    with tempfile.TemporaryDirectory() as out_dir:
+        rows = train_one_seed(cfg, cfg.seeds[0], out_dir)
+        lines = (Path(out_dir) / "metrics.csv").read_text().splitlines()
+    assert rows[0]["env_step"] == 0 and len(lines) == len(rows) + 1
 
 
 class TestTrainingRun:

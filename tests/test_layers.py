@@ -90,8 +90,7 @@ class TestAttention:
         attn = MultiHeadSelfAttention(8, 2, rng(10), "attn")
         h = Tensor(rng(11).standard_normal((1, 8)))
         out, weights = attn(h, return_weights=True)
-        for w in weights:
-            assert np.array_equal(w, np.ones((1, 1)))
+        assert np.array_equal(weights, np.ones((1, 2, 1, 1)))   # (sets, heads, n, n)
         # with the lone attention weight pinned at 1, output is OutProj(ValueProj(h))
         v = attn.v_proj(h)
         expect = attn.out_proj(v)
@@ -113,7 +112,8 @@ class TestAttention:
             [True, True, True],
         ])
         _, weights = attn(h, mask=mask, return_weights=True)
-        for w in weights:
+        assert weights.shape == (1, 2, 3, 3)
+        for w in weights[0]:
             assert np.all(w[~mask] == 0.0)
             assert np.allclose(w.sum(axis=1), 1.0)
 

@@ -206,14 +206,13 @@ class TestTdLoss:
 class TestTrainStep:
     def test_not_ready_below_batch_size(self):
         cfg = tiny_config()
-        team, target = tiny_team(), tiny_team()
-        learner = Learner(team, target, cfg, seed=0)
+        learner = Learner(tiny_team(), cfg, seed=0)
         assert learner.train_step(ReplayBuffer(cfg.buffer_capacity)) is None
 
     def test_updates_parameters_and_reports_metrics(self):
         cfg = tiny_config()
-        team, target = tiny_team(1), tiny_team(2)
-        learner = Learner(team, target, cfg, seed=0)
+        team = tiny_team(1)
+        learner = Learner(team, cfg, seed=0)
         buf = filled_buffer(cfg)
         before = [p.data.copy() for p in team.parameters()]
         metrics = learner.train_step(buf)
@@ -225,8 +224,8 @@ class TestTrainStep:
     def test_two_runs_bit_identical(self):
         def run():
             cfg = tiny_config()
-            team, target = tiny_team(3), tiny_team(4)
-            learner = Learner(team, target, cfg, seed=7)
+            team = tiny_team(3)
+            learner = Learner(team, cfg, seed=7)
             buf = filled_buffer(cfg, seed=5)
             for _ in range(4):
                 learner.train_step(buf)
@@ -237,8 +236,8 @@ class TestTrainStep:
 
     def test_zero_comm_lr_freezes_comm_group(self):
         cfg = tiny_config(comm_lr=0.0)
-        team, target = tiny_team(5), tiny_team(6)
-        learner = Learner(team, target, cfg, seed=1)
+        team = tiny_team(5)
+        learner = Learner(team, cfg, seed=1)
         buf = filled_buffer(cfg, seed=6)
         comm_before = [p.data.copy() for p in team.comm.parameters()]
         main_before = [p.data.copy() for p in learner.opt_main.params]
@@ -250,8 +249,8 @@ class TestTrainStep:
 
     def test_target_updates_only_at_interval_and_copies_exactly(self):
         cfg = tiny_config(target_update_interval=3)
-        team, target = tiny_team(7), tiny_team(8)
-        learner = Learner(team, target, cfg, seed=2)
+        team = tiny_team(7)
+        learner = Learner(team, cfg, seed=2)
         buf = filled_buffer(cfg, seed=7)
         snapshot = [p.data.copy() for p in learner.target.parameters()]
         learner.train_step(buf)
@@ -264,8 +263,7 @@ class TestTrainStep:
 
     def test_qmix_variant_trains(self):
         cfg = tiny_config()
-        team, target = tiny_team(9, mixer="qmix"), tiny_team(10, mixer="qmix")
-        learner = Learner(team, target, cfg, seed=3)
+        learner = Learner(tiny_team(9, mixer="qmix"), cfg, seed=3)
         metrics = learner.train_step(filled_buffer(cfg, seed=8))
         assert np.isfinite(metrics["loss"])
 
@@ -358,8 +356,7 @@ def learner_pair(lengths, terminated, mixer, comm, seed):
     for _ in range(2):
         cfg = tiny_config(batch_size=len(lengths), buffer_capacity=len(lengths),
                           target_update_interval=2)
-        learner = Learner(tiny_team(seed, comm=comm, mixer=mixer),
-                          tiny_team(seed, comm=comm, mixer=mixer), cfg, seed=seed)
+        learner = Learner(tiny_team(seed, comm=comm, mixer=mixer), cfg, seed=seed)
         for p, d in zip(learner.target.parameters(), noise):
             p.data += d
         learners.append(learner)
@@ -436,8 +433,8 @@ def test_train_step_peak_memory_is_its_forward_graph(monkeypatch):
     gen = np.random.default_rng(0)
     cfg = TrainConfig(batch_size=8, buffer_capacity=8, hidden_dim=hidden)
     comm = CommSettings(enabled=True, num_layers=1, ffn_dim=64, heads=2, dropout=0.1)
-    learner = Learner(*[make_team(obs_dim, n_actions, n, state_dim, hidden, "qmix", comm, 0)
-                        for _ in range(2)], cfg, seed=0)
+    learner = Learner(make_team(obs_dim, n_actions, n, state_dim, hidden, "qmix", comm, 0),
+                      cfg, seed=0)
     buf = ReplayBuffer(cfg.buffer_capacity)
     for _ in range(cfg.batch_size):
         buf.add(EpisodeRecord(
@@ -487,10 +484,9 @@ from marlab.runner import rollout_episode
 
 env = make_env("cue_passing", {"n_agents": 3, "num_cues": 3})
 cfg = TrainConfig(batch_size=32, buffer_capacity=32, hidden_dim=64)
-teams = [make_team(env.obs_dim, env.n_actions, env.n_agents, env.state_dim,
-                   cfg.hidden_dim, "vdn", CommSettings(enabled=True), seed=0)
-         for _ in range(2)]
-learner = Learner(*teams, cfg, seed=0)
+team = make_team(env.obs_dim, env.n_actions, env.n_agents, env.state_dim,
+                 cfg.hidden_dim, "vdn", CommSettings(enabled=True), seed=0)
+learner = Learner(team, cfg, seed=0)
 buf = ReplayBuffer(cfg.buffer_capacity)
 for e in range(cfg.batch_size):
     buf.add(rollout_episode(env, learner.team, ExplorationConfig(), 1.0, 0, e))

@@ -33,9 +33,10 @@ def test_rmsprop_first_step_epsilon_inside_sqrt():
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
-    for opt_cls in (Adam, RMSProp):
+    for make in (lambda ps: Adam(ps, lr=5e-4),
+                 lambda ps: RMSProp(ps, lr=5e-4, decay=0.99, eps=1e-5)):
         p = scalar_param(1.5)
-        opt = opt_cls([p])
+        opt = make([p])
         p.grad = np.zeros((1, 1))
         opt.step()
         assert p.data[0, 0] == 1.5
@@ -55,14 +56,14 @@ def test_accumulators_decay_on_zero_gradient():
 
 def test_missing_gradient_raises():
     p = scalar_param(1.0)
-    opt = RMSProp([p])
+    opt = RMSProp([p], lr=5e-4, decay=0.99, eps=1e-5)
     with pytest.raises(ContractError, match="w"):
         opt.step()
 
 
 def test_gradients_cleared_after_step():
     p = scalar_param(1.0)
-    opt = Adam([p])
+    opt = Adam([p], lr=5e-4)
     p.grad = np.ones((1, 1))
     opt.step()
     assert p.grad is None
@@ -70,7 +71,7 @@ def test_gradients_cleared_after_step():
 
 def test_step_count_monotonic():
     p = scalar_param(1.0)
-    opt = Adam([p])
+    opt = Adam([p], lr=5e-4)
     for i in range(1, 4):
         p.grad = np.ones((1, 1))
         opt.step()

@@ -3,6 +3,8 @@
 import gc
 import inspect
 import math
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -34,10 +36,10 @@ def check_op(build_loss, params, step=1e-5, tol=1e-6):
 
 
 def test_shapes_normalized():
-    assert Tensor(3.0).shape == (1, 1)
-    assert Tensor([1.0, 2.0]).shape == (1, 2)
-    with pytest.raises(ShapeError):
-        Tensor(np.zeros((2, 2, 2)))
+    assert Tensor([[1.0, 2.0]]).shape == (1, 2)
+    for data in (3.0, [1.0, 2.0], np.zeros((2, 2, 2))):   # only 2-D enters
+        with pytest.raises(ShapeError, match="2-D"):
+            Tensor(data)
 
 
 def test_affine_shape_error_mentions_shapes():
@@ -46,14 +48,11 @@ def test_affine_shape_error_mentions_shapes():
         T.affine(x, w, b)
 
 
-def test_add_broadcast_bias_row():
-    rng = np.random.default_rng(0)
-    x = param(rng, 4, 3, "x")
-    b = param(rng, 1, 3, "b")
-    out = T.add(x, b)
-    T.tsum(out).backward()
-    assert np.allclose(b.grad, np.full((1, 3), 4.0))
-    assert np.allclose(x.grad, np.ones((4, 3)))
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+@pytest.mark.parametrize("other", [(1, 3), (4, 1), (3, 4)])
+def test_elementwise_ops_take_equal_shapes(op, other):
+    with pytest.raises(ShapeError, match=re.escape(f"(4, 3) and {other}")):
+        op(Tensor(np.zeros((4, 3))), Tensor(np.zeros(other)))
 
 
 @pytest.mark.parametrize("op", [T.relu, T.elu, T.absolute, T.square])
@@ -62,6 +61,35 @@ def test_unary_gradients(op):
     x = param(rng, 3, 4, "x")
     x.data += 0.05  # keep entries away from relu/abs kinks
     check_op(lambda: T.tsum(op(x)), [x])
+
+
+def test_elu_of_a_large_float32_input_warns_nothing():
+    x = Parameter(np.array([[100.0, -1.0]], dtype=np.float32), name="x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = T.elu(x)
+        T.tsum(y).backward()
+    assert y.data.dtype == np.float32
+    assert np.array_equal(y.data, np.array([[100.0, np.expm1(-1.0)]], dtype=np.float32))
+    assert np.array_equal(x.grad, np.array([[1.0, np.exp(-1.0)]], dtype=np.float32))
+
+
+def test_saturated_gru_gates_warn_nothing():
+    # float32 exp overflows beyond 88.7: the z and r gates are exactly 0
+    def leaf(value, rows, cols):
+        return Parameter(np.full((rows, cols), value, dtype=np.float32), name="p")
+
+    x, h = leaf(1.0, 2, 3), leaf(0.5, 2, 4)
+    gates = [leaf(0.0, 4, 3), leaf(0.0, 4, 4), leaf(-200.0, 1, 4),   # z
+             leaf(0.0, 4, 3), leaf(0.0, 4, 4), leaf(-200.0, 1, 4),   # r
+             leaf(0.1, 4, 3), leaf(0.1, 4, 4), leaf(0.0, 1, 4)]      # candidate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.gru_cell(x, h, *gates)
+        T.tsum(out).backward()
+    # z = r = 0: the output is the candidate tanh(x Wxc^T + bc) alone
+    assert np.array_equal(out.data, np.tanh(np.full((2, 4), 0.3, dtype=np.float32)))
+    assert all(np.isfinite(p.grad).all() for p in [x, h, *gates])
 
 
 def test_affine_mul_chain_gradients():
@@ -195,8 +223,8 @@ def _gru(leaf, r, c):
 
 # one call of every op at size (r, c); leaf(rows, cols) makes each input
 OP_CALLS = {
-    "add": lambda leaf, r, c: T.add(leaf(r, c), leaf(1, c)),
-    "sub": lambda leaf, r, c: T.sub(leaf(r, c), leaf(r, 1)),
+    "add": lambda leaf, r, c: T.add(leaf(r, c), leaf(r, c)),
+    "sub": lambda leaf, r, c: T.sub(leaf(r, c), leaf(r, c)),
     "mul": lambda leaf, r, c: T.mul(leaf(r, c), leaf(r, c)),
     "scale": lambda leaf, r, c: T.scale(leaf(r, c), 0.5),
     "tsum": lambda leaf, r, c: T.tsum(leaf(r, c)),
@@ -338,5 +366,5 @@ def test_second_backward_raises_and_leaves_grads_untouched():
     with pytest.raises(ContractError, match="freed"):
         loss.backward()
     with pytest.raises(ContractError, match="freed"):
-        T.add(y, 1.0).backward()   # a new graph over a freed node
+        T.add(y, np.ones((1, 1))).backward()   # a new graph over a freed node
     assert np.array_equal(x.grad, [[12.0]])
