@@ -37,7 +37,7 @@ print(f"loss = {loss.item():.6f}")
 
 print("\n== backprop vs central finite differences (step 1e-5) ==")
 for p in params:
-    numeric = finite_difference_gradient(lambda: loss_tensor().item(), p, step=1e-5)
+    numeric = finite_difference_gradient(lambda: loss_tensor().item(), p)
     err = relative_errors(p.grad, numeric).max()
     print(f"{p.name:16s} worst relative error {err:.2e}")
 

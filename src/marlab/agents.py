@@ -16,6 +16,7 @@ import numpy as np
 
 from .comm import CommSettings, CommStack
 from .errors import ShapeError
+from .mixers import make_mixer
 from .nn import Dense, GRUCell, Module, Tensor, TrainContext, relu
 from .nn import tensor as T
 from .rng import stream
@@ -78,6 +79,10 @@ class TeamModel(Module):
     def initial_hidden(self, rows: int) -> Tensor:
         return Tensor(np.zeros((rows, self.agent.hidden_dim), dtype=self.dtype))
 
+    def encode(self, inputs: np.ndarray, h_prev: Tensor) -> Tensor:
+        """Cast inputs into the team's dtype and advance the recurrent state."""
+        return self.agent.encode(Tensor(inputs.astype(self.dtype, copy=False)), h_prev)
+
     def step(self, inputs: np.ndarray, h_prev: Tensor,
              ctx: Optional[TrainContext] = None,
              comm_mask: Optional[np.ndarray] = None):
@@ -90,7 +95,7 @@ class TeamModel(Module):
         sets, extra = divmod(inputs.shape[0], self.agent.n_agents)
         if extra or not sets:
             raise ShapeError(f"{len(inputs)} rows do not split into teams of {self.agent.n_agents}")
-        h = self.agent.encode(Tensor(inputs.astype(self.dtype, copy=False)), h_prev)
+        h = self.encode(inputs, h_prev)
         if self.comm is not None:
             z = self.comm(h, mask=comm_mask, sets=sets, ctx=ctx)
             h_tilde = T.add(h, z) if self.comm.settings.residual else z
@@ -107,8 +112,6 @@ def make_team(obs_dim: int, n_actions: int, n_agents: int, state_dim: int,
     The parameters are drawn in float64 and then cast to dtype, so a float32
     team starts from the float64 team's values rounded.
     """
-    from .mixers import make_mixer
-
     agent = AgentNet(obs_dim, n_actions, n_agents, hidden_dim, seed)
     stack = CommStack(comm, hidden_dim, seed) if comm.enabled else None
     mixer = make_mixer(mixer_kind, n_agents, state_dim, seed)

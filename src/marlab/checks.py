@@ -17,7 +17,7 @@ from .agents import make_team
 from .comm import CommSettings, CommStack
 from .config import check_seed
 from .envs import CuePassing, TwoStepCoop, value_iteration
-from .exploration import ExplorationConfig, action_distribution, select_action
+from .exploration import ExplorationConfig, action_distribution, sample_from
 from .learner import (
     EpisodeRecord,
     double_q_targets,
@@ -257,11 +257,10 @@ def check_exploration_reductions(seed: int, fault: str) -> tuple[bool, str]:
     cfg = ExplorationConfig(k=2, temperature=0.33)
     q = np.array([0.8, 0.3, -0.5, 0.1])
     avail = np.ones(4, dtype=bool)
-    counts = np.zeros(4)
+    probs = action_distribution(q, avail, cfg, 0.1)
     trials = 20_000
-    for _ in range(trials):
-        counts[select_action(q, avail, cfg, 0.1, sample_rng)] += 1
-    mc_gap = float(np.abs(counts / trials - action_distribution(q, avail, cfg, 0.1)).max())
+    counts = np.bincount(sample_from(probs, sample_rng.random(trials)), minlength=4)
+    mc_gap = float(np.abs(counts / trials - probs).max())
     ok = worst <= 1e-12 and mc_gap < 0.015
     return ok, f"reduction gap {worst:.1e}, monte-carlo gap {mc_gap:.3f}"
 

@@ -9,7 +9,6 @@ becomes the root that relative output directories resolve against.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
@@ -26,7 +25,7 @@ from .errors import ConfigError, MarlabError
 from .mixers import MIXERS
 from .netsim import Topology, centralized_traffic, distributed_traffic
 from .nn import load_checkpoint
-from .runner import build_team_for_env, evaluate, train_all_seeds
+from .runner import build_team_for_env, evaluate, train_all_seeds, write_csv
 
 
 def resolve_out_dir(path: str) -> Path:
@@ -74,9 +73,7 @@ GRID_KEYS = {"num_layers": "comm", "ffn_dim": "comm", "dropout": "comm",
 
 
 def curve_auc(steps: np.ndarray, returns: np.ndarray) -> float:
-    """Area under the test-return curve by the trapezoid rule."""
-    if len(steps) < 2:
-        return 0.0
+    """Area under the test-return curve by the trapezoid rule; 0 for one point."""
     return float(np.trapezoid(returns, steps))
 
 
@@ -133,11 +130,7 @@ def cmd_sweep(args) -> int:
                                   workers=args.workers)
         summary.append({**cell, **summarize_cell(results)})
 
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys + ["auc", "final_return",
-                                                       "final_success"])
-        writer.writeheader()
-        writer.writerows(summary)
+    write_csv(out_dir / "summary.csv", list(summary[0]), summary)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
     print(f"sweep summary in {out_dir / 'summary.csv'}")
     return 0
@@ -187,10 +180,7 @@ def cmd_eval(args) -> int:
         row["comm_floats"] = per_step.floats_transferred * steps
         row["comm_rounds"] = per_step.rounds * steps
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(row))
-            writer.writeheader()
-            writer.writerow(row)
+        write_csv(args.out, list(row), [row])
     print(json.dumps(row, indent=2))
     return 0
 
@@ -251,7 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except MarlabError as exc:
+    except (MarlabError, OSError) as exc:   # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

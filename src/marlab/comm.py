@@ -50,7 +50,7 @@ class CommSettings:
 
 
 class CommStack(Module):
-    """Stacked encoder layers plus a zero-initialized output projection."""
+    """Stacked encoder layers plus a Dense output projection that it zeroes."""
 
     def __init__(self, settings: CommSettings, model_dim: int, seed: int):
         super().__init__()
@@ -63,8 +63,10 @@ class CommStack(Module):
                 rng, f"comm.layer{i}"))
             for i in range(settings.num_layers)
         ]
-        self.out_proj = self._register(Dense(
-            model_dim, model_dim, rng, "comm.out_proj", zero_init=True))
+        # the last draw from comm-init, so zeroing it leaves every other draw
+        self.out_proj = self._register(Dense(model_dim, model_dim, rng, "comm.out_proj"))
+        for p in self.out_proj.parameters():
+            p.data[...] = 0.0
 
     def forward(self, hidden: Tensor, mask: Optional[np.ndarray] = None,
                 sets: int = 1, ctx: Optional[TrainContext] = None) -> Tensor:

@@ -50,7 +50,8 @@ POLICY_ENUM_LIMIT = 2_000_000
 class Env:
     """Behavioral contract shared by all environments.
 
-    Subclasses set n_agents, n_actions, obs_dim and state_dim and define
+    Subclasses set n_agents, n_actions, obs_dim, state_dim and best_return
+    (the optimal episode return, which is_success asks for) and define
     the model: _start(rng) draws a start state from model_initial's
     support, _observe(state) gives the (per-agent observations, global
     state) arrays of a state, and model_initial/model_step are the
@@ -61,6 +62,7 @@ class Env:
     n_actions: int
     obs_dim: int
     state_dim: int
+    best_return: float
     _state = None  # current model state; None before reset and after the last step
 
     def reset(self, rng: np.random.Generator):
@@ -82,7 +84,7 @@ class Env:
         return np.ones((self.n_agents, self.n_actions), dtype=bool)
 
     def is_success(self, episode_return: float) -> bool:
-        raise NotImplementedError
+        return episode_return >= self.best_return - 1e-9
 
     def _check_actions(self, actions):
         actions = np.asarray(actions, dtype=np.intp)
@@ -122,6 +124,7 @@ class MatrixGame(Env):
 
     def __init__(self, payoff=CLIMBING_PAYOFF):
         self.payoff = _payoff_table(payoff)
+        self.best_return = float(self.payoff.max())
         self.n_agents = 2
         self.n_actions = max(self.payoff.shape)
         self.obs_dim = 1
@@ -138,9 +141,6 @@ class MatrixGame(Env):
         avail[0, : self.payoff.shape[0]] = True
         avail[1, : self.payoff.shape[1]] = True
         return avail
-
-    def is_success(self, episode_return: float) -> bool:
-        return episode_return >= self.payoff.max() - 1e-9
 
     def model_initial(self):
         return [("s0", 1.0)]
@@ -183,6 +183,7 @@ class CuePassing(Env):
         self.n_agents = n_agents
         self.num_cues = num_cues
         self.cheat_obs = cheat_obs
+        self.best_return = 1.0
         self.n_actions = num_cues
         self.obs_dim = (n_agents * num_cues if cheat_obs else num_cues) + 2
         self.state_dim = n_agents * num_cues + 2
@@ -203,9 +204,6 @@ class CuePassing(Env):
         obs = np.zeros((self.n_agents, self.obs_dim))
         obs[:, :-2], obs[:, -2:] = cue_rows, onehot[-2:]
         return obs, onehot
-
-    def is_success(self, episode_return: float) -> bool:
-        return episode_return >= 1.0 - 1e-9
 
     def model_initial(self):
         combos = itertools.product(range(self.num_cues), repeat=self.n_agents)
@@ -233,6 +231,7 @@ class TwoStepCoop(Env):
 
     BRANCH_A_PAYOFF = 7.0
     BRANCH_B_TABLE = np.array([[0.0, 1.0], [1.0, 8.0]])
+    best_return = float(BRANCH_B_TABLE.max())
 
     def __init__(self):
         self.n_agents = 2
@@ -246,9 +245,6 @@ class TwoStepCoop(Env):
     def _observe(self, state):
         onehot = np.eye(3)[state]
         return np.repeat(onehot[None, :], 2, axis=0), onehot
-
-    def is_success(self, episode_return: float) -> bool:
-        return episode_return >= self.BRANCH_B_TABLE.max() - 1e-9
 
     def model_initial(self):
         return [(0, 1.0)]

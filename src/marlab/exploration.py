@@ -3,7 +3,8 @@
 With probability epsilon the agent acts uniformly at random over its
 available actions; otherwise it samples among its k best available actions
 from a temperature-scaled softmax.  k = 1 or temperature 0 collapse the
-Boltzmann part to the greedy action, recovering plain epsilon-greedy.
+Boltzmann part to the greedy action, recovering plain epsilon-greedy.  An
+action is drawn one way: sample_from(action_distribution(...), uniforms).
 
 ExplorationConfig, the run config's "exploration" section, holds k and the
 temperature.  Epsilon anneals with the env step (learner.epsilon), so callers
@@ -72,12 +73,8 @@ def action_distribution(q: np.ndarray, avail: np.ndarray, config: ExplorationCon
     return epsilon * uniform + (1.0 - epsilon) * boltzmann
 
 
-def sample_from(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw: the index whose cumulative probability covers u."""
+def sample_from(probs: np.ndarray, u):
+    """Inverse-CDF draw: the index whose cumulative probability covers u, or
+    an array of them, one per entry, when u is an array of uniforms."""
     edges = np.cumsum(probs)
-    return int(min(np.searchsorted(edges, u, side="right"), probs.size - 1))
-
-
-def select_action(q: np.ndarray, avail: np.ndarray, config: ExplorationConfig,
-                  epsilon: float, rng: np.random.Generator) -> int:
-    return sample_from(action_distribution(q, avail, config, epsilon), rng.random())
+    return np.minimum(np.searchsorted(edges, u, side="right"), probs.size - 1)

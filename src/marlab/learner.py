@@ -202,14 +202,13 @@ def unroll_team(team: TeamModel, batch: dict,
     if steps is None:
         steps = range(t_max + 1)
     h = team.initial_hidden(bsz * n)
-    dtype = team.dtype
     out = []
     for t in range(steps.stop if steps else 0):
         flat_obs = batch["obs"][:, t].reshape(bsz * n, -1)
         last = batch["actions"][:, t - 1].reshape(-1) if t > 0 else None
         inputs = build_inputs(flat_obs, last, n_actions, n)
         if t < steps.start:
-            h = team.agent.encode(Tensor(inputs.astype(dtype, copy=False)), h)
+            h = team.encode(inputs, h)
             continue
         q, h = team.step(inputs, h, ctx=ctx)
         out.append(q)

@@ -15,9 +15,8 @@ FD_STEP = 1e-5   # the central-difference step
 
 
 def finite_difference_gradient(f: Callable[[], float], param: Parameter,
-                               step: float = FD_STEP,
                                entries: Optional[np.ndarray] = None) -> np.ndarray:
-    """Estimate df/dparam entrywise with central differences.
+    """Estimate df/dparam entrywise with central differences of step FD_STEP.
 
     f must be deterministic (evaluation mode).  If entries is given (an array
     of flat indices), only those entries are estimated and the rest are NaN.
@@ -28,12 +27,12 @@ def finite_difference_gradient(f: Callable[[], float], param: Parameter,
     with no_grad():
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             up = f()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             down = f()
             flat[i] = orig
-            grad[i] = (up - down) / (2.0 * step)
+            grad[i] = (up - down) / (2.0 * FD_STEP)
     return grad.reshape(param.data.shape)
 
 
@@ -43,7 +42,7 @@ def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 
 def max_gradient_error(loss_fn: Callable[[], Tensor], params: Sequence[Parameter],
-                       step: float = FD_STEP, samples_per_param: Optional[int] = None,
+                       samples_per_param: Optional[int] = None,
                        rng: Optional[np.random.Generator] = None) -> float:
     """Worst relative disagreement between backprop and finite differences.
 
@@ -67,7 +66,7 @@ def max_gradient_error(loss_fn: Callable[[], Tensor], params: Sequence[Parameter
         if samples_per_param is not None and p.data.size > samples_per_param:
             gen = rng if rng is not None else np.random.default_rng(0)
             entries = gen.choice(p.data.size, size=samples_per_param, replace=False)
-        numeric = finite_difference_gradient(scalar, p, step=step, entries=entries)
+        numeric = finite_difference_gradient(scalar, p, entries=entries)
         mask = ~np.isnan(numeric)
         if mask.any():
             errs = relative_errors(analytic[p.name][mask], numeric[mask])

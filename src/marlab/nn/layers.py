@@ -112,25 +112,14 @@ def _uniform_init(rng: np.random.Generator, rows: int, cols: int, fan_in: int) -
 
 
 class Dense(Module):
-    """Affine map y = x W^T + b with W of shape (out, in)."""
+    """Affine map y = x W^T + b, W (out, in), uniform init; CommStack zeroes its out_proj."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 name: str, zero_init: bool = False):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str):
         super().__init__()
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        if zero_init:
-            w = np.zeros((out_dim, in_dim))
-            b = np.zeros((1, out_dim))
-        else:
-            w = _uniform_init(rng, out_dim, in_dim, in_dim)
-            b = _uniform_init(rng, 1, out_dim, in_dim)
-        self.weight = self._param(w, f"{name}.weight")
-        self.bias = self._param(b, f"{name}.bias")
+        self.weight = self._param(_uniform_init(rng, out_dim, in_dim, in_dim), f"{name}.weight")
+        self.bias = self._param(_uniform_init(rng, 1, out_dim, in_dim), f"{name}.bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.cols != self.in_dim:
-            raise ShapeError(f"dense expects {self.in_dim} input columns, got {x.shape}")
         return T.affine(x, self.weight, self.bias)
 
 

@@ -19,12 +19,22 @@ from .tensor import Parameter
 def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the norm before clipping.
+    Returns the norm before clipping.  The squares are summed in the
+    gradients' dtype; only if that overflows (a float32 entry above about
+    1.8e19) are they summed again in float64, so the clip stays a scaling.
     """
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    grads = [p.grad for p in params if p.grad is not None]
+
+    def square_sum(dtype):
+        total = 0.0
+        for g in grads:
+            total += float(np.square(g, dtype=dtype).sum())
+        return total
+
+    with np.errstate(over="ignore"):
+        total = square_sum(None)
+        if math.isinf(total):
+            total = square_sum(np.float64)
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm

@@ -257,13 +257,12 @@ class SeedRun:
                 terminated=bool(arrays["terminated"][i])))
 
 
-def write_rows_csv(rows: list[dict], path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_csv(path, fields: list[str], rows: list[dict]):
+    """The one CSV writer: a header of fields, then each row's values in that order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        writer.writerows([row[k] for k in CSV_FIELDS] for row in rows)
+        writer.writerow(fields)
+        writer.writerows([row[k] for k in fields] for row in rows)
 
 
 def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False) -> list[dict]:
@@ -275,7 +274,7 @@ def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False) 
     if resume and (_settled_state_dir(out_dir) / "progress.json").exists():
         run.load_state()
     rows = run.run(snapshot_interval=1)
-    write_rows_csv(rows, out_dir / "metrics.csv")
+    write_csv(out_dir / "metrics.csv", CSV_FIELDS, rows)
     save_checkpoint(run.team.parameters(), out_dir / "checkpoint.bin",
                     extra={"seed": seed, "env_step": run.env_step})
     run.save_state()
@@ -324,7 +323,8 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 
-        with mp.get_context("spawn").Pool(processes=workers) as pool:
+        # a pool starts all its processes at once, so start no more than there are jobs
+        with mp.get_context("spawn").Pool(processes=min(workers, len(jobs))) as pool:
             for seed, rows in pool.imap_unordered(_seed_worker, jobs):
                 results[seed] = rows
     else:
@@ -334,5 +334,5 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
     combined = []
     for seed in config.seeds:
         combined.extend(results[seed])
-    write_rows_csv(combined, out_dir / "metrics.csv")
+    write_csv(out_dir / "metrics.csv", CSV_FIELDS, combined)
     return results

@@ -235,6 +235,43 @@ class TestTrainCommand:
         assert (tmp_path / "root" / "rel_run" / "metrics.csv").exists()
 
 
+class TestUnwritableOutput:
+    """An --out whose parent is a regular file: one line and exit 2, not a traceback."""
+
+    def blocker(self, tmp_path):
+        path = tmp_path / "blocker"
+        path.write_text("a file, not a directory")
+        return path
+
+    def test_train(self, tmp_path, capsys):
+        out = self.blocker(tmp_path) / "run"
+        assert main(["train", "--config", str(write_toy_config(tmp_path)),
+                     "--out", str(out)]) == 2   # raw NotADirectoryError
+        assert_one_line_error(capsys, "Not a directory", str(out))
+
+    def test_sweep(self, tmp_path, capsys):
+        base = json.loads(write_toy_config(tmp_path).read_text())
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": base, "grid": {"num_layers": [1]}}))
+        out = self.blocker(tmp_path) / "sweepout"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "Not a directory", str(out))
+        assert not (tmp_path / "run").exists()
+
+    def test_check(self, tmp_path, capsys):
+        out = self.blocker(tmp_path) / "report.json"
+        assert main(["check", "--seed", "0", "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "Not a directory", str(out))
+
+    def test_eval(self, tmp_path, capsys):
+        assert main(["train", "--config", str(write_toy_config(tmp_path))]) == 0
+        capsys.readouterr()  # drop training output
+        out = self.blocker(tmp_path) / "eval.csv"
+        assert main(["eval", "--run", str(tmp_path / "run" / "seed_1"),
+                     "--episodes", "2", "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "Not a directory", str(out))
+
+
 class TestCheckCommand:
     def test_clean_build_passes(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -333,6 +370,22 @@ class TestEvalCommand:
         assert row["comm_floats"] == 2 * 2 * 8 * row["env_steps"]
         header = out_csv.read_text().splitlines()[0]
         assert "comm_messages" in header
+
+    @pytest.mark.parametrize("flags, header", [
+        ([], "episodes,mean_return,success_rate,env_steps"),
+        (["--deploy", "distributed"], "episodes,mean_return,success_rate,env_steps,"
+                                      "comm_messages,comm_floats,comm_rounds"),
+    ])
+    def test_eval_out_row_keeps_its_header_order(self, tmp_path, capsys, flags, header):
+        main(["train", "--config", str(write_toy_config(tmp_path))])
+        capsys.readouterr()  # drop training output
+        out_csv = tmp_path / "eval.csv"
+        assert main(["eval", "--run", str(tmp_path / "run" / "seed_1"),
+                     "--episodes", "2", "--out", str(out_csv), *flags]) == 0
+        row = json.loads(capsys.readouterr().out)
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == header
+        assert lines[1:] == [",".join(str(v) for v in row.values())]
 
     def test_eval_with_topology_restriction(self, tmp_path, capsys):
         cfg = write_toy_config(tmp_path)
@@ -440,8 +493,9 @@ class TestSweepCommand:
             cell = tmp_path / "grid" / f"cell_dropout{dropout}_num_layers{layers}"
             comm = load_run_config(cell / "config.json").comm
             assert (comm.num_layers, comm.dropout) == (layers, dropout)
-        csv_header = (tmp_path / "grid" / "summary.csv").read_text().splitlines()[0]
-        assert csv_header == "dropout,num_layers,auc,final_return,final_success"
+        csv_lines = (tmp_path / "grid" / "summary.csv").read_text().splitlines()
+        assert csv_lines[0] == "dropout,num_layers,auc,final_return,final_success"
+        assert csv_lines[1:] == [",".join(str(v) for v in cell.values()) for cell in summary]
 
     @pytest.mark.parametrize("grid, shown", [
         ({"num_layers": [1, 1]}, "grid.num_layers repeats a value: [1, 1]"),

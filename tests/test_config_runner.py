@@ -353,6 +353,34 @@ class TestTrainingRun:
         assert (tmp_path / "seq" / "metrics.csv").read_bytes() == \
             (tmp_path / "par" / "metrics.csv").read_bytes()
 
+    def test_a_pool_starts_no_more_processes_than_seeds(self, tmp_path, monkeypatch):
+        # a real Pool starts every worker at once; this fake runs jobs inline
+        started = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, jobs):
+                return map(fn, jobs)
+
+        class SpawnContext:
+            Pool = InlinePool
+
+        monkeypatch.setattr("multiprocessing.get_context", lambda method: SpawnContext())
+        cfg = toy_config(seeds=(1, 2), total_env_steps=40)
+        train_all_seeds(cfg, tmp_path / "pool", workers=64)
+        assert started == [2]
+        train_all_seeds(cfg, tmp_path / "seq", workers=1)
+        assert (tmp_path / "seq" / "metrics.csv").read_bytes() == \
+            (tmp_path / "pool" / "metrics.csv").read_bytes()
+
     def test_learning_happens_on_easy_task(self, tmp_path):
         # two agents, two cues: communication lets the pair hit near-perfect
         # success quickly; this guards the whole loop end to end

@@ -263,3 +263,25 @@ def test_reset_starts_only_in_model_initial_support(make):
     for seed in range(100):
         _, global_state = env.reset(rng(seed))
         assert decode[global_state.tobytes()] in starts
+
+
+@pytest.mark.parametrize("make, best", [
+    (MatrixGame, 11.0),
+    (lambda: MatrixGame([[1.0, -2.0], [0.5, 3.5], [0.0, 2.0]]), 3.5),
+    (lambda: CuePassing(3, 3), 1.0),
+    (lambda: CuePassing(2, 2, cheat_obs=True), 1.0),
+    (TwoStepCoop, 8.0),
+])
+def test_success_is_reaching_the_best_return(make, best):
+    env = make()
+    assert env.best_return == best
+    assert env.is_success(best) and env.is_success(best + 1.0)
+    assert env.is_success(best - 0.5e-9)   # within the 1e-9 tolerance
+    assert not env.is_success(best - 2e-9)
+    assert not env.is_success(np.nextafter(best - 1e-9, -np.inf))
+
+
+@pytest.mark.parametrize("make", [MatrixGame, lambda: CuePassing(2, 2), TwoStepCoop])
+def test_best_return_is_the_planners_optimum(make):
+    env = make()
+    assert value_iteration(env, gamma=1.0)[0] == env.best_return

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from marlab.errors import ConfigError, ContractError
-from marlab.exploration import GREEDY, ExplorationConfig, action_distribution, select_action
+from marlab.exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
 
 
 def eps_greedy_reference(q, avail, epsilon):
@@ -119,12 +119,14 @@ class TestDistribution:
 
 
 class TestSelectAction:
+    """Drawing an action: sample_from over action_distribution's output."""
+
     def test_pure_greedy_always_argmax(self):
         gen = np.random.default_rng(3)
         cfg = ExplorationConfig(k=1, temperature=0.0)
         for _ in range(200):
             q, avail = random_case(gen)
-            a = select_action(q, avail, cfg, 0.0, gen)
+            a = sample_from(action_distribution(q, avail, cfg, 0.0), gen.random())
             masked = np.where(avail, q, -np.inf)
             assert a == int(np.argmax(masked))
 
@@ -132,25 +134,48 @@ class TestSelectAction:
         q = np.array([10.0, 1.0, 2.0])
         avail = np.array([False, True, True])
         cfg = ExplorationConfig(k=1, temperature=0.0)
-        a = select_action(q, avail, cfg, 0.0, np.random.default_rng(0))
-        assert a == 2
+        probs = action_distribution(q, avail, cfg, 0.0)
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            assert sample_from(probs, u) == 2
 
     def test_monte_carlo_matches_analytic_distribution(self):
         q = np.array([1.0, 0.5, -0.2, 0.1])
         avail = np.array([True, True, True, False])
         cfg = ExplorationConfig(k=2, temperature=0.33)
         expected = action_distribution(q, avail, cfg, 0.1)
-        gen = np.random.default_rng(4)
         samples = 100_000
-        counts = np.bincount(
-            [select_action(q, avail, cfg, 0.1, gen) for _ in range(samples)],
-            minlength=4)
-        freq = counts / samples
+        draws = sample_from(expected, np.random.default_rng(4).random(samples))
+        assert draws.shape == (samples,)
+        freq = np.bincount(draws, minlength=4) / samples
         assert np.abs(freq - expected).max() < 0.01
 
     def test_deterministic_given_stream(self):
         q = np.array([1.0, 0.9, 0.5])
         avail = np.ones(3, bool)
         cfg = ExplorationConfig(k=2, temperature=0.5)
-        a = [select_action(q, avail, cfg, 0.3, np.random.default_rng(9)) for _ in range(5)]
+        a = [sample_from(action_distribution(q, avail, cfg, 0.3),
+                         np.random.default_rng(9).random()) for _ in range(5)]
         assert len(set(a)) == 1
+
+    def test_an_array_of_uniforms_draws_as_each_one_does(self):
+        gen = np.random.default_rng(12)
+        cfg = ExplorationConfig(k=3, temperature=0.7)
+        for _ in range(50):
+            q, avail = random_case(gen)
+            probs = action_distribution(q, avail, cfg, 0.2)
+            us = np.concatenate([gen.random(40), [0.0, np.nextafter(1.0, 0.0)]])
+            assert np.array_equal(sample_from(probs, us),
+                                  [sample_from(probs, u) for u in us])
+
+    def test_an_array_of_uniforms_equals_the_same_stream_drawn_one_at_a_time(self):
+        probs = action_distribution(np.array([0.8, 0.3, -0.5, 0.1]), np.ones(4, bool),
+                                    ExplorationConfig(k=2, temperature=0.33), 0.1)
+        one_at_a_time = np.random.default_rng(115)
+        singles = [sample_from(probs, one_at_a_time.random()) for _ in range(500)]
+        assert np.array_equal(sample_from(probs, np.random.default_rng(115).random(500)),
+                              singles)
+
+    def test_the_last_edge_never_draws_past_the_last_action(self):
+        probs = np.array([0.25, 0.25, 0.25, 0.25]) * (1.0 - 1e-15)   # cumsum ends below 1
+        assert sample_from(probs, np.nextafter(1.0, 0.0)) == 3
+        assert np.array_equal(sample_from(probs, np.array([np.nextafter(1.0, 0.0)])), [3])

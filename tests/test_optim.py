@@ -1,5 +1,8 @@
 """Optimizer update rules pinned against hand-computed steps."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,3 +97,22 @@ def test_clip_no_op_when_under_limit():
     a.grad = np.array([[1.0]])
     norm = clip_grad_norm([a], max_norm=10.0)
     assert norm == 1.0 and a.grad[0, 0] == 1.0
+
+
+def test_clip_of_a_float32_norm_past_the_float32_range_scales_instead_of_zeroing():
+    # 2e19 squared overflows float32; the norm is summed again in float64
+    a = Parameter(np.zeros((1, 2), dtype=np.float32), name="a")
+    a.grad = np.array([[2e19, 1.0]], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = clip_grad_norm([a], max_norm=10.0)
+    assert math.isclose(norm, 2e19, rel_tol=1e-6)
+    assert a.grad.dtype == np.float32
+    assert np.allclose(a.grad, [[10.0, 5e-19]], rtol=1e-6, atol=0.0)
+
+
+def test_clip_of_a_finite_float32_norm_sums_in_float32():
+    a = Parameter(np.zeros((2, 3), dtype=np.float32), name="a")
+    a.grad = np.random.default_rng(7).standard_normal((2, 3)).astype(np.float32) * 1e3
+    expected = math.sqrt(float((a.grad * a.grad).sum()))
+    assert clip_grad_norm([a], max_norm=0.0) == expected

@@ -22,7 +22,7 @@ def param(rng, rows, cols, name="p"):
     return Parameter(rng.standard_normal((rows, cols)), name=name)
 
 
-def check_op(build_loss, params, step=1e-5, tol=1e-6):
+def check_op(build_loss, params, tol=1e-6):
     """build_loss() -> scalar Tensor; compares backward to central differences."""
     for p in params:
         p.grad = None
@@ -30,7 +30,7 @@ def check_op(build_loss, params, step=1e-5, tol=1e-6):
     loss.backward()
     for p in params:
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = finite_difference_gradient(lambda: build_loss().item(), p, step=step)
+        numeric = finite_difference_gradient(lambda: build_loss().item(), p)
         err = relative_errors(analytic, numeric).max()
         assert err <= tol, f"{p.name}: worst relative error {err}"
 
