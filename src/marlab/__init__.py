@@ -2,8 +2,8 @@
 
 Cooperative Q-learning with value decomposition (additive and monotonic
 mixers), a transformer-based communication stack over the agents' recurrent
-states, top-k Boltzmann exploration, and a message-passing simulator for
-centralized vs distributed deployment of the communication step.
+states, top-k Boltzmann exploration, and traffic accounting for centralized
+vs distributed deployment of the communication step.
 """
 
 __version__ = "0.1.0"

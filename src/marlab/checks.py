@@ -28,7 +28,7 @@ from .learner import (
     unroll_team,
 )
 from .mixers import QmixMixer, VdnMixer, mix_values
-from .netsim import Topology, centralized_round, distributed_round
+from .netsim import Topology, centralized_traffic, distributed_traffic
 from .nn import (
     Dense,
     EncoderLayer,
@@ -229,13 +229,14 @@ def check_deployment_equivalence(seed: int, fault: str) -> tuple[bool, str]:
     gen = stream(seed, "deploy")
     worst = 0.0
     for n in (2, 4, 6):
-        h = gen.standard_normal((n, 16))
-        z_c, stats_c = centralized_round(stack, h)
-        z_d, stats_d = distributed_round(stack, h, Topology.full(n))
+        h = Tensor(gen.standard_normal((n, 16)))
+        with no_grad():
+            z_c = stack(h).data
+            z_d = stack(h, mask=Topology.full(n).reachable).data
         worst = max(worst, float(np.abs(z_c - z_d).max()))
-        if stats_c.floats_transferred != 2 * n * 16:
+        if centralized_traffic(n, 16).floats_transferred != 2 * n * 16:
             return False, "centralized traffic formula violated"
-        if stats_d.messages != 2 * n * (n - 1):
+        if distributed_traffic(Topology.full(n), 2, 16).messages != 2 * n * (n - 1):
             return False, "distributed message formula violated"
     return worst <= 1e-6, f"max |mode mismatch| {worst:.2e}"
 

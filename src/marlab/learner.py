@@ -103,6 +103,11 @@ class ReplayBuffer:
         return [self._store[i] for i in idx]
 
 
+# test_episodes is at most this, the stride of the test episode keys: a test
+# point's episodes never share the env and act streams of the next one's
+MAX_TEST_EPISODES = 10_000
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     gamma: float = 0.99
@@ -122,7 +127,7 @@ class TrainConfig:
     hidden_dim: int = 64
 
     def __post_init__(self):
-        for name in ("gamma", "epsilon_start", "epsilon_finish"):
+        for name in ("gamma", "epsilon_start", "epsilon_finish", "rmsprop_decay"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.epsilon_finish > self.epsilon_start:
@@ -131,10 +136,17 @@ class TrainConfig:
         # lr 0 is allowed: it freezes a group (comm_lr=0 trains the agents alone)
         if self.lr < 0 or self.comm_lr < 0:
             raise ConfigError(f"lr and comm_lr must be >= 0, got {self.lr}, {self.comm_lr}")
+        # training runs in float32, where an eps at or below half the smallest
+        # subnormal is 0, and a zero gradient entry then steps by 0 / 0
+        if not self.rmsprop_eps > float(np.finfo(np.float32).smallest_subnormal) / 2:
+            raise ConfigError(f"rmsprop_eps must be above 0 in float32, got {self.rmsprop_eps}")
         for name in ("batch_size", "hidden_dim", "target_update_interval",
                      "test_interval", "test_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.test_episodes > MAX_TEST_EPISODES:
+            raise ConfigError(f"test_episodes must be <= {MAX_TEST_EPISODES}, "
+                              f"got {self.test_episodes}")
         if self.buffer_capacity < self.batch_size:
             raise ConfigError(f"buffer_capacity {self.buffer_capacity} < batch_size "
                               f"{self.batch_size}: no batch could ever be sampled")

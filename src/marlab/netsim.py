@@ -1,4 +1,4 @@
-"""Deployment simulation for the communication step.
+"""Traffic accounting for deploying the communication step.
 
 Two ways to run the same stack at inference time:
 
@@ -9,14 +9,14 @@ Two ways to run the same stack at inference time:
   distributed  every agent keeps its own row and exchanges rows with the
                peers that can hear it once per encoder layer: L rounds,
                one directed send per reachable (speaker, listener) pair
-               per round.  Out-of-reach pairs get exactly zero attention
-               weight, which is the same as the listener never having
-               received the row.
+               per round.
 
-Under full connectivity both produce identical increments; the simulator
-checks that and counts the traffic.  centralized_traffic and
-distributed_traffic are the only home of the per-step traffic formulas:
-the rounds below and `marlab eval --deploy` both use them.
+The computation itself is CommStack's forward: the centralized node runs
+comm(h), and the distributed computation is comm(h, mask=reachable), where
+out-of-reach pairs get exactly zero attention weight, the same as the
+listener never having received the row.  This module holds what that
+forward does not: Topology, the reachability a deployment has, and the
+per-step traffic formulas that `marlab eval --deploy` multiplies by env steps.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommStack
 from .config import read_json
-from .errors import ConfigError, ShapeError
-from .nn import Tensor, no_grad
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -106,23 +104,3 @@ def distributed_traffic(topology: Topology, num_layers: int, width: int) -> Traf
     return TrafficStats(messages=messages, floats_transferred=messages * width,
                         rounds=num_layers)
 
-
-def centralized_round(comm: CommStack, hidden: np.ndarray) -> tuple[np.ndarray, TrafficStats]:
-    """Aggregation-node deployment of one communication step."""
-    hidden = np.asarray(hidden, dtype=comm.dtype)
-    n, width = hidden.shape
-    with no_grad():
-        z = comm(Tensor(hidden)).data.copy()
-    return z, centralized_traffic(n, width)
-
-
-def distributed_round(comm: CommStack, hidden: np.ndarray,
-                      topology: Topology) -> tuple[np.ndarray, TrafficStats]:
-    """Peer-to-peer deployment: one exchange of rows per encoder layer."""
-    hidden = np.asarray(hidden, dtype=comm.dtype)
-    n, width = hidden.shape
-    if topology.n != n:
-        raise ShapeError(f"topology is for {topology.n} agents, hidden has {n} rows")
-    with no_grad():
-        z = comm(Tensor(hidden), mask=topology.reachable).data.copy()
-    return z, distributed_traffic(topology, comm.settings.num_layers, width)

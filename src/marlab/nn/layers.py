@@ -198,8 +198,8 @@ class MultiHeadSelfAttention(Module):
     An optional boolean mask (True = query row i may attend key j) forces
     exactly zero weight on disallowed pairs.  With sets > 1 the rows split
     into consecutive independent groups that never attend across groups;
-    the mask then applies within every group.  return_weights also returns
-    the (sets, heads, n, n) weights, n rows per set: [s, h, i, j] is what
+    the mask then applies within every group.  A probs_out list gets the
+    (sets, heads, n, n) weights appended, n rows per set: [s, h, i, j] is what
     row i of set s puts on its row j in head h, and each [s, h, i] sums to 1.
     """
 
@@ -214,15 +214,13 @@ class MultiHeadSelfAttention(Module):
         self.out_proj = self._register(Dense(dim, dim, rng, f"{name}.out"))
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None,
-                sets: int = 1, return_weights: bool = False):
+                sets: int = 1, probs_out: Optional[list] = None) -> Tensor:
         q = self.q_proj(x)
         k = self.k_proj(x)
         v = self.v_proj(x)
-        probs_out: Optional[list] = [] if return_weights else None
         ctx = T.set_attention(q, k, v, self.heads, sets, mask=mask,
                               probs_out=probs_out)
-        out = self.out_proj(ctx)
-        return (out, probs_out[0]) if return_weights else out
+        return self.out_proj(ctx)
 
 
 class FeedForward(Module):

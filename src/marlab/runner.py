@@ -40,9 +40,10 @@ from .agents import TeamModel, build_inputs, make_team
 from .config import (RunConfig, differing_keys, read_json, run_config_to_dict,
                      save_run_config)
 from .envs import Env, make_env
-from .errors import CheckpointError, ConfigError, ContractError
+from .errors import CheckpointError, ConfigError, ContractError, MarlabError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
-from .learner import EpisodeRecord, Learner, ReplayBuffer, epsilon, pad_batch
+from .learner import (MAX_TEST_EPISODES, EpisodeRecord, Learner, ReplayBuffer, epsilon,
+                      pad_batch)
 from .nn import no_grad, save_checkpoint, load_checkpoint, load_records, write_records
 from .rng import stream, unit_uniform
 
@@ -114,7 +115,7 @@ def evaluate(env: Env, team: TeamModel, episodes: int, seed: int,
 
 def _test_episode_key(test_point: int, episode: int) -> int:
     # distinct from training episode indices, which count from 0
-    return 1_000_000_000 + test_point * 10_000 + episode
+    return 1_000_000_000 + test_point * MAX_TEST_EPISODES + episode
 
 
 class SeedRun:
@@ -300,17 +301,15 @@ def _refuse_changed_config(out_dir: Path, stored_path: Path, config: RunConfig):
                           f"in {', '.join(changed)}")
 
 
-def _seed_worker(args):
-    config, seed, out_dir, resume = args
-    return seed, train_one_seed(config, seed, out_dir, resume=resume)
-
-
 def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
                     workers: int = 1) -> dict[int, list[dict]]:
     """Run every configured seed, in processes when workers > 1.
 
     Resuming refuses a config that differs from the stored config.json in
-    anything but total_env_steps, before any file is written.
+    anything but total_env_steps, before any file is written.  A worker
+    process that dies (killed, out of memory) is an error, not a hang: the
+    seeds not yet started are cancelled, and every seed keeps state/ from
+    its last test point, so a run with --resume continues.
     """
     out_dir = Path(out_dir)
     stored_path = out_dir / "config.json"
@@ -318,21 +317,21 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
         _refuse_changed_config(out_dir, stored_path, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_run_config(config, stored_path)
-    jobs = [(config, seed, out_dir / f"seed_{seed}", resume) for seed in config.seeds]
-    results: dict[int, list[dict]] = {}
-    if workers > 1 and len(jobs) > 1:
+    seeds = config.seeds
+    jobs = ([config] * len(seeds), seeds, [out_dir / f"seed_{seed}" for seed in seeds],
+            [resume] * len(seeds))
+    if workers > 1 and len(seeds) > 1:
         import multiprocessing as mp
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        # a pool starts all its processes at once, so start no more than there are jobs
-        with mp.get_context("spawn").Pool(processes=min(workers, len(jobs))) as pool:
-            for seed, rows in pool.imap_unordered(_seed_worker, jobs):
-                results[seed] = rows
+        try:
+            with ProcessPoolExecutor(min(workers, len(seeds)),
+                                     mp_context=mp.get_context("spawn")) as pool:
+                runs = list(pool.map(train_one_seed, *jobs))
+        except BrokenExecutor as exc:
+            raise MarlabError(f"a worker process died while training {out_dir}; "
+                              f"rerun with --resume to continue") from exc
     else:
-        for job in jobs:
-            seed, rows = _seed_worker(job)
-            results[seed] = rows
-    combined = []
-    for seed in config.seeds:
-        combined.extend(results[seed])
-    write_csv(out_dir / "metrics.csv", CSV_FIELDS, combined)
-    return results
+        runs = list(map(train_one_seed, *jobs))
+    write_csv(out_dir / "metrics.csv", CSV_FIELDS, [row for rows in runs for row in rows])
+    return dict(zip(seeds, runs))

@@ -2,6 +2,7 @@
 
 import json
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -228,6 +229,36 @@ class TestTrainCommand:
         assert "--explore" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_a_dead_worker_is_a_one_line_error_and_resume_continues(self, tmp_path,
+                                                                      capsys, monkeypatch):
+        # the fake trains the first seed, then breaks as a real pool does when
+        # a worker is killed (by the OOM killer, say); it starts no process
+        class BreakingExecutor:
+            def __init__(self, max_workers, mp_context):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *jobs):
+                yield fn(*(job[0] for job in jobs))
+                raise BrokenProcessPool("a process in the pool was terminated abruptly")
+
+        config = str(write_toy_config(tmp_path, seeds=[1, 2]))
+        with monkeypatch.context() as patch:
+            patch.setattr("concurrent.futures.ProcessPoolExecutor", BreakingExecutor)
+            assert main(["train", "--config", config, "--workers", "2"]) == 2
+        assert_one_line_error(capsys, "worker process died", "--resume")
+        assert (tmp_path / "run" / "seed_1" / "state").is_dir()
+        assert main(["train", "--config", config, "--resume"]) == 0
+        assert main(["train", "--config", config, "--out", str(tmp_path / "whole")]) == 0
+        for name in ("metrics.csv", "seed_2/checkpoint.bin"):
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (tmp_path / "whole" / name).read_bytes()
+
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MARLAB_OUT", str(tmp_path / "root"))
         cfg = write_toy_config(tmp_path, out_dir="rel_run")
@@ -258,14 +289,23 @@ class TestUnwritableOutput:
         assert_one_line_error(capsys, "Not a directory", str(out))
         assert not (tmp_path / "run").exists()
 
-    def test_check(self, tmp_path, capsys):
+    @staticmethod
+    def refuse_work(monkeypatch, name):
+        """--out is checked before the work: calling `name` fails the test."""
+        def work(*args, **kwargs):
+            pytest.fail(f"{name} ran before --out was checked")
+        monkeypatch.setattr(f"marlab.cli.{name}", work)
+
+    def test_check(self, tmp_path, capsys, monkeypatch):
+        self.refuse_work(monkeypatch, "run_checks")
         out = self.blocker(tmp_path) / "report.json"
         assert main(["check", "--seed", "0", "--out", str(out)]) == 2
         assert_one_line_error(capsys, "Not a directory", str(out))
 
-    def test_eval(self, tmp_path, capsys):
+    def test_eval(self, tmp_path, capsys, monkeypatch):
         assert main(["train", "--config", str(write_toy_config(tmp_path))]) == 0
         capsys.readouterr()  # drop training output
+        self.refuse_work(monkeypatch, "evaluate")
         out = self.blocker(tmp_path) / "eval.csv"
         assert main(["eval", "--run", str(tmp_path / "run" / "seed_1"),
                      "--episodes", "2", "--out", str(out)]) == 2

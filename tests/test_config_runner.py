@@ -1,7 +1,9 @@
 """Config schema, training runs, resumption, and CSV determinism."""
 
 import collections
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
 import tempfile
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import marlab.nn.serialize
 import marlab.runner
+from marlab.cli import main
 from marlab.config import (
     CommSettings,
     EnvSpec,
@@ -27,7 +30,7 @@ from marlab.config import (
     save_run_config,
 )
 from marlab.errors import CheckpointError, ConfigError, MarlabError
-from marlab.learner import EpisodeRecord, Learner, TrainConfig
+from marlab.learner import MAX_TEST_EPISODES, EpisodeRecord, Learner, TrainConfig
 from marlab.mixers import MIXERS
 from marlab.runner import BUFFER_ARRAYS, SeedRun, train_all_seeds, train_one_seed
 
@@ -97,6 +100,32 @@ class TestConfigSchema:
     def test_train_settings_that_cannot_run_rejected(self, train):
         with pytest.raises(ConfigError):
             run_config_from_dict({"train": train})
+
+    # each passed load and trained with loss nan at every test point, exit 0
+    @pytest.mark.parametrize("key, value", [
+        ("rmsprop_eps", 0),
+        ("rmsprop_eps", -1),
+        ("rmsprop_eps", 1e-50),       # positive, but 0 in the float32 training runs in
+        ("rmsprop_decay", 2),
+        ("rmsprop_decay", -1),
+    ])
+    def test_rmsprop_settings_that_train_to_nan_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            run_config_from_dict({"train": {key: value}})
+
+    def test_smallest_rmsprop_settings_float32_holds_accepted(self):
+        train = run_config_from_dict({"train": {"rmsprop_eps": 1e-44,
+                                                "rmsprop_decay": 0}}).train
+        assert (train.rmsprop_eps, train.rmsprop_decay) == (1e-44, 0)
+
+    def test_test_episodes_above_the_key_stride_rejected(self):
+        # episode 10 000 of test point 0 had the streams of episode 0 of test point 1
+        assert marlab.runner._test_episode_key(0, MAX_TEST_EPISODES) == \
+            marlab.runner._test_episode_key(1, 0)
+        with pytest.raises(ConfigError, match="test_episodes must be <= 10000"):
+            run_config_from_dict({"train": {"test_episodes": MAX_TEST_EPISODES + 1}})
+        assert run_config_from_dict(
+            {"train": {"test_episodes": MAX_TEST_EPISODES}}).train.test_episodes == 10_000
 
     def test_comm_heads_must_divide_hidden_dim(self):
         # used to pass load and fail in CommStack after the run directory was written
@@ -208,7 +237,10 @@ def train_configs(draw):
     eps_finish, eps_start = sorted(draw(st.lists(unit, min_size=2, max_size=2)))
     return TrainConfig(
         gamma=draw(unit), batch_size=batch, lr=draw(unit), comm_lr=draw(unit),
-        rmsprop_decay=draw(unit), rmsprop_eps=draw(st.floats(1e-9, 1)),
+        rmsprop_decay=draw(unit),
+        # every eps that stays above 0 in float32
+        rmsprop_eps=draw(st.floats(float(np.finfo(np.float32).smallest_subnormal) / 2,
+                                   exclude_min=True, allow_infinity=False)),
         epsilon_start=eps_start, epsilon_finish=eps_finish,
         anneal_steps=draw(st.integers(1, 10**6)), grad_clip=draw(st.floats(0, 100)),
         target_update_interval=draw(st.integers(1, 1000)),
@@ -279,6 +311,52 @@ def test_every_accepted_config_trains_to_completion(cfg):
         rows = train_one_seed(cfg, cfg.seeds[0], out_dir)
         lines = (Path(out_dir) / "metrics.csv").read_text().splitlines()
     assert rows[0]["env_step"] == 0 and len(lines) == len(rows) + 1
+
+
+def json_slots(obj: dict) -> list[tuple[dict, str]]:
+    """Every (object, key) pair of a JSON object, nested objects included."""
+    slots = []
+    for key, value in obj.items():
+        slots.append((obj, key))
+        if isinstance(value, dict):
+            slots.extend(json_slots(value))
+    return slots
+
+
+# no value here can make a run large: integers stop at 2, and 1.5 and 1e300
+# fit only float fields
+WRONG_TYPES = ["x", [1], {"a": 1}, None, True]
+OUT_OF_RANGE = [-1, -0.5, 1.5, 2, 1e300]
+
+
+@st.composite
+def cli_config_files(draw):
+    """A small-budget accepted config as JSON, as drawn or with one key corrupted."""
+    data = run_config_to_dict(small_budget(draw(run_configs())))
+    slots = json_slots(data)
+    corruption = draw(st.sampled_from(["none", "type", "range", "unknown"]))
+    if corruption == "unknown":
+        obj = draw(st.sampled_from([data] + [o[k] for o, k in slots if isinstance(o[k], dict)]))
+        obj["bogus"] = 1
+    elif corruption != "none":
+        obj, key = draw(st.sampled_from(slots))
+        obj[key] = draw(st.sampled_from(WRONG_TYPES if corruption == "type" else OUT_OF_RANGE))
+    return data
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # accepted configs may diverge
+@settings(max_examples=25, deadline=None)
+@given(data=cli_config_files())
+def test_cli_train_exits_0_or_with_one_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", str(path), "--out", str(Path(tmp) / "run")])
+    lines = err.getvalue().splitlines()
+    assert (code, lines) == (0, []) or (
+        code == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (code, lines)
 
 
 class TestTrainingRun:
@@ -354,12 +432,12 @@ class TestTrainingRun:
             (tmp_path / "par" / "metrics.csv").read_bytes()
 
     def test_a_pool_starts_no_more_processes_than_seeds(self, tmp_path, monkeypatch):
-        # a real Pool starts every worker at once; this fake runs jobs inline
+        # this fake executor runs the jobs inline and records its process cap
         started = []
 
-        class InlinePool:
-            def __init__(self, processes):
-                started.append(processes)
+        class InlineExecutor:
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -367,13 +445,10 @@ class TestTrainingRun:
             def __exit__(self, *exc):
                 return False
 
-            def imap_unordered(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *jobs):
+                return map(fn, *jobs)
 
-        class SpawnContext:
-            Pool = InlinePool
-
-        monkeypatch.setattr("multiprocessing.get_context", lambda method: SpawnContext())
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
         cfg = toy_config(seeds=(1, 2), total_env_steps=40)
         train_all_seeds(cfg, tmp_path / "pool", workers=64)
         assert started == [2]

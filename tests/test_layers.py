@@ -89,8 +89,9 @@ class TestAttention:
     def test_single_row_weight_is_one(self):
         attn = MultiHeadSelfAttention(8, 2, rng(10), "attn")
         h = Tensor(rng(11).standard_normal((1, 8)))
-        out, weights = attn(h, return_weights=True)
-        assert np.array_equal(weights, np.ones((1, 2, 1, 1)))   # (sets, heads, n, n)
+        probs = []
+        out = attn(h, probs_out=probs)
+        assert np.array_equal(probs, [np.ones((1, 2, 1, 1))])   # (sets, heads, n, n)
         # with the lone attention weight pinned at 1, output is OutProj(ValueProj(h))
         v = attn.v_proj(h)
         expect = attn.out_proj(v)
@@ -111,7 +112,9 @@ class TestAttention:
             [True, True, False],
             [True, True, True],
         ])
-        _, weights = attn(h, mask=mask, return_weights=True)
+        probs = []
+        attn(h, mask=mask, probs_out=probs)
+        (weights,) = probs
         assert weights.shape == (1, 2, 3, 3)
         for w in weights[0]:
             assert np.all(w[~mask] == 0.0)

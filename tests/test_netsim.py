@@ -1,4 +1,8 @@
-"""Deployment modes: equivalence under full reach, traffic arithmetic, isolation."""
+"""Deployment: reachability input, traffic arithmetic, and the masked forward.
+
+The centralized node runs comm(h); the distributed computation is
+comm(h, mask=reachable).
+"""
 
 import json
 
@@ -7,7 +11,7 @@ import pytest
 
 from marlab.comm import CommSettings, CommStack
 from marlab.errors import ConfigError, ShapeError
-from marlab.netsim import Topology, TrafficStats, centralized_round, distributed_round
+from marlab.netsim import Topology, TrafficStats, centralized_traffic, distributed_traffic
 from marlab.nn import Tensor, no_grad
 
 
@@ -18,6 +22,13 @@ def warmed_stack(layers=2, dim=8, seed=0):
     stack.out_proj.weight.data[...] = gen.standard_normal(stack.out_proj.weight.shape) * 0.4
     stack.out_proj.bias.data[...] = gen.standard_normal(stack.out_proj.bias.shape) * 0.1
     return stack
+
+
+def increments(stack, h, topology=None):
+    """comm(h), or with a topology the masked forward that the peers compute."""
+    mask = topology.reachable if topology is not None else None
+    with no_grad():
+        return stack(Tensor(h), mask=mask).data
 
 
 class TestTopology:
@@ -72,30 +83,23 @@ class TestTopology:
 
 class TestTrafficAccounting:
     def test_centralized_floats_formula(self):
-        stack = warmed_stack(layers=3, dim=64)
-        h = np.random.default_rng(0).standard_normal((8, 64))
-        _, stats = centralized_round(stack, h)
+        stats = centralized_traffic(8, 64)
         assert stats.floats_transferred == 2 * 8 * 64 == 1024
         assert stats.messages == 16 and stats.rounds == 1
 
     def test_centralized_stats_independent_of_depth(self):
-        h = np.random.default_rng(1).standard_normal((4, 8))
-        for layers in (1, 2, 3):
-            _, stats = centralized_round(warmed_stack(layers=layers), h)
-            assert stats == TrafficStats(messages=8, floats_transferred=64, rounds=1)
+        # the formula takes no depth: one round up and one back for any stack
+        assert centralized_traffic(4, 8) == TrafficStats(messages=8, floats_transferred=64,
+                                                         rounds=1)
 
     def test_distributed_full_connectivity_formula(self):
-        stack = warmed_stack(layers=3, dim=8)
-        h = np.random.default_rng(2).standard_normal((4, 8))
-        _, stats = distributed_round(stack, h, Topology.full(4))
+        stats = distributed_traffic(Topology.full(4), 3, 8)
         assert stats.messages == 3 * 4 * 3 == 36
         assert stats.floats_transferred == 36 * 8
         assert stats.rounds == 3
 
     def test_partial_topology_sends_fewer_messages(self):
-        stack = warmed_stack(layers=2, dim=8)
-        h = np.random.default_rng(3).standard_normal((4, 8))
-        _, stats = distributed_round(stack, h, Topology.isolate(4, 0))
+        stats = distributed_traffic(Topology.isolate(4, 0), 2, 8)
         assert stats.messages == 2 * 3 * 2  # only the 3 connected agents talk
 
 
@@ -105,24 +109,15 @@ class TestModeEquivalence:
         gen = np.random.default_rng(4)
         for n in (1, 2, 5):
             h = gen.standard_normal((n, 8))
-            z_c, _ = centralized_round(stack, h)
-            z_d, _ = distributed_round(stack, h, Topology.full(n))
+            z_c = increments(stack, h)
+            z_d = increments(stack, h, Topology.full(n))
             assert np.abs(z_c - z_d).max() <= 1e-6
-
-    def test_single_agent_round(self):
-        stack = warmed_stack()
-        h = np.random.default_rng(5).standard_normal((1, 8))
-        z, stats = centralized_round(stack, h)
-        assert stats.messages == 2
-        with no_grad():
-            direct = stack(Tensor(h)).data
-        assert np.array_equal(z, direct)
 
     def test_isolated_agent_leaves_others_as_subset_run(self):
         stack = warmed_stack(layers=2, seed=7)
         h = np.random.default_rng(6).standard_normal((4, 8))
-        z_full, _ = distributed_round(stack, h, Topology.isolate(4, 3))
-        z_sub, _ = centralized_round(stack, h[:3])
+        z_full = increments(stack, h, Topology.isolate(4, 3))
+        z_sub = increments(stack, h[:3])
         assert np.allclose(z_full[:3], z_sub, atol=1e-12)
 
     def test_single_layer_increment_depends_only_on_in_neighborhood(self):
@@ -138,8 +133,8 @@ class TestModeEquivalence:
         h = gen.standard_normal((3, 8))
         h_mod = h.copy()
         h_mod[2] += gen.standard_normal(8)
-        z_a, _ = distributed_round(stack, h, topo)
-        z_b, _ = distributed_round(stack, h_mod, topo)
+        z_a = increments(stack, h, topo)
+        z_b = increments(stack, h_mod, topo)
         assert np.array_equal(z_a[0], z_b[0])
         assert not np.allclose(z_a[1], z_b[1])
 
@@ -156,19 +151,19 @@ class TestModeEquivalence:
         h = gen.standard_normal((3, 8))
         h_mod = h.copy()
         h_mod[2] += gen.standard_normal(8)
-        z_a, _ = distributed_round(stack, h, topo)
-        z_b, _ = distributed_round(stack, h_mod, topo)
+        z_a = increments(stack, h, topo)
+        z_b = increments(stack, h_mod, topo)
         assert np.array_equal(z_a[:2], z_b[:2])
         assert not np.allclose(z_a[2], z_b[2])
 
     def test_topology_size_mismatch_raises(self):
         stack = warmed_stack()
         with pytest.raises(ShapeError):
-            distributed_round(stack, np.zeros((3, 8)), Topology.full(4))
+            increments(stack, np.zeros((3, 8)), Topology.full(4))
 
     def test_hidden_width_mismatch_raises_in_both_rounds(self):
         stack = warmed_stack(dim=8)
         with pytest.raises(ShapeError, match="width 8"):
-            centralized_round(stack, np.zeros((3, 6)))
+            increments(stack, np.zeros((3, 6)))
         with pytest.raises(ShapeError, match="width 8"):
-            distributed_round(stack, np.zeros((3, 6)), Topology.full(3))
+            increments(stack, np.zeros((3, 6)), Topology.full(3))
