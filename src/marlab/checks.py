@@ -187,13 +187,17 @@ def check_comm_permutation_equivariance(seed: int, fault: str) -> tuple[bool, st
 
 
 def check_comm_param_count_team_size(seed: int, fault: str) -> tuple[bool, str]:
-    counts = set()
+    """One stack keeps its parameter names and shapes whatever team size it runs on."""
+    stack = _make_comm(seed, "none")
+    layout = [(p.name, p.shape) for p in stack.parameters()]
+    changed = []
     for n in (2, 8, 27):
-        stack = _make_comm(seed, "none")
         with no_grad():
             stack(Tensor(np.zeros((n, 16))))
-        counts.add(stack.param_count())
-    return len(counts) == 1, f"counts {sorted(counts)}"
+        if [(p.name, p.shape) for p in stack.parameters()] != layout:
+            changed.append(n)
+    return not changed, (f"{stack.param_count()} entries in {len(layout)} parameters, "
+                         f"layout changed after n = {changed or 'none'}")
 
 
 def check_vdn_exact_sum(seed: int, fault: str) -> tuple[bool, str]:
@@ -225,20 +229,28 @@ def check_qmix_monotonicity(seed: int, fault: str) -> tuple[bool, str]:
 
 
 def check_deployment_equivalence(seed: int, fault: str) -> tuple[bool, str]:
+    """Under Topology.isolate(n, j) the others get the increments of the stack
+    run without agent j, and agent j those of the stack run on its row alone."""
     stack = _make_comm(seed, "comm-hot-init", num_layers=2)
     gen = stream(seed, "deploy")
     worst = 0.0
     for n in (2, 4, 6):
-        h = Tensor(gen.standard_normal((n, 16)))
+        h = gen.standard_normal((n, 16))
+        j = int(gen.integers(n))
+        others = np.arange(n) != j
         with no_grad():
-            z_c = stack(h).data
-            z_d = stack(h, mask=Topology.full(n).reachable).data
-        worst = max(worst, float(np.abs(z_c - z_d).max()))
+            z = stack(Tensor(h), mask=Topology.isolate(n, j).reachable).data
+            z_others = stack(Tensor(h[others])).data
+            z_alone = stack(Tensor(h[j : j + 1])).data
+        worst = max(worst, float(np.abs(z[others] - z_others).max()),
+                    float(np.abs(z[j : j + 1] - z_alone).max()))
         if centralized_traffic(n, 16).floats_transferred != 2 * n * 16:
             return False, "centralized traffic formula violated"
         if distributed_traffic(Topology.full(n), 2, 16).messages != 2 * n * (n - 1):
             return False, "distributed message formula violated"
-    return worst <= 1e-6, f"max |mode mismatch| {worst:.2e}"
+        if distributed_traffic(Topology.isolate(n, j), 2, 16).messages != 2 * (n - 1) * (n - 2):
+            return False, "isolated message count violated"
+    return worst <= 1e-6, f"max |isolated - separate run| {worst:.2e}"
 
 
 def check_exploration_reductions(seed: int, fault: str) -> tuple[bool, str]:

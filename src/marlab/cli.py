@@ -137,16 +137,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _check_out_parent(out) -> None:
-    """Refuse an --out whose parent is not a directory before any work is done,
-    with the OSError that writing it at the end would raise."""
-    if out is not None and not Path(out).parent.is_dir():
-        code = errno.ENOTDIR if Path(out).parent.exists() else errno.ENOENT
+def _check_out_path(out) -> None:
+    """Refuse an --out that is a directory or whose parent is not one before
+    any work is done, with the OSError that writing it at the end would raise."""
+    if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        code = (errno.EISDIR if Path(out).is_dir() else
+                errno.ENOTDIR if Path(out).parent.exists() else errno.ENOENT)
         raise OSError(code, os.strerror(code), out)
 
 
 def cmd_check(args) -> int:
-    _check_out_parent(args.out)
+    _check_out_path(args.out)
     report = run_checks(seed=args.seed, fault=args.inject_fault)
     text = json.dumps(report, indent=2)
     if args.out:
@@ -157,7 +158,7 @@ def cmd_check(args) -> int:
 
 def cmd_eval(args) -> int:
     check_seed("--seed", args.seed)
-    _check_out_parent(args.out)
+    _check_out_path(args.out)
     run_dir = Path(args.run)
     config_path = run_dir / "config.json"
     if not config_path.exists():

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .nn import Dense, EncoderLayer, Module, Tensor, TrainContext
 from .rng import stream
 
@@ -77,8 +77,6 @@ class CommStack(Module):
         communicates.  With sets > 1 the rows hold that many independent
         teams back to back; each team communicates only internally.
         """
-        if hidden.cols != self.model_dim:
-            raise ShapeError(f"expected width {self.model_dim}, got {hidden.shape}")
         x = hidden
         for layer in self.layers:
             x = layer(x, mask=mask, sets=sets, ctx=ctx)

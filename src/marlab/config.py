@@ -91,6 +91,8 @@ class RunConfig:
             raise ConfigError(f"seeds repeat a seed: {list(self.seeds)}")
         if self.total_env_steps < 1:
             raise ConfigError("total_env_steps must be positive")
+        if "\0" in self.out_dir:   # no file system path can hold one
+            raise ConfigError(f"out_dir contains a NUL character: {self.out_dir!r}")
         if self.comm.enabled and self.train.hidden_dim % self.comm.heads != 0:
             raise ConfigError(f"train.hidden_dim {self.train.hidden_dim} is the comm width and "
                               f"must be a multiple of comm.heads {self.comm.heads}")

@@ -33,6 +33,10 @@ the invariant oracles in checks.py build.  Batches stay float64 arrays;
 unroll_team, taken_joint_values, mix_values and td_loss cast what they feed
 into the graph to the parameters' dtype.  The TD targets are formed in
 float64 from the float32 target-network values and then cast.
+
+Each object here lays out its own part of a run's snapshot: the
+ReplayBuffer its episodes as padded arrays, and the Learner both
+optimizers' moments; the Learner's train_steps is stored beside them.
 """
 
 from __future__ import annotations
@@ -101,6 +105,30 @@ class ReplayBuffer:
             raise ContractError(f"buffer holds {len(self._store)} < {count} episodes")
         idx = rng.choice(len(self._store), size=count, replace=False)
         return [self._store[i] for i in idx]
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The snapshot layout: count, lengths and terminated, then pad_batch's obs,
+        states, avail, actions and rewards, oldest first; empty is count = 0 alone."""
+        eps = self.episodes
+        if not eps:
+            return {"count": np.array(0)}
+        batch = pad_batch(eps)
+        return {"count": np.array(len(eps)),
+                "lengths": np.array([ep.length for ep in eps]),
+                "terminated": np.array([ep.terminated for ep in eps]),
+                **{key: batch[key] for key in ("obs", "states", "avail", "actions", "rewards")}}
+
+    @classmethod
+    def from_state_arrays(cls, capacity: int, arrays: dict) -> "ReplayBuffer":
+        """The buffer whose state_arrays() are `arrays`."""
+        buffer = cls(capacity)
+        for i in range(int(arrays["count"])):
+            t = int(arrays["lengths"][i])
+            buffer.add(EpisodeRecord(
+                **{key: arrays[key][i, : t + 1].copy() for key in ("obs", "states", "avail")},
+                **{key: arrays[key][i, :t].copy() for key in ("actions", "rewards")},
+                terminated=bool(arrays["terminated"][i])))
+        return buffer
 
 
 # test_episodes is at most this, the stride of the test episode keys: a test
@@ -301,6 +329,18 @@ class Learner:
     @property
     def optimizers(self) -> list:
         return [opt for opt in (self.opt_main, self.opt_comm) if opt is not None]
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Both optimizers' moment arrays, by name; filling them in place restores them."""
+        return {name: arr for opt in self.optimizers
+                for name, arr in opt.state_arrays().items()}
+
+    def resume_at(self, train_steps: int):
+        """Continue after train_steps train steps.  Both optimizers step once
+        per train step, so train_steps is their step count too."""
+        self.train_steps = train_steps
+        for opt in self.optimizers:
+            opt.step_count = train_steps
 
     def train_step(self, buffer: ReplayBuffer) -> Optional[dict]:
         """One gradient update from a sampled batch.

@@ -49,7 +49,6 @@ class QmixMixer(Module):
         if n_agents < 1:
             raise ConfigError("need at least one agent")
         self.n_agents = n_agents
-        self.state_dim = state_dim
         rng = stream(seed, "mixer-init")
         self.w1_hidden = self._register(Dense(state_dim, HYPER_HIDDEN, rng, "mixer.w1_hidden"))
         self.w1_out = self._register(Dense(HYPER_HIDDEN, n_agents * EMBED_DIM, rng, "mixer.w1_out"))
@@ -71,8 +70,6 @@ class QmixMixer(Module):
     def forward(self, q_locals: Tensor, state: Tensor) -> Tensor:
         if q_locals.cols != self.n_agents:
             raise ShapeError(f"expected {self.n_agents} local values, got {q_locals.shape}")
-        if state.cols != self.state_dim:
-            raise ShapeError(f"expected state width {self.state_dim}, got {state.shape}")
         w1, w2 = (self._positivity(w) for w in self.hyper_weights(state))
         b1 = self.b1(state)
         hidden = T.elu(T.add(T.block_row_matmul(q_locals, w1), b1))

@@ -124,7 +124,7 @@ class Dense(Module):
 
 
 class GRUCell(Module):
-    """Gated recurrent cell.
+    """Gated recurrent cell; T.gru_cell checks the input and state against its weights.
 
     z = sigmoid(x Wxz^T + h Whz^T + bz)
     r = sigmoid(x Wxr^T + h Whr^T + br)
@@ -134,8 +134,6 @@ class GRUCell(Module):
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator, name: str):
         super().__init__()
-        self.in_dim = in_dim
-        self.hidden_dim = hidden_dim
 
         def wx(tag):
             return self._param(_uniform_init(rng, hidden_dim, in_dim, in_dim),
@@ -154,10 +152,6 @@ class GRUCell(Module):
         self.wxc, self.whc, self.bc = wx("c"), wh("c"), bias("c")
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        if x.cols != self.in_dim:
-            raise ShapeError(f"GRU expects {self.in_dim} input columns, got {x.shape}")
-        if h.cols != self.hidden_dim:
-            raise ShapeError(f"GRU expects hidden width {self.hidden_dim}, got {h.shape}")
         return T.gru_cell(x, h, self.wxz, self.whz, self.bz,
                           self.wxr, self.whr, self.br,
                           self.wxc, self.whc, self.bc)

@@ -378,7 +378,7 @@ def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     added to the variance."""
     d = a.cols
     if gamma.shape != (1, d) or beta.shape != (1, d):
-        raise ShapeError("layer_norm: gamma/beta must be 1 x d row vectors")
+        raise ShapeError(f"layer_norm: input {a.shape}, gamma {gamma.shape}, beta {beta.shape}")
     # the arithmetic of np.mean and np.var, with the mean subtracted once
     centered = a.data - a.data.sum(axis=1, keepdims=True) / d
     var = (centered * centered).sum(axis=1, keepdims=True) / d
@@ -435,7 +435,12 @@ def gru_cell(x: Tensor, h: Tensor,
     r = sigmoid(x Wxr^T + h Whr^T + br)
     c = tanh(x Wxc^T + r * (h Whc^T) + bc)
     out = (1 - z) * c + z * h
+
+    x (rows, in) and h (rows, hidden) must fit Wx* (hidden, in) and Wh* (hidden, hidden).
     """
+    if x.cols != wxz.cols or h.shape != (x.rows, whz.rows):
+        raise ShapeError(f"gru_cell: input {x.shape} and state {h.shape} do not match "
+                         f"weights {wxz.shape} and {whz.shape}")
     xd, hd = x.data, h.data
     with np.errstate(over="ignore"):   # exp overflows to inf: the gate is exactly 0
         z = 1.0 / (1.0 + np.exp(-(xd @ wxz.data.T + hd @ whz.data.T + bz.data)))

@@ -16,12 +16,15 @@ float64-trained snapshot, which float32 cannot hold, is refused on load.
 
 A snapshot, a seed directory's state/, holds the run config, the online and
 target parameters, the optimizer state, the replay buffer, and the counters
-and CSV rows so far; both optimizers step once per train step, so their step
-counts are the stored train_steps.  Every run snapshots at each test point,
-so resuming after a crash continues from the last one.  A snapshot is
-written as a unit: a process that dies while saving leaves the previous
-snapshot whole, and a damaged one is a CheckpointError naming the file.
-Files are not synced to disk, so a crash of the machine is not covered.
+and CSV rows so far.  SeedRun names the files and writes the config, the
+parameters and the counters; the Learner lays out the optimizer state
+(Learner.state_arrays, resume_at) and the buffer its own arrays
+(ReplayBuffer.state_arrays, from_state_arrays).  Every run snapshots at
+each test point, so resuming after a crash continues from the last one.  A
+snapshot is written as a unit: a process that dies while saving leaves the
+previous snapshot whole, and a damaged one is a CheckpointError naming the
+file.  Files are not synced to disk, so a crash of the machine is not
+covered.
 """
 
 from __future__ import annotations
@@ -42,14 +45,11 @@ from .config import (RunConfig, differing_keys, read_json, run_config_to_dict,
 from .envs import Env, make_env
 from .errors import CheckpointError, ConfigError, ContractError, MarlabError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
-from .learner import (MAX_TEST_EPISODES, EpisodeRecord, Learner, ReplayBuffer, epsilon,
-                      pad_batch)
+from .learner import MAX_TEST_EPISODES, EpisodeRecord, Learner, ReplayBuffer, epsilon
 from .nn import no_grad, save_checkpoint, load_checkpoint, load_records, write_records
 from .rng import stream, unit_uniform
 
 CSV_FIELDS = ["seed", "env_step", "mean_test_return", "success_rate", "loss", "epsilon"]
-# padded (episode, time, ...) arrays of a buffer snapshot, as pad_batch stacks them
-BUFFER_ARRAYS = ("obs", "states", "avail", "actions", "rewards")
 
 
 def build_team_for_env(config: RunConfig, env: Env, seed: int) -> TeamModel:
@@ -187,8 +187,8 @@ class SeedRun:
         save_run_config(self.config, new / "config.json")
         save_checkpoint(self.team.parameters(), new / "params.bin")
         save_checkpoint(self.learner.target.parameters(), new / "target.bin")
-        write_records(new / "optimizer.bin", self._optimizer_arrays().items())
-        self._save_buffer(new / "buffer.npz")
+        write_records(new / "optimizer.bin", self.learner.state_arrays().items())
+        np.savez(new / "buffer.npz", **self.buffer.state_arrays())
         (new / "progress.json").write_text(json.dumps({
             "env_step": self.env_step,
             "episode_idx": self.episode_idx,
@@ -210,52 +210,24 @@ class SeedRun:
             progress = read_json(path)
         except ConfigError as exc:
             raise CheckpointError(str(exc)) from exc
-        load_checkpoint(state_dir / "params.bin", self.team.parameters())
-        load_checkpoint(state_dir / "target.bin", self.learner.target.parameters())
-        load_records(state_dir / "optimizer.bin", self._optimizer_arrays().items())
-        self._load_buffer(state_dir / "buffer.npz")
         try:   # older snapshots also hold a next_test, which the rows now give
             self.env_step = progress["env_step"]
             self.episode_idx = progress["episode_idx"]
-            self.learner.train_steps = progress["train_steps"]
+            self.learner.resume_at(progress["train_steps"])
             last_loss, self.rows = progress["last_loss"], progress["rows"]
         except KeyError as exc:
             raise CheckpointError(f"{path}: missing {exc}") from exc
-        for opt in self.learner.optimizers:   # each steps once per train step
-            opt.step_count = self.learner.train_steps
-        self.last_loss = last_loss if last_loss is not None else math.nan
-
-    def _optimizer_arrays(self) -> dict:
-        return {name: arr for opt in self.learner.optimizers
-                for name, arr in opt.state_arrays().items()}
-
-    def _save_buffer(self, path):
-        eps = self.buffer.episodes
-        if not eps:
-            np.savez(path, count=np.array(0))
-            return
-        batch = pad_batch(eps)
-        np.savez(path, count=np.array(len(eps)),
-                 lengths=np.array([ep.length for ep in eps]),
-                 terminated=np.array([ep.terminated for ep in eps]),
-                 **{key: batch[key] for key in BUFFER_ARRAYS})
-
-    def _load_buffer(self, path):
+        load_checkpoint(state_dir / "params.bin", self.team.parameters())
+        load_checkpoint(state_dir / "target.bin", self.learner.target.parameters())
+        load_records(state_dir / "optimizer.bin", self.learner.state_arrays().items())
+        path = state_dir / "buffer.npz"
         try:   # one lookup per key: each NpzFile lookup reads the whole array again
-            with np.load(path) as data:
+            with open(path, "rb") as fh, np.load(fh) as data:
                 arrays = {key: data[key] for key in data.files}
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
-        self.buffer = ReplayBuffer(self.config.train.buffer_capacity)
-        for i in range(int(arrays["count"])):
-            t = int(arrays["lengths"][i])
-            self.buffer.add(EpisodeRecord(
-                obs=arrays["obs"][i, : t + 1].copy(),
-                states=arrays["states"][i, : t + 1].copy(),
-                avail=arrays["avail"][i, : t + 1].copy(),
-                actions=arrays["actions"][i, :t].copy(),
-                rewards=arrays["rewards"][i, :t].copy(),
-                terminated=bool(arrays["terminated"][i])))
+        self.buffer = ReplayBuffer.from_state_arrays(self.config.train.buffer_capacity, arrays)
+        self.last_loss = last_loss if last_loss is not None else math.nan
 
 
 def write_csv(path, fields: list[str], rows: list[dict]):

@@ -67,6 +67,12 @@ class TestTrainCommand:
         assert resolved.exploration.temperature == 0.33
         assert resolved.seeds == (7,)
 
+    def test_nul_in_out_dir_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = write_toy_config(tmp_path, out_dir=str(tmp_path / "run\u0000x"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert_one_line_error(capsys, "out_dir", "NUL")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mixer": "qplex"}))
@@ -267,7 +273,8 @@ class TestTrainCommand:
 
 
 class TestUnwritableOutput:
-    """An --out whose parent is a regular file: one line and exit 2, not a traceback."""
+    """An --out whose parent is a regular file, or that is a directory: one
+    line and exit 2, not a traceback."""
 
     def blocker(self, tmp_path):
         path = tmp_path / "blocker"
@@ -301,6 +308,8 @@ class TestUnwritableOutput:
         out = self.blocker(tmp_path) / "report.json"
         assert main(["check", "--seed", "0", "--out", str(out)]) == 2
         assert_one_line_error(capsys, "Not a directory", str(out))
+        assert main(["check", "--seed", "0", "--out", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "Is a directory", str(tmp_path))
 
     def test_eval(self, tmp_path, capsys, monkeypatch):
         assert main(["train", "--config", str(write_toy_config(tmp_path))]) == 0
@@ -310,6 +319,9 @@ class TestUnwritableOutput:
         assert main(["eval", "--run", str(tmp_path / "run" / "seed_1"),
                      "--episodes", "2", "--out", str(out)]) == 2
         assert_one_line_error(capsys, "Not a directory", str(out))
+        assert main(["eval", "--run", str(tmp_path / "run" / "seed_1"),
+                     "--episodes", "2", "--out", str(tmp_path)]) == 2
+        assert_one_line_error(capsys, "Is a directory", str(tmp_path))
 
 
 class TestCheckCommand:

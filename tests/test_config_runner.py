@@ -30,9 +30,9 @@ from marlab.config import (
     save_run_config,
 )
 from marlab.errors import CheckpointError, ConfigError, MarlabError
-from marlab.learner import MAX_TEST_EPISODES, EpisodeRecord, Learner, TrainConfig
+from marlab.learner import MAX_TEST_EPISODES, EpisodeRecord, Learner, ReplayBuffer, TrainConfig
 from marlab.mixers import MIXERS
-from marlab.runner import BUFFER_ARRAYS, SeedRun, train_all_seeds, train_one_seed
+from marlab.runner import SeedRun, train_all_seeds, train_one_seed
 
 EARLIER_STATE = Path(__file__).parent / "data" / "earlier_state"
 
@@ -277,7 +277,8 @@ def run_configs(draw):
         train=st.just(train),
         seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=5, unique=True).map(tuple),
         total_env_steps=st.integers(1, 10**9),
-        out_dir=st.text(max_size=20),
+        # a NUL character is rejected at load: no file system path can hold one
+        out_dir=st.text(st.characters(exclude_characters="\0"), max_size=20),
     ))
 
 
@@ -500,7 +501,7 @@ class TestSnapshot:
         assert len(fresh.buffer) == 5
         for saved, loaded in zip(run.buffer.episodes, fresh.buffer.episodes):
             assert loaded.terminated == saved.terminated
-            for key in BUFFER_ARRAYS:
+            for key in ("obs", "states", "avail", "actions", "rewards"):
                 a, b = getattr(saved, key), getattr(loaded, key)
                 assert a.shape == b.shape and np.array_equal(a, b), key
 
@@ -517,7 +518,7 @@ class TestSnapshot:
 
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
         SeedRun(toy_config(), seed=1, out_dir=tmp_path).load_state()
-        assert set(BUFFER_ARRAYS) <= set(reads)
+        assert set(run.buffer.state_arrays()) == set(reads)
         assert max(reads.values()) == 1, dict(reads)
 
     def test_float64_earlier_state_is_refused_in_one_line(self, tmp_path):
@@ -535,16 +536,16 @@ class TestSnapshot:
 
     def test_earlier_state_buffer_round_trips_through_load_and_save(self, tmp_path):
         # the padded layout the old snapshot code wrote is the one
-        # _save_buffer writes now
-        run = SeedRun(toy_config(), seed=5, out_dir=tmp_path)
-        run._load_buffer(EARLIER_STATE / "buffer.npz")
-        assert len(run.buffer) == 20
-        run._save_buffer(tmp_path / "buffer.npz")
-        with np.load(EARLIER_STATE / "buffer.npz") as old, \
-                np.load(tmp_path / "buffer.npz") as new:
-            assert sorted(old.files) == sorted(new.files)
-            for key in old.files:
-                a, b = old[key], new[key]
+        # ReplayBuffer.state_arrays lays out now, key order included
+        with np.load(EARLIER_STATE / "buffer.npz") as old:
+            arrays = {key: old[key] for key in old.files}
+        buffer = ReplayBuffer.from_state_arrays(toy_config().train.buffer_capacity, arrays)
+        assert len(buffer) == 20
+        np.savez(tmp_path / "buffer.npz", **buffer.state_arrays())
+        with np.load(tmp_path / "buffer.npz") as new:
+            assert list(arrays) == new.files
+            for key in new.files:
+                a, b = arrays[key], new[key]
                 assert a.dtype == b.dtype and a.shape == b.shape, key
                 assert np.array_equal(a, b), key
 

@@ -71,7 +71,7 @@ class TestQmix:
 
     def test_state_width_mismatch_raises(self):
         mixer = self.make()
-        with pytest.raises(ShapeError, match="state"):
+        with pytest.raises(ShapeError, match=r"affine: input \(1, 4\) does not match"):
             mixer(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
 
 

@@ -163,7 +163,7 @@ class TestModeEquivalence:
 
     def test_hidden_width_mismatch_raises_in_both_rounds(self):
         stack = warmed_stack(dim=8)
-        with pytest.raises(ShapeError, match="width 8"):
+        with pytest.raises(ShapeError, match=r"gamma \(1, 8\)"):
             increments(stack, np.zeros((3, 6)))
-        with pytest.raises(ShapeError, match="width 8"):
+        with pytest.raises(ShapeError, match=r"gamma \(1, 8\)"):
             increments(stack, np.zeros((3, 6)), Topology.full(3))
