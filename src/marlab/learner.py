@@ -21,7 +21,8 @@ fed either a term multiplied by (1 - terminated) = 0 or a padded row that
 the mask zeroes, and none of them is on the gradient path, so losses,
 gradients and parameters are bit-identical to the full unroll.  One
 difference shows only on broken networks: a non-finite target value at a
-skipped step used to make the loss NaN (0 * inf) and now does not.
+skipped step used to make the loss NaN (0 * inf) and now does not; nor
+does an inf or NaN in the GRU's Wh* at the zero state (see T.gru_cell).
 
 A train step's peak memory is its forward graph: backward() frees each
 node's gradient and saved arrays once it has used them, and every dropout

@@ -1,4 +1,12 @@
-"""Adam and RMSProp with per-parameter state, plus global-norm clipping.
+"""Adam and RMSProp over flat state, plus global-norm clipping.
+
+Each optimizer packs its parameters into one array of their common dtype
+(mixed dtypes are a ContractError) and rebinds each p.data to its view of
+it; each moment is one array too.  A step gathers the gradients into one
+array and runs the per-entry float operations of a per-parameter loop over
+it.  Fill p.data in place (copy_from and the checkpoint loaders do): step()
+refuses a rebound one, which it would not train.  state_arrays() keeps the
+checkpoint's names and shapes as views, so filling them in place restores it.
 
 Note the epsilon placement differs between the two rules on purpose:
 Adam adds it outside the square root (bias-corrected form), RMSProp adds
@@ -49,15 +57,33 @@ class _OptimizerBase:
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
+        dtypes = sorted({p.data.dtype.name for p in self.params})
+        if len(dtypes) > 1:
+            raise ContractError(f"{type(self).__name__}: parameters mix dtypes {dtypes}")
+        self.flat = np.concatenate([p.data.reshape(-1) for p in self.params])
+        self._ends = np.cumsum([p.data.size for p in self.params]).tolist()
+        self._views = self._split(self.flat)
+        for p, view in zip(self.params, self._views):
+            p.data = view
+        self._grads = np.empty_like(self.flat)
 
-    def _require_grads(self):
-        for p in self.params:
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's view of a flat array."""
+        return [flat[end - p.data.size : end].reshape(p.shape)
+                for p, end in zip(self.params, self._ends)]
+
+    def _take_grads(self) -> np.ndarray:
+        """The gradients, gathered flat; each p.grad is then cleared."""
+        for p, view in zip(self.params, self._views):
             if p.grad is None:
                 raise ContractError(f"parameter {p.name} has no gradient")
-
-    def _clear_grads(self):
+            if p.data is not view:
+                raise ContractError(f"parameter {p.name}: .data was rebound, so the "
+                                    f"optimizer would train a stale copy; fill it in place")
+        np.concatenate([p.grad.reshape(-1) for p in self.params], out=self._grads)
         for p in self.params:
             p.grad = None
+        return self._grads
 
 
 class Adam(_OptimizerBase):
@@ -65,22 +91,20 @@ class Adam(_OptimizerBase):
 
     def __init__(self, params, lr: float):
         super().__init__(params, lr)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._m, self._v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self.m, self.v = self._split(self._m), self._split(self._v)
 
     def step(self):
-        self._require_grads()
+        g = self._take_grads()
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        self._clear_grads()
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self.flat -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -95,17 +119,16 @@ class RMSProp(_OptimizerBase):
         super().__init__(params, lr)
         self.decay = decay
         self.eps = eps
-        self.sq = [np.zeros_like(p.data) for p in self.params]
+        self._sq = np.zeros_like(self.flat)
+        self.sq = self._split(self._sq)
 
     def step(self):
-        self._require_grads()
+        g = self._take_grads()
         self.step_count += 1
-        for p, s in zip(self.params, self.sq):
-            g = p.grad
-            s *= self.decay
-            s += (1.0 - self.decay) * g * g
-            p.data -= self.lr * g / np.sqrt(s + self.eps)
-        self._clear_grads()
+        s = self._sq
+        s *= self.decay
+        s += (1.0 - self.decay) * g * g
+        self.flat -= self.lr * g / np.sqrt(s + self.eps)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {f"{p.name}.sq": s for p, s in zip(self.params, self.sq)}

@@ -13,6 +13,11 @@ keeps the closure and the parents only when grad is enabled and some parent
 requires grad; otherwise the result is a leaf.  A closure computes a
 parent's gradient only when that parent requires grad.
 
+Ops write in place only into arrays they have just made (backward, which
+runs once, may reuse what its op saved), keeping every float operation and
+its order.  `_accum` copies a gradient that is a view or shared (add, sub,
+tsum, concat_cols and reshape pass g on); `_accum_new` keeps a fresh one.
+
 backward() frees the graph as it goes: once a node's closure has run, the
 node drops its gradient, its closure (and with it the arrays the op saved)
 and its parents, so a train step's peak memory is its forward graph, not
@@ -25,7 +30,8 @@ float64 (DTYPE).  Every op computes in its inputs' dtype, so a model whose
 parameters are float32 runs in float32 as long as what enters its graph from
 outside is cast to that dtype too: training casts there and runs in float32,
 while the gradient oracles build float64 models.  An op that mixes the two
-dtypes computes in float64 (numpy's promotion).
+dtypes computes in float64 (numpy's promotion); gru_cell and layer_norm_rows,
+which accumulate in place, widen all their operands to float64 first.
 
 Importing this module, and so importing marlab, sets two malloc tunables for
 the whole process where the C library has mallopt (glibc): a trim threshold
@@ -207,6 +213,29 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
+def _accum_new(t: Tensor, g: np.ndarray):
+    """_accum of an array the op has just made and keeps no other reference to."""
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = g
+        else:
+            t.grad += g
+
+
+def _fold(ufunc, first: np.ndarray, *rest) -> np.ndarray:
+    """ufunc(ufunc(first, rest[0]), rest[1]) ..., into first, which the op has just made."""
+    for x in rest:
+        ufunc(first, x, out=first)
+    return first
+
+
+def _arrays(*ts: Tensor) -> list:
+    """The operands' arrays, all widened to float64 if they mix dtypes."""
+    arrays = [t.data for t in ts]
+    mixed = any(a.dtype != arrays[0].dtype for a in arrays)
+    return [a.astype(np.float64) for a in arrays] if mixed else arrays
+
+
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
@@ -232,7 +261,7 @@ def sub(a: Tensor, b) -> Tensor:
     def backward(g):
         _accum(a, g)
         if b.requires_grad:   # such as the TD targets
-            _accum(b, -g)
+            _accum_new(b, -g)
 
     return _result(data, (a, b), backward)
 
@@ -244,9 +273,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, g * b.data)
+            _accum_new(a, g * b.data)
         if b.requires_grad:   # such as the TD mask
-            _accum(b, g * a.data)
+            _accum_new(b, g * a.data)
 
     return _result(data, (a, b), backward)
 
@@ -256,7 +285,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     data = a.data * c
 
     def backward(g):
-        _accum(a, g * c)
+        _accum_new(a, g * c)
 
     return _result(data, (a,), backward)
 
@@ -277,7 +306,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        _accum(a, g * (a.data > 0))
+        _accum_new(a, g * (a.data > 0))
 
     return _result(data, (a,), backward)
 
@@ -289,7 +318,7 @@ def elu(a: Tensor) -> Tensor:
         data = np.where(pos, a.data, np.expm1(a.data))
 
     def backward(g):
-        _accum(a, g * np.where(pos, 1.0, data + 1.0))
+        _accum_new(a, g * np.where(pos, 1.0, data + 1.0))
 
     return _result(data, (a,), backward)
 
@@ -298,7 +327,7 @@ def absolute(a: Tensor) -> Tensor:
     data = np.abs(a.data)
 
     def backward(g):
-        _accum(a, g * np.sign(a.data))
+        _accum_new(a, g * np.sign(a.data))
 
     return _result(data, (a,), backward)
 
@@ -307,7 +336,7 @@ def square(a: Tensor) -> Tensor:
     data = a.data * a.data
 
     def backward(g):
-        _accum(a, 2.0 * g * a.data)
+        _accum_new(a, 2.0 * g * a.data)
 
     return _result(data, (a,), backward)
 
@@ -353,9 +382,18 @@ def _masked_softmax(x: np.ndarray, mask: Optional[np.ndarray], what: str):
         if not mask.any(axis=-1).all():
             raise MaskError(f"{what} with every entry masked out")
         x = np.where(mask, x, -np.inf)   # exp gives these exactly 0
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    return probs, lambda g: probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+    top = x[..., :1]   # the row maximum, column by column: exact and fewer passes
+    for j in range(1, x.shape[-1]):
+        top = np.maximum(top, x[..., j : j + 1])
+    probs = x - top
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def grad(g):   # (g - sum(g * probs)) * probs, in one array
+        out = g * probs
+        return _fold(np.multiply, np.subtract(g, out.sum(axis=-1, keepdims=True), out=out), probs)
+
+    return probs, grad
 
 
 def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
@@ -368,7 +406,7 @@ def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     data, grad = _masked_softmax(a.data, mask, "softmax row")
 
     def backward(g):
-        _accum(a, grad(g))
+        _accum_new(a, grad(g))
 
     return _result(data, (a,), backward)
 
@@ -379,20 +417,23 @@ def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = a.cols
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ShapeError(f"layer_norm: input {a.shape}, gamma {gamma.shape}, beta {beta.shape}")
+    ad, gd, bd = _arrays(a, gamma, beta)
     # the arithmetic of np.mean and np.var, with the mean subtracted once
-    centered = a.data - a.data.sum(axis=1, keepdims=True) / d
-    var = (centered * centered).sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = centered * inv
-    data = xhat * gamma.data + beta.data
+    xhat = ad - ad.sum(axis=1, keepdims=True) / d
+    scratch = xhat * xhat   # then the output
+    inv = 1.0 / np.sqrt(scratch.sum(axis=1, keepdims=True) / d + 1e-5)
+    xhat *= inv
+    data = _fold(np.add, np.multiply(xhat, gd, out=scratch), bd)
 
     def backward(g):
-        _accum(beta, g.sum(axis=0, keepdims=True))
-        _accum(gamma, (g * xhat).sum(axis=0, keepdims=True))
-        dxhat = g * gamma.data
+        _accum_new(beta, g.sum(axis=0, keepdims=True))
+        prod = g * xhat
+        _accum_new(gamma, prod.sum(axis=0, keepdims=True))
+        dxhat = g * gd
         row_mean = dxhat.sum(axis=1, keepdims=True) / d
-        proj = (dxhat * xhat).sum(axis=1, keepdims=True) / d
-        _accum(a, inv * (dxhat - row_mean - xhat * proj))
+        proj = np.multiply(dxhat, xhat, out=prod).sum(axis=1, keepdims=True) / d
+        dxhat = _fold(np.subtract, dxhat, row_mean, np.multiply(xhat, proj, out=prod))
+        _accum_new(a, _fold(np.multiply, dxhat, inv))
 
     return _result(data, (a, gamma, beta), backward)
 
@@ -405,7 +446,7 @@ def dropout(a: Tensor, keep: np.ndarray) -> Tensor:
     data = a.data * keep
 
     def backward(g):
-        _accum(a, g * keep)
+        _accum_new(a, g * keep)
 
     return _result(data, (a,), backward)
 
@@ -414,15 +455,25 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused dense map y = x W^T + b with W of shape (out, in), b (1, out)."""
     if x.cols != w.cols:
         raise ShapeError(f"affine: input {x.shape} does not match weight {w.shape}")
-    data = x.data @ w.data.T + b.data
+    data = x.data @ w.data.T   # b is added in place unless numpy's promotion widens the sum
+    data = np.add(data, b.data, out=data if data.dtype == b.data.dtype else None)
 
     def backward(g):
         if x.requires_grad:   # inputs such as observations need no g @ W
-            _accum(x, g @ w.data)
-        _accum(w, g.T @ x.data)
-        _accum(b, g.sum(axis=0, keepdims=True))
+            _accum_new(x, g @ w.data)
+        _accum_new(w, g.T @ x.data)
+        _accum_new(b, g.sum(axis=0, keepdims=True))
 
     return _result(data, (x, w, b), backward)
+
+
+def _sigmoid_(a: np.ndarray) -> np.ndarray:
+    """a := 1 / (1 + exp(-a)) in place; where exp overflows to inf it is exactly 0."""
+    np.negative(a, out=a)
+    with np.errstate(over="ignore"):
+        np.exp(a, out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
 
 
 def gru_cell(x: Tensor, h: Tensor,
@@ -437,39 +488,59 @@ def gru_cell(x: Tensor, h: Tensor,
     out = (1 - z) * c + z * h
 
     x (rows, in) and h (rows, hidden) must fit Wx* (hidden, in) and Wh* (hidden, hidden).
+
+    At the zero state (h all zero and needing no grad, as at the start of
+    every unroll and episode) every h Wh* product is zero: z and c come from
+    x alone and r is not formed, and Wh*, Wxr and br get a zero gradient if
+    no other step gave them one.  That is bit for bit the full form for
+    finite weights; an inf or NaN in Wh* no longer makes the output NaN there.
     """
     if x.cols != wxz.cols or h.shape != (x.rows, whz.rows):
         raise ShapeError(f"gru_cell: input {x.shape} and state {h.shape} do not match "
                          f"weights {wxz.shape} and {whz.shape}")
-    xd, hd = x.data, h.data
-    with np.errstate(over="ignore"):   # exp overflows to inf: the gate is exactly 0
-        z = 1.0 / (1.0 + np.exp(-(xd @ wxz.data.T + hd @ whz.data.T + bz.data)))
-        r = 1.0 / (1.0 + np.exp(-(xd @ wxr.data.T + hd @ whr.data.T + br.data)))
-    u = hd @ whc.data.T
-    c = np.tanh(xd @ wxc.data.T + r * u + bc.data)
-    data = (1.0 - z) * c + z * hd
+    xd, hd, wxz_, whz_, bz_, wxr_, whr_, br_, wxc_, whc_, bc_ = _arrays(
+        x, h, wxz, whz, bz, wxr, whr, br, wxc, whc, bc)
+    zero = not h.requires_grad and not hd.any()
+    z = xd @ wxz_.T
+    c = xd @ wxc_.T
+    if not zero:
+        z += hd @ whz_.T
+        r = _sigmoid_(_fold(np.add, xd @ wxr_.T, hd @ whr_.T, br_))
+        u = hd @ whc_.T
+        c += r * u
+    _sigmoid_(_fold(np.add, z, bz_))
+    np.tanh(_fold(np.add, c, bc_), out=c)
+    data = _fold(np.multiply, 1.0 - z, c)
+    data += hd if zero else z * hd   # z * h is h itself at the zero state
 
     def backward(g):
-        dc = g * (1.0 - z)
-        dz = g * (hd - c)
-        dac = dc * (1.0 - c * c)
-        daz = dz * z * (1.0 - z)
-        dr = dac * u
-        dar = dr * r * (1.0 - r)
-        du = dac * r
+        omz = 1.0 - z
+        dac = _fold(np.multiply, 1.0 - c * c, g * omz)   # (1 - c^2) dc, dc = g (1 - z)
+        daz = _fold(np.multiply, hd - c, g, z, omz)
+        if not zero:
+            dar = _fold(np.multiply, dac * u, r, np.subtract(1.0, r, out=u))   # u is spent
+            du = np.multiply(dac, r, out=r)
         if x.requires_grad:
-            _accum(x, daz @ wxz.data + dar @ wxr.data + dac @ wxc.data)
-        if h.requires_grad:   # the zero initial state needs none
-            _accum(h, g * z + daz @ whz.data + dar @ whr.data + du @ whc.data)
-        _accum(wxz, daz.T @ xd)
-        _accum(whz, daz.T @ hd)
-        _accum(bz, daz.sum(axis=0, keepdims=True))
-        _accum(wxr, dar.T @ xd)
-        _accum(whr, dar.T @ hd)
-        _accum(br, dar.sum(axis=0, keepdims=True))
-        _accum(wxc, dac.T @ xd)
-        _accum(whc, du.T @ hd)
-        _accum(bc, dac.sum(axis=0, keepdims=True))
+            dx = daz @ wxz_
+            if not zero:
+                dx += dar @ wxr_
+            _accum_new(x, _fold(np.add, dx, dac @ wxc_))
+        if h.requires_grad:   # never at the zero state
+            _accum_new(h, _fold(np.add, g * z, daz @ whz_, dar @ whr_, du @ whc_))
+        _accum_new(wxz, daz.T @ xd)
+        _accum_new(bz, daz.sum(axis=0, keepdims=True))
+        _accum_new(wxc, dac.T @ xd)
+        _accum_new(bc, dac.sum(axis=0, keepdims=True))
+        if zero:
+            for t in (whz, wxr, whr, br, whc):
+                if t.requires_grad and t.grad is None:
+                    t.grad = np.zeros(t.shape, z.dtype)
+            return
+        _accum_new(whz, daz.T @ hd)
+        _accum_new(wxr, dar.T @ xd)
+        _accum_new(whr, dar.T @ hd)
+        _accum_new(br, dar.sum(axis=0, keepdims=True))
+        _accum_new(whc, du.T @ hd)
 
     return _result(data, (x, h, wxz, whz, bz, wxr, whr, br, wxc, whc, bc), backward)
 
@@ -497,7 +568,7 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
     # a Python float, which keeps float32 scores float32 (a numpy float64
     # scalar would promote them)
     scale_ = 1.0 / math.sqrt(dk)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale_
+    scores = _fold(np.multiply, qh @ kh.swapaxes(-1, -2), scale_)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n, n):
@@ -513,15 +584,15 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
         dv = probs.swapaxes(-1, -2) @ gh
         dp = gh @ vh.swapaxes(-1, -2)
         ds = softmax_grad(dp)
-        dq = (ds @ kh) * scale_
-        dk_ = (ds.swapaxes(-1, -2) @ qh) * scale_
+        dq = _fold(np.multiply, ds @ kh, scale_)
+        dk_ = _fold(np.multiply, ds.swapaxes(-1, -2) @ qh, scale_)
 
         def merge(t):
             return t.transpose(0, 2, 1, 3).reshape(rows, dim)
 
-        _accum(q, merge(dq))
-        _accum(k, merge(dk_))
-        _accum(v, merge(dv))
+        _accum_new(q, merge(dq))
+        _accum_new(k, merge(dk_))
+        _accum_new(v, merge(dv))
 
     return _result(data, (q, k, v), backward)
 
@@ -550,7 +621,7 @@ def block_row_matmul(q: Tensor, w: Tensor) -> Tensor:
     data = (q.data[:, None, :] @ w3)[:, 0, :]
 
     def backward(g):
-        _accum(q, (w3 @ g[:, :, None])[:, :, 0])
-        _accum(w, np.einsum("bi,bk->bik", q.data, g).reshape(w.shape))
+        _accum_new(q, (w3 @ g[:, :, None])[:, :, 0])
+        _accum_new(w, np.einsum("bi,bk->bik", q.data, g).reshape(w.shape))
 
     return _result(data, (q, w), backward)

@@ -226,7 +226,10 @@ class SeedRun:
                 arrays = {key: data[key] for key in data.files}
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
-        self.buffer = ReplayBuffer.from_state_arrays(self.config.train.buffer_capacity, arrays)
+        try:
+            self.buffer = ReplayBuffer.from_state_arrays(self.config.train.buffer_capacity, arrays)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
         self.last_loss = last_loss if last_loss is not None else math.nan
 
 

@@ -185,6 +185,27 @@ class TestTrainCommand:
         assert_one_line_error(capsys, str(path), repr(key))
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("damage", ["missing key", "count past the rows"])
+    def test_resume_from_a_buffer_with_bad_arrays_is_a_one_line_error(self, tmp_path, capsys,
+                                                                      damage):
+        # a KeyError or IndexError traceback from ReplayBuffer.from_state_arrays
+        cfg = write_toy_config(tmp_path, mixer="qmix")
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "run" / "seed_1" / "state" / "buffer.npz"
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        if damage == "missing key":
+            del arrays["lengths"]
+        else:
+            arrays["count"] = np.array(len(arrays["lengths"]) + 1)
+        np.savez(path, **arrays)
+        run = tmp_path / "run"
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(cfg), "--resume"]) == 2
+        assert_one_line_error(capsys, str(path), "damaged")
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
     def test_resume_may_extend_total_steps(self, tmp_path):
         cfg = write_toy_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0

@@ -25,18 +25,21 @@ COMM = CommSettings(enabled=True, num_layers=1, ffn_dim=8, heads=2, dropout=0.1)
 def watch_dtypes(monkeypatch) -> set:
     """Record the dtype name of every op result and every accumulated gradient."""
     seen = set()
-    result, accum = T._result, T._accum
+    result = T._result
 
     def watched_result(data, parents, backward):
         seen.add(("result", data.dtype.name))
         return result(data, parents, backward)
 
-    def watched_accum(t, g):
-        seen.add(("gradient", np.asarray(g).dtype.name))
-        return accum(t, g)
+    def watched(accum):
+        def watched_accum(t, g):
+            seen.add(("gradient", np.asarray(g).dtype.name))
+            return accum(t, g)
+        return watched_accum
 
     monkeypatch.setattr(T, "_result", watched_result)
-    monkeypatch.setattr(T, "_accum", watched_accum)
+    for name in ("_accum", "_accum_new"):
+        monkeypatch.setattr(T, name, watched(getattr(T, name)))
     return seen
 
 

@@ -6,8 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from marlab.comm import CommSettings
+from marlab.config import EnvSpec, RunConfig
 from marlab.errors import ContractError
+from marlab.learner import TrainConfig
 from marlab.nn import Adam, Parameter, RMSProp, clip_grad_norm
+from marlab.runner import SeedRun
 
 
 def scalar_param(value, name="w"):
@@ -116,3 +120,55 @@ def test_clip_of_a_finite_float32_norm_sums_in_float32():
     a.grad = np.random.default_rng(7).standard_normal((2, 3)).astype(np.float32) * 1e3
     expected = math.sqrt(float((a.grad * a.grad).sum()))
     assert clip_grad_norm([a], max_norm=0.0) == expected
+
+
+def make_optimizers():
+    return (lambda ps: Adam(ps, lr=5e-4),
+            lambda ps: RMSProp(ps, lr=5e-4, decay=0.99, eps=1e-5))
+
+
+def assert_params_are_views_of_their_optimizers(run):
+    owned = []
+    for opt in run.learner.optimizers:
+        for p in opt.params:
+            assert p.data.base is opt.flat, p.name
+        owned += opt.params
+    assert sorted(p.name for p in owned) == sorted(p.name for p in run.team.parameters())
+
+
+def test_team_parameters_stay_views_of_the_flat_state_through_a_resume(tmp_path):
+    comm = CommSettings(enabled=True, num_layers=1, ffn_dim=8, heads=2, dropout=0.0)
+    config = RunConfig(
+        env=EnvSpec("cue_passing", {"n_agents": 2, "num_cues": 2}), mixer="qmix", comm=comm,
+        train=TrainConfig(batch_size=4, buffer_capacity=50, anneal_steps=100, hidden_dim=8,
+                          test_interval=20, test_episodes=2),
+        total_env_steps=40, seeds=(1,), out_dir=str(tmp_path))
+    run = SeedRun(config, seed=1, out_dir=tmp_path)
+    assert_params_are_views_of_their_optimizers(run)
+    run.run()
+    assert run.learner.train_steps > 0
+    assert_params_are_views_of_their_optimizers(run)
+    run.save_state()
+    fresh = SeedRun(config, seed=1, out_dir=tmp_path)
+    fresh.load_state()
+    assert_params_are_views_of_their_optimizers(fresh)
+    for p, q in zip(run.team.parameters(), fresh.team.parameters()):
+        assert p.data.tobytes() == q.data.tobytes()
+
+
+@pytest.mark.parametrize("make", make_optimizers())
+def test_mixed_parameter_dtypes_are_refused(make):
+    params = [scalar_param(1.0, "a"), Parameter(np.ones((1, 1), dtype=np.float32), name="b")]
+    with pytest.raises(ContractError, match="mix dtypes"):
+        make(params)
+
+
+@pytest.mark.parametrize("make", make_optimizers())
+def test_a_rebound_parameter_is_refused_instead_of_trained_stale(make):
+    p, q = scalar_param(1.0, "a"), scalar_param(2.0, "b")
+    opt = make([p, q])
+    q.data = q.data.copy()
+    p.grad, q.grad = np.ones((1, 1)), np.ones((1, 1))
+    with pytest.raises(ContractError, match="b.*rebound"):
+        opt.step()
+    assert opt.step_count == 0 and opt.flat.tolist() == [1.0, 2.0]

@@ -368,3 +368,183 @@ def test_second_backward_raises_and_leaves_grads_untouched():
     with pytest.raises(ContractError, match="freed"):
         T.add(y, np.ones((1, 1))).backward()   # a new graph over a freed node
     assert np.array_equal(x.grad, [[12.0]])
+
+
+# The formulas of the out-of-place kernels, as references for the in-place
+# ones: forward value and every gradient must match bit for bit.  Each takes
+# the operands' arrays and the output gradient g.
+
+def ref_affine(g, x, w, b):
+    data = x @ w.T + b
+    return data, [g @ w, g.T @ x, g.sum(axis=0, keepdims=True)]
+
+
+def ref_gru(g, x, h, wxz, whz, bz, wxr, whr, br, wxc, whc, bc):
+    z = 1.0 / (1.0 + np.exp(-(x @ wxz.T + h @ whz.T + bz)))
+    r = 1.0 / (1.0 + np.exp(-(x @ wxr.T + h @ whr.T + br)))
+    u = h @ whc.T
+    c = np.tanh(x @ wxc.T + r * u + bc)
+    data = (1.0 - z) * c + z * h
+    dc = g * (1.0 - z)
+    dz = g * (h - c)
+    dac = dc * (1.0 - c * c)
+    daz = dz * z * (1.0 - z)
+    dr = dac * u
+    dar = dr * r * (1.0 - r)
+    du = dac * r
+    return data, [daz @ wxz + dar @ wxr + dac @ wxc,
+                  g * z + daz @ whz + dar @ whr + du @ whc,
+                  daz.T @ x, daz.T @ h, daz.sum(axis=0, keepdims=True),
+                  dar.T @ x, dar.T @ h, dar.sum(axis=0, keepdims=True),
+                  dac.T @ x, du.T @ h, dac.sum(axis=0, keepdims=True)]
+
+
+def ref_layer_norm(g, a, gamma, beta):
+    d = a.shape[1]
+    centered = a - a.sum(axis=1, keepdims=True) / d
+    var = (centered * centered).sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = centered * inv
+    data = xhat * gamma + beta
+    dxhat = g * gamma
+    row_mean = dxhat.sum(axis=1, keepdims=True) / d
+    proj = (dxhat * xhat).sum(axis=1, keepdims=True) / d
+    return data, [inv * (dxhat - row_mean - xhat * proj),
+                  (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)]
+
+
+def ref_attention(g, q, k, v, heads, sets, mask):
+    rows, dim = q.shape
+    n, dk = rows // sets, dim // heads
+
+    def split(t):
+        return t.reshape(sets, n, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(rows, dim)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scale_ = 1.0 / math.sqrt(dk)
+    x = (qh @ kh.swapaxes(-1, -2)) * scale_
+    if mask is not None:
+        x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    data = merge(probs @ vh)
+    gh = split(g)
+    dp = gh @ vh.swapaxes(-1, -2)
+    ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+    return data, [merge((ds @ kh) * scale_), merge((ds.swapaxes(-1, -2) @ qh) * scale_),
+                  merge(probs.swapaxes(-1, -2) @ gh)]
+
+
+def assert_matches_reference(op, ref, shapes, dtype, seed, needs_grad=None, zero=(), **kw):
+    """Run op on leaves of the given shapes (those in `zero` all zero) and
+    compare its value and every gradient with ref's, bit for bit."""
+    gen = np.random.default_rng(seed)
+    arrays = [np.zeros(s, dtype) if i in zero else gen.standard_normal(s).astype(dtype)
+              for i, s in enumerate(shapes)]
+    needs_grad = needs_grad or [True] * len(shapes)
+    leaves = [Parameter(a, name=f"leaf{i}") if need else Tensor(a)
+              for i, (a, need) in enumerate(zip(arrays, needs_grad))]
+    out = op(*leaves, **kw)
+    g = gen.standard_normal(out.shape).astype(dtype)
+    data, grads = ref(g, *arrays, **kw)
+    assert out.data.dtype == dtype and np.array_equal(out.data, data)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    for leaf, need, expected in zip(leaves, needs_grad, grads):
+        if need:
+            assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, expected), leaf.name
+        else:
+            assert leaf.grad is None
+
+
+KERNEL_DTYPES = [np.float32, np.float64]
+KERNEL_ROWS = [3, 24, 96, 160]
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("rows", KERNEL_ROWS)
+def test_affine_is_bit_identical_to_its_out_of_place_form(dtype, rows):
+    assert_matches_reference(T.affine, ref_affine, [(rows, 25), (64, 25), (1, 64)], dtype, rows)
+
+
+def gru_shapes(rows, d_in=25, hidden=64):
+    return [(rows, d_in), (rows, hidden)] + [(hidden, d_in), (hidden, hidden), (1, hidden)] * 3
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("rows", KERNEL_ROWS)
+@pytest.mark.parametrize("state", ["nonzero", "zero"])
+@pytest.mark.parametrize("h_needs_grad", [True, False])
+def test_gru_cell_is_bit_identical_to_its_out_of_place_form(dtype, rows, state, h_needs_grad):
+    # a zero h that needs no grad takes the zero-state path
+    needs = [True, h_needs_grad] + [True] * 9
+    assert_matches_reference(T.gru_cell, ref_gru, gru_shapes(rows), dtype, rows,
+                             needs_grad=needs, zero=(1,) if state == "zero" else ())
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("rows", KERNEL_ROWS)
+def test_layer_norm_rows_is_bit_identical_to_its_out_of_place_form(dtype, rows):
+    assert_matches_reference(T.layer_norm_rows, ref_layer_norm, [(rows, 64), (1, 64), (1, 64)],
+                             dtype, rows)
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("sets", [1, 32])
+@pytest.mark.parametrize("masked", [False, True])
+def test_set_attention_is_bit_identical_to_its_out_of_place_form(dtype, n, sets, masked):
+    # the comm mask of a ring where each agent hears itself and its left neighbour
+    mask = (np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool)) if masked else None
+    assert_matches_reference(T.set_attention, ref_attention, [(sets * n, 64)] * 3, dtype,
+                             n * sets, heads=4, sets=sets, mask=mask)
+
+
+@pytest.mark.parametrize("op, ref, shapes, widened", [
+    # affine promotes as numpy does; the other two widen every operand first
+    (T.affine, ref_affine, [(24, 25), (64, 25), (1, 64)], False),
+    (T.gru_cell, ref_gru, gru_shapes(24), True),
+    (T.layer_norm_rows, ref_layer_norm, [(24, 64), (1, 64), (1, 64)], True),
+])
+@pytest.mark.parametrize("wide", [0, 1, 2])
+def test_kernels_given_one_float64_operand_compute_in_float64(op, ref, shapes, widened, wide):
+    # such as a float64 zero state, Tensor's default, fed to a float32 GRU
+    gen = np.random.default_rng(wide)
+    arrays = [gen.standard_normal(s).astype(np.float64 if i == wide else np.float32)
+              for i, s in enumerate(shapes)]
+    leaves = [Parameter(a, name=f"leaf{i}") for i, a in enumerate(arrays)]
+    out = op(*leaves)
+    g = gen.standard_normal(out.shape)
+    data, grads = ref(g, *[a.astype(np.float64) if widened else a for a in arrays])
+    assert out.data.dtype == np.float64 and np.array_equal(out.data, data)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    for leaf, expected in zip(leaves, grads):
+        assert leaf.grad.dtype == np.float64 and np.array_equal(leaf.grad, expected), leaf.name
+
+
+def test_gru_zero_state_path_leaves_other_steps_gradients_alone():
+    # the zero state gives Wh*, Wxr and br zero gradients only where none exist
+    gen = np.random.default_rng(11)
+    x, x2 = (Tensor(gen.standard_normal((4, 3))) for _ in range(2))
+    weights = [Parameter(gen.standard_normal(s), name=f"w{i}")
+               for i, s in enumerate(gru_shapes(4, 3, 5)[2:])]
+    h1 = T.gru_cell(x, Tensor(np.zeros((4, 5))), *weights)
+    h2 = T.gru_cell(x2, h1, *weights)
+    T.tsum(h2).backward()
+    assert all(np.any(w.grad != 0.0) for w in weights)
+    for w in weights:
+        w.grad = None
+    T.tsum(T.gru_cell(x, Tensor(np.zeros((4, 5))), *weights)).backward()
+    for i, w in enumerate(weights):
+        assert w.grad is not None and (np.any(w.grad != 0.0) == (i in (0, 2, 6, 8)))
+
+
+def test_gru_cell_gradients_at_the_zero_state():
+    rng = np.random.default_rng(12)
+    x = param(rng, 3, 4, "x")
+    h = Tensor(np.zeros((3, 5)))
+    weights = [param(rng, *s, name=f"w{i}") for i, s in enumerate(gru_shapes(3, 4, 5)[2:])]
+    check_op(lambda: T.tsum(T.mul(T.gru_cell(x, h, *weights), Tensor(np.arange(15.0).reshape(3, 5)))),
+             [x, *weights])
