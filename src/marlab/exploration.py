@@ -6,6 +6,11 @@ from a temperature-scaled softmax.  k = 1 or temperature 0 collapse the
 Boltzmann part to the greedy action, recovering plain epsilon-greedy.  An
 action is drawn one way: sample_from(action_distribution(...), uniforms).
 
+Both work row by row: q and the availability mask are (rows, actions), one
+row per agent of every episode acting together, and sample_from takes one
+uniform per row.  A row's probabilities and its action are bit for bit
+those of the same row passed alone, as a 1-D q, which still works.
+
 ExplorationConfig, the run config's "exploration" section, holds k and the
 temperature.  Epsilon anneals with the env step (learner.epsilon), so callers
 pass it alongside.
@@ -39,42 +44,67 @@ GREEDY = ExplorationConfig()
 
 def action_distribution(q: np.ndarray, avail: np.ndarray, config: ExplorationConfig,
                         epsilon: float) -> np.ndarray:
-    """Probability over actions; unavailable actions get exactly zero.
+    """Probabilities over actions, row by row for (rows, actions) q and avail,
+    or of one row for a 1-D q; unavailable actions get exactly zero.
 
     Ties rank by lowest action index, and the cut after the k-th rank is
-    deterministic: exactly min(k, #available) actions enter the softmax.
+    deterministic: exactly min(k, #available) actions of a row enter its
+    softmax.  Each row's probabilities are bit for bit those of that row alone.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
-    q = np.asarray(q, dtype=float).reshape(-1)
-    avail = np.asarray(avail, dtype=bool).reshape(-1)
-    if q.shape != avail.shape:
-        raise ContractError(f"q has {q.size} entries but mask has {avail.size}")
-    if not avail.any():
+    q = np.asarray(q, dtype=float)
+    avail = np.asarray(avail, dtype=bool)
+    if q.shape != avail.shape or q.ndim not in (1, 2):
+        raise ContractError(f"q of shape {q.shape} needs an action mask of its shape "
+                            f"and one or two dimensions, got mask {avail.shape}")
+    q2, avail2 = (q, avail) if q.ndim == 2 else (q[None], avail[None])
+    n_avail = avail2.sum(axis=1)
+    if not n_avail.all():
         raise ContractError("no available action")
 
-    avail_idx = np.flatnonzero(avail)
-    # stable sort on -q keeps lower indices first among equal values
-    order = avail_idx[np.argsort(-q[avail_idx], kind="stable")]
-    top = order[: min(config.k, avail_idx.size)]
-
-    boltzmann = np.zeros_like(q)
-    if config.temperature == 0.0 or top.size == 1:
-        boltzmann[top[0]] = 1.0
+    # each row's actions by rank: available first, then by value, highest
+    # first; the sort is stable, so lower indices come first among equal values
+    order = np.lexsort((-q2, ~avail2), axis=1)
+    boltzmann = np.zeros_like(q2)
+    if config.k == 1 or config.temperature == 0.0:
+        boltzmann[np.arange(len(q2)), order[:, 0]] = 1.0
     else:
-        # top[0] holds the largest value, so every logit is <= 0; a tiny
-        # temperature sends the others to -inf, which weighs 0
-        with np.errstate(over="ignore"):
-            weights = np.exp((q[top] - q[top[0]]) / config.temperature)
-        boltzmann[top] = weights / weights.sum()
+        top_size = np.minimum(config.k, n_avail)
+        # rows with m softmax terms together: a row sum over m columns adds in
+        # the order of the one-row sum, which zero padding would not keep
+        for m in np.unique(top_size):
+            rows = np.flatnonzero(top_size == m)
+            if m == 1:
+                boltzmann[rows, order[rows, 0]] = 1.0
+                continue
+            top = order[rows, :m]
+            values = q2[rows[:, None], top]
+            # top[:, 0] holds the largest value, so every logit is <= 0; a tiny
+            # temperature sends the others to -inf, which weighs 0
+            with np.errstate(over="ignore"):
+                weights = np.exp((values - values[:, :1]) / config.temperature)
+            boltzmann[rows[:, None], top] = weights / weights.sum(axis=1, keepdims=True)
 
-    uniform = np.zeros_like(q)
-    uniform[avail_idx] = 1.0 / avail_idx.size
-    return epsilon * uniform + (1.0 - epsilon) * boltzmann
+    uniform = avail2 / n_avail[:, None]
+    return (epsilon * uniform + (1.0 - epsilon) * boltzmann).reshape(q.shape)
 
 
 def sample_from(probs: np.ndarray, u):
-    """Inverse-CDF draw: the index whose cumulative probability covers u, or
-    an array of them, one per entry, when u is an array of uniforms."""
-    edges = np.cumsum(probs)
-    return np.minimum(np.searchsorted(edges, u, side="right"), probs.size - 1)
+    """Inverse-CDF draw: the index whose cumulative probability covers u.
+
+    For 1-D probs, u is one uniform, or an array of them for one draw each.
+    For (rows, actions) probs, u holds one uniform per row and each row
+    draws its own index, bit for bit as that row alone would.
+    """
+    probs = np.asarray(probs)
+    edges = np.cumsum(probs, axis=-1)
+    last = probs.shape[-1] - 1
+    if probs.ndim == 1:
+        return np.minimum(np.searchsorted(edges, u, side="right"), last)
+    u = np.asarray(u, dtype=float)
+    if probs.ndim != 2 or u.shape != probs.shape[:1]:
+        raise ContractError(f"probabilities of shape {probs.shape} need one uniform "
+                            f"per row, got shape {u.shape}")
+    # the count of edges <= u is searchsorted's right side on a sorted row
+    return np.minimum((edges <= u[:, None]).sum(axis=1), last)

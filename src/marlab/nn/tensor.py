@@ -96,6 +96,48 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+_BLOCK_ROWS: Optional[int] = None
+
+
+class per_block:
+    """Context manager under which affine and gru_cell form each forward product
+    per block of `rows` consecutive rows, as one 3-D matmul.
+
+    x.reshape(blocks, rows, d) @ W^T gives each block bit for bit the product of
+    that block alone, while one 2-D product over the stacked blocks need not:
+    BLAS picks its kernel, and with it the order of the sums, by the size of
+    the whole product.  The acting loop (runner) enters it to step many
+    episodes together with each one's Q values unchanged.  Every other op is
+    already per row or per set.  It needs no_grad, since backward keeps 2-D
+    products; training does not enter it, as at its sizes the 3-D form is
+    slower and would move the bits of the losses.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+
+    def __enter__(self):
+        global _BLOCK_ROWS
+        if _GRAD_ENABLED:
+            raise ContractError("per_block runs only under no_grad")
+        self._prev = _BLOCK_ROWS
+        _BLOCK_ROWS = self.rows
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        global _BLOCK_ROWS
+        _BLOCK_ROWS = self._prev
+        return False
+
+
+def _times_t(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T, or per block of rows inside per_block."""
+    n = _BLOCK_ROWS
+    if n is None or x.shape[0] == n:
+        return x @ w.T
+    return (x.reshape(-1, n, x.shape[1]) @ w.T).reshape(x.shape[0], -1)
+
+
 def _as_matrix(data) -> np.ndarray:
     arr = np.asarray(data)
     if arr.dtype != np.float32:
@@ -313,12 +355,17 @@ def relu(a: Tensor) -> Tensor:
 
 def elu(a: Tensor) -> Tensor:
     """ELU with alpha 1: x for x > 0, exp(x) - 1 otherwise."""
-    pos = a.data > 0
-    with np.errstate(over="ignore"):   # expm1 of a large x > 0 is discarded
-        data = np.where(pos, a.data, np.expm1(a.data))
+    # e = exp(min(x, 0)) - 1, and the output e + max(x, 0).  0 comes first: at
+    # x = -0.0 minimum and maximum return x, which keeps the sign of zero.  No
+    # x > 0 reaches expm1, which cannot overflow, and e + 1 is the slope.
+    e = np.minimum(0, a.data)
+    np.expm1(e, out=e)
+    data = np.maximum(0, a.data)
+    np.add(e, data, out=data)
 
     def backward(g):
-        _accum_new(a, g * np.where(pos, 1.0, data + 1.0))
+        slope = np.add(e, 1.0, out=e)
+        _accum_new(a, np.multiply(g, slope, out=slope if slope.dtype == g.dtype else None))
 
     return _result(data, (a,), backward)
 
@@ -455,7 +502,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused dense map y = x W^T + b with W of shape (out, in), b (1, out)."""
     if x.cols != w.cols:
         raise ShapeError(f"affine: input {x.shape} does not match weight {w.shape}")
-    data = x.data @ w.data.T   # b is added in place unless numpy's promotion widens the sum
+    data = _times_t(x.data, w.data)   # b is added in place unless numpy's promotion widens the sum
     data = np.add(data, b.data, out=data if data.dtype == b.data.dtype else None)
 
     def backward(g):
@@ -501,12 +548,12 @@ def gru_cell(x: Tensor, h: Tensor,
     xd, hd, wxz_, whz_, bz_, wxr_, whr_, br_, wxc_, whc_, bc_ = _arrays(
         x, h, wxz, whz, bz, wxr, whr, br, wxc, whc, bc)
     zero = not h.requires_grad and not hd.any()
-    z = xd @ wxz_.T
-    c = xd @ wxc_.T
+    z = _times_t(xd, wxz_)
+    c = _times_t(xd, wxc_)
     if not zero:
-        z += hd @ whz_.T
-        r = _sigmoid_(_fold(np.add, xd @ wxr_.T, hd @ whr_.T, br_))
-        u = hd @ whc_.T
+        z += _times_t(hd, whz_)
+        r = _sigmoid_(_fold(np.add, _times_t(xd, wxr_), _times_t(hd, whr_), br_))
+        u = _times_t(hd, whc_)
         c += r * u
     _sigmoid_(_fold(np.add, z, bz_))
     np.tanh(_fold(np.add, c, bc_), out=c)

@@ -37,8 +37,6 @@ def stream(seed: int, *keys) -> np.random.Generator:
 def unit_uniform(seed: int, *keys) -> float:
     """One uniform draw in [0, 1) from the keyed stream, without the cost of
     constructing a full generator.  Independent of stream() draws."""
-    h = hashlib.blake2b(digest_size=8)
-    for k in (seed,) + keys:
-        h.update(str(_key_int(k)).encode())
-        h.update(b"|")
-    return int.from_bytes(h.digest(), "little") / 2.0 ** 64
+    text = "".join([f"{_key_int(k)}|" for k in (seed,) + keys])   # "seed|key|...|"
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little") / 2.0 ** 64

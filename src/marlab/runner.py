@@ -8,6 +8,19 @@ count the test points, so the next one is due at len(rows) * test_interval.
 All randomness is drawn from streams keyed by (seed, purpose, counter), so
 a run is a pure function of its seed and resumes bit-exactly from a snapshot.
 
+Acting is one loop over a batch of episodes, each on its own env instance:
+a test point plays its episodes in lockstep, at most MAX_TEST_EPISODES at a
+time, which bounds the memory of `marlab eval --episodes N`; training plays
+a batch of one.  Each time step is one team step over the agents of every
+live episode and one action_distribution and sample_from call over all of
+them, with each draw still keyed by (episode, step, agent); an episode
+leaves the batch when it ends.  Inside the loop the forward products are
+formed per block of one episode's rows (nn.tensor.per_block), so each
+episode's Q values are bit for bit those of the episode played alone: one
+2-D product over the stacked rows lets BLAS pick its kernel, and so the
+last bits, by the batch size.  Training keeps 2-D products, which at its
+sizes are faster, and which its losses were recorded with.
+
 Training runs in float32: the online and target teams, and so the
 optimizer state, are float32, and acting computes in float32 too.  The
 invariant oracles (checks.py, nn.gradcheck) build float64 models.  Snapshot
@@ -29,6 +42,7 @@ covered.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -46,7 +60,8 @@ from .envs import Env, make_env
 from .errors import CheckpointError, ConfigError, ContractError, MarlabError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
 from .learner import MAX_TEST_EPISODES, EpisodeRecord, Learner, ReplayBuffer, epsilon
-from .nn import no_grad, save_checkpoint, load_checkpoint, load_records, write_records
+from .nn import (Tensor, load_checkpoint, load_records, no_grad, per_block,
+                 save_checkpoint, write_records)
 from .rng import stream, unit_uniform
 
 CSV_FIELDS = ["seed", "env_step", "mean_test_return", "success_rate", "loss", "epsilon"]
@@ -63,54 +78,84 @@ def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
                     eps: float, seed: int, episode_idx: int,
                     comm_mask: Optional[np.ndarray] = None) -> EpisodeRecord:
     """Collect one episode; action noise streams are keyed per (agent, step)."""
-    obs, state = env.reset(stream(seed, "env", episode_idx))
-    n = env.n_agents
-    obs_list, state_list, avail_list = [obs], [state], [env.avail_actions()]
-    action_list, reward_list = [], []
-    h = team.initial_hidden(n)
-    last_actions = None
-    done = False
-    t = 0
-    with no_grad():
-        while not done:
-            inputs = build_inputs(obs, last_actions, env.n_actions, n)
-            q, h = team.step(inputs, h, comm_mask=comm_mask)
-            avail = avail_list[-1]
-            actions = np.array([
-                sample_from(action_distribution(q.data[i], avail[i], explore, eps),
-                            unit_uniform(seed, "act", episode_idx, t, i))
-                for i in range(n)
-            ])
-            reward, done, obs, state = env.step(actions)
-            action_list.append(actions)
-            reward_list.append(reward)
-            obs_list.append(obs)
-            state_list.append(state)
-            avail_list.append(env.avail_actions())
-            last_actions = actions
-            t += 1
-    return EpisodeRecord(
-        obs=np.stack(obs_list), states=np.stack(state_list),
-        avail=np.stack(avail_list), actions=np.stack(action_list),
-        rewards=np.array(reward_list, dtype=float), terminated=True)
+    (obs, states, avail, actions, rewards), = _play(
+        [env], team, explore, eps, seed, [episode_idx], comm_mask)
+    return EpisodeRecord(   # np.array stacks a short list faster than np.stack
+        obs=np.array(obs), states=np.array(states), avail=np.array(avail),
+        actions=np.array(actions), rewards=np.array(rewards, dtype=float), terminated=True)
 
 
 def evaluate(env: Env, team: TeamModel, episodes: int, seed: int,
              test_point: int, comm_mask: Optional[np.ndarray] = None,
              ) -> tuple[float, float, int]:
-    """Greedy test protocol; returns (mean return, success rate, env steps)."""
+    """Greedy test protocol; returns (mean return, success rate, env steps).
+
+    The episodes play in lockstep, at most MAX_TEST_EPISODES at a time, each
+    on its own copy of env, which is left as it was."""
     if episodes < 1:
         raise ContractError(f"need at least one test episode, got {episodes}")
     returns, successes, steps = [], 0, 0
-    for e in range(episodes):
-        record = rollout_episode(env, team, GREEDY, 0.0, seed,
-                                 episode_idx=_test_episode_key(test_point, e),
-                                 comm_mask=comm_mask)
-        total = float(record.rewards.sum())
-        returns.append(total)
-        successes += int(env.is_success(total))
-        steps += record.length
+    for start in range(0, episodes, MAX_TEST_EPISODES):
+        keys = [_test_episode_key(test_point, e)
+                for e in range(start, min(episodes, start + MAX_TEST_EPISODES))]
+        for *_, rewards in _play([copy.copy(env) for _ in keys], team, GREEDY, 0.0,
+                                 seed, keys, comm_mask):
+            total = float(np.array(rewards, dtype=float).sum())
+            returns.append(total)
+            successes += int(env.is_success(total))
+            steps += len(rewards)
     return float(np.mean(returns)), successes / episodes, steps
+
+
+def _play(envs: list[Env], team: TeamModel, explore: ExplorationConfig, eps: float,
+          seed: int, keys: list[int], comm_mask: Optional[np.ndarray]) -> list[tuple]:
+    """Play one episode on each env, keyed by keys, in lockstep.
+
+    Each time step is one team step and one action draw over the agents of
+    every live episode; an episode leaves when it ends.  Returns per episode
+    the lists (observations, states, avail masks, actions, rewards) of its
+    steps, the first three with one entry more.
+    """
+    n, n_actions = envs[0].n_agents, envs[0].n_actions
+    traces = []
+    for env, key in zip(envs, keys):
+        obs, state = env.reset(stream(seed, "env", key))
+        traces.append(([obs], [state], [env.avail_actions()], [], []))
+    live = list(range(len(envs)))
+    h = team.initial_hidden(len(envs) * n)
+    last_actions = None
+    t = 0
+    with no_grad(), per_block(n):
+        while True:
+            obs = np.concatenate([traces[e][0][-1] for e in live])
+            q, h = team.step(build_inputs(obs, last_actions, n_actions, n), h,
+                             comm_mask=comm_mask)
+            avail = np.concatenate([traces[e][2][-1] for e in live])
+            u = np.array([unit_uniform(seed, "act", keys[e], t, i)
+                          for e in live for i in range(n)])
+            actions = sample_from(action_distribution(q.data, avail, explore, eps),
+                                  u).reshape(len(live), n)
+            going = []
+            for row, e in enumerate(live):
+                reward, done, obs, state = envs[e].step(actions[row])
+                obs_list, state_list, avail_list, action_list, reward_list = traces[e]
+                obs_list.append(obs)
+                state_list.append(state)
+                avail_list.append(envs[e].avail_actions())
+                action_list.append(actions[row])
+                reward_list.append(reward)
+                if not done:
+                    going.append(row)
+            if not going:
+                break
+            if len(going) < len(live):
+                width = h.cols
+                h = Tensor(h.data.reshape(-1, n, width)[going].reshape(-1, width))
+                actions = actions[going]
+                live = [live[row] for row in going]
+            last_actions = actions.reshape(-1)
+            t += 1
+    return traces
 
 
 def _test_episode_key(test_point: int, episode: int) -> int:

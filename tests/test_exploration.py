@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marlab.errors import ConfigError, ContractError
 from marlab.exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
@@ -179,3 +181,77 @@ class TestSelectAction:
         probs = np.array([0.25, 0.25, 0.25, 0.25]) * (1.0 - 1e-15)   # cumsum ends below 1
         assert sample_from(probs, np.nextafter(1.0, 0.0)) == 3
         assert np.array_equal(sample_from(probs, np.array([np.nextafter(1.0, 0.0)])), [3])
+
+
+# The per-row forms of action_distribution and sample_from that the row-wise
+# ones replaced, kept as their reference: every probability and every action
+# must be the same.
+
+def per_row_action_distribution(q, avail, config, epsilon):
+    q = np.asarray(q, dtype=float).reshape(-1)
+    avail = np.asarray(avail, dtype=bool).reshape(-1)
+    avail_idx = np.flatnonzero(avail)
+    order = avail_idx[np.argsort(-q[avail_idx], kind="stable")]
+    top = order[: min(config.k, avail_idx.size)]
+    boltzmann = np.zeros_like(q)
+    if config.temperature == 0.0 or top.size == 1:
+        boltzmann[top[0]] = 1.0
+    else:
+        with np.errstate(over="ignore"):
+            weights = np.exp((q[top] - q[top[0]]) / config.temperature)
+        boltzmann[top] = weights / weights.sum()
+    uniform = np.zeros_like(q)
+    uniform[avail_idx] = 1.0 / avail_idx.size
+    return epsilon * uniform + (1.0 - epsilon) * boltzmann
+
+
+def per_row_sample_from(probs, u):
+    edges = np.cumsum(probs)
+    return np.minimum(np.searchsorted(edges, u, side="right"), probs.size - 1)
+
+
+@st.composite
+def selection_cases(draw):
+    rows, actions = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    # a few distinct values make ties, values near each other weigh alike in
+    # the softmax, and any finite float32 makes the rest
+    value = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0]),
+                      st.floats(-4.0, 4.0, width=32),
+                      st.floats(allow_nan=False, allow_infinity=False, width=32))
+    q = np.array(draw(st.lists(value, min_size=rows * actions, max_size=rows * actions)),
+                 dtype=np.float32).reshape(rows, actions)
+    avail = np.array(draw(st.lists(st.booleans(), min_size=rows * actions,
+                                   max_size=rows * actions))).reshape(rows, actions)
+    avail[np.arange(rows), draw(st.lists(st.integers(0, actions - 1), min_size=rows,
+                                         max_size=rows))] = True
+    temperature = draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-320, 1e-30, 0.33, 1.0]),
+        st.floats(0.0, 100.0)))
+    config = ExplorationConfig(k=draw(st.integers(1, actions)), temperature=temperature)
+    epsilon = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    u = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]),
+                  st.floats(0.0, float(np.nextafter(1.0, 0.0)))),
+        min_size=rows, max_size=rows)))
+    return q, avail, config, epsilon, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(selection_cases())
+def test_row_wise_selection_equals_the_per_row_form(case):
+    q, avail, config, epsilon, u = case
+    probs = action_distribution(q, avail, config, epsilon)
+    expected = [per_row_action_distribution(q[r], avail[r], config, epsilon)
+                for r in range(len(q))]
+    assert probs.shape == q.shape
+    for r, row in enumerate(expected):
+        assert np.array_equal(probs[r], row)
+        assert np.array_equal(action_distribution(q[r], avail[r], config, epsilon), row)
+    assert np.array_equal(sample_from(probs, u),
+                          [per_row_sample_from(row, u_r) for row, u_r in zip(expected, u)])
+
+
+def test_row_wise_sampling_needs_one_uniform_per_row():
+    probs = np.full((3, 2), 0.5)
+    with pytest.raises(ContractError, match="one uniform per row"):
+        sample_from(probs, np.zeros(2))

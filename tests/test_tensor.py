@@ -502,6 +502,90 @@ def test_set_attention_is_bit_identical_to_its_out_of_place_form(dtype, n, sets,
                              n * sets, heads=4, sets=sets, mask=mask)
 
 
+def ref_elu(g, x):
+    """The out-of-place ELU: np.where over expm1 of every entry."""
+    pos = x > 0
+    with np.errstate(over="ignore"):
+        data = np.where(pos, x, np.expm1(x))
+    return data, [g * np.where(pos, 1.0, data + 1.0)]
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and raw bits: -0.0 differs from 0.0 and NaN matches NaN."""
+    uint = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}[a.dtype]
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(uint), b.view(uint))
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+def test_elu_is_bit_identical_to_its_out_of_place_form(dtype):
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, info.max, -info.max,
+               info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+               1e-30, -1e-30, 50.0, 88.8, 100.0, 709.8, 710.0, 1e30, -50.0, -1e30]
+    gen = np.random.default_rng(5)
+    values = np.concatenate([np.array(special, dtype=dtype),
+                             (gen.standard_normal(106) * 10.0 ** gen.integers(-3, 4, 106)
+                              ).astype(dtype)])
+    gen.shuffle(values)
+    x = values.reshape(8, 16)
+    g = gen.standard_normal(x.shape).astype(dtype)
+    g[0, :2] = [0.0, -0.0]
+    leaf = Parameter(x.copy(), name="x")
+    out = T.elu(leaf)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    data, (grad,) = ref_elu(g, x)
+    assert same_bits(out.data, data)
+    assert same_bits(leaf.grad, grad)
+
+
+def per_block_forward(op, n, blocks, dtype, seed, row_cols, weight_shapes, zero_state=False):
+    """op over `blocks` stacked n-row blocks inside per_block(n), and op on each
+    block alone.  row_cols are the widths of the per-row operands (x, and h for
+    gru_cell, which is zero with zero_state); weight_shapes those of the rest."""
+    gen = np.random.default_rng(seed)
+    rows = [gen.standard_normal((blocks * n, c)).astype(dtype) for c in row_cols]
+    if zero_state:
+        rows[-1][:] = 0.0
+    weights = [Tensor(gen.standard_normal(s).astype(dtype)) for s in weight_shapes]
+    with no_grad():
+        alone = [op(*[Tensor(r[b * n:(b + 1) * n]) for r in rows], *weights).data
+                 for b in range(blocks)]
+        with T.per_block(n):
+            stacked = op(*[Tensor(r) for r in rows], *weights).data
+    return stacked, np.concatenate(alone)
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("blocks", [1, 4, 7, 40, 64])
+def test_per_block_affine_is_each_block_alone_bit_for_bit(dtype, n, blocks):
+    for d_in, d_out in [(17, 64), (64, 64), (64, 192), (64, 3)]:
+        stacked, alone = per_block_forward(T.affine, n, blocks, dtype, blocks + d_out,
+                                           [d_in], [(d_out, d_in), (1, d_out)])
+        assert same_bits(stacked, alone), (d_in, d_out)
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("blocks", [1, 4, 7, 40, 64])
+@pytest.mark.parametrize("zero_state", [False, True])
+def test_per_block_gru_cell_is_each_block_alone_bit_for_bit(dtype, n, blocks, zero_state):
+    stacked, alone = per_block_forward(T.gru_cell, n, blocks, dtype, n + blocks, [25, 64],
+                                       gru_shapes(1)[2:], zero_state=zero_state)
+    assert same_bits(stacked, alone)
+
+
+def test_per_block_runs_only_under_no_grad():
+    with pytest.raises(ContractError, match="no_grad"):
+        with T.per_block(3):
+            pass
+    x, w, b = Tensor(np.ones((6, 2))), Tensor(np.ones((4, 2))), Tensor(np.zeros((1, 4)))
+    with no_grad():
+        with T.per_block(3):
+            assert T.affine(x, w, b).shape == (6, 4)
+        assert T._BLOCK_ROWS is None
+
+
 @pytest.mark.parametrize("op, ref, shapes, widened", [
     # affine promotes as numpy does; the other two widen every operand first
     (T.affine, ref_affine, [(24, 25), (64, 25), (1, 64)], False),
