@@ -35,10 +35,10 @@ print(f"minimum d(joint)/d(local) over 500 random probes: {worst:.4f}")
 print("raising any agent's local value never lowers the joint value.")
 
 print("\n== exploration: top-2 softmax on top of epsilon-greedy ==")
-q_vals = np.array([3.0, 1.0, 0.0])
-avail = np.ones(3, dtype=bool)
+q_vals = np.array([[3.0, 1.0, 0.0]])   # one agent's row
+avail = np.ones((1, 3), dtype=bool)
 for tau in (0.0, 0.33, 1.0, 4.0):
-    p = action_distribution(q_vals, avail, ExplorationConfig(k=2, temperature=tau), 0.1)
+    p = action_distribution(q_vals, avail, ExplorationConfig(k=2, temperature=tau), 0.1)[0]
     print(f"tau {tau:4.2f}: {np.round(p, 4)}")
 print("tau 0 recovers plain epsilon-greedy; higher temperatures push more")
 print("probability onto the runner-up, so pairs of agents try their")
@@ -46,6 +46,6 @@ print("second-best actions together instead of deviating alone.")
 
 print("\n== k = 1 is exactly epsilon-greedy ==")
 for eps in (0.0, 0.3, 1.0):
-    a = action_distribution(q_vals, avail, ExplorationConfig(k=1, temperature=0.7), eps)
-    b = action_distribution(q_vals, avail, ExplorationConfig(k=3, temperature=0.0), eps)
+    a = action_distribution(q_vals, avail, ExplorationConfig(k=1, temperature=0.7), eps)[0]
+    b = action_distribution(q_vals, avail, ExplorationConfig(k=3, temperature=0.0), eps)[0]
     print(f"eps {eps:.1f}: k=1 dist {np.round(a, 4)}  == tau=0 dist {np.round(b, 4)}")

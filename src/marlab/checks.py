@@ -17,6 +17,7 @@ from .agents import make_team
 from .comm import CommSettings, CommStack
 from .config import check_seed
 from .envs import CuePassing, TwoStepCoop, value_iteration
+from .errors import ConfigError
 from .exploration import ExplorationConfig, action_distribution, sample_from
 from .learner import (
     EpisodeRecord,
@@ -257,10 +258,10 @@ def check_exploration_reductions(seed: int, fault: str) -> tuple[bool, str]:
     gen = stream(seed, "explore")
     worst = 0.0
     for _ in range(300):
-        q = gen.standard_normal(5)
-        avail = gen.random(5) < 0.8
+        q = gen.standard_normal((1, 5))
+        avail = gen.random((1, 5)) < 0.8
         if not avail.any():
-            avail[0] = True
+            avail[0, 0] = True
         eps = float(gen.random())
         base = action_distribution(q, avail, ExplorationConfig(k=1, temperature=1.0), eps)
         k1 = action_distribution(
@@ -268,12 +269,11 @@ def check_exploration_reductions(seed: int, fault: str) -> tuple[bool, str]:
         worst = max(worst, float(np.abs(base - k1).max()))
     sample_rng = stream(seed, "explore-mc")
     cfg = ExplorationConfig(k=2, temperature=0.33)
-    q = np.array([0.8, 0.3, -0.5, 0.1])
-    avail = np.ones(4, dtype=bool)
-    probs = action_distribution(q, avail, cfg, 0.1)
+    q = np.array([[0.8, 0.3, -0.5, 0.1]])
+    probs = action_distribution(q, np.ones((1, 4), dtype=bool), cfg, 0.1)
     trials = 20_000
-    counts = np.bincount(sample_from(probs, sample_rng.random(trials)), minlength=4)
-    mc_gap = float(np.abs(counts / trials - probs).max())
+    draws = sample_from(np.repeat(probs, trials, axis=0), sample_rng.random(trials))
+    mc_gap = float(np.abs(np.bincount(draws, minlength=4) / trials - probs[0]).max())
     ok = worst <= 1e-12 and mc_gap < 0.015
     return ok, f"reduction gap {worst:.1e}, monte-carlo gap {mc_gap:.3f}"
 
@@ -316,7 +316,7 @@ CHECKS = [
 def run_checks(seed: int = 0, fault: str = "none") -> dict:
     check_seed("seed", seed)
     if fault not in FAULTS:
-        raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
+        raise ConfigError(f"unknown fault {fault!r}; choose from {FAULTS}")
     results = {}
     for name, fn in CHECKS:
         passed, detail = fn(seed, fault)

@@ -6,10 +6,10 @@ from a temperature-scaled softmax.  k = 1 or temperature 0 collapse the
 Boltzmann part to the greedy action, recovering plain epsilon-greedy.  An
 action is drawn one way: sample_from(action_distribution(...), uniforms).
 
-Both work row by row: q and the availability mask are (rows, actions), one
-row per agent of every episode acting together, and sample_from takes one
-uniform per row.  A row's probabilities and its action are bit for bit
-those of the same row passed alone, as a 1-D q, which still works.
+Both take one form, row by row: q and the availability mask are (rows,
+actions), one row per agent of every episode acting together, and
+sample_from takes one uniform per row.  A row's probabilities and its action
+are bit for bit those of the same row passed alone, as a one-row array.
 
 ExplorationConfig, the run config's "exploration" section, holds k and the
 temperature.  Epsilon anneals with the env step (learner.epsilon), so callers
@@ -44,8 +44,8 @@ GREEDY = ExplorationConfig()
 
 def action_distribution(q: np.ndarray, avail: np.ndarray, config: ExplorationConfig,
                         epsilon: float) -> np.ndarray:
-    """Probabilities over actions, row by row for (rows, actions) q and avail,
-    or of one row for a 1-D q; unavailable actions get exactly zero.
+    """Probabilities over actions, row by row for (rows, actions) q and avail;
+    unavailable actions get exactly zero.
 
     Ties rank by lowest action index, and the cut after the k-th rank is
     deterministic: exactly min(k, #available) actions of a row enter its
@@ -55,20 +55,19 @@ def action_distribution(q: np.ndarray, avail: np.ndarray, config: ExplorationCon
         raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
     q = np.asarray(q, dtype=float)
     avail = np.asarray(avail, dtype=bool)
-    if q.shape != avail.shape or q.ndim not in (1, 2):
-        raise ContractError(f"q of shape {q.shape} needs an action mask of its shape "
-                            f"and one or two dimensions, got mask {avail.shape}")
-    q2, avail2 = (q, avail) if q.ndim == 2 else (q[None], avail[None])
-    n_avail = avail2.sum(axis=1)
+    if q.ndim != 2 or q.shape != avail.shape:
+        raise ContractError(f"q of shape {q.shape} needs two dimensions and an action "
+                            f"mask of its shape, got mask {avail.shape}")
+    n_avail = avail.sum(axis=1)
     if not n_avail.all():
         raise ContractError("no available action")
 
     # each row's actions by rank: available first, then by value, highest
     # first; the sort is stable, so lower indices come first among equal values
-    order = np.lexsort((-q2, ~avail2), axis=1)
-    boltzmann = np.zeros_like(q2)
+    order = np.lexsort((-q, ~avail), axis=1)
+    boltzmann = np.zeros_like(q)
     if config.k == 1 or config.temperature == 0.0:
-        boltzmann[np.arange(len(q2)), order[:, 0]] = 1.0
+        boltzmann[np.arange(len(q)), order[:, 0]] = 1.0
     else:
         top_size = np.minimum(config.k, n_avail)
         # rows with m softmax terms together: a row sum over m columns adds in
@@ -79,32 +78,27 @@ def action_distribution(q: np.ndarray, avail: np.ndarray, config: ExplorationCon
                 boltzmann[rows, order[rows, 0]] = 1.0
                 continue
             top = order[rows, :m]
-            values = q2[rows[:, None], top]
+            values = q[rows[:, None], top]
             # top[:, 0] holds the largest value, so every logit is <= 0; a tiny
             # temperature sends the others to -inf, which weighs 0
             with np.errstate(over="ignore"):
                 weights = np.exp((values - values[:, :1]) / config.temperature)
             boltzmann[rows[:, None], top] = weights / weights.sum(axis=1, keepdims=True)
 
-    uniform = avail2 / n_avail[:, None]
-    return (epsilon * uniform + (1.0 - epsilon) * boltzmann).reshape(q.shape)
+    uniform = avail / n_avail[:, None]
+    return epsilon * uniform + (1.0 - epsilon) * boltzmann
 
 
 def sample_from(probs: np.ndarray, u):
-    """Inverse-CDF draw: the index whose cumulative probability covers u.
-
-    For 1-D probs, u is one uniform, or an array of them for one draw each.
-    For (rows, actions) probs, u holds one uniform per row and each row
-    draws its own index, bit for bit as that row alone would.
+    """Inverse-CDF draw, row by row: for (rows, actions) probs and one uniform
+    per row in u, each row's index whose cumulative probability covers its
+    uniform, bit for bit as that row alone would draw.
     """
     probs = np.asarray(probs)
-    edges = np.cumsum(probs, axis=-1)
-    last = probs.shape[-1] - 1
-    if probs.ndim == 1:
-        return np.minimum(np.searchsorted(edges, u, side="right"), last)
     u = np.asarray(u, dtype=float)
     if probs.ndim != 2 or u.shape != probs.shape[:1]:
-        raise ContractError(f"probabilities of shape {probs.shape} need one uniform "
-                            f"per row, got shape {u.shape}")
+        raise ContractError(f"probabilities of shape {probs.shape} need two dimensions "
+                            f"and one uniform per row, got shape {u.shape}")
     # the count of edges <= u is searchsorted's right side on a sorted row
-    return np.minimum((edges <= u[:, None]).sum(axis=1), last)
+    edges = np.cumsum(probs, axis=1)
+    return np.minimum((edges <= u[:, None]).sum(axis=1), probs.shape[1] - 1)

@@ -33,7 +33,7 @@ class TrainContext:
     drawn from a stream keyed by (seed, layer name, step) and shared by every
     time step of an unroll (locked dropout).  The same step of the same run
     produces the same masks no matter what ran before.  A mask is kept in
-    the dtype of the input it scales, so it never promotes a float32 graph.
+    the dtype of the input it scales, as T.dropout requires.
     """
 
     def __init__(self, seed: int, step: int):

@@ -26,12 +26,10 @@ Parameters and requires_grad tensors built by the caller.  A second
 backward() through a freed node raises ContractError.
 
 A Tensor keeps a float32 array as float32 and stores anything else as
-float64 (DTYPE).  Every op computes in its inputs' dtype, so a model whose
-parameters are float32 runs in float32 as long as what enters its graph from
-outside is cast to that dtype too: training casts there and runs in float32,
-while the gradient oracles build float64 models.  An op that mixes the two
-dtypes computes in float64 (numpy's promotion); gru_cell and layer_norm_rows,
-which accumulate in place, widen all their operands to float64 first.
+float64 (DTYPE).  A graph has one dtype, its parameters': training runs in
+float32 and casts what enters its graph from outside, while the gradient
+oracles build float64 models.  An op whose operands mix the two dtypes,
+dropout's keep mask included, raises ContractError (see _result).
 
 Importing this module, and so importing marlab, sets two malloc tunables for
 the whole process where the C library has mallopt (glibc): a trim threshold
@@ -235,7 +233,13 @@ def _const(value) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    """The op's result; a ContractError if its dtype is not every parent's."""
+    dtype, needs = data.dtype, False
+    for p in parents:
+        if p.data.dtype != dtype:
+            raise ContractError(f"an op mixes {p.data.dtype} and {dtype}: a graph has one dtype")
+        needs = needs or p.requires_grad
+    needs = needs and _GRAD_ENABLED
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -269,13 +273,6 @@ def _fold(ufunc, first: np.ndarray, *rest) -> np.ndarray:
     for x in rest:
         ufunc(first, x, out=first)
     return first
-
-
-def _arrays(*ts: Tensor) -> list:
-    """The operands' arrays, all widened to float64 if they mix dtypes."""
-    arrays = [t.data for t in ts]
-    mixed = any(a.dtype != arrays[0].dtype for a in arrays)
-    return [a.astype(np.float64) for a in arrays] if mixed else arrays
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
@@ -365,7 +362,7 @@ def elu(a: Tensor) -> Tensor:
 
     def backward(g):
         slope = np.add(e, 1.0, out=e)
-        _accum_new(a, np.multiply(g, slope, out=slope if slope.dtype == g.dtype else None))
+        _accum_new(a, np.multiply(g, slope, out=slope))
 
     return _result(data, (a,), backward)
 
@@ -464,13 +461,13 @@ def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = a.cols
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ShapeError(f"layer_norm: input {a.shape}, gamma {gamma.shape}, beta {beta.shape}")
-    ad, gd, bd = _arrays(a, gamma, beta)
+    ad, gd = a.data, gamma.data
     # the arithmetic of np.mean and np.var, with the mean subtracted once
     xhat = ad - ad.sum(axis=1, keepdims=True) / d
     scratch = xhat * xhat   # then the output
     inv = 1.0 / np.sqrt(scratch.sum(axis=1, keepdims=True) / d + 1e-5)
     xhat *= inv
-    data = _fold(np.add, np.multiply(xhat, gd, out=scratch), bd)
+    data = _fold(np.add, np.multiply(xhat, gd, out=scratch), beta.data)
 
     def backward(g):
         _accum_new(beta, g.sum(axis=0, keepdims=True))
@@ -502,8 +499,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused dense map y = x W^T + b with W of shape (out, in), b (1, out)."""
     if x.cols != w.cols:
         raise ShapeError(f"affine: input {x.shape} does not match weight {w.shape}")
-    data = _times_t(x.data, w.data)   # b is added in place unless numpy's promotion widens the sum
-    data = np.add(data, b.data, out=data if data.dtype == b.data.dtype else None)
+    data = _fold(np.add, _times_t(x.data, w.data), b.data)
 
     def backward(g):
         if x.requires_grad:   # inputs such as observations need no g @ W
@@ -545,18 +541,17 @@ def gru_cell(x: Tensor, h: Tensor,
     if x.cols != wxz.cols or h.shape != (x.rows, whz.rows):
         raise ShapeError(f"gru_cell: input {x.shape} and state {h.shape} do not match "
                          f"weights {wxz.shape} and {whz.shape}")
-    xd, hd, wxz_, whz_, bz_, wxr_, whr_, br_, wxc_, whc_, bc_ = _arrays(
-        x, h, wxz, whz, bz, wxr, whr, br, wxc, whc, bc)
+    xd, hd = x.data, h.data
     zero = not h.requires_grad and not hd.any()
-    z = _times_t(xd, wxz_)
-    c = _times_t(xd, wxc_)
+    z = _times_t(xd, wxz.data)
+    c = _times_t(xd, wxc.data)
     if not zero:
-        z += _times_t(hd, whz_)
-        r = _sigmoid_(_fold(np.add, _times_t(xd, wxr_), _times_t(hd, whr_), br_))
-        u = _times_t(hd, whc_)
+        z += _times_t(hd, whz.data)
+        r = _sigmoid_(_fold(np.add, _times_t(xd, wxr.data), _times_t(hd, whr.data), br.data))
+        u = _times_t(hd, whc.data)
         c += r * u
-    _sigmoid_(_fold(np.add, z, bz_))
-    np.tanh(_fold(np.add, c, bc_), out=c)
+    _sigmoid_(_fold(np.add, z, bz.data))
+    np.tanh(_fold(np.add, c, bc.data), out=c)
     data = _fold(np.multiply, 1.0 - z, c)
     data += hd if zero else z * hd   # z * h is h itself at the zero state
 
@@ -568,12 +563,12 @@ def gru_cell(x: Tensor, h: Tensor,
             dar = _fold(np.multiply, dac * u, r, np.subtract(1.0, r, out=u))   # u is spent
             du = np.multiply(dac, r, out=r)
         if x.requires_grad:
-            dx = daz @ wxz_
+            dx = daz @ wxz.data
             if not zero:
-                dx += dar @ wxr_
-            _accum_new(x, _fold(np.add, dx, dac @ wxc_))
+                dx += dar @ wxr.data
+            _accum_new(x, _fold(np.add, dx, dac @ wxc.data))
         if h.requires_grad:   # never at the zero state
-            _accum_new(h, _fold(np.add, g * z, daz @ whz_, dar @ whr_, du @ whc_))
+            _accum_new(h, _fold(np.add, g * z, daz @ whz.data, dar @ whr.data, du @ whc.data))
         _accum_new(wxz, daz.T @ xd)
         _accum_new(bz, daz.sum(axis=0, keepdims=True))
         _accum_new(wxc, dac.T @ xd)

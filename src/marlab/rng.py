@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ContractError
+
 
 @functools.lru_cache(maxsize=256)
 def _str_int(key: str) -> int:
@@ -21,11 +23,11 @@ def _str_int(key: str) -> int:
 def _key_int(key) -> int:
     if isinstance(key, (int, np.integer)):
         if key < 0:
-            raise ValueError(f"stream keys must be nonnegative, got {key}")
+            raise ContractError(f"stream keys must be nonnegative, got {key}")
         return int(key)
     if isinstance(key, str):
         return _str_int(key)
-    raise TypeError(f"stream keys must be int or str, got {type(key).__name__}")
+    raise ContractError(f"stream keys must be int or str, got {type(key).__name__}")
 
 
 def stream(seed: int, *keys) -> np.random.Generator:

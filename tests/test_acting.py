@@ -80,8 +80,8 @@ def per_episode_rollout(env, team, explore, eps, seed, key, comm_mask=None):
                              comm_mask=comm_mask)
             avail = record["avail"][-1]
             actions = np.array([
-                sample_from(action_distribution(q.data[i], avail[i], explore, eps),
-                            unit_uniform(seed, "act", key, t, i))
+                sample_from(action_distribution(q.data[i:i + 1], avail[i:i + 1], explore, eps),
+                            [unit_uniform(seed, "act", key, t, i)])[0]
                 for i in range(n)])
             reward, done, obs, state = env.step(actions)
             for name, value in (("obs", obs), ("states", state), ("avail", env.avail_actions()),

@@ -1,12 +1,14 @@
-"""Invariant suite: the QMIX gradient check near the |.| kink, and the
-checks of the communication stack's claims catching what they claim to."""
+"""Invariant suite: the QMIX gradient check near the |.| kink, the checks of
+the communication stack's claims catching what they claim to, and an unknown
+fault refused."""
 
 import numpy as np
 import pytest
 
 from marlab.checks import (check_comm_param_count_team_size, check_deployment_equivalence,
-                           check_gradient_qmix)
+                           check_gradient_qmix, run_checks)
 from marlab.comm import CommStack
+from marlab.errors import ConfigError
 from marlab.nn import tensor as T
 
 
@@ -57,3 +59,8 @@ def test_comm_param_count_catches_a_parameter_added_by_a_forward(monkeypatch):
     monkeypatch.setattr(CommStack, "forward", growing)
     ok, detail = check_comm_param_count_team_size(0, "none")
     assert not ok and "n = [2, 8, 27]" in detail, detail
+
+
+def test_an_unknown_fault_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown fault 'qmix-unsigned'"):
+        run_checks(0, "qmix-unsigned")

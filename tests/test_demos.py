@@ -1,4 +1,5 @@
-"""Smoke test: the quick walkthrough demos run to completion.
+"""Smoke test: the quick walkthrough demos run to completion, with numeric
+warnings as errors.
 
 Demo 05 trains two agents for about 25 s and is left out.
 """
@@ -22,6 +23,7 @@ def test_all_quick_demos_found():
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                            env={**os.environ, "PYTHONPATH": path,
+                                 "PYTHONWARNINGS": "error::RuntimeWarning"}, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -1,8 +1,8 @@
 """Training runs in float32, the invariant oracles in float64.
 
-A float64 array entering a float32 graph promotes every op after it, which
-keeps the results right and silently loses the speed; these tests watch the
-dtype of every op result and gradient instead.
+A graph has one dtype: a float64 array entering a float32 graph makes the op
+it enters raise ContractError.  These tests watch the dtype of every op
+result and gradient of a training run and of an oracle.
 """
 
 import numpy as np

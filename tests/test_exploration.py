@@ -12,21 +12,22 @@ from marlab.exploration import GREEDY, ExplorationConfig, action_distribution, s
 
 
 def eps_greedy_reference(q, avail, epsilon):
-    """Plain epsilon-greedy distribution, computed independently."""
+    """Plain epsilon-greedy distribution of one row, computed independently."""
     q = np.asarray(q, dtype=float)
     avail = np.asarray(avail, dtype=bool)
     p = np.zeros_like(q)
     p[avail] = epsilon / avail.sum()
     masked = np.where(avail, q, -np.inf)
-    p[np.argmax(masked)] += 1.0 - epsilon
+    p.flat[np.argmax(masked)] += 1.0 - epsilon
     return p
 
 
 def random_case(gen, n_actions=6):
-    q = gen.standard_normal(n_actions) * 3
-    avail = gen.random(n_actions) < 0.7
+    """One row of values and its action mask, as (1, n_actions) arrays."""
+    q = gen.standard_normal((1, n_actions)) * 3
+    avail = gen.random((1, n_actions)) < 0.7
     if not avail.any():
-        avail[gen.integers(n_actions)] = True
+        avail[0, gen.integers(n_actions)] = True
     return q, avail
 
 
@@ -51,11 +52,11 @@ class TestDistribution:
 
     def test_two_term_softmax_hand_case(self):
         # eps = 0, k = 2, tau = 1, q = [3, 1, 0]
-        got = action_distribution([3.0, 1.0, 0.0], [True] * 3,
+        got = action_distribution([[3.0, 1.0, 0.0]], [[True] * 3],
                                   ExplorationConfig(k=2, temperature=1.0), 0.0)
         z = math.exp(3.0) + math.exp(1.0)
-        assert np.allclose(got, [math.exp(3.0) / z, math.exp(1.0) / z, 0.0])
-        assert abs(got[0] - 0.8808) < 1e-4
+        assert np.allclose(got, [[math.exp(3.0) / z, math.exp(1.0) / z, 0.0]])
+        assert abs(got[0, 0] - 0.8808) < 1e-4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
@@ -71,10 +72,10 @@ class TestDistribution:
             assert np.allclose(got, eps_greedy_reference(q, avail, eps), rtol=0, atol=1e-15)
 
     def test_full_epsilon_is_uniform_over_available(self):
-        q = np.array([5.0, -1.0, 2.0, 0.0])
-        avail = np.array([True, False, True, True])
+        q = np.array([[5.0, -1.0, 2.0, 0.0]])
+        avail = np.array([[True, False, True, True]])
         got = action_distribution(q, avail, ExplorationConfig(k=2, temperature=0.5), 1.0)
-        assert np.allclose(got, [1 / 3, 0.0, 1 / 3, 1 / 3])
+        assert np.allclose(got, [[1 / 3, 0.0, 1 / 3, 1 / 3]])
 
     def test_probabilities_sum_to_one_and_respect_mask(self):
         gen = np.random.default_rng(2)
@@ -88,32 +89,32 @@ class TestDistribution:
             assert np.all(p[~avail] == 0.0)
 
     def test_top_action_probability_non_increasing_in_temperature(self):
-        q = np.array([2.0, 1.0, -1.0])
-        avail = np.ones(3, dtype=bool)
+        q = np.array([[2.0, 1.0, -1.0]])
+        avail = np.ones((1, 3), dtype=bool)
         taus = [0.01, 0.1, 0.33, 1.0, 4.0, 20.0]
-        probs = [action_distribution(q, avail, ExplorationConfig(2, t), 0.0)[0]
+        probs = [action_distribution(q, avail, ExplorationConfig(2, t), 0.0)[0, 0]
                  for t in taus]
         assert all(a >= b - 1e-12 for a, b in zip(probs, probs[1:]))
 
     def test_k_larger_than_available_is_clamped(self):
-        q = np.array([1.0, 2.0, 3.0])
-        avail = np.array([True, True, False])
+        q = np.array([[1.0, 2.0, 3.0]])
+        avail = np.array([[True, True, False]])
         p = action_distribution(q, avail, ExplorationConfig(k=5, temperature=1.0), 0.0)
-        assert p[2] == 0.0 and abs(p.sum() - 1.0) < 1e-12
+        assert p[0, 2] == 0.0 and abs(p.sum() - 1.0) < 1e-12
 
     def test_duplicate_values_cut_at_exactly_k_lowest_indices(self):
-        q = np.array([1.0, 1.0, 1.0, 0.0])
-        p = action_distribution(q, np.ones(4, bool), ExplorationConfig(2, 1.0), 0.0)
+        q = np.array([[1.0, 1.0, 1.0, 0.0]])
+        p = action_distribution(q, np.ones((1, 4), bool), ExplorationConfig(2, 1.0), 0.0)
         # three tied actions at the top rank: exactly two (indices 0, 1) survive
-        assert np.allclose(p, [0.5, 0.5, 0.0, 0.0])
+        assert np.allclose(p, [[0.5, 0.5, 0.0, 0.0]])
 
     def test_no_available_action_raises(self):
-        with pytest.raises(ContractError):
-            action_distribution([1.0, 2.0], [False, False], GREEDY, 0.1)
+        with pytest.raises(ContractError, match="no available action"):
+            action_distribution([[1.0, 2.0]], [[False, False]], GREEDY, 0.1)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            action_distribution([1.0, 2.0], [True, True], GREEDY, 1.5)
+            action_distribution([[1.0, 2.0]], [[True, True]], GREEDY, 1.5)
         with pytest.raises(ConfigError):
             ExplorationConfig(k=0)
         with pytest.raises(ConfigError):
@@ -128,35 +129,36 @@ class TestSelectAction:
         cfg = ExplorationConfig(k=1, temperature=0.0)
         for _ in range(200):
             q, avail = random_case(gen)
-            a = sample_from(action_distribution(q, avail, cfg, 0.0), gen.random())
+            a = sample_from(action_distribution(q, avail, cfg, 0.0), [gen.random()])
             masked = np.where(avail, q, -np.inf)
-            assert a == int(np.argmax(masked))
+            assert a[0] == int(np.argmax(masked))
 
     def test_argmax_restricted_to_available(self):
-        q = np.array([10.0, 1.0, 2.0])
-        avail = np.array([False, True, True])
+        q = np.array([[10.0, 1.0, 2.0]])
+        avail = np.array([[False, True, True]])
         cfg = ExplorationConfig(k=1, temperature=0.0)
         probs = action_distribution(q, avail, cfg, 0.0)
         for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-            assert sample_from(probs, u) == 2
+            assert sample_from(probs, [u])[0] == 2
 
     def test_monte_carlo_matches_analytic_distribution(self):
-        q = np.array([1.0, 0.5, -0.2, 0.1])
-        avail = np.array([True, True, True, False])
+        q = np.array([[1.0, 0.5, -0.2, 0.1]])
+        avail = np.array([[True, True, True, False]])
         cfg = ExplorationConfig(k=2, temperature=0.33)
         expected = action_distribution(q, avail, cfg, 0.1)
         samples = 100_000
-        draws = sample_from(expected, np.random.default_rng(4).random(samples))
+        draws = sample_from(np.repeat(expected, samples, axis=0),
+                            np.random.default_rng(4).random(samples))
         assert draws.shape == (samples,)
         freq = np.bincount(draws, minlength=4) / samples
-        assert np.abs(freq - expected).max() < 0.01
+        assert np.abs(freq - expected[0]).max() < 0.01
 
     def test_deterministic_given_stream(self):
-        q = np.array([1.0, 0.9, 0.5])
-        avail = np.ones(3, bool)
+        q = np.array([[1.0, 0.9, 0.5]])
+        avail = np.ones((1, 3), bool)
         cfg = ExplorationConfig(k=2, temperature=0.5)
         a = [sample_from(action_distribution(q, avail, cfg, 0.3),
-                         np.random.default_rng(9).random()) for _ in range(5)]
+                         [np.random.default_rng(9).random()])[0] for _ in range(5)]
         assert len(set(a)) == 1
 
     def test_an_array_of_uniforms_draws_as_each_one_does(self):
@@ -166,21 +168,30 @@ class TestSelectAction:
             q, avail = random_case(gen)
             probs = action_distribution(q, avail, cfg, 0.2)
             us = np.concatenate([gen.random(40), [0.0, np.nextafter(1.0, 0.0)]])
-            assert np.array_equal(sample_from(probs, us),
-                                  [sample_from(probs, u) for u in us])
+            assert np.array_equal(sample_from(np.repeat(probs, len(us), axis=0), us),
+                                  [sample_from(probs, [u])[0] for u in us])
 
     def test_an_array_of_uniforms_equals_the_same_stream_drawn_one_at_a_time(self):
-        probs = action_distribution(np.array([0.8, 0.3, -0.5, 0.1]), np.ones(4, bool),
+        probs = action_distribution(np.array([[0.8, 0.3, -0.5, 0.1]]), np.ones((1, 4), bool),
                                     ExplorationConfig(k=2, temperature=0.33), 0.1)
         one_at_a_time = np.random.default_rng(115)
-        singles = [sample_from(probs, one_at_a_time.random()) for _ in range(500)]
-        assert np.array_equal(sample_from(probs, np.random.default_rng(115).random(500)),
+        singles = [sample_from(probs, [one_at_a_time.random()])[0] for _ in range(500)]
+        assert np.array_equal(sample_from(np.repeat(probs, 500, axis=0),
+                                          np.random.default_rng(115).random(500)),
                               singles)
 
     def test_the_last_edge_never_draws_past_the_last_action(self):
-        probs = np.array([0.25, 0.25, 0.25, 0.25]) * (1.0 - 1e-15)   # cumsum ends below 1
-        assert sample_from(probs, np.nextafter(1.0, 0.0)) == 3
-        assert np.array_equal(sample_from(probs, np.array([np.nextafter(1.0, 0.0)])), [3])
+        probs = np.array([[0.25, 0.25, 0.25, 0.25]]) * (1.0 - 1e-15)   # cumsum ends below 1
+        assert sample_from(probs, [np.nextafter(1.0, 0.0)])[0] == 3
+        assert np.array_equal(sample_from(np.repeat(probs, 3, axis=0),
+                                          np.full(3, np.nextafter(1.0, 0.0))), [3, 3, 3])
+
+    def test_one_dimensional_input_is_refused(self):
+        with pytest.raises(ContractError, match="two dimensions"):
+            action_distribution([1.0, 2.0], [True, True], GREEDY, 0.1)
+        for u in (0.5, [0.5], [0.5, 0.5]):
+            with pytest.raises(ContractError, match="two dimensions"):
+                sample_from(np.array([0.5, 0.5]), u)
 
 
 # The per-row forms of action_distribution and sample_from that the row-wise
@@ -246,7 +257,8 @@ def test_row_wise_selection_equals_the_per_row_form(case):
     assert probs.shape == q.shape
     for r, row in enumerate(expected):
         assert np.array_equal(probs[r], row)
-        assert np.array_equal(action_distribution(q[r], avail[r], config, epsilon), row)
+        assert np.array_equal(action_distribution(q[r:r + 1], avail[r:r + 1], config,
+                                                  epsilon), row[None])
     assert np.array_equal(sample_from(probs, u),
                           [per_row_sample_from(row, u_r) for row, u_r in zip(expected, u)])
 

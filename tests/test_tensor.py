@@ -221,6 +221,11 @@ def _gru(leaf, r, c):
     return T.gru_cell(leaf(r, c), leaf(r, c + 1), *gates)
 
 
+def _dropout(leaf, r, c):
+    x = leaf(r, c)   # the keep mask in x's dtype, as TrainContext keeps it
+    return T.dropout(x, dropout_mask((r, c), 0.5, np.random.default_rng(0)).astype(x.data.dtype))
+
+
 # one call of every op at size (r, c); leaf(rows, cols) makes each input
 OP_CALLS = {
     "add": lambda leaf, r, c: T.add(leaf(r, c), leaf(r, c)),
@@ -236,8 +241,7 @@ OP_CALLS = {
     "gather_cols": lambda leaf, r, c: T.gather_cols(leaf(r, c), np.arange(r) % c),
     "softmax_rows": lambda leaf, r, c: T.softmax_rows(leaf(r, c)),
     "layer_norm_rows": lambda leaf, r, c: T.layer_norm_rows(leaf(r, c), leaf(1, c), leaf(1, c)),
-    "dropout": lambda leaf, r, c: T.dropout(
-        leaf(r, c), dropout_mask((r, c), 0.5, np.random.default_rng(0))),
+    "dropout": _dropout,
     "affine": lambda leaf, r, c: T.affine(leaf(r, c), leaf(c + 1, c), leaf(1, c + 1)),
     "gru_cell": _gru,
     "set_attention": lambda leaf, r, c: T.set_attention(
@@ -271,6 +275,44 @@ def test_no_grad_builds_no_graph(op):
         assert y._backward is None and y._parents == () and not y.requires_grad
     on = OP_CALLS[op](trainable, 2, 3)
     assert on._backward is not None and on._parents and on.requires_grad
+
+
+def call_in_dtypes(op, dtypes):
+    """OP_CALLS[op] at size (2, 3) whose i-th tensor operand has dtypes[i];
+    returns the result and the operands."""
+    gen, leaves = np.random.default_rng(0), []
+
+    def leaf(rows, cols):
+        data = gen.standard_normal((rows, cols)).astype(dtypes[len(leaves)])
+        leaves.append(Parameter(data, name=f"leaf{len(leaves)}"))
+        return leaves[-1]
+
+    return OP_CALLS[op](leaf, 2, 3), leaves
+
+
+MIXABLE_OPS = sorted(op for op in OP_CALLS
+                     if len(call_in_dtypes(op, [np.float64] * MAX_LEAVES)[1]) > 1)
+
+
+@pytest.mark.parametrize("op", MIXABLE_OPS)
+def test_an_op_runs_in_one_dtype_and_refuses_operands_of_two(op):
+    for dtype, other in ((np.float32, np.float64), (np.float64, np.float32)):
+        out, leaves = call_in_dtypes(op, [dtype] * MAX_LEAVES)
+        assert out.data.dtype == dtype
+        T.tsum(out).backward()
+        assert {leaf.grad.dtype for leaf in leaves} == {np.dtype(dtype)}
+        for odd in range(len(leaves)):
+            dtypes = [dtype] * MAX_LEAVES
+            dtypes[odd] = other
+            with pytest.raises(ContractError, match="one dtype"):
+                call_in_dtypes(op, dtypes)
+
+
+def test_dropout_refuses_a_keep_mask_of_another_dtype():
+    x = Tensor(np.ones((2, 3), np.float32))
+    with pytest.raises(ContractError, match="one dtype"):
+        T.dropout(x, np.full((2, 3), 2.0))
+    assert T.dropout(x, np.full((2, 3), 2.0, np.float32)).data.dtype == np.float32
 
 
 def test_grad_accumulates_across_uses():
@@ -584,28 +626,6 @@ def test_per_block_runs_only_under_no_grad():
         with T.per_block(3):
             assert T.affine(x, w, b).shape == (6, 4)
         assert T._BLOCK_ROWS is None
-
-
-@pytest.mark.parametrize("op, ref, shapes, widened", [
-    # affine promotes as numpy does; the other two widen every operand first
-    (T.affine, ref_affine, [(24, 25), (64, 25), (1, 64)], False),
-    (T.gru_cell, ref_gru, gru_shapes(24), True),
-    (T.layer_norm_rows, ref_layer_norm, [(24, 64), (1, 64), (1, 64)], True),
-])
-@pytest.mark.parametrize("wide", [0, 1, 2])
-def test_kernels_given_one_float64_operand_compute_in_float64(op, ref, shapes, widened, wide):
-    # such as a float64 zero state, Tensor's default, fed to a float32 GRU
-    gen = np.random.default_rng(wide)
-    arrays = [gen.standard_normal(s).astype(np.float64 if i == wide else np.float32)
-              for i, s in enumerate(shapes)]
-    leaves = [Parameter(a, name=f"leaf{i}") for i, a in enumerate(arrays)]
-    out = op(*leaves)
-    g = gen.standard_normal(out.shape)
-    data, grads = ref(g, *[a.astype(np.float64) if widened else a for a in arrays])
-    assert out.data.dtype == np.float64 and np.array_equal(out.data, data)
-    T.tsum(T.mul(out, Tensor(g))).backward()
-    for leaf, expected in zip(leaves, grads):
-        assert leaf.grad.dtype == np.float64 and np.array_equal(leaf.grad, expected), leaf.name
 
 
 def test_gru_zero_state_path_leaves_other_steps_gradients_alone():
