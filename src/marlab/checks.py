@@ -23,7 +23,6 @@ from .learner import (
     EpisodeRecord,
     double_q_targets,
     pad_batch,
-    stack_values,
     taken_joint_values,
     td_loss,
     unroll_team,
@@ -144,13 +143,11 @@ def check_gradient_end_to_end(seed: int, fault: str) -> tuple[bool, str]:
             rewards=gen.standard_normal(2)))
     batch = pad_batch(episodes)
 
-    # freeze the targets first: they are detached from the online graph, so
-    # the finite-difference probe must hold them fixed too
+    # freeze the targets first, from steps 1..t_max (entry t after transition t):
+    # they are detached from the online graph, so the probe must hold them fixed too
     with no_grad():
-        stacked = stack_values(unroll_team(team, batch)[1:], batch)
-    y = double_q_targets(batch["rewards"], batch["terminated"], stacked,
-                         stacked, batch["avail"][:, 1:], batch["states"][:, 1:],
-                         lambda q, s: q.sum(axis=1), 0.9)
+        next_q = unroll_team(team, batch)[1:]
+    y = double_q_targets(batch, next_q, next_q, team.mixer, 0.9)
 
     def loss():
         q_tot = taken_joint_values(team, unroll_team(team, batch), batch)

@@ -74,8 +74,7 @@ class Env:
         """Apply one team action; returns (reward, done, observations, global state)."""
         if self._state is None:
             raise EpisodeOverError("episode already finished")
-        actions = self._check_actions(actions)
-        reward, nxt = self.model_step(self._state, tuple(actions.tolist()))
+        reward, nxt = self.model_step(self._state, self._check_actions(actions))
         obs, state = self._observe(self._state if nxt is None else nxt)
         self._state = nxt
         return reward, nxt is None, obs, state
@@ -86,15 +85,17 @@ class Env:
     def is_success(self, episode_return: float) -> bool:
         return episode_return >= self.best_return - 1e-9
 
-    def _check_actions(self, actions):
-        actions = np.asarray(actions, dtype=np.intp)
-        if actions.shape != (self.n_agents,):
-            raise ContractError(f"need {self.n_agents} actions, got shape {actions.shape}")
+    def _check_actions(self, actions) -> tuple[int, ...]:
+        """The team action as a tuple of integers, each available to its agent."""
+        if np.shape(actions) != (self.n_agents,):
+            raise ContractError(f"need {self.n_agents} actions, got shape {np.shape(actions)}")
+        joint = tuple(actions.tolist() if isinstance(actions, np.ndarray) else actions)
         avail = self.avail_actions()
-        for i, a in enumerate(actions):
-            if not (0 <= a < self.n_actions) or not avail[i, a]:
-                raise ContractError(f"agent {i} took unavailable action {a}")
-        return actions
+        for i, a in enumerate(joint):   # 0.5 or True is no action, though numpy casts it to one
+            if (not isinstance(a, (int, np.integer)) or isinstance(a, bool)
+                    or not 0 <= a < self.n_actions or not avail[i, a]):
+                raise ContractError(f"agent {i} took unavailable action {a!r}")
+        return joint
 
     def _start(self, rng: np.random.Generator):
         raise NotImplementedError

@@ -15,14 +15,15 @@ if there is none); only transitions before k bootstrap.  The online unroll
 runs steps 0..max(t_max - 1, k): every step up to t_max - 1 feeds the
 chosen-action values, and step k selects the last bootstrapped action.  The
 target unroll returns Q values for steps 1..k only; at step 0 it just
-advances the recurrent carry, and nothing after k runs.  Targets at
-transitions from k on are the rewards.  This is exact: every skipped step
-fed either a term multiplied by (1 - terminated) = 0 or a padded row that
-the mask zeroes, and none of them is on the gradient path, so losses,
-gradients and parameters are bit-identical to the full unroll.  One
-difference shows only on broken networks: a non-finite target value at a
-skipped step used to make the loss NaN (0 * inf) and now does not; nor
-does an inf or NaN in the GRU's Wh* at the zero state (see T.gru_cell).
+advances the recurrent carry, and nothing after k runs.  double_q_targets
+reads entry t of these and of online_q[1 : k + 1] as step t + 1, after
+transition t; from k on the targets are the rewards.  This is exact: every
+skipped step fed either a term multiplied by (1 - terminated) = 0 or a
+padded row that the mask zeroes, and none of them is on the gradient path,
+so losses, gradients and parameters are bit-identical to the full unroll.
+One difference shows only on broken networks: a non-finite target value at a
+skipped step used to make the loss NaN (0 * inf) and now does not; nor does
+an inf or NaN in the GRU's Wh* at the zero state (see T.gru_cell).
 
 A train step's peak memory is its forward graph: backward() frees each
 node's gradient and saved arrays once it has used them, and every dropout
@@ -45,7 +46,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -74,6 +75,8 @@ class EpisodeRecord:
 
     def __post_init__(self):
         t = len(self.rewards)
+        if t == 0:   # pad_batch marks termination at an episode's last step
+            raise ContractError("an episode needs at least one step")
         if not (self.actions.shape[0] == t
                 and self.obs.shape[0] == t + 1
                 and self.states.shape[0] == t + 1
@@ -271,31 +274,25 @@ def taken_joint_values(team: TeamModel, online_q: list[Tensor], batch: dict) -> 
     return T.concat_cols(q_taken)
 
 
-def stack_values(q_values: list[Tensor], batch: dict) -> np.ndarray:
-    """Per-step local Q tensors as one (batch, steps, n, n_actions) array."""
-    bsz, _, n = batch["actions"].shape
-    return np.stack([q.data.reshape(bsz, n, -1) for q in q_values], axis=1)
+def double_q_targets(batch: dict, online_q: list[Tensor], target_q: list[Tensor],
+                     mixer, gamma: float) -> np.ndarray:
+    """One-step TD targets with decoupled selection and evaluation, (batch, t_max).
 
-
-def double_q_targets(rewards: np.ndarray, terminated: np.ndarray,
-                     online_next_q: np.ndarray, target_next_q: np.ndarray,
-                     avail_next: np.ndarray, states_next: np.ndarray,
-                     mix_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     gamma: float) -> np.ndarray:
-    """One-step TD targets with decoupled selection and evaluation.
-
-    The next action is the argmax of the ONLINE local values over available
-    actions; its value comes from the TARGET network, mixed by mix_fn at the
-    next state.  All arrays are (batch, T, ...); returns (batch, T).
+    online_q[t] and target_q[t] are unroll_team's local Q values of step t + 1,
+    the step after transition t; a transition past their end keeps its reward.
+    The next action is the argmax of the ONLINE values over the actions
+    available at t + 1; its value comes from the TARGET values, mixed by
+    `mixer` at that step's state.
     """
-    bsz, t_len = rewards.shape
-    y = np.empty((bsz, t_len))
-    for t in range(t_len):
-        masked = np.where(avail_next[:, t], online_next_q[:, t], -np.inf)
+    bsz, _, n = batch["actions"].shape
+    y = batch["rewards"].copy()
+    for t, (online, target) in enumerate(zip(online_q, target_q, strict=True)):
+        masked = np.where(batch["avail"][:, t + 1], online.data.reshape(bsz, n, -1), -np.inf)
         best = masked.argmax(axis=-1)
-        chosen = np.take_along_axis(target_next_q[:, t], best[..., None], axis=-1)[..., 0]
-        joint = mix_fn(chosen, states_next[:, t])
-        y[:, t] = rewards[:, t] + gamma * (1.0 - terminated[:, t]) * joint
+        chosen = np.take_along_axis(target.data.reshape(bsz, n, -1), best[..., None],
+                                    axis=-1)[..., 0]
+        joint = mix_values(mixer, chosen, batch["states"][:, t + 1])
+        y[:, t] = batch["rewards"][:, t] + gamma * (1.0 - batch["terminated"][:, t]) * joint
     return y
 
 
@@ -366,13 +363,8 @@ class Learner:
             target_q = unroll_team(self.target, batch, steps=range(1, k + 1))
 
         q_tot = taken_joint_values(self.team, online_q, batch)
-        targets = batch["rewards"].copy()
-        if k:
-            targets[:, :k] = double_q_targets(
-                batch["rewards"][:, :k], batch["terminated"][:, :k],
-                stack_values(online_q[1 : k + 1], batch), stack_values(target_q, batch),
-                batch["avail"][:, 1 : k + 1], batch["states"][:, 1 : k + 1],
-                lambda q, s: mix_values(self.target.mixer, q, s), cfg.gamma)
+        targets = double_q_targets(batch, online_q[1 : k + 1], target_q,
+                                   self.target.mixer, cfg.gamma)
 
         # no zero_grad: both optimizers' step() leave every grad at None
         loss = td_loss(q_tot, targets, batch["mask"])

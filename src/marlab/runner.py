@@ -269,11 +269,9 @@ class SeedRun:
         try:   # one lookup per key: each NpzFile lookup reads the whole array again
             with open(path, "rb") as fh, np.load(fh) as data:
                 arrays = {key: data[key] for key in data.files}
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-            raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
-        try:
             self.buffer = ReplayBuffer.from_state_arrays(self.config.train.buffer_capacity, arrays)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError,
+                zipfile.BadZipFile, ContractError) as exc:
             raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
         self.last_loss = last_loss if last_loss is not None else math.nan
 

@@ -185,10 +185,12 @@ class TestTrainCommand:
         assert_one_line_error(capsys, str(path), repr(key))
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
-    @pytest.mark.parametrize("damage", ["missing key", "count past the rows"])
+    @pytest.mark.parametrize("damage", ["missing key", "count past the rows",
+                                        "an episode without steps"])
     def test_resume_from_a_buffer_with_bad_arrays_is_a_one_line_error(self, tmp_path, capsys,
                                                                       damage):
-        # a KeyError or IndexError traceback from ReplayBuffer.from_state_arrays
+        # a KeyError or IndexError traceback from ReplayBuffer.from_state_arrays,
+        # or a zero-step episode that EpisodeRecord refuses
         cfg = write_toy_config(tmp_path, mixer="qmix")
         assert main(["train", "--config", str(cfg)]) == 0
         capsys.readouterr()
@@ -197,8 +199,10 @@ class TestTrainCommand:
             arrays = {key: data[key] for key in data.files}
         if damage == "missing key":
             del arrays["lengths"]
-        else:
+        elif damage == "count past the rows":
             arrays["count"] = np.array(len(arrays["lengths"]) + 1)
+        else:
+            arrays["lengths"][0] = 0
         np.savez(path, **arrays)
         run = tmp_path / "run"
         before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}

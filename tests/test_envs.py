@@ -78,6 +78,31 @@ class TestMatrixGame:
         with pytest.raises(EpisodeOverError):
             env.step([0, 0])
 
+    @pytest.mark.parametrize("actions", [[0.5, 0], [True, 0], [0, False],
+                                         np.array([1.0, 0.0]), ["0", "1"]])
+    def test_non_integer_actions_are_refused(self, actions):
+        # a float or a bool is no action index, though numpy would cast it to one
+        env = MatrixGame(payoff=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        env.reset(rng())
+        with pytest.raises(ContractError, match="unavailable action"):
+            env.step(actions)
+        assert env.step(np.array([1, 2], dtype=np.uint8))[0] == 6.0   # still at the start
+
+    @pytest.mark.parametrize("actions", [[-1, 0], [0, 3], [2, 0]])
+    def test_out_of_range_or_unavailable_actions_are_refused(self, actions):
+        env = MatrixGame(payoff=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        env.reset(rng())
+        with pytest.raises(ContractError, match="unavailable action"):
+            env.step(actions)
+
+    def test_model_step_is_handed_a_tuple_of_python_ints(self, monkeypatch):
+        env = MatrixGame()
+        seen = []
+        monkeypatch.setattr(env, "model_step", lambda state, joint: (seen.append(joint), None))
+        env.reset(rng())
+        env.step(np.array([2, 1], dtype=np.int32))
+        assert seen == [(2, 1)] and all(type(a) is int for a in seen[0])
+
 
 class TestCuePassing:
     def test_correct_shifted_cues_pay_one(self):

@@ -27,7 +27,7 @@ from marlab.learner import (
     td_loss,
     unroll_team,
 )
-from marlab.mixers import mix_values
+from marlab.mixers import VdnMixer
 from marlab.nn import Parameter, Tensor, TrainContext, clip_grad_norm, no_grad
 from marlab.nn import tensor as T
 from marlab.rng import stream
@@ -112,6 +112,11 @@ class TestEpisodeRecord:
             EpisodeRecord(obs=ep.obs[:-1], states=ep.states, avail=ep.avail,
                           actions=ep.actions, rewards=ep.rewards)
 
+    def test_an_episode_without_steps_is_refused(self):
+        # pad_batch would mark its termination at column -1, or fail on a batch of them
+        with pytest.raises(ContractError, match="at least one step"):
+            make_episode(np.random.default_rng(0), length=0)
+
 
 class TestPadBatch:
     def test_padding_and_masks(self):
@@ -126,51 +131,86 @@ class TestPadBatch:
         assert np.all(batch["avail"][0, 2:])  # padded steps stay well defined
 
 
+def next_step_batch(rewards, terminated, avail_next):
+    """The arrays double_q_targets reads, for transitions t whose next step
+    t + 1 has the availability avail_next[:, t]; every state is 0."""
+    bsz, t_len, n, n_actions = avail_next.shape
+    return {"rewards": rewards, "terminated": terminated,
+            "actions": np.zeros((bsz, t_len, n), dtype=np.intp),
+            "avail": np.concatenate([np.ones((bsz, 1, n, n_actions), dtype=bool), avail_next],
+                                    axis=1),
+            "states": np.zeros((bsz, t_len + 1, 1))}
+
+
+def per_step(values):
+    """(batch, T, n, actions) values as unroll_team's list of (batch*n, actions) tensors."""
+    bsz, t_len, n, _ = values.shape
+    return [Tensor(values[:, t].reshape(bsz * n, -1)) for t in range(t_len)]
+
+
 class TestDoubleQTargets:
     def test_hand_built_lookahead_case(self):
         # selection must use the online argmax, evaluation the target values
-        rewards = np.array([[0.5]])
-        terminated = np.array([[0.0]])
         online_next = np.array([[[[1.0, 2.0], [5.0, 0.0]]]])   # argmax: 1, 0
         target_next = np.array([[[[10.0, 3.0], [7.0, 8.0]]]])  # picked: 3, 7
-        avail = np.ones((1, 1, 2, 2), dtype=bool)
-        states = np.zeros((1, 1, 1))
-        y = double_q_targets(rewards, terminated, online_next, target_next,
-                             avail, states, lambda q, s: q.sum(axis=1), 0.9)
+        batch = next_step_batch(np.array([[0.5]]), np.array([[0.0]]),
+                                np.ones((1, 1, 2, 2), dtype=bool))
+        y = double_q_targets(batch, per_step(online_next), per_step(target_next),
+                             VdnMixer(2), 0.9)
         assert np.allclose(y, 0.5 + 0.9 * (3.0 + 7.0))
 
     def test_availability_restricts_selection(self):
-        rewards = np.array([[0.0]])
-        terminated = np.array([[0.0]])
         online_next = np.array([[[[9.0, 2.0], [1.0, 0.0]]]])
         target_next = np.array([[[[4.0, 3.0], [6.0, 5.0]]]])
         avail = np.array([[[[False, True], [True, True]]]])  # agent 0 cannot take 0
-        states = np.zeros((1, 1, 1))
-        y = double_q_targets(rewards, terminated, online_next, target_next,
-                             avail, states, lambda q, s: q.sum(axis=1), 1.0)
+        batch = next_step_batch(np.array([[0.0]]), np.array([[0.0]]), avail)
+        y = double_q_targets(batch, per_step(online_next), per_step(target_next),
+                             VdnMixer(2), 1.0)
         assert np.allclose(y, 3.0 + 6.0)
 
     def test_terminal_step_has_no_bootstrap(self):
-        rewards = np.array([[2.0]])
-        terminated = np.array([[1.0]])
-        online_next = np.ones((1, 1, 2, 2))
-        target_next = np.ones((1, 1, 2, 2)) * 100
-        avail = np.ones((1, 1, 2, 2), dtype=bool)
-        y = double_q_targets(rewards, terminated, online_next, target_next,
-                             avail, np.zeros((1, 1, 1)),
-                             lambda q, s: q.sum(axis=1), 0.99)
+        batch = next_step_batch(np.array([[2.0]]), np.array([[1.0]]),
+                                np.ones((1, 1, 2, 2), dtype=bool))
+        y = double_q_targets(batch, per_step(np.ones((1, 1, 2, 2))),
+                             per_step(np.ones((1, 1, 2, 2)) * 100), VdnMixer(2), 0.99)
         assert np.allclose(y, 2.0)
 
     def test_gamma_zero_targets_are_rewards(self):
         gen = np.random.default_rng(3)
         rewards = gen.standard_normal((2, 3))
-        y = double_q_targets(rewards, np.zeros((2, 3)),
-                             gen.standard_normal((2, 3, 2, 2)),
-                             gen.standard_normal((2, 3, 2, 2)),
-                             np.ones((2, 3, 2, 2), dtype=bool),
-                             np.zeros((2, 3, 1)),
-                             lambda q, s: q.sum(axis=1), 0.0)
+        batch = next_step_batch(rewards, np.zeros((2, 3)), np.ones((2, 3, 2, 2), dtype=bool))
+        y = double_q_targets(batch, per_step(gen.standard_normal((2, 3, 2, 2))),
+                             per_step(gen.standard_normal((2, 3, 2, 2))), VdnMixer(2), 0.0)
         assert np.allclose(y, rewards)
+
+    def test_no_values_give_a_copy_of_the_rewards(self):
+        # k = 0: no transition bootstraps, so the lists are empty
+        rewards = np.random.default_rng(4).standard_normal((2, 3))
+        batch = next_step_batch(rewards.copy(), np.ones((2, 3)),
+                                np.ones((2, 3, 2, 2), dtype=bool))
+        y = double_q_targets(batch, [], [], VdnMixer(2), 0.9)
+        assert y.tobytes() == rewards.tobytes()
+        y[...] = 7.0
+        assert batch["rewards"].tobytes() == rewards.tobytes()
+
+    def test_transitions_past_the_values_keep_their_rewards(self):
+        gen = np.random.default_rng(5)
+        rewards = gen.standard_normal((2, 3))
+        batch = next_step_batch(rewards, np.zeros((2, 3)), np.ones((2, 3, 2, 2), dtype=bool))
+        online_next, target_next = (gen.standard_normal((2, 1, 2, 2)) for _ in range(2))
+        y = double_q_targets(batch, per_step(online_next), per_step(target_next),
+                             VdnMixer(2), 0.9)
+        assert y[:, 1:].tobytes() == rewards[:, 1:].tobytes()
+        full = double_q_targets(batch, per_step(np.repeat(online_next, 3, axis=1)),
+                                per_step(np.repeat(target_next, 3, axis=1)), VdnMixer(2), 0.9)
+        assert y[:, 0].tobytes() == full[:, 0].tobytes()
+
+    def test_lists_of_different_lengths_are_refused(self):
+        batch = next_step_batch(np.zeros((1, 2)), np.zeros((1, 2)),
+                                np.ones((1, 2, 2, 2), dtype=bool))
+        values = per_step(np.zeros((1, 2, 2, 2)))
+        with pytest.raises(ValueError):
+            double_q_targets(batch, values, values[:1], VdnMixer(2), 0.9)
 
 
 class TestTdLoss:
@@ -315,13 +355,8 @@ def reference_train_step(learner, buffer):
             Tensor(batch["states"][:, t]))
         for t in range(t_max)])
 
-    def stack_values(tensors):
-        return np.stack([q.data.reshape(bsz, n, -1) for q in tensors], axis=1)
-
-    targets = double_q_targets(
-        batch["rewards"], batch["terminated"], stack_values(online_q[1:]),
-        stack_values(target_q[1:]), batch["avail"][:, 1:], batch["states"][:, 1:],
-        lambda q, s: mix_values(learner.target.mixer, q, s), cfg.gamma)
+    targets = double_q_targets(batch, online_q[1:], target_q[1:], learner.target.mixer,
+                               cfg.gamma)
     loss = td_loss(q_tot, targets, batch["mask"])
     loss.backward()
     clip_grad_norm(learner.team.parameters(), cfg.grad_clip)
