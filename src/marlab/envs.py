@@ -87,8 +87,13 @@ class Env:
 
     def _check_actions(self, actions) -> tuple[int, ...]:
         """The team action as a tuple of integers, each available to its agent."""
-        if np.shape(actions) != (self.n_agents,):
-            raise ContractError(f"need {self.n_agents} actions, got shape {np.shape(actions)}")
+        try:
+            shape = np.shape(actions)
+        except ValueError:   # numpy gives a ragged sequence such as [[0], 1] no shape
+            raise ContractError(f"need {self.n_agents} actions, got a ragged sequence "
+                                f"of {len(actions)} entries") from None
+        if shape != (self.n_agents,):
+            raise ContractError(f"need {self.n_agents} actions, got shape {shape}")
         joint = tuple(actions.tolist() if isinstance(actions, np.ndarray) else actions)
         avail = self.avail_actions()
         for i, a in enumerate(joint):   # 0.5 or True is no action, though numpy casts it to one

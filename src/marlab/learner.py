@@ -25,6 +25,15 @@ One difference shows only on broken networks: a non-finite target value at a
 skipped step used to make the loss NaN (0 * inf) and now does not; nor does
 an inf or NaN in the GRU's Wh* at the zero state (see T.gru_cell).
 
+Within the steps that run, the rows past an episode's end are never
+computed: an episode's rows are live at step t while t <= its length, and
+unroll_team carries, communicates and evaluates only the live rows, leaving
+exact zeros in the padded rows' Q values.  Those values fed only terms the
+mask zeroes, as above.  A batch whose episodes have one length has no
+padded row and runs the arithmetic of the full unroll bit for bit; on a
+padded batch the live rows' values may move in the last bits, as BLAS
+picks its kernel by the row count (see T.per_block).
+
 A train step's peak memory is its forward graph: backward() frees each
 node's gradient and saved arrays once it has used them, and every dropout
 layer applies one mask, drawn once per train step, at all time steps.
@@ -240,22 +249,47 @@ def unroll_team(team: TeamModel, batch: dict,
     zero and are carried inside; steps before steps.start only advance the
     recurrent carry (no communication, no Q head) and steps from steps.stop
     on do not run.
+
+    An episode's rows are live at step t while t <= its length (its mask's
+    row sum).  Once an episode has ended, its rows are dropped from the
+    carry (T.take_rows) and no later step computes them: their Q values are
+    exact zeros (T.put_rows).  A batch of equal lengths has no padded row.
     """
     bsz, t_max, n = batch["actions"].shape
     n_actions = batch["avail"].shape[-1]
     if steps is None:
         steps = range(t_max + 1)
+    stop = steps.stop if steps else 0
+    if not stop:
+        return []
+    obs, actions = batch["obs"], batch["actions"]
+    obs_dim = obs.shape[-1]
+    first = build_inputs(obs[:, 0].reshape(-1, obs_dim), None, n_actions, n)
+    # steps 1..stop-1 in one array, time-major: later[t - 1] is step t
+    later = build_inputs(obs[:, 1:stop].swapaxes(0, 1).reshape(-1, obs_dim),
+                         actions[:, : stop - 1].swapaxes(0, 1).reshape(-1), n_actions, n)
+    first = first.astype(team.dtype, copy=False)
+    later = later.astype(team.dtype, copy=False).reshape(stop - 1, bsz * n, first.shape[1])
+
+    lengths = batch["mask"].sum(axis=1)
+    ends = set(lengths.tolist())
+    live = None   # the rows h holds, as a mask over all rows; None for all
     h = team.initial_hidden(bsz * n)
     out = []
-    for t in range(steps.stop if steps else 0):
-        flat_obs = batch["obs"][:, t].reshape(bsz * n, -1)
-        last = batch["actions"][:, t - 1].reshape(-1) if t > 0 else None
-        inputs = build_inputs(flat_obs, last, n_actions, n)
+    for t in range(stop):
+        if t - 1 in ends:   # the episodes of length t - 1 have ended
+            now = np.repeat(lengths >= t, n)
+            h = T.take_rows(h, now if live is None else now[live])
+            live = now
+            ctx = ctx.on_rows(live) if ctx is not None else None
+        inputs = first if t == 0 else later[t - 1]
+        if live is not None:
+            inputs = inputs[live]
         if t < steps.start:
             h = team.encode(inputs, h)
             continue
         q, h = team.step(inputs, h, ctx=ctx)
-        out.append(q)
+        out.append(q if live is None else T.put_rows(q, live))
     return out
 
 

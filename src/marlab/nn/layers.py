@@ -8,6 +8,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Optional
 
@@ -34,20 +35,34 @@ class TrainContext:
     time step of an unroll (locked dropout).  The same step of the same run
     produces the same masks no matter what ran before.  A mask is kept in
     the dtype of the input it scales, as T.dropout requires.
+
+    An unroll that drops the rows of episodes that have ended runs its later
+    steps under on_rows(live): a live row then takes its own row of the one
+    full-batch mask, so a row's noise does not depend on which others ended.
     """
 
     def __init__(self, seed: int, step: int):
         self.seed = seed
         self.step = step
+        self.live: Optional[np.ndarray] = None   # see on_rows
         self._masks: dict[tuple, np.ndarray] = {}
+
+    def on_rows(self, live: np.ndarray) -> "TrainContext":
+        """This context, masks shared, for inputs that hold only the rows of
+        the full batch at the True entries of the boolean `live`."""
+        view = copy.copy(self)
+        view.live = live
+        return view
 
     def dropout_mask(self, layer_name: str, shape: tuple, rate: float,
                      dtype) -> np.ndarray:
-        key = (layer_name, shape, np.dtype(dtype))
+        live = self.live
+        full = shape if live is None else (live.size, *shape[1:])
+        key = (layer_name, full, np.dtype(dtype))
         if key not in self._masks:
             gen = stream(self.seed, "dropout", layer_name, self.step)
-            self._masks[key] = dropout_mask(shape, rate, gen).astype(dtype, copy=False)
-        return self._masks[key]
+            self._masks[key] = dropout_mask(full, rate, gen).astype(dtype, copy=False)
+        return self._masks[key] if live is None else self._masks[key][live]
 
 
 class Module:
@@ -172,7 +187,8 @@ class Dropout(Module):
 
     Under one TrainContext the layer applies the same mask at every call of
     a given input shape: one mask per train step, shared by the unroll's
-    time steps.
+    time steps.  Under TrainContext.on_rows an input of fewer rows takes
+    those rows of the full batch's mask.
     """
 
     def __init__(self, rate: float, name: str):

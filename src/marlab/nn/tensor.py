@@ -418,6 +418,38 @@ def gather_cols(a: Tensor, index: np.ndarray) -> Tensor:
     return _result(data, (a,), backward)
 
 
+def take_rows(a: Tensor, keep: np.ndarray) -> Tensor:
+    """The rows of a where the boolean keep (one entry per row) is True, in order."""
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.shape != (a.rows,):
+        raise ShapeError(f"take_rows: need a boolean mask of shape ({a.rows},), "
+                         f"got {keep.dtype} {keep.shape}")
+    data = a.data[keep]
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[keep] = g
+        _accum_new(a, full)
+
+    return _result(data, (a,), backward)
+
+
+def put_rows(a: Tensor, keep: np.ndarray) -> Tensor:
+    """The inverse of take_rows: a's rows, in order, at the True entries of the
+    1-D boolean keep, and zero rows at the False ones."""
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.ndim != 1 or np.count_nonzero(keep) != a.rows:
+        raise ShapeError(f"put_rows: need a boolean mask with {a.rows} True entries, "
+                         f"got {keep.dtype} {keep.shape}")
+    data = np.zeros((keep.size, a.cols), a.data.dtype)
+    data[keep] = a.data
+
+    def backward(g):
+        _accum_new(a, g[keep])
+
+    return _result(data, (a,), backward)
+
+
 def _masked_softmax(x: np.ndarray, mask: Optional[np.ndarray], what: str):
     """Softmax over the last axis, and its backward map from the output
     gradient to the gradient of x.  Where mask (broadcast against x) is False

@@ -88,6 +88,13 @@ class TestMatrixGame:
             env.step(actions)
         assert env.step(np.array([1, 2], dtype=np.uint8))[0] == 6.0   # still at the start
 
+    @pytest.mark.parametrize("actions", [[[0], 1], [0, [1, 2]], [[0, 1], [2]]])
+    def test_ragged_actions_are_refused(self, actions):
+        env = MatrixGame(payoff=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        env.reset(rng())
+        with pytest.raises(ContractError, match="need 2 actions, got a ragged"):
+            env.step(actions)
+
     @pytest.mark.parametrize("actions", [[-1, 0], [0, 3], [2, 0]])
     def test_out_of_range_or_unavailable_actions_are_refused(self, actions):
         env = MatrixGame(payoff=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marlab
-from marlab.agents import TeamModel, make_team
+import marlab.learner as learner_module
+from marlab.agents import TeamModel, build_inputs, make_team
 from marlab.comm import CommSettings
 from marlab.errors import ContractError
 from marlab.learner import (
@@ -45,10 +46,10 @@ def make_episode(gen, n=2, obs_dim=3, n_actions=2, state_dim=4, length=2,
     )
 
 
-def tiny_team(seed=0, comm=True, mixer="vdn"):
-    settings = CommSettings(enabled=comm, num_layers=1, ffn_dim=8, heads=2, dropout=0.1)
+def tiny_team(seed=0, comm=True, mixer="vdn", dropout=0.1, dtype=np.float64):
+    settings = CommSettings(enabled=comm, num_layers=1, ffn_dim=8, heads=2, dropout=dropout)
     return make_team(obs_dim=3, n_actions=2, n_agents=2, state_dim=4,
-                     hidden_dim=8, mixer_kind=mixer, comm=settings, seed=seed)
+                     hidden_dim=8, mixer_kind=mixer, comm=settings, seed=seed, dtype=dtype)
 
 
 def tiny_config(**kw):
@@ -318,8 +319,6 @@ def test_unroll_matches_manual_stepping():
     assert qs[0].shape == (2 * 2, 2)
 
     # replay episode 0 by hand with sets=1 and compare step 0
-    from marlab.agents import build_inputs
-
     h = team.initial_hidden(2)
     inputs = build_inputs(episodes[0].obs[0], None, 2, 2)
     q0, _ = team.step(inputs, h)
@@ -460,6 +459,124 @@ def test_one_dropout_mask_per_layer_per_train_step(monkeypatch):
     assert len(masks) == 7 * 2
     assert len({id(m) for m in masks}) == 2
     assert masks[0] is masks[2] and masks[1] is masks[3]
+
+
+def per_step_unroll(team, batch, ctx=None, steps=None):
+    """unroll_team as a loop over every row at every step, padded rows
+    included, building each step's inputs on its own: the no-skip reference."""
+    bsz, t_max, n = batch["actions"].shape
+    n_actions = batch["avail"].shape[-1]
+    if steps is None:
+        steps = range(t_max + 1)
+    h = team.initial_hidden(bsz * n)
+    out = []
+    for t in range(steps.stop if steps else 0):
+        flat_obs = batch["obs"][:, t].reshape(bsz * n, -1)
+        last = batch["actions"][:, t - 1].reshape(-1) if t > 0 else None
+        inputs = build_inputs(flat_obs, last, n_actions, n)
+        if t < steps.start:
+            h = team.encode(inputs, h)
+            continue
+        q, h = team.step(inputs, h, ctx=ctx)
+        out.append(q)
+    return out
+
+
+def warm_team(seed, comm, mixer, dtype=np.float64):
+    """tiny_team with a nonzero comm projection, so the stack and its dropout
+    move the Q values."""
+    team = tiny_team(seed, comm, mixer, dropout=0.3, dtype=dtype)
+    if comm:
+        gen = np.random.default_rng(seed)
+        team.comm.out_proj.weight.data[...] = gen.standard_normal((8, 8)) * 0.5
+    return team
+
+
+def padded_batch(lengths, terminated, seed):
+    gen = np.random.default_rng(seed)
+    return pad_batch([episode_of(gen, t, term) for t, term in zip(lengths, terminated)])
+
+
+ragged_lengths = st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=2, max_size=5
+                          ).filter(lambda eps: len({t for t, _ in eps}) > 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(episodes=ragged_lengths, mixer=st.sampled_from(["vdn", "qmix"]), comm=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_padded_rows_are_zero_and_live_rows_are_the_per_step_loops(episodes, mixer, comm, seed):
+    lengths, terminated = zip(*episodes)
+    team = warm_team(seed, comm, mixer)
+    batch = padded_batch(lengths, terminated, seed)
+    ctx = TrainContext(seed, 3) if comm else None
+    fast = unroll_team(team, batch, ctx=ctx)
+    ref = per_step_unroll(team, batch, ctx=TrainContext(seed, 3) if comm else None)
+    assert len(fast) == len(ref) == max(lengths) + 1
+    row_lengths = np.repeat(lengths, 2)
+    for t, (a, b) in enumerate(zip(fast, ref)):
+        live = row_lengths >= t
+        assert a.shape == b.shape
+        assert np.all(a.data[~live] == 0.0)
+        scale = np.abs(b.data[live]).max()
+        assert np.abs(a.data[live] - b.data[live]).max() <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(1, 6), terminated=st.lists(st.booleans(), min_size=1, max_size=5),
+       mixer=st.sampled_from(["vdn", "qmix"]), comm=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_equal_lengths_unroll_bit_for_bit_as_the_per_step_loop(length, terminated, mixer, comm,
+                                                               dtype, seed):
+    team = warm_team(seed, comm, mixer, dtype)
+    batch = padded_batch([length] * len(terminated), terminated, seed)
+    for steps in (None, range(1, length + 1)):
+        fast = unroll_team(team, batch, ctx=TrainContext(seed, 0), steps=steps)
+        ref = per_step_unroll(team, batch, ctx=TrainContext(seed, 0), steps=steps)
+        assert len(fast) == len(ref)
+        for a, b in zip(fast, ref):
+            assert a.data.dtype == dtype and a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("mixer", ["vdn", "qmix"])
+@pytest.mark.parametrize("comm", [False, True])
+@pytest.mark.parametrize("seed", [4, 5])
+def test_a_train_step_over_padded_rows_equals_the_no_skip_step(monkeypatch, mixer, comm, seed):
+    lengths, terminated = [2, 5, 1, 4, 3, 6], [True, False, True, False, False, True]
+    (fast, ref), buf = learner_pair(lengths, terminated, mixer, comm, seed)
+    for learner in (fast, ref):
+        if comm:
+            learner.team.comm.out_proj.weight.data[...] = 0.3
+    loss = fast.train_step(buf)["loss"]
+    monkeypatch.setattr(learner_module, "unroll_team", per_step_unroll)
+    ref_loss = ref.train_step(buf)["loss"]
+    assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+    for a, b in zip(fast.team.parameters(), ref.team.parameters()):
+        assert np.abs(a.data - b.data).max() <= 1e-10 * max(np.abs(b.data).max(), 1.0), a.name
+
+
+def test_a_live_row_takes_its_row_of_the_full_batch_dropout_mask(monkeypatch):
+    lengths = [3, 6, 1, 6, 4]
+    team = warm_team(0, True, "vdn")
+    batch = padded_batch(lengths, [True] * 5, seed=0)
+    keeps = []
+    original = T.dropout
+
+    def recording(a, keep):
+        keeps.append(keep)
+        return original(a, keep)
+
+    monkeypatch.setattr(T, "dropout", recording)
+    ctx = TrainContext(seed=0, step=2)
+    q = unroll_team(team, batch, ctx=ctx)
+    row_lengths = np.repeat(lengths, 2)
+    assert len(keeps) == 2 * len(q)   # drop1 and drop2 of the one comm layer at each step
+    for t in range(len(q)):
+        live = row_lengths >= t
+        for name, keep in zip(("drop1", "drop2"), keeps[2 * t : 2 * t + 2]):
+            full = ctx.dropout_mask(f"comm.layer0.{name}", (10, 8), 0.3, np.float64)
+            assert np.array_equal(keep, full[live])
+    # a mask shared by steps 0 and 1, with no row padded, is drawn once
+    assert keeps[0] is keeps[2] and keeps[1] is keeps[3]
 
 
 def test_train_step_peak_memory_is_its_forward_graph(monkeypatch):

@@ -206,6 +206,29 @@ def test_block_row_matmul_rejects_operands_that_do_not_fit(q_shape, w_shape):
         T.block_row_matmul(Tensor(np.zeros(q_shape)), Tensor(np.zeros(w_shape)))
 
 
+def test_put_rows_undoes_take_rows_with_zero_rows_between():
+    rng = np.random.default_rng(10)
+    a = param(rng, 5, 3, "a")
+    keep = np.array([True, False, True, True, False])
+    taken = T.take_rows(a, keep)
+    assert np.array_equal(taken.data, a.data[[0, 2, 3]])
+    back = T.put_rows(taken, keep)
+    assert np.array_equal(back.data[keep], a.data[keep]) and not back.data[~keep].any()
+    check_op(lambda: T.tsum(T.square(T.put_rows(T.take_rows(a, keep), keep))), [a])
+
+
+@pytest.mark.parametrize("op, rows, keep", [
+    ("take_rows", 3, np.array([0, 2])),              # indices, not a mask
+    ("take_rows", 3, np.array([True, False])),       # a row short
+    ("put_rows", 2, np.array([True, False, False])),  # too few True entries
+    ("put_rows", 2, np.array([[True], [True]])),     # not 1-D
+    ("put_rows", 2, np.array([1, 1, 0])),            # ints, not a mask
+])
+def test_row_ops_refuse_a_keep_that_is_no_fitting_boolean_mask(op, rows, keep):
+    with pytest.raises(ShapeError, match=op):
+        getattr(T, op)(Tensor(np.ones((rows, 2))), keep)
+
+
 def test_dropout_statistics_and_scaling():
     rng = np.random.default_rng(9)
     x = Tensor(np.ones((100, 1000)))
@@ -248,6 +271,8 @@ OP_CALLS = {
         leaf(2 * r, 2 * c), leaf(2 * r, 2 * c), leaf(2 * r, 2 * c), heads=2, sets=2),
     "reshape": lambda leaf, r, c: T.reshape(leaf(r, c), c, r),
     "block_row_matmul": lambda leaf, r, c: T.block_row_matmul(leaf(r, c), leaf(r, 2 * c)),
+    "take_rows": lambda leaf, r, c: T.take_rows(leaf(r, c), np.arange(r) % 2 == 0),
+    "put_rows": lambda leaf, r, c: T.put_rows(leaf(r, c), np.arange(r + 1) != 1),
 }
 MAX_LEAVES = 11  # gru_cell's
 
