@@ -34,6 +34,15 @@ padded row and runs the arithmetic of the full unroll bit for bit; on a
 padded batch the live rows' values may move in the last bits, as BLAS
 picks its kernel by the row count (see T.per_block).
 
+Each side mixes once per train step.  taken_joint_values stacks the
+chosen-action values of every step time-major and calls the online mixer
+once; double_q_targets picks the next action of every bootstrapped step at
+once and mixes them in one mix_values call through the target mixer.  Both
+run under T.per_block(batch size): every mixer product, forward and
+backward, is formed per block of one step's rows, and each mixer weight's
+gradient adds the steps' parts in step order, so values, gradients and
+parameters are bit for bit those of one mixer call per step.
+
 A train step's peak memory is its forward graph: backward() frees each
 node's gradient and saved arrays once it has used them, and every dropout
 layer applies one mask, drawn once per train step, at all time steps.
@@ -161,7 +170,7 @@ class TrainConfig:
     epsilon_finish: float = 0.05
     anneal_steps: int = 50_000
     target_update_interval: int = 200
-    grad_clip: float = 10.0
+    grad_clip: float = 10.0   # the global gradient norm bound; 0 turns clipping off
     test_interval: int = 2000
     test_episodes: int = 32
     buffer_capacity: int = 5000
@@ -177,6 +186,9 @@ class TrainConfig:
         # lr 0 is allowed: it freezes a group (comm_lr=0 trains the agents alone)
         if self.lr < 0 or self.comm_lr < 0:
             raise ConfigError(f"lr and comm_lr must be >= 0, got {self.lr}, {self.comm_lr}")
+        if self.grad_clip < 0:   # clip_grad_norm would silently never clip
+            raise ConfigError(f"grad_clip must be >= 0 (0 turns clipping off), "
+                              f"got {self.grad_clip}")
         # training runs in float32, where an eps at or below half the smallest
         # subnormal is 0, and a zero gradient entry then steps by 0 / 0
         if not self.rmsprop_eps > float(np.finfo(np.float32).smallest_subnormal) / 2:
@@ -259,6 +271,9 @@ def unroll_team(team: TeamModel, batch: dict,
     n_actions = batch["avail"].shape[-1]
     if steps is None:
         steps = range(t_max + 1)
+    elif steps.step != 1 or steps.start < 0 or steps.stop > t_max + 1:
+        raise ContractError(f"unroll_team: steps {steps} is not a contiguous range "
+                            f"within 0..{t_max} (t_max = {t_max})")
     stop = steps.stop if steps else 0
     if not stop:
         return []
@@ -294,18 +309,21 @@ def unroll_team(team: TeamModel, batch: dict,
 
 
 def taken_joint_values(team: TeamModel, online_q: list[Tensor], batch: dict) -> Tensor:
-    """Mixed value of the actions actually taken: one (batch, 1) column per step.
+    """Mixed value of the actions actually taken, (batch, t_max).
 
-    online_q holds the local Q values of steps 0..t_max-1 (and possibly more);
-    the columns cover t = 0..t_max-1.
+    online_q holds the local Q values of steps 0..t_max-1 (and possibly more).
+    The steps are stacked time-major and mixed in one call, under
+    T.per_block(batch) so that each step's products, and their gradients, are
+    bit for bit those of the step mixed alone.
     """
     bsz, t_max, n = batch["actions"].shape
-    states = batch["states"].astype(team.dtype, copy=False)
-    q_taken = []
-    for t in range(t_max):
-        picked = T.gather_cols(online_q[t], batch["actions"][:, t].reshape(-1))
-        q_taken.append(team.mixer(T.reshape(picked, bsz, n), Tensor(states[:, t])))
-    return T.concat_cols(q_taken)
+    picked = T.gather_cols(T.concat_rows(online_q[:t_max]),
+                           batch["actions"].swapaxes(0, 1).reshape(-1))
+    states = np.ascontiguousarray(batch["states"][:, :t_max].swapaxes(0, 1), dtype=team.dtype)
+    with T.per_block(bsz):
+        joint = team.mixer(T.reshape(picked, t_max * bsz, n),
+                           Tensor(states.reshape(t_max * bsz, -1)))
+    return T.transpose(T.reshape(joint, t_max, bsz))
 
 
 def double_q_targets(batch: dict, online_q: list[Tensor], target_q: list[Tensor],
@@ -313,20 +331,30 @@ def double_q_targets(batch: dict, online_q: list[Tensor], target_q: list[Tensor]
     """One-step TD targets with decoupled selection and evaluation, (batch, t_max).
 
     online_q[t] and target_q[t] are unroll_team's local Q values of step t + 1,
-    the step after transition t; a transition past their end keeps its reward.
-    The next action is the argmax of the ONLINE values over the actions
-    available at t + 1; its value comes from the TARGET values, mixed by
-    `mixer` at that step's state.
+    the step after transition t; the two lists must be of one length, and a
+    transition past their end keeps its reward.  The next action is the argmax
+    of the ONLINE values over the actions available at t + 1; its value comes
+    from the TARGET values, mixed by `mixer` at that step's state.  Every step
+    is mixed in one mix_values call, per block of one step's rows
+    (T.per_block), so each joint value is that of the step mixed alone.
     """
-    bsz, _, n = batch["actions"].shape
+    if len(online_q) != len(target_q):
+        raise ContractError(f"double_q_targets: {len(online_q)} online and "
+                            f"{len(target_q)} target steps")
     y = batch["rewards"].copy()
-    for t, (online, target) in enumerate(zip(online_q, target_q, strict=True)):
-        masked = np.where(batch["avail"][:, t + 1], online.data.reshape(bsz, n, -1), -np.inf)
-        best = masked.argmax(axis=-1)
-        chosen = np.take_along_axis(target.data.reshape(bsz, n, -1), best[..., None],
-                                    axis=-1)[..., 0]
-        joint = mix_values(mixer, chosen, batch["states"][:, t + 1])
-        y[:, t] = batch["rewards"][:, t] + gamma * (1.0 - batch["terminated"][:, t]) * joint
+    k = len(online_q)
+    if not k:
+        return y
+    bsz, _, n = batch["actions"].shape
+    online = np.stack([q.data for q in online_q]).reshape(k, bsz, n, -1)
+    masked = np.where(batch["avail"][:, 1 : k + 1].swapaxes(0, 1), online, -np.inf)
+    best = masked.argmax(axis=-1)
+    target = np.stack([q.data for q in target_q]).reshape(k, bsz, n, -1)
+    chosen = np.take_along_axis(target, best[..., None], axis=-1)[..., 0]
+    states = batch["states"][:, 1 : k + 1].swapaxes(0, 1).reshape(k * bsz, -1)
+    with T.per_block(bsz):
+        joint = mix_values(mixer, chosen.reshape(k * bsz, n), states).reshape(k, bsz).T
+    y[:, :k] = batch["rewards"][:, :k] + gamma * (1.0 - batch["terminated"][:, :k]) * joint
     return y
 
 

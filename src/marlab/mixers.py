@@ -87,7 +87,9 @@ def make_mixer(kind: str, n_agents: int, state_dim: int, seed: int):
 
 def mix_values(mixer, q_locals: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Graph-free mixing of plain arrays; returns a (rows,) vector.  The
-    states are cast to the mixer's dtype; QMIX needs the local values in it too."""
+    states are cast to the mixer's dtype; QMIX needs the local values in it too.
+    Inside T.per_block(rows) each block of rows is mixed bit for bit as if
+    alone, which is how double_q_targets mixes every step of a batch at once."""
     with no_grad():
         out = mixer(Tensor(q_locals), Tensor(states.astype(mixer.dtype, copy=False))
                     if states is not None else None)

@@ -98,17 +98,24 @@ _BLOCK_ROWS: Optional[int] = None
 
 
 class per_block:
-    """Context manager under which affine and gru_cell form each forward product
-    per block of `rows` consecutive rows, as one 3-D matmul.
+    """Context manager under which affine and gru_cell form each product per
+    block of `rows` consecutive rows, as one 3-D matmul.
 
     x.reshape(blocks, rows, d) @ W^T gives each block bit for bit the product of
     that block alone, while one 2-D product over the stacked blocks need not:
     BLAS picks its kernel, and with it the order of the sums, by the size of
-    the whole product.  The acting loop (runner) enters it to step many
-    episodes together with each one's Q values unchanged.  Every other op is
-    already per row or per set.  It needs no_grad, since backward keeps 2-D
-    products; training does not enter it, as at its sizes the 3-D form is
-    slower and would move the bits of the losses.
+    the whole product.  The acting loop (runner) enters it under no_grad to
+    step many episodes together with each one's Q values unchanged.  Training
+    enters it, with grad, to mix every step of a batch in one pass (learner),
+    each step's values and gradients unchanged.
+
+    With grad, affine's backward is per block too: the input gradient is one
+    3-D product, and the weight and bias gradients are each block's own
+    product and row sum, added into the parameter's gradient one block after
+    another in ascending order.  That is the sum that one affine per block
+    builds when backward runs the blocks' closures in that order.  gru_cell
+    and layer_norm_rows have no per-block backward and refuse to run here
+    with grad (ContractError).  Every other op is per row or per set.
     """
 
     def __init__(self, rows: int):
@@ -116,8 +123,6 @@ class per_block:
 
     def __enter__(self):
         global _BLOCK_ROWS
-        if _GRAD_ENABLED:
-            raise ContractError("per_block runs only under no_grad")
         self._prev = _BLOCK_ROWS
         _BLOCK_ROWS = self.rows
         return self
@@ -134,6 +139,14 @@ def _times_t(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if n is None or x.shape[0] == n:
         return x @ w.T
     return (x.reshape(-1, n, x.shape[1]) @ w.T).reshape(x.shape[0], -1)
+
+
+def _no_block_backward(op: str):
+    """A ContractError for an op whose parameter gradients sum over every row,
+    called inside per_block with grad."""
+    if _BLOCK_ROWS is not None and _GRAD_ENABLED:
+        raise ContractError(f"{op} has no per-block backward: run it under no_grad "
+                            f"inside per_block")
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -401,6 +414,33 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _result(data, tuple(parts), backward)
 
 
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """The parts' rows, one part after another."""
+    cols = parts[0].cols
+    for p in parts:
+        if p.cols != cols:
+            raise ShapeError("concat_rows: column counts differ")
+    data = np.concatenate([p.data for p in parts])
+
+    def backward(g):
+        i = 0
+        for p in parts:
+            _accum(p, g[i : i + p.rows])
+            i += p.rows
+
+    return _result(data, tuple(parts), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """a^T, laid out row by row, as is its gradient."""
+    data = a.data.T.copy()
+
+    def backward(g):
+        _accum_new(a, g.T.copy())
+
+    return _result(data, (a,), backward)
+
+
 def gather_cols(a: Tensor, index: np.ndarray) -> Tensor:
     """Pick one column per row: out[i, 0] = a[i, index[i]]."""
     index = np.asarray(index, dtype=np.intp)
@@ -490,6 +530,7 @@ def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
 def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row normalization with learned scale and shift (both 1 x d); 1e-5 is
     added to the variance."""
+    _no_block_backward("layer_norm_rows")
     d = a.cols
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ShapeError(f"layer_norm: input {a.shape}, gamma {gamma.shape}, beta {beta.shape}")
@@ -527,17 +568,34 @@ def dropout(a: Tensor, keep: np.ndarray) -> Tensor:
     return _result(data, (a,), backward)
 
 
+def _accum_blocks(t: Tensor, blocks: np.ndarray):
+    """_accum_new of each block of a 3-D array in turn, in ascending order."""
+    for block in blocks:
+        _accum_new(t, block.copy() if t.grad is None else block)
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused dense map y = x W^T + b with W of shape (out, in), b (1, out)."""
+    """Fused dense map y = x W^T + b with W of shape (out, in), b (1, out).
+    Inside per_block both directions run per block (see per_block)."""
     if x.cols != w.cols:
         raise ShapeError(f"affine: input {x.shape} does not match weight {w.shape}")
     data = _fold(np.add, _times_t(x.data, w.data), b.data)
+    n = _BLOCK_ROWS   # the forward's blocks: backward runs after per_block has exited
 
     def backward(g):
-        if x.requires_grad:   # inputs such as observations need no g @ W
-            _accum_new(x, g @ w.data)
-        _accum_new(w, g.T @ x.data)
-        _accum_new(b, g.sum(axis=0, keepdims=True))
+        if n is None or x.rows == n:
+            if x.requires_grad:   # inputs such as observations need no g @ W
+                _accum_new(x, g @ w.data)
+            _accum_new(w, g.T @ x.data)
+            _accum_new(b, g.sum(axis=0, keepdims=True))
+            return
+        g3 = g.reshape(-1, n, g.shape[1])
+        if x.requires_grad:
+            _accum_new(x, (g3 @ w.data).reshape(x.shape))
+        if w.requires_grad:
+            _accum_blocks(w, g3.transpose(0, 2, 1) @ x.data.reshape(len(g3), n, -1))
+        if b.requires_grad:
+            _accum_blocks(b, g3.sum(axis=1, keepdims=True))
 
     return _result(data, (x, w, b), backward)
 
@@ -570,6 +628,7 @@ def gru_cell(x: Tensor, h: Tensor,
     no other step gave them one.  That is bit for bit the full form for
     finite weights; an inf or NaN in Wh* no longer makes the output NaN there.
     """
+    _no_block_backward("gru_cell")
     if x.cols != wxz.cols or h.shape != (x.rows, whz.rows):
         raise ShapeError(f"gru_cell: input {x.shape} and state {h.shape} do not match "
                          f"weights {wxz.shape} and {whz.shape}")

@@ -18,8 +18,9 @@ leaves the batch when it ends.  Inside the loop the forward products are
 formed per block of one episode's rows (nn.tensor.per_block), so each
 episode's Q values are bit for bit those of the episode played alone: one
 2-D product over the stacked rows lets BLAS pick its kernel, and so the
-last bits, by the batch size.  Training keeps 2-D products, which at its
-sizes are faster, and which its losses were recorded with.
+last bits, by the batch size.  Training's unrolls keep 2-D products over a
+batch's rows, which at their sizes are faster and which the losses were
+recorded with; its mixing runs per block of one step's rows (learner).
 
 Training runs in float32: the online and target teams, and so the
 optimizer state, are float32, and acting computes in float32 too.  The

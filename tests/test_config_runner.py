@@ -93,6 +93,7 @@ class TestConfigSchema:
         {"hidden_dim": 0},                          # division by zero in init
         {"lr": -1e-3},
         {"comm_lr": -1e-3},
+        {"grad_clip": -1.0},                        # clip_grad_norm never clipped
         {"epsilon_start": 1.5},                     # failed at the first episode
         {"epsilon_finish": -0.1},
         {"epsilon_start": 0.1, "epsilon_finish": 0.5},   # was a ContractError
@@ -112,6 +113,11 @@ class TestConfigSchema:
     def test_rmsprop_settings_that_train_to_nan_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             run_config_from_dict({"train": {key: value}})
+
+    def test_grad_clip_zero_turns_clipping_off_and_below_zero_is_refused(self):
+        assert run_config_from_dict({"train": {"grad_clip": 0}}).train.grad_clip == 0
+        with pytest.raises(ConfigError, match="grad_clip must be >= 0"):
+            TrainConfig(grad_clip=-1.0)
 
     def test_smallest_rmsprop_settings_float32_holds_accepted(self):
         train = run_config_from_dict({"train": {"rmsprop_eps": 1e-44,

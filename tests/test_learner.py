@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,10 +26,11 @@ from marlab.learner import (
     double_q_targets,
     epsilon,
     pad_batch,
+    taken_joint_values,
     td_loss,
     unroll_team,
 )
-from marlab.mixers import VdnMixer
+from marlab.mixers import QmixMixer, VdnMixer, mix_values
 from marlab.nn import Parameter, Tensor, TrainContext, clip_grad_norm, no_grad
 from marlab.nn import tensor as T
 from marlab.rng import stream
@@ -210,7 +212,7 @@ class TestDoubleQTargets:
         batch = next_step_batch(np.zeros((1, 2)), np.zeros((1, 2)),
                                 np.ones((1, 2, 2, 2), dtype=bool))
         values = per_step(np.zeros((1, 2, 2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError, match="2 online and 1 target"):
             double_q_targets(batch, values, values[:1], VdnMixer(2), 0.9)
 
 
@@ -335,6 +337,14 @@ def test_unroll_steps_range_matches_full_unroll():
     for a, b in zip(full[1:3], part):
         assert a.data.tobytes() == b.data.tobytes()
     assert unroll_team(team, batch, steps=range(1, 1)) == []
+
+
+@pytest.mark.parametrize("steps", [range(0, 6), range(-1, 2), range(0, 4, 2)])
+def test_unroll_refuses_a_step_range_it_cannot_run(steps):
+    # range(0, 6) was numpy's bare reshape ValueError; range(-1, 2) returned 2 tensors
+    batch = pad_batch([make_episode(np.random.default_rng(10), length=3)])
+    with pytest.raises(ContractError, match=rf"steps {re.escape(str(steps))} .*t_max = 3"):
+        unroll_team(tiny_team(12), batch, steps=steps)
 
 
 def reference_train_step(learner, buffer):
@@ -661,3 +671,73 @@ def test_train_steps_reuse_the_heap_pages_of_the_previous_step():
                             env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     assert float(result.stdout) < 20
+
+
+def per_step_joint_values(team, online_q, batch):
+    """taken_joint_values as one mixer call per step."""
+    bsz, t_max, n = batch["actions"].shape
+    states = batch["states"].astype(team.dtype, copy=False)
+    return T.concat_cols([
+        team.mixer(T.reshape(T.gather_cols(online_q[t], batch["actions"][:, t].reshape(-1)),
+                             bsz, n), Tensor(states[:, t]))
+        for t in range(t_max)])
+
+
+def per_step_targets(batch, online_q, target_q, mixer, gamma):
+    """double_q_targets as one mix_values call per step."""
+    bsz, _, n = batch["actions"].shape
+    y = batch["rewards"].copy()
+    for t, (online, target) in enumerate(zip(online_q, target_q, strict=True)):
+        masked = np.where(batch["avail"][:, t + 1], online.data.reshape(bsz, n, -1), -np.inf)
+        best = masked.argmax(axis=-1)
+        chosen = np.take_along_axis(target.data.reshape(bsz, n, -1), best[..., None],
+                                    axis=-1)[..., 0]
+        joint = mix_values(mixer, chosen, batch["states"][:, t + 1])
+        y[:, t] = batch["rewards"][:, t] + gamma * (1.0 - batch["terminated"][:, t]) * joint
+    return y
+
+
+ONE_PASS_BATCHES = [([4, 4, 4], [True, False, True]),           # no padded row
+                    ([2, 5, 1, 4, 3], [True, False, True, False, True]),
+                    ([1], [True])]
+
+
+@pytest.mark.parametrize("mixer", ["vdn", "qmix"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lengths, terminated", ONE_PASS_BATCHES)
+def test_one_pass_mixing_is_the_per_step_loop_bit_for_bit(mixer, dtype, lengths, terminated):
+    batch = padded_batch(lengths, terminated, seed=len(lengths))
+    t_max = max(lengths)
+    teams = [warm_team(7, True, mixer, dtype) for _ in range(2)]
+    target = warm_team(8, True, mixer, dtype)
+    losses, online_qs = [], []
+    for team, mix in zip(teams, (taken_joint_values, per_step_joint_values)):
+        online_qs.append(unroll_team(team, batch, ctx=TrainContext(7, 0)))
+        q_tot = mix(team, online_qs[-1], batch)
+        assert q_tot.shape == (len(lengths), t_max) and q_tot.data.dtype == dtype
+        losses.append(td_loss(q_tot, batch["rewards"], batch["mask"]))
+        losses[-1].backward()
+    assert losses[0].data.tobytes() == losses[1].data.tobytes()
+    for a, b in zip(*(team.parameters() for team in teams)):
+        assert a.grad.tobytes() == b.grad.tobytes(), a.name
+
+    with no_grad():
+        target_q = unroll_team(target, batch)
+    for k in sorted({0, 1, min(2, t_max), t_max}):
+        args = batch, online_qs[0][1 : k + 1], target_q[1 : k + 1], target.mixer, 0.9
+        assert double_q_targets(*args).tobytes() == per_step_targets(*args).tobytes(), k
+
+
+@pytest.mark.parametrize("mixer, kind", [("vdn", VdnMixer), ("qmix", QmixMixer)])
+def test_a_train_step_mixes_once_online_and_once_on_the_target(monkeypatch, mixer, kind):
+    calls = []
+    original = kind.forward
+
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    (learner, _), buf = learner_pair([2, 5, 3], [True, False, True], mixer, True, seed=0)
+    monkeypatch.setattr(kind, "forward", counting)
+    learner.train_step(buf)
+    assert calls == [learner.team.mixer, learner.target.mixer]

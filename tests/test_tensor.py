@@ -261,6 +261,8 @@ OP_CALLS = {
     "absolute": lambda leaf, r, c: T.absolute(leaf(r, c)),
     "square": lambda leaf, r, c: T.square(leaf(r, c)),
     "concat_cols": lambda leaf, r, c: T.concat_cols([leaf(r, c), leaf(r, 1)]),
+    "concat_rows": lambda leaf, r, c: T.concat_rows([leaf(r, c), leaf(1, c)]),
+    "transpose": lambda leaf, r, c: T.transpose(leaf(r, c)),
     "gather_cols": lambda leaf, r, c: T.gather_cols(leaf(r, c), np.arange(r) % c),
     "softmax_rows": lambda leaf, r, c: T.softmax_rows(leaf(r, c)),
     "layer_norm_rows": lambda leaf, r, c: T.layer_norm_rows(leaf(r, c), leaf(1, c), leaf(1, c)),
@@ -642,15 +644,54 @@ def test_per_block_gru_cell_is_each_block_alone_bit_for_bit(dtype, n, blocks, ze
     assert same_bits(stacked, alone)
 
 
-def test_per_block_runs_only_under_no_grad():
-    with pytest.raises(ContractError, match="no_grad"):
-        with T.per_block(3):
-            pass
-    x, w, b = Tensor(np.ones((6, 2))), Tensor(np.ones((4, 2))), Tensor(np.zeros((1, 4)))
-    with no_grad():
-        with T.per_block(3):
-            assert T.affine(x, w, b).shape == (6, 4)
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("n", [1, 3, 32])
+@pytest.mark.parametrize("blocks", [2, 5, 20])
+@pytest.mark.parametrize("prior_grad", [False, True])
+def test_per_block_affine_with_grad_is_each_block_alone_bit_for_bit(dtype, n, blocks,
+                                                                     prior_grad):
+    # the forward and x's gradient are each block's own; w's and b's are the
+    # blocks' own products and row sums, added in block order
+    for d_in, d_out in [(4, 64), (64, 160), (64, 32), (32, 1)]:
+        gen = np.random.default_rng(blocks * n + d_out)
+        x, w, b, g = (gen.standard_normal(s).astype(dtype) for s in
+                      [(blocks * n, d_in), (d_out, d_in), (1, d_out), (blocks * n, d_out)])
+        prior = [gen.standard_normal(a.shape).astype(dtype) for a in (w, b)]
+        leaves = [Parameter(a.copy(), name=name) for a, name in ((x, "x"), (w, "w"), (b, "b"))]
+        if prior_grad:
+            leaves[1].grad, leaves[2].grad = (p.copy() for p in prior)
+        with T.per_block(n):
+            out = T.affine(*leaves)
+            T.tsum(T.mul(out, Tensor(g))).backward()
         assert T._BLOCK_ROWS is None
+        ref_out, ref_dx = [], []
+        ref_dw, ref_db = (p.copy() for p in prior) if prior_grad else (None, None)
+        for i in range(blocks):
+            xi, gi = x[i * n:(i + 1) * n], g[i * n:(i + 1) * n]
+            ref_out.append(xi @ w.T + b)
+            ref_dx.append(gi @ w)
+            dw, db = gi.T @ xi, gi.sum(axis=0, keepdims=True)
+            ref_dw = dw if ref_dw is None else ref_dw + dw
+            ref_db = db if ref_db is None else ref_db + db
+        for got, ref in zip((out.data, *(t.grad for t in leaves)),
+                            (np.concatenate(ref_out), np.concatenate(ref_dx), ref_dw, ref_db)):
+            assert got.dtype == dtype and same_bits(got, ref), (d_in, d_out)
+
+
+@pytest.mark.parametrize("op", ["gru_cell", "layer_norm_rows"])
+def test_ops_without_a_per_block_backward_refuse_per_block_with_grad(op):
+    leaves = []
+
+    def leaf(rows, cols):
+        leaves.append(Tensor(np.ones((rows, cols))))
+        return leaves[-1]
+
+    with T.per_block(2):
+        with pytest.raises(ContractError, match=f"{op} has no per-block backward"):
+            OP_CALLS[op](leaf, 4, 3)
+        with no_grad():   # the acting loop's use
+            assert OP_CALLS[op](leaf, 4, 3).shape[0] == 4
+    assert T._BLOCK_ROWS is None
 
 
 def test_gru_zero_state_path_leaves_other_steps_gradients_alone():
