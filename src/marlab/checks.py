@@ -143,10 +143,10 @@ def check_gradient_end_to_end(seed: int, fault: str) -> tuple[bool, str]:
             rewards=gen.standard_normal(2)))
     batch = pad_batch(episodes)
 
-    # freeze the targets first, from steps 1..t_max (entry t after transition t):
+    # freeze the targets first, from step 1 on (entry t after transition t):
     # they are detached from the online graph, so the probe must hold them fixed too
     with no_grad():
-        next_q = unroll_team(team, batch)[1:]
+        next_q = unroll_team(team, batch, first=1)
     y = double_q_targets(batch, next_q, next_q, team.mixer, 0.9)
 
     def loss():

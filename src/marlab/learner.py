@@ -9,30 +9,22 @@ optimizers step side by side, both built by the Learner from the team's
 modules: RMSProp on the agent network and the mixer, Adam on the
 communication stack.
 
-A train step unrolls only the steps its loss reads.  Let k be one past the
-last transition t at which some row has mask * (1 - terminated) > 0 (k = 0
-if there is none); only transitions before k bootstrap.  The online unroll
-runs steps 0..max(t_max - 1, k): every step up to t_max - 1 feeds the
-chosen-action values, and step k selects the last bootstrapped action.  The
-target unroll returns Q values for steps 1..k only; at step 0 it just
-advances the recurrent carry, and nothing after k runs.  double_q_targets
-reads entry t of these and of online_q[1 : k + 1] as step t + 1, after
-transition t; from k on the targets are the rewards.  This is exact: every
-skipped step fed either a term multiplied by (1 - terminated) = 0 or a
-padded row that the mask zeroes, and none of them is on the gradient path,
-so losses, gradients and parameters are bit-identical to the full unroll.
-One difference shows only on broken networks: a non-finite target value at a
-skipped step used to make the loss NaN (0 * inf) and now does not; nor does
-an inf or NaN in the GRU's Wh* at the zero state (see T.gru_cell).
-
-Within the steps that run, the rows past an episode's end are never
-computed: an episode's rows are live at step t while t <= its length, and
-unroll_team carries, communicates and evaluates only the live rows, leaving
-exact zeros in the padded rows' Q values.  Those values fed only terms the
-mask zeroes, as above.  A batch whose episodes have one length has no
-padded row and runs the arithmetic of the full unroll bit for bit; on a
-padded batch the live rows' values may move in the last bits, as BLAS
-picks its kernel by the row count (see T.per_block).
+A train step computes only what its loss reads.  An episode of length L
+runs steps 0..L - terminated, its horizon: chosen-action values read steps
+0..L - 1, and a bootstrapped transition t reads step t + 1, which for a
+terminated episode stops one step before its post-terminal step.  Both
+unrolls run up to the batch's largest horizon; once an episode is past its
+own, unroll_team drops its rows from the recurrent carry and leaves exact
+zeros in their Q values.  The target unroll returns Q values from step 1 on,
+and only advances the carry at step 0.  Every value skipped fed a term
+multiplied by a zero mask or by (1 - terminated) = 0, so the loss is that of
+the full unroll.  A batch whose episodes have one length and one
+termination has no row dropped and runs the full unroll's arithmetic bit for
+bit; elsewhere the kept rows' values may move in the last bits, as BLAS
+picks its kernel by the row count (see T.per_block).  One difference shows
+only on broken networks: a non-finite value at a skipped step used to make
+the loss NaN (0 * inf) and now does not; nor does an inf or NaN in the
+GRU's Wh* at the zero state (see T.gru_cell).
 
 Each side mixes once per train step.  taken_joint_values stacks the
 chosen-action values of every step time-major and calls the online mixer
@@ -168,7 +160,7 @@ class TrainConfig:
     rmsprop_eps: float = 1e-5
     epsilon_start: float = 1.0
     epsilon_finish: float = 0.05
-    anneal_steps: int = 50_000
+    anneal_steps: int = 50_000   # 0 starts at epsilon_finish
     target_update_interval: int = 200
     grad_clip: float = 10.0   # the global gradient norm bound; 0 turns clipping off
     test_interval: int = 2000
@@ -193,6 +185,9 @@ class TrainConfig:
         # subnormal is 0, and a zero gradient entry then steps by 0 / 0
         if not self.rmsprop_eps > float(np.finfo(np.float32).smallest_subnormal) / 2:
             raise ConfigError(f"rmsprop_eps must be above 0 in float32, got {self.rmsprop_eps}")
+        if self.anneal_steps < 0:   # epsilon() would silently never anneal
+            raise ConfigError(f"anneal_steps must be >= 0 (0 starts at epsilon_finish), "
+                              f"got {self.anneal_steps}")
         for name in ("batch_size", "hidden_dim", "target_update_interval",
                      "test_interval", "test_episodes"):
             if getattr(self, name) < 1:
@@ -252,55 +247,47 @@ def pad_batch(episodes: list[EpisodeRecord]) -> dict:
 
 
 def unroll_team(team: TeamModel, batch: dict,
-                ctx: Optional[TrainContext] = None,
-                steps: Optional[range] = None) -> list[Tensor]:
-    """Run the team over a padded batch; return the local Q values of `steps`.
+                ctx: Optional[TrainContext] = None, first: int = 0) -> list[Tensor]:
+    """Run the team over a padded batch; return the local Q values of steps
+    `first` up to the batch's largest horizon.
 
-    Returns one (batch*n, n_actions) tensor per step of the contiguous range
-    `steps`, by default every step t = 0..t_max.  Hidden states start at
-    zero and are carried inside; steps before steps.start only advance the
-    recurrent carry (no communication, no Q head) and steps from steps.stop
-    on do not run.
-
-    An episode's rows are live at step t while t <= its length (its mask's
-    row sum).  Once an episode has ended, its rows are dropped from the
-    carry (T.take_rows) and no later step computes them: their Q values are
-    exact zeros (T.put_rows).  A batch of equal lengths has no padded row.
+    An episode of length L has horizon L - terminated, the last step whose
+    value a loss term reads.  Returns one (batch*n, n_actions) tensor per
+    step.  Hidden states start at zero and are carried inside; steps before
+    `first` only advance the recurrent carry (no communication, no Q head).
+    Once an episode is past its horizon, its rows are dropped from the carry
+    (T.take_rows) and no later step computes them: their Q values are exact
+    zeros (T.put_rows).
     """
-    bsz, t_max, n = batch["actions"].shape
+    bsz, _, n = batch["actions"].shape
     n_actions = batch["avail"].shape[-1]
-    if steps is None:
-        steps = range(t_max + 1)
-    elif steps.step != 1 or steps.start < 0 or steps.stop > t_max + 1:
-        raise ContractError(f"unroll_team: steps {steps} is not a contiguous range "
-                            f"within 0..{t_max} (t_max = {t_max})")
-    stop = steps.stop if steps else 0
-    if not stop:
+    horizon = batch["mask"].sum(axis=1) - batch["terminated"].sum(axis=1)
+    stop = int(horizon.max()) + 1
+    if first >= stop:
         return []
     obs, actions = batch["obs"], batch["actions"]
     obs_dim = obs.shape[-1]
-    first = build_inputs(obs[:, 0].reshape(-1, obs_dim), None, n_actions, n)
+    step0 = build_inputs(obs[:, 0].reshape(-1, obs_dim), None, n_actions, n)
     # steps 1..stop-1 in one array, time-major: later[t - 1] is step t
     later = build_inputs(obs[:, 1:stop].swapaxes(0, 1).reshape(-1, obs_dim),
                          actions[:, : stop - 1].swapaxes(0, 1).reshape(-1), n_actions, n)
-    first = first.astype(team.dtype, copy=False)
-    later = later.astype(team.dtype, copy=False).reshape(stop - 1, bsz * n, first.shape[1])
+    step0 = step0.astype(team.dtype, copy=False)
+    later = later.astype(team.dtype, copy=False).reshape(stop - 1, bsz * n, step0.shape[1])
 
-    lengths = batch["mask"].sum(axis=1)
-    ends = set(lengths.tolist())
+    ends = set(horizon.tolist())
     live = None   # the rows h holds, as a mask over all rows; None for all
     h = team.initial_hidden(bsz * n)
     out = []
     for t in range(stop):
-        if t - 1 in ends:   # the episodes of length t - 1 have ended
-            now = np.repeat(lengths >= t, n)
+        if t - 1 in ends:   # the episodes of horizon t - 1 are past it
+            now = np.repeat(horizon >= t, n)
             h = T.take_rows(h, now if live is None else now[live])
             live = now
             ctx = ctx.on_rows(live) if ctx is not None else None
-        inputs = first if t == 0 else later[t - 1]
+        inputs = step0 if t == 0 else later[t - 1]
         if live is not None:
             inputs = inputs[live]
-        if t < steps.start:
+        if t < first:
             h = team.encode(inputs, h)
             continue
         q, h = team.step(inputs, h, ctx=ctx)
@@ -413,20 +400,13 @@ class Learner:
             return None
         episodes = buffer.sample(cfg.batch_size, stream(self.seed, "sample", self.train_steps))
         batch = pad_batch(episodes)
-        t_max = batch["actions"].shape[1]
 
-        # transitions from k on never bootstrap (see the module docstring)
-        bootstraps = (batch["mask"] * (1.0 - batch["terminated"]) > 0).any(axis=0)
-        k = int(np.flatnonzero(bootstraps)[-1]) + 1 if bootstraps.any() else 0
-
-        ctx = TrainContext(self.seed, self.train_steps)
-        online_q = unroll_team(self.team, batch, ctx=ctx, steps=range(max(t_max - 1, k) + 1))
+        online_q = unroll_team(self.team, batch, TrainContext(self.seed, self.train_steps))
         with no_grad():
-            target_q = unroll_team(self.target, batch, steps=range(1, k + 1))
+            target_q = unroll_team(self.target, batch, first=1)
 
         q_tot = taken_joint_values(self.team, online_q, batch)
-        targets = double_q_targets(batch, online_q[1 : k + 1], target_q,
-                                   self.target.mixer, cfg.gamma)
+        targets = double_q_targets(batch, online_q[1:], target_q, self.target.mixer, cfg.gamma)
 
         # no zero_grad: both optimizers' step() leave every grad at None
         loss = td_loss(q_tot, targets, batch["mask"])

@@ -138,6 +138,8 @@ def _times_t(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     n = _BLOCK_ROWS
     if n is None or x.shape[0] == n:
         return x @ w.T
+    if x.shape[0] % n:
+        raise ShapeError(f"per_block({n}): {x.shape[0]} rows are not whole blocks of {n}")
     return (x.reshape(-1, n, x.shape[1]) @ w.T).reshape(x.shape[0], -1)
 
 

@@ -30,7 +30,8 @@ from marlab.config import (
     save_run_config,
 )
 from marlab.errors import CheckpointError, ConfigError, MarlabError
-from marlab.learner import MAX_TEST_EPISODES, EpisodeRecord, Learner, ReplayBuffer, TrainConfig
+from marlab.learner import (MAX_TEST_EPISODES, EpisodeRecord, Learner, ReplayBuffer, TrainConfig,
+                            epsilon)
 from marlab.mixers import MIXERS
 from marlab.runner import SeedRun, train_all_seeds, train_one_seed
 
@@ -118,6 +119,12 @@ class TestConfigSchema:
         assert run_config_from_dict({"train": {"grad_clip": 0}}).train.grad_clip == 0
         with pytest.raises(ConfigError, match="grad_clip must be >= 0"):
             TrainConfig(grad_clip=-1.0)
+
+    def test_anneal_steps_zero_starts_at_the_finish_and_below_zero_is_refused(self):
+        train = run_config_from_dict({"train": {"anneal_steps": 0}}).train
+        assert epsilon(0, train) == train.epsilon_finish
+        with pytest.raises(ConfigError, match="anneal_steps must be >= 0"):   # was no anneal
+            TrainConfig(anneal_steps=-5)
 
     def test_smallest_rmsprop_settings_float32_holds_accepted(self):
         train = run_config_from_dict({"train": {"rmsprop_eps": 1e-44,

@@ -2,9 +2,13 @@
 
 tests/data/golden_losses.json holds repr() of the first 30 losses of a
 cue_passing run with VDN and communication, and of one with QMIX and no
-communication.  A change meant to be bit-exact (a faster op, a skipped
-computation) must leave every one of them unchanged.  Only a change that is
-meant to alter training may rewrite the file:
+communication.  cue_passing's episodes all have one length, so a third entry
+holds 30 train-step losses of a float32 QMIX learner with communication on a
+buffer of synthetic episodes of lengths 1-6, half of them truncated: its
+batches have padded rows and rows past their horizon.  A change meant to be
+bit-exact (a faster op, a skipped computation) must leave every one of them
+unchanged.  Only a change that is meant to alter training may rewrite the
+file:
 
     PYTHONPATH=src python tests/test_golden_losses.py
 """
@@ -13,10 +17,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from marlab.agents import make_team
 from marlab.config import CommSettings, EnvSpec, RunConfig
-from marlab.learner import TrainConfig
+from marlab.learner import EpisodeRecord, Learner, ReplayBuffer, TrainConfig
 from marlab.runner import SeedRun
 
 GOLDEN = Path(__file__).parent / "data" / "golden_losses.json"
@@ -54,6 +60,29 @@ def first_losses(name: str, tmp_dir) -> list[str]:
     return losses
 
 
+PADDED = "qmix_comm_padded"
+
+
+def padded_losses() -> list[str]:
+    n, obs_dim, n_actions, state_dim, episodes = 3, 4, 3, 5, 32
+    gen = np.random.default_rng(25)
+    buffer = ReplayBuffer(episodes)
+    for i in range(episodes):
+        length = int(gen.integers(1, 7))
+        buffer.add(EpisodeRecord(
+            obs=gen.standard_normal((length + 1, n, obs_dim)),
+            states=gen.standard_normal((length + 1, state_dim)),
+            avail=np.ones((length + 1, n, n_actions), dtype=bool),
+            actions=gen.integers(0, n_actions, size=(length, n)),
+            rewards=gen.standard_normal(length), terminated=i % 2 == 0))
+    comm = CommSettings(enabled=True, num_layers=1, ffn_dim=16, heads=2, dropout=0.1)
+    team = make_team(obs_dim, n_actions, n, state_dim, 16, "qmix", comm, seed=3,
+                     dtype=np.float32)
+    learner = Learner(team, TrainConfig(batch_size=BATCH, buffer_capacity=episodes,
+                                        hidden_dim=16, target_update_interval=10), seed=3)
+    return [repr(learner.train_step(buffer)["loss"]) for _ in range(STEPS)]
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_first_losses_match_golden(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())[name]
@@ -61,10 +90,18 @@ def test_first_losses_match_golden(name, tmp_path):
     assert first_losses(name, tmp_path) == golden
 
 
+def test_padded_batch_losses_match_golden():
+    golden = json.loads(GOLDEN.read_text())[PADDED]
+    assert len(golden) == STEPS
+    assert padded_losses() == golden
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        record = {name: first_losses(name, Path(tmp) / name) for name in sorted(RUNS)}
+        record = {name: first_losses(name, Path(tmp) / name) for name in RUNS}
+    record[PADDED] = padded_losses()
+    record = dict(sorted(record.items()))
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

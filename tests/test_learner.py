@@ -2,7 +2,6 @@
 
 import ctypes
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -317,7 +316,7 @@ def test_unroll_matches_manual_stepping():
     episodes = [make_episode(gen) for _ in range(2)]
     batch = pad_batch(episodes)
     qs = unroll_team(team, batch)
-    assert len(qs) == batch["actions"].shape[1] + 1
+    assert len(qs) == 2   # two-step terminated episodes: horizon 2 - 1 = 1
     assert qs[0].shape == (2 * 2, 2)
 
     # replay episode 0 by hand with sets=1 and compare step 0
@@ -327,45 +326,47 @@ def test_unroll_matches_manual_stepping():
     assert np.allclose(q0.data, qs[0].data[:2], atol=1e-12)
 
 
-def test_unroll_steps_range_matches_full_unroll():
+def test_unroll_from_step_one_is_the_full_unroll_from_there():
     team = tiny_team(12)
     gen = np.random.default_rng(10)
     batch = pad_batch([make_episode(gen, length=3), make_episode(gen, length=2)])
     full = unroll_team(team, batch)
-    part = unroll_team(team, batch, steps=range(1, 3))
-    assert len(part) == 2
-    for a, b in zip(full[1:3], part):
+    part = unroll_team(team, batch, first=1)
+    assert len(full) == 3 and len(part) == 2   # horizons 2 and 1
+    for a, b in zip(full[1:], part):
         assert a.data.tobytes() == b.data.tobytes()
-    assert unroll_team(team, batch, steps=range(1, 1)) == []
 
 
-@pytest.mark.parametrize("steps", [range(0, 6), range(-1, 2), range(0, 4, 2)])
-def test_unroll_refuses_a_step_range_it_cannot_run(steps):
-    # range(0, 6) was numpy's bare reshape ValueError; range(-1, 2) returned 2 tensors
-    batch = pad_batch([make_episode(np.random.default_rng(10), length=3)])
-    with pytest.raises(ContractError, match=rf"steps {re.escape(str(steps))} .*t_max = 3"):
-        unroll_team(tiny_team(12), batch, steps=steps)
+def test_one_step_terminated_episodes_have_no_step_from_one(monkeypatch):
+    calls = []
+    for name in ("step", "encode"):
+        original = getattr(TeamModel, name)
+        monkeypatch.setattr(TeamModel, name, lambda self, *a, _f=original, **kw:
+                            calls.append(self) or _f(self, *a, **kw))
+    gen = np.random.default_rng(10)
+    batch = pad_batch([make_episode(gen, length=1) for _ in range(3)])
+    assert unroll_team(tiny_team(12), batch, first=1) == []
+    assert calls == []
 
 
 def reference_train_step(learner, buffer):
-    """Learner.train_step as the full-unroll formula: every step of both
-    unrolls, and double-Q targets at every transition."""
+    """Learner.train_step as the full-unroll formula: every row at every step
+    of both unrolls, and double-Q targets at every transition."""
     cfg = learner.config
     episodes = buffer.sample(cfg.batch_size, stream(learner.seed, "sample", learner.train_steps))
     batch = pad_batch(episodes)
     bsz, t_max, n = batch["actions"].shape
-    online_q = unroll_team(learner.team, batch,
-                           ctx=TrainContext(learner.seed, learner.train_steps))
+    online_q = per_step_unroll(learner.team, batch,
+                               ctx=TrainContext(learner.seed, learner.train_steps))
     with no_grad():
-        target_q = unroll_team(learner.target, batch)
+        target_q = per_step_unroll(learner.target, batch, first=1)
     q_tot = T.concat_cols([
         learner.team.mixer(
             T.reshape(T.gather_cols(online_q[t], batch["actions"][:, t].reshape(-1)), bsz, n),
             Tensor(batch["states"][:, t]))
         for t in range(t_max)])
 
-    targets = double_q_targets(batch, online_q[1:], target_q[1:], learner.target.mixer,
-                               cfg.gamma)
+    targets = double_q_targets(batch, online_q[1:], target_q, learner.target.mixer, cfg.gamma)
     loss = td_loss(q_tot, targets, batch["mask"])
     loss.backward()
     clip_grad_norm(learner.team.parameters(), cfg.grad_clip)
@@ -471,20 +472,19 @@ def test_one_dropout_mask_per_layer_per_train_step(monkeypatch):
     assert masks[0] is masks[2] and masks[1] is masks[3]
 
 
-def per_step_unroll(team, batch, ctx=None, steps=None):
-    """unroll_team as a loop over every row at every step, padded rows
-    included, building each step's inputs on its own: the no-skip reference."""
+def per_step_unroll(team, batch, ctx=None, first=0):
+    """unroll_team as a loop over every row at every step 0..t_max, padded
+    rows included, building each step's inputs on its own: the no-skip
+    reference.  Returns the Q values of steps first..t_max."""
     bsz, t_max, n = batch["actions"].shape
     n_actions = batch["avail"].shape[-1]
-    if steps is None:
-        steps = range(t_max + 1)
     h = team.initial_hidden(bsz * n)
     out = []
-    for t in range(steps.stop if steps else 0):
+    for t in range(t_max + 1):
         flat_obs = batch["obs"][:, t].reshape(bsz * n, -1)
         last = batch["actions"][:, t - 1].reshape(-1) if t > 0 else None
         inputs = build_inputs(flat_obs, last, n_actions, n)
-        if t < steps.start:
+        if t < first:
             h = team.encode(inputs, h)
             continue
         q, h = team.step(inputs, h, ctx=ctx)
@@ -521,10 +521,10 @@ def test_padded_rows_are_zero_and_live_rows_are_the_per_step_loops(episodes, mix
     ctx = TrainContext(seed, 3) if comm else None
     fast = unroll_team(team, batch, ctx=ctx)
     ref = per_step_unroll(team, batch, ctx=TrainContext(seed, 3) if comm else None)
-    assert len(fast) == len(ref) == max(lengths) + 1
-    row_lengths = np.repeat(lengths, 2)
+    last = np.subtract(lengths, terminated)   # each episode's horizon
+    assert len(fast) == max(last) + 1
     for t, (a, b) in enumerate(zip(fast, ref)):
-        live = row_lengths >= t
+        live = np.repeat(last, 2) >= t
         assert a.shape == b.shape
         assert np.all(a.data[~live] == 0.0)
         scale = np.abs(b.data[live]).max()
@@ -539,12 +539,15 @@ def test_equal_lengths_unroll_bit_for_bit_as_the_per_step_loop(length, terminate
                                                                dtype, seed):
     team = warm_team(seed, comm, mixer, dtype)
     batch = padded_batch([length] * len(terminated), terminated, seed)
-    for steps in (None, range(1, length + 1)):
-        fast = unroll_team(team, batch, ctx=TrainContext(seed, 0), steps=steps)
-        ref = per_step_unroll(team, batch, ctx=TrainContext(seed, 0), steps=steps)
-        assert len(fast) == len(ref)
-        for a, b in zip(fast, ref):
-            assert a.data.dtype == dtype and a.data.tobytes() == b.data.tobytes()
+    last = length - np.array(terminated)
+    for first in (0, 1):
+        fast = unroll_team(team, batch, ctx=TrainContext(seed, 0), first=first)
+        ref = per_step_unroll(team, batch, ctx=TrainContext(seed, 0), first=first)
+        assert len(fast) == max(last) + 1 - first
+        for t, (a, b) in enumerate(zip(fast, ref), start=first):
+            live = np.repeat(last, 2) >= t
+            assert a.data.dtype == dtype and np.all(a.data[~live] == 0.0)
+            assert a.data[live].tobytes() == b.data[live].tobytes()
 
 
 @pytest.mark.parametrize("mixer", ["vdn", "qmix"])
@@ -565,9 +568,9 @@ def test_a_train_step_over_padded_rows_equals_the_no_skip_step(monkeypatch, mixe
 
 
 def test_a_live_row_takes_its_row_of_the_full_batch_dropout_mask(monkeypatch):
-    lengths = [3, 6, 1, 6, 4]
+    lengths, terminated = [3, 6, 1, 6, 4], [True, True, False, False, True]
     team = warm_team(0, True, "vdn")
-    batch = padded_batch(lengths, [True] * 5, seed=0)
+    batch = padded_batch(lengths, terminated, seed=0)
     keeps = []
     original = T.dropout
 
@@ -578,10 +581,11 @@ def test_a_live_row_takes_its_row_of_the_full_batch_dropout_mask(monkeypatch):
     monkeypatch.setattr(T, "dropout", recording)
     ctx = TrainContext(seed=0, step=2)
     q = unroll_team(team, batch, ctx=ctx)
-    row_lengths = np.repeat(lengths, 2)
+    last = np.repeat(np.subtract(lengths, terminated), 2)
+    assert len(q) == 7   # the truncated 6-step episode runs to step 6
     assert len(keeps) == 2 * len(q)   # drop1 and drop2 of the one comm layer at each step
     for t in range(len(q)):
-        live = row_lengths >= t
+        live = last >= t
         for name, keep in zip(("drop1", "drop2"), keeps[2 * t : 2 * t + 2]):
             full = ctx.dropout_mask(f"comm.layer0.{name}", (10, 8), 0.3, np.float64)
             assert np.array_equal(keep, full[live])

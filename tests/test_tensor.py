@@ -694,6 +694,22 @@ def test_ops_without_a_per_block_backward_refuse_per_block_with_grad(op):
     assert T._BLOCK_ROWS is None
 
 
+def test_per_block_refuses_rows_that_are_not_whole_blocks():
+    gen = np.random.default_rng(3)
+    x = Parameter(gen.standard_normal((5, 3)), name="x")
+    w, b = Parameter(gen.standard_normal((4, 3)), name="w"), Parameter(np.zeros((1, 4)), name="b")
+    gru = [Tensor(gen.standard_normal(s)) for s in gru_shapes(5, 3, 4)[2:]]
+    match = re.escape("per_block(2): 5 rows are not whole blocks of 2")
+    with T.per_block(2):
+        with pytest.raises(ShapeError, match=match):
+            T.affine(x, w, b)
+        with no_grad():
+            with pytest.raises(ShapeError, match=match):
+                T.affine(x, w, b)
+            with pytest.raises(ShapeError, match=match):
+                T.gru_cell(x, Tensor(gen.standard_normal((5, 4))), *gru)
+
+
 def test_gru_zero_state_path_leaves_other_steps_gradients_alone():
     # the zero state gives Wh*, Wxr and br zero gradients only where none exist
     gen = np.random.default_rng(11)
