@@ -151,7 +151,7 @@ def check_gradient_end_to_end(seed: int, fault: str) -> tuple[bool, str]:
 
     def loss():
         q_tot = taken_joint_values(team, unroll_team(team, batch), batch)
-        return td_loss(q_tot, y, batch["mask"])
+        return td_loss(q_tot, y, batch["lengths"])
 
     err = max_gradient_error(loss, team.parameters(), samples_per_param=12,
                              rng=gen)

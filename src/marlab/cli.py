@@ -123,8 +123,7 @@ def cmd_sweep(args) -> int:
             patch.setdefault(GRID_KEYS[key], {})[key] = value
         cells.append((cell, tag, patch_run_config(base, patch)))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = []
+    summary = []   # the first cell's train_all_seeds makes out_dir
     for cell, tag, cell_cfg in cells:
         print(f"sweep cell {tag}")
         results = train_all_seeds(cell_cfg, out_dir / f"cell_{tag}",
@@ -169,6 +168,9 @@ def cmd_eval(args) -> int:
                           f"{config_path} has comm disabled")
     topology = Topology.from_json(args.topology) if args.topology else None
     env = make_env(config.env.name, config.env.params)
+    if topology is not None and topology.n != env.n_agents:
+        raise ConfigError(f"{args.topology}: a topology of {topology.n} agents for "
+                          f"{config_path}, whose team has {env.n_agents}")
     team = build_team_for_env(config, env, seed=args.seed)
     load_checkpoint(run_dir / "checkpoint.bin", team.parameters())
 

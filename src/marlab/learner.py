@@ -1,30 +1,30 @@
 """Episodic double Q-learning over whole-episode replay.
 
 Episodes are stored whole and replayed in padded batches, which hold only
-arrays: the batch size, t_max, n_agents and n_actions are their shapes.
-Hidden states are re-unrolled from zero for both the online and the frozen
-target networks.  Targets pick the next action with the online network and
-evaluate it with the target network.  After one shared global-norm clip two
-optimizers step side by side, both built by the Learner from the team's
-modules: RMSProp on the agent network and the mixer, Adam on the
-communication stack.
+arrays, in the layout of the ReplayBuffer's snapshot: each episode's length
+and whether it terminated, then its obs, states, avail, actions and rewards
+padded to the longest episode.  The batch size, t_max, n_agents and
+n_actions are their shapes.  Hidden states are re-unrolled from zero for
+both the online and the frozen target networks.  Targets pick the next
+action with the online network and evaluate it with the target network.
+After one shared global-norm clip two optimizers step side by side, both
+built by the Learner from the team's modules: RMSProp on the agent network
+and the mixer, Adam on the communication stack.
 
-A train step computes only what its loss reads.  An episode of length L
-runs steps 0..L - terminated, its horizon: chosen-action values read steps
-0..L - 1, and a bootstrapped transition t reads step t + 1, which for a
-terminated episode stops one step before its post-terminal step.  Both
-unrolls run up to the batch's largest horizon; once an episode is past its
-own, unroll_team drops its rows from the recurrent carry and leaves exact
-zeros in their Q values.  The target unroll returns Q values from step 1 on,
-and only advances the carry at step 0.  Every value skipped fed a term
-multiplied by a zero mask or by (1 - terminated) = 0, so the loss is that of
-the full unroll.  A batch whose episodes have one length and one
-termination has no row dropped and runs the full unroll's arithmetic bit for
-bit; elsewhere the kept rows' values may move in the last bits, as BLAS
-picks its kernel by the row count (see T.per_block).  One difference shows
-only on broken networks: a non-finite value at a skipped step used to make
-the loss NaN (0 * inf) and now does not; nor does an inf or NaN in the
-GRU's Wh* at the zero state (see T.gru_cell).
+One horizon per episode, its length L minus terminated (horizons), decides
+what a train step computes and what its loss counts.  Both unrolls run up to
+the batch's largest horizon: once an episode is past its own, unroll_team
+drops its rows from the recurrent carry and leaves exact zeros in their Q
+values, and the target unroll returns Q values from step 1 on (step 0 only
+advances its carry).  Transition t bootstraps from step t + 1 iff t + 1 <=
+horizon: a terminated episode's last transition and every padded one keep
+their reward.  td_loss counts the steps t < L.  No value skipped feeds a
+counted term, so the loss is that of the full unroll.  A batch whose
+episodes have one length and one termination has no row dropped and runs
+the full unroll's arithmetic bit for bit; elsewhere the kept rows' values
+may move in the last bits, as BLAS picks its kernel by the row count (see
+T.per_block).  A non-finite value at a skipped step does not reach the loss,
+nor does an inf or NaN in the GRU's Wh* at the zero state (see T.gru_cell).
 
 Each side mixes once per train step.  taken_joint_values stacks the
 chosen-action values of every step time-major and calls the online mixer
@@ -47,7 +47,7 @@ into the graph to the parameters' dtype.  The TD targets are formed in
 float64 from the float32 target-network values and then cast.
 
 Each object here lays out its own part of a run's snapshot: the
-ReplayBuffer its episodes as padded arrays, and the Learner both
+ReplayBuffer its episodes as one padded batch, and the Learner both
 optimizers' moments; the Learner's train_steps is stored beside them.
 """
 
@@ -85,7 +85,7 @@ class EpisodeRecord:
 
     def __post_init__(self):
         t = len(self.rewards)
-        if t == 0:   # pad_batch marks termination at an episode's last step
+        if t == 0:   # no step for the loss to count, and a horizon before step 0
             raise ContractError("an episode needs at least one step")
         if not (self.actions.shape[0] == t
                 and self.obs.shape[0] == t + 1
@@ -121,16 +121,10 @@ class ReplayBuffer:
         return [self._store[i] for i in idx]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """The snapshot layout: count, lengths and terminated, then pad_batch's obs,
-        states, avail, actions and rewards, oldest first; empty is count = 0 alone."""
+        """The snapshot layout: count, then pad_batch of the episodes, oldest
+        first; empty is count = 0 alone."""
         eps = self.episodes
-        if not eps:
-            return {"count": np.array(0)}
-        batch = pad_batch(eps)
-        return {"count": np.array(len(eps)),
-                "lengths": np.array([ep.length for ep in eps]),
-                "terminated": np.array([ep.terminated for ep in eps]),
-                **{key: batch[key] for key in ("obs", "states", "avail", "actions", "rewards")}}
+        return {"count": np.array(len(eps)), **(pad_batch(eps) if eps else {})}
 
     @classmethod
     def from_state_arrays(cls, capacity: int, arrays: dict) -> "ReplayBuffer":
@@ -209,28 +203,23 @@ def epsilon(env_step: int, config: TrainConfig) -> float:
 
 
 def pad_batch(episodes: list[EpisodeRecord]) -> dict:
-    """Stack episodes into fixed arrays padded to the longest episode.
+    """Stack episodes into the snapshot layout: lengths and terminated, one
+    entry per episode, then obs, states, avail, actions and rewards padded to
+    the longest episode, in that key order.
 
-    The batch holds only its seven arrays; sizes are read from their shapes.
-    Padded steps carry a zero validity mask and all-available action masks
-    (so argmax stays well defined; they never reach the loss).
+    Sizes are read from the shapes.  Padded steps hold zeros and all-available
+    action masks (so argmax stays well defined); they lie past their
+    episode's horizon, so no loss term reads them.
     """
     if not episodes:
         raise ContractError("empty batch")
-    bsz = len(episodes)
-    t_max = max(ep.length for ep in episodes)
-    _, n, obs_dim = episodes[0].obs.shape
-    n_actions = episodes[0].avail.shape[-1]
-    state_dim = episodes[0].states.shape[-1]
-
-    obs = np.zeros((bsz, t_max + 1, n, obs_dim))
-    states = np.zeros((bsz, t_max + 1, state_dim))
-    avail = np.ones((bsz, t_max + 1, n, n_actions), dtype=bool)
-    actions = np.zeros((bsz, t_max, n), dtype=np.intp)
+    lengths = np.array([ep.length for ep in episodes])
+    bsz, t_max, ep0 = len(episodes), int(lengths.max()), episodes[0]
+    obs = np.zeros((bsz, t_max + 1, *ep0.obs.shape[1:]))
+    states = np.zeros((bsz, t_max + 1, *ep0.states.shape[1:]))
+    avail = np.ones((bsz, t_max + 1, *ep0.avail.shape[1:]), dtype=bool)
+    actions = np.zeros((bsz, t_max, *ep0.actions.shape[1:]), dtype=np.intp)
     rewards = np.zeros((bsz, t_max))
-    mask = np.zeros((bsz, t_max))
-    terminated = np.zeros((bsz, t_max))
-
     for b, ep in enumerate(episodes):
         t = ep.length
         obs[b, : t + 1] = ep.obs
@@ -238,12 +227,14 @@ def pad_batch(episodes: list[EpisodeRecord]) -> dict:
         avail[b, : t + 1] = ep.avail
         actions[b, :t] = ep.actions
         rewards[b, :t] = ep.rewards
-        mask[b, :t] = 1.0
-        if ep.terminated:
-            terminated[b, t - 1] = 1.0
+    return {"lengths": lengths, "terminated": np.array([ep.terminated for ep in episodes]),
+            "obs": obs, "states": states, "avail": avail, "actions": actions, "rewards": rewards}
 
-    return {"obs": obs, "states": states, "avail": avail, "actions": actions,
-            "rewards": rewards, "mask": mask, "terminated": terminated}
+
+def horizons(batch: dict) -> np.ndarray:
+    """Each episode's horizon, length - terminated: the last step whose value
+    a loss term reads (see the module docstring)."""
+    return batch["lengths"] - batch["terminated"]
 
 
 def unroll_team(team: TeamModel, batch: dict,
@@ -251,17 +242,16 @@ def unroll_team(team: TeamModel, batch: dict,
     """Run the team over a padded batch; return the local Q values of steps
     `first` up to the batch's largest horizon.
 
-    An episode of length L has horizon L - terminated, the last step whose
-    value a loss term reads.  Returns one (batch*n, n_actions) tensor per
-    step.  Hidden states start at zero and are carried inside; steps before
-    `first` only advance the recurrent carry (no communication, no Q head).
-    Once an episode is past its horizon, its rows are dropped from the carry
-    (T.take_rows) and no later step computes them: their Q values are exact
-    zeros (T.put_rows).
+    Each episode runs steps 0..its horizon (horizons).  Returns one
+    (batch*n, n_actions) tensor per step.  Hidden states start at zero and
+    are carried inside; steps before `first` only advance the recurrent carry
+    (no communication, no Q head).  Once an episode is past its horizon, its
+    rows are dropped from the carry (T.take_rows) and no later step computes
+    them: their Q values are exact zeros (T.put_rows).
     """
     bsz, _, n = batch["actions"].shape
     n_actions = batch["avail"].shape[-1]
-    horizon = batch["mask"].sum(axis=1) - batch["terminated"].sum(axis=1)
+    horizon = horizons(batch)
     stop = int(horizon.max()) + 1
     if first >= stop:
         return []
@@ -318,12 +308,14 @@ def double_q_targets(batch: dict, online_q: list[Tensor], target_q: list[Tensor]
     """One-step TD targets with decoupled selection and evaluation, (batch, t_max).
 
     online_q[t] and target_q[t] are unroll_team's local Q values of step t + 1,
-    the step after transition t; the two lists must be of one length, and a
-    transition past their end keeps its reward.  The next action is the argmax
-    of the ONLINE values over the actions available at t + 1; its value comes
-    from the TARGET values, mixed by `mixer` at that step's state.  Every step
-    is mixed in one mix_values call, per block of one step's rows
-    (T.per_block), so each joint value is that of the step mixed alone.
+    the step after transition t; the two lists must be of one length.
+    Transition t bootstraps iff it is within the lists and t + 1 is at most
+    its episode's horizon (horizons); every other one keeps its reward.  The
+    next action is the argmax of the ONLINE values over the actions available
+    at t + 1; its value comes from the TARGET values, mixed by `mixer` at that
+    step's state.  Every step is mixed in one mix_values call, per block of
+    one step's rows (T.per_block), so each joint value is that of the step
+    mixed alone.
     """
     if len(online_q) != len(target_q):
         raise ContractError(f"double_q_targets: {len(online_q)} online and "
@@ -341,19 +333,21 @@ def double_q_targets(batch: dict, online_q: list[Tensor], target_q: list[Tensor]
     states = batch["states"][:, 1 : k + 1].swapaxes(0, 1).reshape(k * bsz, -1)
     with T.per_block(bsz):
         joint = mix_values(mixer, chosen.reshape(k * bsz, n), states).reshape(k, bsz).T
-    y[:, :k] = batch["rewards"][:, :k] + gamma * (1.0 - batch["terminated"][:, :k]) * joint
+    bootstrap = np.arange(1, k + 1) <= horizons(batch)[:, None]
+    y[:, :k] += gamma * bootstrap * joint
     return y
 
 
-def td_loss(q_tot: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean squared TD error over valid steps; targets enter as constants,
-    cast to the dtype of q_tot."""
-    total = float(mask.sum())
+def td_loss(q_tot: Tensor, targets: np.ndarray, lengths: np.ndarray) -> Tensor:
+    """Mean squared TD error over the steps t < length of each row's episode;
+    targets enter as constants, cast to the dtype of q_tot."""
+    mask = np.arange(q_tot.cols) < np.asarray(lengths)[:, None]
+    total = float(np.count_nonzero(mask))
     if total == 0:
         raise ContractError("batch has no valid steps")
     dtype = q_tot.data.dtype
     diff = T.mul(T.sub(q_tot, Tensor(targets.astype(dtype, copy=False))),
-                 Tensor(mask.astype(dtype, copy=False)))
+                 Tensor(mask.astype(dtype)))
     return T.scale(T.tsum(T.square(diff)), 1.0 / total)
 
 
@@ -409,7 +403,7 @@ class Learner:
         targets = double_q_targets(batch, online_q[1:], target_q, self.target.mixer, cfg.gamma)
 
         # no zero_grad: both optimizers' step() leave every grad at None
-        loss = td_loss(q_tot, targets, batch["mask"])
+        loss = td_loss(q_tot, targets, batch["lengths"])
         loss.backward()
 
         grad_norm = clip_grad_norm(self.team.parameters(), cfg.grad_clip)

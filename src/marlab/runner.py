@@ -61,8 +61,8 @@ from .envs import Env, make_env
 from .errors import CheckpointError, ConfigError, ContractError, MarlabError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
 from .learner import MAX_TEST_EPISODES, EpisodeRecord, Learner, ReplayBuffer, epsilon
-from .nn import (Tensor, load_checkpoint, load_records, no_grad, per_block,
-                 save_checkpoint, write_records)
+from .nn import load_checkpoint, load_records, save_checkpoint, write_records
+from .nn import tensor as T
 from .rng import stream, unit_uniform
 
 CSV_FIELDS = ["seed", "env_step", "mean_test_return", "success_rate", "loss", "epsilon"]
@@ -79,11 +79,7 @@ def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
                     eps: float, seed: int, episode_idx: int,
                     comm_mask: Optional[np.ndarray] = None) -> EpisodeRecord:
     """Collect one episode; action noise streams are keyed per (agent, step)."""
-    (obs, states, avail, actions, rewards), = _play(
-        [env], team, explore, eps, seed, [episode_idx], comm_mask)
-    return EpisodeRecord(   # np.array stacks a short list faster than np.stack
-        obs=np.array(obs), states=np.array(states), avail=np.array(avail),
-        actions=np.array(actions), rewards=np.array(rewards, dtype=float), terminated=True)
+    return _play([env], team, explore, eps, seed, [episode_idx], comm_mask)[0]
 
 
 def evaluate(env: Env, team: TeamModel, episodes: int, seed: int,
@@ -99,23 +95,23 @@ def evaluate(env: Env, team: TeamModel, episodes: int, seed: int,
     for start in range(0, episodes, MAX_TEST_EPISODES):
         keys = [_test_episode_key(test_point, e)
                 for e in range(start, min(episodes, start + MAX_TEST_EPISODES))]
-        for *_, rewards in _play([copy.copy(env) for _ in keys], team, GREEDY, 0.0,
-                                 seed, keys, comm_mask):
-            total = float(np.array(rewards, dtype=float).sum())
+        for ep in _play([copy.copy(env) for _ in keys], team, GREEDY, 0.0,
+                        seed, keys, comm_mask):
+            total = float(ep.rewards.sum())
             returns.append(total)
             successes += int(env.is_success(total))
-            steps += len(rewards)
+            steps += ep.length
     return float(np.mean(returns)), successes / episodes, steps
 
 
 def _play(envs: list[Env], team: TeamModel, explore: ExplorationConfig, eps: float,
-          seed: int, keys: list[int], comm_mask: Optional[np.ndarray]) -> list[tuple]:
-    """Play one episode on each env, keyed by keys, in lockstep.
+          seed: int, keys: list[int], comm_mask: Optional[np.ndarray]) -> list[EpisodeRecord]:
+    """Play one episode on each env, keyed by keys, in lockstep; return their
+    EpisodeRecords, rewards in float64.
 
     Each time step is one team step and one action draw over the agents of
-    every live episode; an episode leaves when it ends.  Returns per episode
-    the lists (observations, states, avail masks, actions, rewards) of its
-    steps, the first three with one entry more.
+    every live episode.  An episode ends by the env's done, so every record
+    is terminated; its rows then leave the recurrent carry (T.take_rows).
     """
     n, n_actions = envs[0].n_agents, envs[0].n_actions
     traces = []
@@ -126,7 +122,7 @@ def _play(envs: list[Env], team: TeamModel, explore: ExplorationConfig, eps: flo
     h = team.initial_hidden(len(envs) * n)
     last_actions = None
     t = 0
-    with no_grad(), per_block(n):
+    with T.no_grad(), T.per_block(n):
         while True:
             obs = np.concatenate([traces[e][0][-1] for e in live])
             q, h = team.step(build_inputs(obs, last_actions, n_actions, n), h,
@@ -136,27 +132,25 @@ def _play(envs: list[Env], team: TeamModel, explore: ExplorationConfig, eps: flo
                           for e in live for i in range(n)])
             actions = sample_from(action_distribution(q.data, avail, explore, eps),
                                   u).reshape(len(live), n)
-            going = []
+            going = np.zeros(len(live), dtype=bool)
             for row, e in enumerate(live):
                 reward, done, obs, state = envs[e].step(actions[row])
-                obs_list, state_list, avail_list, action_list, reward_list = traces[e]
-                obs_list.append(obs)
-                state_list.append(state)
-                avail_list.append(envs[e].avail_actions())
-                action_list.append(actions[row])
-                reward_list.append(reward)
-                if not done:
-                    going.append(row)
-            if not going:
+                for trace, value in zip(traces[e], (obs, state, envs[e].avail_actions(),
+                                                    actions[row], reward)):
+                    trace.append(value)
+                going[row] = not done
+            if not going.any():
                 break
-            if len(going) < len(live):
-                width = h.cols
-                h = Tensor(h.data.reshape(-1, n, width)[going].reshape(-1, width))
+            if not going.all():
+                h = T.take_rows(h, np.repeat(going, n))
                 actions = actions[going]
-                live = [live[row] for row in going]
+                live = [e for e, on in zip(live, going) if on]
             last_actions = actions.reshape(-1)
             t += 1
-    return traces
+    return [EpisodeRecord(   # np.array stacks a short list faster than np.stack
+        obs=np.array(obs), states=np.array(states), avail=np.array(avail),
+        actions=np.array(actions), rewards=np.array(rewards, dtype=float), terminated=True)
+        for obs, states, avail, actions, rewards in traces]
 
 
 def _test_episode_key(test_point: int, episode: int) -> int:
@@ -322,7 +316,8 @@ def _refuse_changed_config(out_dir: Path, stored_path: Path, config: RunConfig):
 
 def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
                     workers: int = 1) -> dict[int, list[dict]]:
-    """Run every configured seed, in processes when workers > 1.
+    """Run every configured seed, in processes when workers > 1; workers < 1
+    is a ConfigError.
 
     Resuming refuses a config that differs from the stored config.json in
     anything but total_env_steps, before any file is written.  A worker
@@ -330,6 +325,8 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
     seeds not yet started are cancelled, and every seed keeps state/ from
     its last test point, so a run with --resume continues.
     """
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     stored_path = out_dir / "config.json"
     if resume and stored_path.exists():

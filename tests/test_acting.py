@@ -137,18 +137,20 @@ def test_lockstep_episodes_of_different_lengths_equal_each_one_alone(explore, ep
     env = RandomLength()
     team = perturbed_team(env, comm, seed=7)
     keys = [11 * k + 3 for k in range(23)]
-    traces = marlab.runner._play([RandomLength() for _ in keys], team, explore, eps, 5, keys,
-                                 comm_mask=ring(2) if comm else None)
-    assert len({len(trace[4]) for trace in traces}) > 1   # episodes end at different steps
-    for key, trace in zip(keys, traces):
+    records = marlab.runner._play([RandomLength() for _ in keys], team, explore, eps, 5, keys,
+                                  comm_mask=ring(2) if comm else None)
+    assert len({ep.length for ep in records}) > 1   # episodes end at different steps
+    for key, played in zip(keys, records):
         alone = per_episode_rollout(env, team, explore, eps, 5, key,
                                     comm_mask=ring(2) if comm else None)
-        for name, got in zip(("obs", "states", "avail", "actions", "rewards"), trace):
-            assert np.array_equal(np.array(got), np.array(alone[name])), (key, name)
         record = rollout_episode(env, team, explore, eps, 5, key,
                                  comm_mask=ring(2) if comm else None)
-        assert np.array_equal(record.actions, np.array(alone["actions"]))
-        assert record.actions.dtype == np.array(alone["actions"]).dtype
+        for ep in (played, record):
+            assert ep.terminated and ep.rewards.dtype == np.float64
+            for name, want in alone.items():
+                want = np.array(want)
+                assert np.array_equal(getattr(ep, name), want), (key, name)
+                assert getattr(ep, name).dtype == want.dtype, (key, name)
 
 
 @pytest.mark.parametrize("name, params, comm", [

@@ -290,6 +290,18 @@ class TestTrainCommand:
             assert (tmp_path / "run" / name).read_bytes() == \
                 (tmp_path / "whole" / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_one_line_error(self, tmp_path, capsys, command, workers):
+        path = write_toy_config(tmp_path)
+        if command == "sweep":
+            base = json.loads(path.read_text())
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps({"base": base, "grid": {"num_layers": [1]}}))
+        assert main([command, "--config", str(path), "--workers", workers]) == 2
+        assert_one_line_error(capsys, f"--workers must be >= 1, got {workers}")
+        assert not (tmp_path / "run").exists()
+
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MARLAB_OUT", str(tmp_path / "root"))
         cfg = write_toy_config(tmp_path, out_dir="rel_run")
@@ -432,6 +444,15 @@ class TestEvalCommand:
         assert main(["eval", "--run", str(tmp_path / "seed_1"),
                      "--topology", str(topo_path)]) == 2
         assert_one_line_error(capsys, str(topo_path))
+
+    def test_eval_with_a_topology_for_another_team_size_is_a_one_line_error(self, tmp_path,
+                                                                            capsys):
+        config = write_toy_config(tmp_path)   # 2 agents, no run: refused before the team
+        topo_path = tmp_path / "topo.json"
+        topo_path.write_text(json.dumps({"reachable": np.eye(3, dtype=int).tolist()}))
+        assert main(["eval", "--run", str(tmp_path / "seed_1"),
+                     "--topology", str(topo_path)]) == 2
+        assert_one_line_error(capsys, str(topo_path), "3 agents", str(config), "has 2")
 
     def test_eval_with_deployment_traffic(self, tmp_path, capsys):
         cfg = write_toy_config(tmp_path)

@@ -95,7 +95,7 @@ def test_float32_gradients_agree_with_float64_ones(mixer):
     grads = {}
     for dtype, team in teams.items():
         q = unroll_team(team, batch, ctx=TrainContext(7, 0))
-        td_loss(taken_joint_values(team, q, batch), batch["rewards"], batch["mask"]).backward()
+        td_loss(taken_joint_values(team, q, batch), batch["rewards"], batch["lengths"]).backward()
         grads[dtype] = np.concatenate([p.grad.ravel() for p in team.parameters()])
         assert grads[dtype].dtype == dtype
     g32, g64 = grads[np.float32], grads[np.float64]

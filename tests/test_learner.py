@@ -24,6 +24,7 @@ from marlab.learner import (
     TrainConfig,
     double_q_targets,
     epsilon,
+    horizons,
     pad_batch,
     taken_joint_values,
     td_loss,
@@ -115,7 +116,7 @@ class TestEpisodeRecord:
                           actions=ep.actions, rewards=ep.rewards)
 
     def test_an_episode_without_steps_is_refused(self):
-        # pad_batch would mark its termination at column -1, or fail on a batch of them
+        # no step for the loss to count, and a terminated one's horizon would be -1
         with pytest.raises(ContractError, match="at least one step"):
             make_episode(np.random.default_rng(0), length=0)
 
@@ -124,20 +125,28 @@ class TestPadBatch:
     def test_padding_and_masks(self):
         gen = np.random.default_rng(0)
         short = make_episode(gen, length=1)
-        long = make_episode(gen, length=3)
+        long = episode_of(gen, 3, terminated=False)
         batch = pad_batch([short, long])
+        # the snapshot layout, key order included, after ReplayBuffer's count
+        assert list(batch) == ["lengths", "terminated", "obs", "states", "avail", "actions",
+                               "rewards"]
+        assert batch["lengths"].tolist() == [1, 3]
+        assert batch["terminated"].tolist() == [True, False]
+        assert horizons(batch).tolist() == [0, 3]
         assert batch["actions"].shape[1] == 3
-        assert np.array_equal(batch["mask"], [[1, 0, 0], [1, 1, 1]])
-        assert batch["terminated"][0, 0] == 1.0
-        assert batch["terminated"][1, 2] == 1.0
+        assert np.all(batch["rewards"][0, 1:] == 0.0)
         assert np.all(batch["avail"][0, 2:])  # padded steps stay well defined
 
 
-def next_step_batch(rewards, terminated, avail_next):
+def next_step_batch(rewards, avail_next, lengths=None, terminated=None):
     """The arrays double_q_targets reads, for transitions t whose next step
-    t + 1 has the availability avail_next[:, t]; every state is 0."""
+    t + 1 has the availability avail_next[:, t]; every state is 0.  By
+    default every episode is truncated at t_max, so every transition
+    bootstraps."""
     bsz, t_len, n, n_actions = avail_next.shape
-    return {"rewards": rewards, "terminated": terminated,
+    return {"lengths": np.full(bsz, t_len) if lengths is None else np.array(lengths),
+            "terminated": np.zeros(bsz, bool) if terminated is None else np.array(terminated),
+            "rewards": rewards,
             "actions": np.zeros((bsz, t_len, n), dtype=np.intp),
             "avail": np.concatenate([np.ones((bsz, 1, n, n_actions), dtype=bool), avail_next],
                                     axis=1),
@@ -155,8 +164,7 @@ class TestDoubleQTargets:
         # selection must use the online argmax, evaluation the target values
         online_next = np.array([[[[1.0, 2.0], [5.0, 0.0]]]])   # argmax: 1, 0
         target_next = np.array([[[[10.0, 3.0], [7.0, 8.0]]]])  # picked: 3, 7
-        batch = next_step_batch(np.array([[0.5]]), np.array([[0.0]]),
-                                np.ones((1, 1, 2, 2), dtype=bool))
+        batch = next_step_batch(np.array([[0.5]]), np.ones((1, 1, 2, 2), dtype=bool))
         y = double_q_targets(batch, per_step(online_next), per_step(target_next),
                              VdnMixer(2), 0.9)
         assert np.allclose(y, 0.5 + 0.9 * (3.0 + 7.0))
@@ -165,14 +173,14 @@ class TestDoubleQTargets:
         online_next = np.array([[[[9.0, 2.0], [1.0, 0.0]]]])
         target_next = np.array([[[[4.0, 3.0], [6.0, 5.0]]]])
         avail = np.array([[[[False, True], [True, True]]]])  # agent 0 cannot take 0
-        batch = next_step_batch(np.array([[0.0]]), np.array([[0.0]]), avail)
+        batch = next_step_batch(np.array([[0.0]]), avail)
         y = double_q_targets(batch, per_step(online_next), per_step(target_next),
                              VdnMixer(2), 1.0)
         assert np.allclose(y, 3.0 + 6.0)
 
     def test_terminal_step_has_no_bootstrap(self):
-        batch = next_step_batch(np.array([[2.0]]), np.array([[1.0]]),
-                                np.ones((1, 1, 2, 2), dtype=bool))
+        batch = next_step_batch(np.array([[2.0]]), np.ones((1, 1, 2, 2), dtype=bool),
+                                lengths=[1], terminated=[True])
         y = double_q_targets(batch, per_step(np.ones((1, 1, 2, 2))),
                              per_step(np.ones((1, 1, 2, 2)) * 100), VdnMixer(2), 0.99)
         assert np.allclose(y, 2.0)
@@ -180,7 +188,7 @@ class TestDoubleQTargets:
     def test_gamma_zero_targets_are_rewards(self):
         gen = np.random.default_rng(3)
         rewards = gen.standard_normal((2, 3))
-        batch = next_step_batch(rewards, np.zeros((2, 3)), np.ones((2, 3, 2, 2), dtype=bool))
+        batch = next_step_batch(rewards, np.ones((2, 3, 2, 2), dtype=bool))
         y = double_q_targets(batch, per_step(gen.standard_normal((2, 3, 2, 2))),
                              per_step(gen.standard_normal((2, 3, 2, 2))), VdnMixer(2), 0.0)
         assert np.allclose(y, rewards)
@@ -188,8 +196,8 @@ class TestDoubleQTargets:
     def test_no_values_give_a_copy_of_the_rewards(self):
         # k = 0: no transition bootstraps, so the lists are empty
         rewards = np.random.default_rng(4).standard_normal((2, 3))
-        batch = next_step_batch(rewards.copy(), np.ones((2, 3)),
-                                np.ones((2, 3, 2, 2), dtype=bool))
+        batch = next_step_batch(rewards.copy(), np.ones((2, 3, 2, 2), dtype=bool),
+                                terminated=[True, True])
         y = double_q_targets(batch, [], [], VdnMixer(2), 0.9)
         assert y.tobytes() == rewards.tobytes()
         y[...] = 7.0
@@ -198,7 +206,7 @@ class TestDoubleQTargets:
     def test_transitions_past_the_values_keep_their_rewards(self):
         gen = np.random.default_rng(5)
         rewards = gen.standard_normal((2, 3))
-        batch = next_step_batch(rewards, np.zeros((2, 3)), np.ones((2, 3, 2, 2), dtype=bool))
+        batch = next_step_batch(rewards, np.ones((2, 3, 2, 2), dtype=bool))
         online_next, target_next = (gen.standard_normal((2, 1, 2, 2)) for _ in range(2))
         y = double_q_targets(batch, per_step(online_next), per_step(target_next),
                              VdnMixer(2), 0.9)
@@ -207,9 +215,17 @@ class TestDoubleQTargets:
                                 per_step(np.repeat(target_next, 3, axis=1)), VdnMixer(2), 0.9)
         assert y[:, 0].tobytes() == full[:, 0].tobytes()
 
+    def test_a_transition_bootstraps_iff_its_next_step_is_within_the_horizon(self):
+        # horizons 1 (truncated after 1 step) and 2 (terminated after 3)
+        rewards = np.arange(6.0).reshape(2, 3)
+        batch = next_step_batch(rewards, np.ones((2, 3, 2, 2), dtype=bool),
+                                lengths=[1, 3], terminated=[False, True])
+        y = double_q_targets(batch, per_step(np.ones((2, 3, 2, 2))),
+                             per_step(np.ones((2, 3, 2, 2))), VdnMixer(2), 0.5)
+        assert y.tolist() == [[1.0, 1.0, 2.0], [4.0, 5.0, 5.0]]
+
     def test_lists_of_different_lengths_are_refused(self):
-        batch = next_step_batch(np.zeros((1, 2)), np.zeros((1, 2)),
-                                np.ones((1, 2, 2, 2), dtype=bool))
+        batch = next_step_batch(np.zeros((1, 2)), np.ones((1, 2, 2, 2), dtype=bool))
         values = per_step(np.zeros((1, 2, 2, 2)))
         with pytest.raises(ContractError, match="2 online and 1 target"):
             double_q_targets(batch, values, values[:1], VdnMixer(2), 0.9)
@@ -218,16 +234,16 @@ class TestDoubleQTargets:
 class TestTdLoss:
     def test_zero_when_prediction_matches_target(self):
         q = Tensor(np.array([[1.0, 2.0]]))
-        loss = td_loss(q, np.array([[1.0, 2.0]]), np.ones((1, 2)))
+        loss = td_loss(q, np.array([[1.0, 2.0]]), np.array([2]))
         assert loss.item() == 0.0
 
     def test_single_step_squared_error(self):
-        loss = td_loss(Tensor([[1.0]]), np.array([[3.0]]), np.ones((1, 1)))
+        loss = td_loss(Tensor([[1.0]]), np.array([[3.0]]), np.array([1]))
         assert loss.item() == 4.0
 
     def test_mask_excludes_padded_steps(self):
         q = Tensor(np.array([[1.0, 100.0]]))
-        loss = td_loss(q, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+        loss = td_loss(q, np.array([[0.0, 0.0]]), np.array([1]))
         assert loss.item() == 1.0
 
     def test_gradients_match_finite_differences(self):
@@ -236,13 +252,12 @@ class TestTdLoss:
         gen = np.random.default_rng(4)
         q = Parameter(gen.standard_normal((3, 2)), name="q")
         y = gen.standard_normal((3, 2))
-        mask = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        err = max_gradient_error(lambda: td_loss(q, y, mask), [q])
+        err = max_gradient_error(lambda: td_loss(q, y, np.array([2, 1, 2])), [q])
         assert err <= 1e-3
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            td_loss(Tensor([[1.0]]), np.array([[1.0]]), np.zeros((1, 1)))
+            td_loss(Tensor([[1.0]]), np.array([[1.0]]), np.array([0]))
 
 
 class TestTrainStep:
@@ -351,7 +366,7 @@ def test_one_step_terminated_episodes_have_no_step_from_one(monkeypatch):
 
 def reference_train_step(learner, buffer):
     """Learner.train_step as the full-unroll formula: every row at every step
-    of both unrolls, and double-Q targets at every transition."""
+    of both unrolls, and targets by the written-out bootstrap rule."""
     cfg = learner.config
     episodes = buffer.sample(cfg.batch_size, stream(learner.seed, "sample", learner.train_steps))
     batch = pad_batch(episodes)
@@ -366,8 +381,8 @@ def reference_train_step(learner, buffer):
             Tensor(batch["states"][:, t]))
         for t in range(t_max)])
 
-    targets = double_q_targets(batch, online_q[1:], target_q, learner.target.mixer, cfg.gamma)
-    loss = td_loss(q_tot, targets, batch["mask"])
+    targets = per_step_targets(batch, online_q[1:], target_q, learner.target.mixer, cfg.gamma)
+    loss = td_loss(q_tot, targets, batch["lengths"])
     loss.backward()
     clip_grad_norm(learner.team.parameters(), cfg.grad_clip)
     learner.opt_main.step()
@@ -688,16 +703,21 @@ def per_step_joint_values(team, online_q, batch):
 
 
 def per_step_targets(batch, online_q, target_q, mixer, gamma):
-    """double_q_targets as one mix_values call per step."""
+    """double_q_targets as one mix_values call per step, with the bootstrap
+    rule written out: transition t of an episode of length L bootstraps iff
+    t + 1 < L, or t + 1 == L and the episode was truncated."""
     bsz, _, n = batch["actions"].shape
     y = batch["rewards"].copy()
     for t, (online, target) in enumerate(zip(online_q, target_q, strict=True)):
+        bootstrap = np.array([t + 1 < length or (t + 1 == length and not terminated)
+                              for length, terminated in zip(batch["lengths"],
+                                                            batch["terminated"])])
         masked = np.where(batch["avail"][:, t + 1], online.data.reshape(bsz, n, -1), -np.inf)
         best = masked.argmax(axis=-1)
         chosen = np.take_along_axis(target.data.reshape(bsz, n, -1), best[..., None],
                                     axis=-1)[..., 0]
         joint = mix_values(mixer, chosen, batch["states"][:, t + 1])
-        y[:, t] = batch["rewards"][:, t] + gamma * (1.0 - batch["terminated"][:, t]) * joint
+        y[:, t] = batch["rewards"][:, t] + gamma * bootstrap * joint
     return y
 
 
@@ -719,7 +739,7 @@ def test_one_pass_mixing_is_the_per_step_loop_bit_for_bit(mixer, dtype, lengths,
         online_qs.append(unroll_team(team, batch, ctx=TrainContext(7, 0)))
         q_tot = mix(team, online_qs[-1], batch)
         assert q_tot.shape == (len(lengths), t_max) and q_tot.data.dtype == dtype
-        losses.append(td_loss(q_tot, batch["rewards"], batch["mask"]))
+        losses.append(td_loss(q_tot, batch["rewards"], batch["lengths"]))
         losses[-1].backward()
     assert losses[0].data.tobytes() == losses[1].data.tobytes()
     for a, b in zip(*(team.parameters() for team in teams)):
@@ -745,3 +765,48 @@ def test_a_train_step_mixes_once_online_and_once_on_the_target(monkeypatch, mixe
     monkeypatch.setattr(kind, "forward", counting)
     learner.train_step(buf)
     assert calls == [learner.team.mixer, learner.target.mixer]
+
+
+# lengths 1 to 5, terminated and truncated, the longest episode of each kind
+ORACLE_EPISODES = [(3, True), (5, False), (1, True), (4, False), (2, True), (1, False), (5, True)]
+
+
+def values_alone(team, ep):
+    """The local Q values of steps 0..L of one episode unrolled alone: its n
+    rows only, no padding, no dropout."""
+    with no_grad():
+        return [q.data for q in per_step_unroll(team, pad_batch([ep]))]
+
+
+@pytest.mark.parametrize("mixer", ["vdn", "qmix"])
+@pytest.mark.parametrize("comm", [False, True])
+# the train step's unroll, and the no-skip one, whose rows past a horizon are
+# real values: a VDN target that bootstraps past a terminal step then shows
+@pytest.mark.parametrize("unroll", [unroll_team, per_step_unroll])
+def test_targets_and_loss_are_those_of_each_episode_unrolled_alone(unroll, mixer, comm):
+    gen = np.random.default_rng(31)
+    episodes = [episode_of(gen, t, term) for t, term in ORACLE_EPISODES]
+    assert not all(ep.avail.all() for ep in episodes)   # some actions are unavailable
+    online, target, gamma = warm_team(31, comm, mixer), warm_team(32, comm, mixer), 0.9
+    batch = pad_batch(episodes)
+    with no_grad():
+        online_q = unroll(online, batch)
+        y = double_q_targets(batch, online_q[1:], unroll(target, batch, first=1),
+                             target.mixer, gamma)
+        loss = td_loss(taken_joint_values(online, online_q, batch), y, batch["lengths"]).item()
+
+    errors = []
+    for b, ep in enumerate(episodes):
+        q_online, q_target = values_alone(online, ep), values_alone(target, ep)
+        agents = np.arange(ep.actions.shape[1])
+        for t in range(ep.length):
+            best = np.where(ep.avail[t + 1], q_online[t + 1], -np.inf).argmax(axis=-1)
+            joint = mix_values(target.mixer, q_target[t + 1][agents, best][None],
+                               ep.states[t + 1][None])[0]
+            want = ep.rewards[t] + gamma * (t < ep.length - 1 or not ep.terminated) * joint
+            assert abs(y[b, t] - want) <= 1e-12 * max(1.0, abs(want)), (b, t)
+            taken = mix_values(online.mixer, q_online[t][agents, ep.actions[t]][None],
+                               ep.states[t][None])[0]
+            errors.append(taken - want)
+    want_loss = float(np.mean(np.square(errors)))
+    assert abs(loss - want_loss) <= 1e-12 * want_loss
