@@ -11,12 +11,14 @@ closure `backward(g)` that `_accum`s the gradient of each parent from the
 output gradient g, and return `_result(data, parents, backward)`.  `_result`
 keeps the closure and the parents only when grad is enabled and some parent
 requires grad; otherwise the result is a leaf.  A closure computes a
-parent's gradient only when that parent requires grad.
+parent's gradient only when that parent requires grad.  An op that is a
+composition of other ops has no closure of its own: sub is add and scale,
+square and dropout are mul, and concat_cols is transpose and concat_rows.
 
 Ops write in place only into arrays they have just made (backward, which
 runs once, may reuse what its op saved), keeping every float operation and
-its order.  `_accum` copies a gradient that is a view or shared (add, sub,
-tsum, concat_cols and reshape pass g on); `_accum_new` keeps a fresh one.
+its order.  `_accum` copies a gradient that is a view or shared (add, tsum,
+concat_rows and reshape pass g on); `_accum_new` keeps a fresh one.
 
 backward() frees the graph as it goes: once a node's closure has run, the
 node drops its gradient, its closure (and with it the arrays the op saved)
@@ -308,16 +310,8 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def sub(a: Tensor, b) -> Tensor:
-    a, b = _const(a), _const(b)
-    _check_same_shape(a, b, "sub")
-    data = a.data - b.data
-
-    def backward(g):
-        _accum(a, g)
-        if b.requires_grad:   # such as the TD targets
-            _accum_new(b, -g)
-
-    return _result(data, (a, b), backward)
+    """a + (-1.0 * b): exactly a - b, with gradients g and -g."""
+    return add(a, scale(_const(b), -1.0))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -392,28 +386,13 @@ def absolute(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    data = a.data * a.data
-
-    def backward(g):
-        _accum_new(a, 2.0 * g * a.data)
-
-    return _result(data, (a,), backward)
+    """a * a, whose gradient g * a + g * a is (2 g) * a outside the subnormals."""
+    return mul(a, a)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    rows = parts[0].rows
-    for p in parts:
-        if p.rows != rows:
-            raise ShapeError("concat_cols: row counts differ")
-    data = np.concatenate([p.data for p in parts], axis=1)
-
-    def backward(g):
-        j = 0
-        for p in parts:
-            _accum(p, g[:, j : j + p.cols])
-            j += p.cols
-
-    return _result(data, tuple(parts), backward)
+    """The parts' columns, one part after another."""
+    return transpose(concat_rows([transpose(p) for p in parts]))
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -562,12 +541,7 @@ def dropout(a: Tensor, keep: np.ndarray) -> Tensor:
     1/(1 - rate) for a survivor (see layers.dropout_mask)."""
     if keep.shape != a.shape:
         raise ShapeError(f"dropout: mask shape {keep.shape} != input {a.shape}")
-    data = a.data * keep
-
-    def backward(g):
-        _accum_new(a, g * keep)
-
-    return _result(data, (a,), backward)
+    return mul(a, Tensor(keep))
 
 
 def _accum_blocks(t: Tensor, blocks: np.ndarray):

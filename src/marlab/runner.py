@@ -55,8 +55,8 @@ from typing import Optional
 import numpy as np
 
 from .agents import TeamModel, build_inputs, make_team
-from .config import (RunConfig, differing_keys, read_json, run_config_to_dict,
-                     save_run_config)
+from .config import (RunConfig, check_seed, differing_keys, read_json,
+                     run_config_to_dict, save_run_config)
 from .envs import Env, make_env
 from .errors import CheckpointError, ConfigError, ContractError, MarlabError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
@@ -245,18 +245,10 @@ class SeedRun:
         state_dir = _settled_state_dir(self.out_dir)
         if (state_dir / "config.json").exists():   # absent in older snapshots
             _refuse_changed_config(state_dir, state_dir / "config.json", self.config)
-        path = state_dir / "progress.json"
-        try:
-            progress = read_json(path)
-        except ConfigError as exc:
-            raise CheckpointError(str(exc)) from exc
-        try:   # older snapshots also hold a next_test, which the rows now give
-            self.env_step = progress["env_step"]
-            self.episode_idx = progress["episode_idx"]
-            self.learner.resume_at(progress["train_steps"])
-            last_loss, self.rows = progress["last_loss"], progress["rows"]
-        except KeyError as exc:
-            raise CheckpointError(f"{path}: missing {exc}") from exc
+        progress = _read_progress(state_dir / "progress.json")
+        self.env_step, self.episode_idx = progress["env_step"], progress["episode_idx"]
+        self.learner.resume_at(progress["train_steps"])
+        last_loss, self.rows = progress["last_loss"], progress["rows"]
         load_checkpoint(state_dir / "params.bin", self.team.parameters())
         load_checkpoint(state_dir / "target.bin", self.learner.target.parameters())
         load_records(state_dir / "optimizer.bin", self.learner.state_arrays().items())
@@ -293,6 +285,38 @@ def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False) 
                     extra={"seed": seed, "env_step": run.env_step})
     run.save_state()
     return rows
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _read_progress(path: Path) -> dict:
+    """A snapshot's progress.json: the counters env_step, episode_idx and
+    train_steps, integers >= 0; last_loss, a number or null; and rows, objects
+    holding a number in every CSV field.  Other keys, such as older snapshots'
+    next_test, are ignored.  Anything else is a CheckpointError naming the
+    file and the field."""
+    try:
+        progress = read_json(path)
+        if not isinstance(progress, dict):
+            raise ConfigError(f"{path}: expected an object, got {type(progress).__name__}")
+        for key in ("env_step", "episode_idx", "train_steps", "last_loss", "rows"):
+            if key not in progress:
+                raise ConfigError(f"{path}: missing {key!r}")
+        for key in ("env_step", "episode_idx", "train_steps"):
+            check_seed(f"{path}: {key}", progress[key])
+        loss, rows = progress["last_loss"], progress["rows"]
+        if loss is not None and not _is_number(loss):
+            raise ConfigError(f"{path}: last_loss: expected a number or null, got {loss!r}")
+        if not isinstance(rows, list) or not all(
+                isinstance(row, dict) and all(_is_number(row.get(k)) for k in CSV_FIELDS)
+                for row in rows):
+            raise ConfigError(f"{path}: rows: expected a list of objects holding a number "
+                              f"in each of {', '.join(CSV_FIELDS)}")
+    except ConfigError as exc:   # read_json's and check_seed's too
+        raise CheckpointError(str(exc)) from exc
+    return progress
 
 
 def _settled_state_dir(out_dir: Path) -> Path:

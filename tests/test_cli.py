@@ -185,6 +185,19 @@ class TestTrainCommand:
         assert_one_line_error(capsys, str(path), repr(key))
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    def test_resume_from_progress_with_a_mistyped_counter_is_a_one_line_error(self, tmp_path,
+                                                                              capsys):
+        # a TypeError traceback
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "run" / "seed_1" / "state" / "progress.json"
+        progress = json.loads(path.read_text())
+        progress["train_steps"] = "5"
+        path.write_text(json.dumps(progress))
+        assert main(["train", "--config", str(cfg), "--resume"]) == 2
+        assert_one_line_error(capsys, str(path), "train_steps")
+
     @pytest.mark.parametrize("damage", ["missing key", "count past the rows",
                                         "an episode without steps"])
     def test_resume_from_a_buffer_with_bad_arrays_is_a_one_line_error(self, tmp_path, capsys,

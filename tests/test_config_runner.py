@@ -601,6 +601,39 @@ class TestSnapshot:
             assert loaded.learner.opt_comm.step_count == steps
 
 
+# each damage to a snapshot's progress.json, and the field its error names
+PROGRESS_DAMAGE = {
+    "a list": ("object", lambda p: [p]),
+    "train_steps a string": ("train_steps", lambda p: {**p, "train_steps": "5"}),
+    "train_steps negative": ("train_steps", lambda p: {**p, "train_steps": -1}),
+    "train_steps a bool": ("train_steps", lambda p: {**p, "train_steps": True}),
+    "env_step null": ("env_step", lambda p: {**p, "env_step": None}),
+    "episode_idx a float": ("episode_idx", lambda p: {**p, "episode_idx": 2.5}),
+    "last_loss a string": ("last_loss", lambda p: {**p, "last_loss": "x"}),
+    "rows a number": ("rows", lambda p: {**p, "rows": 3}),
+    "rows of numbers": ("rows", lambda p: {**p, "rows": [1, 2]}),
+    "a row without loss": ("rows", lambda p: {**p, "rows": [
+        {k: v for k, v in row.items() if k != "loss"} for row in p["rows"]]}),
+    "a row with a string loss": ("rows", lambda p: {**p, "rows": [
+        {**row, "loss": "x"} for row in p["rows"]]}),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(PROGRESS_DAMAGE))
+def test_a_damaged_progress_file_is_a_one_line_checkpoint_error(tmp_path, damage):
+    # unchecked, these were a TypeError or KeyError traceback, a ContractError
+    # on stream keys, or a value taken as it stood into metrics.csv
+    field, edit = PROGRESS_DAMAGE[damage]
+    train_one_seed(toy_config(total_env_steps=40), seed=5, out_dir=tmp_path)
+    path = tmp_path / "state" / "progress.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(CheckpointError) as info:
+        train_one_seed(toy_config(), seed=5, out_dir=tmp_path, resume=True)
+    message = str(info.value)
+    assert len(message.splitlines()) == 1
+    assert str(path) in message and field in message
+
+
 class _Crash(Exception):
     pass
 

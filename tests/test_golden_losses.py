@@ -2,10 +2,12 @@
 
 tests/data/golden_losses.json holds repr() of the first 30 losses of a
 cue_passing run with VDN and communication, and of one with QMIX and no
-communication.  cue_passing's episodes all have one length, so a third entry
-holds 30 train-step losses of a float32 QMIX learner with communication on a
-buffer of synthetic episodes of lengths 1-6, half of them truncated: its
-batches have padded rows and rows past their horizon.  A change meant to be
+communication.  cue_passing's episodes all have one length, so two more
+entries hold 30 train-step losses of a float32 QMIX learner with
+communication on a buffer of synthetic episodes of lengths 1-6, half of them
+truncated: its batches have padded rows and rows past their horizon.  The
+second of them is wider (hidden 32, batch 16), a width at which dropping a
+row from the unroll moves the bits of the rows that stay.  A change meant to be
 bit-exact (a faster op, a skipped computation) must leave every one of them
 unchanged.  Only a change that is meant to alter training may rewrite the
 file:
@@ -60,10 +62,11 @@ def first_losses(name: str, tmp_dir) -> list[str]:
     return losses
 
 
-PADDED = "qmix_comm_padded"
+# the padded entries' hidden width and batch size
+PADDED = {"qmix_comm_padded": (16, BATCH), "qmix_comm_padded_wide": (32, 16)}
 
 
-def padded_losses() -> list[str]:
+def padded_losses(hidden: int, batch: int) -> list[str]:
     n, obs_dim, n_actions, state_dim, episodes = 3, 4, 3, 5, 32
     gen = np.random.default_rng(25)
     buffer = ReplayBuffer(episodes)
@@ -76,10 +79,10 @@ def padded_losses() -> list[str]:
             actions=gen.integers(0, n_actions, size=(length, n)),
             rewards=gen.standard_normal(length), terminated=i % 2 == 0))
     comm = CommSettings(enabled=True, num_layers=1, ffn_dim=16, heads=2, dropout=0.1)
-    team = make_team(obs_dim, n_actions, n, state_dim, 16, "qmix", comm, seed=3,
+    team = make_team(obs_dim, n_actions, n, state_dim, hidden, "qmix", comm, seed=3,
                      dtype=np.float32)
-    learner = Learner(team, TrainConfig(batch_size=BATCH, buffer_capacity=episodes,
-                                        hidden_dim=16, target_update_interval=10), seed=3)
+    learner = Learner(team, TrainConfig(batch_size=batch, buffer_capacity=episodes,
+                                        hidden_dim=hidden, target_update_interval=10), seed=3)
     return [repr(learner.train_step(buffer)["loss"]) for _ in range(STEPS)]
 
 
@@ -90,10 +93,11 @@ def test_first_losses_match_golden(name, tmp_path):
     assert first_losses(name, tmp_path) == golden
 
 
-def test_padded_batch_losses_match_golden():
-    golden = json.loads(GOLDEN.read_text())[PADDED]
+@pytest.mark.parametrize("name", sorted(PADDED))
+def test_padded_batch_losses_match_golden(name):
+    golden = json.loads(GOLDEN.read_text())[name]
     assert len(golden) == STEPS
-    assert padded_losses() == golden
+    assert padded_losses(*PADDED[name]) == golden
 
 
 if __name__ == "__main__":
@@ -101,7 +105,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         record = {name: first_losses(name, Path(tmp) / name) for name in RUNS}
-    record[PADDED] = padded_losses()
+    record.update({name: padded_losses(*PADDED[name]) for name in PADDED})
     record = dict(sorted(record.items()))
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

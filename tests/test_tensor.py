@@ -509,21 +509,25 @@ def ref_attention(g, q, k, v, heads, sets, mask):
 
 def assert_matches_reference(op, ref, shapes, dtype, seed, needs_grad=None, zero=(), **kw):
     """Run op on leaves of the given shapes (those in `zero` all zero) and
-    compare its value and every gradient with ref's, bit for bit."""
+    compare its value and every gradient with ref's, bit for bit, a zero's
+    sign included.  The first four entries of each operand are 0.0 and -0.0,
+    in every pairing of the first two operands' signs."""
     gen = np.random.default_rng(seed)
     arrays = [np.zeros(s, dtype) if i in zero else gen.standard_normal(s).astype(dtype)
               for i, s in enumerate(shapes)]
+    for i, a in enumerate(arrays):
+        a.flat[:4] = [-0.0 if (j >> i) & 1 else 0.0 for j in range(4)]
     needs_grad = needs_grad or [True] * len(shapes)
     leaves = [Parameter(a, name=f"leaf{i}") if need else Tensor(a)
               for i, (a, need) in enumerate(zip(arrays, needs_grad))]
     out = op(*leaves, **kw)
     g = gen.standard_normal(out.shape).astype(dtype)
     data, grads = ref(g, *arrays, **kw)
-    assert out.data.dtype == dtype and np.array_equal(out.data, data)
+    assert out.data.dtype == dtype and same_bits(out.data, data)
     T.tsum(T.mul(out, Tensor(g))).backward()
     for leaf, need, expected in zip(leaves, needs_grad, grads):
         if need:
-            assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, expected), leaf.name
+            assert leaf.grad.dtype == dtype and same_bits(leaf.grad, expected), leaf.name
         else:
             assert leaf.grad is None
 
@@ -569,6 +573,40 @@ def test_set_attention_is_bit_identical_to_its_out_of_place_form(dtype, n, sets,
     mask = (np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool)) if masked else None
     assert_matches_reference(T.set_attention, ref_attention, [(sets * n, 64)] * 3, dtype,
                              n * sets, heads=4, sets=sets, mask=mask)
+
+
+# The closed forms of the ops that are compositions of other ops.
+
+def ref_sub(g, a, b):
+    return a - b, [g, -g]
+
+
+def ref_square(g, a):
+    return a * a, [2.0 * g * a]
+
+
+def ref_dropout(g, a, keep):
+    return a * keep, [g * keep]
+
+
+def ref_concat_cols(g, *parts):
+    ends = np.cumsum([p.shape[1] for p in parts])
+    return np.concatenate(parts, axis=1), np.split(g, ends[:-1], axis=1)
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("rows", KERNEL_ROWS)
+@pytest.mark.parametrize("op", ["sub", "square", "dropout", "concat_cols"])
+def test_a_composed_op_is_bit_identical_to_its_closed_form(dtype, rows, op):
+    keep = dropout_mask((rows, 64), 0.5, np.random.default_rng(rows)).astype(dtype)
+    op, ref, shapes, kw = {
+        "sub": (T.sub, ref_sub, [(rows, 64)] * 2, {}),
+        "square": (T.square, ref_square, [(rows, 64)], {}),
+        "dropout": (T.dropout, ref_dropout, [(rows, 64)], {"keep": keep}),
+        "concat_cols": (lambda *parts: T.concat_cols(parts), ref_concat_cols,
+                        [(rows, 25), (rows, 64), (rows, 1)], {}),
+    }[op]
+    assert_matches_reference(op, ref, shapes, dtype, rows, **kw)
 
 
 def ref_elu(g, x):
