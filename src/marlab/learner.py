@@ -35,9 +35,13 @@ backward, is formed per block of one step's rows, and each mixer weight's
 gradient adds the steps' parts in step order, so values, gradients and
 parameters are bit for bit those of one mixer call per step.
 
-A train step's peak memory is its forward graph: backward() frees each
-node's gradient and saved arrays once it has used them, and every dropout
-layer applies one mask, drawn once per train step, at all time steps.
+A train step's peak memory is its forward graph, and that graph holds only
+what backward reads: each op's node keeps the arrays its own gradient
+needs (see nn.tensor), so a value no backward reads, such as a dropout
+product, a residual sum or a ReLU pre-activation, is freed once the
+forward drops it.  backward() frees each node's gradient and saved arrays
+once it has used them, and every dropout layer applies one mask, drawn
+once per train step, at all time steps.
 
 A train step computes in the dtype of the team's parameters: float32 for
 the teams a run builds (runner.build_team_for_env), float64 for the models

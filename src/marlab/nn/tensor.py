@@ -1,31 +1,43 @@
 """Reverse-mode automatic differentiation over 2-D float32 or float64 arrays.
 
-A Tensor wraps a numpy matrix and remembers how it was produced; calling
-backward() on a scalar result accumulates exact gradients into every
-reachable tensor with requires_grad set.  Only the operations the Q-learning
-architecture needs are provided.  Operands are 2-D, a vector being a 1 x d
-row, and add, sub and mul take operands of equal shape.
+A Tensor wraps a numpy matrix, its `data`; calling backward() on a scalar
+result accumulates exact gradients into every reachable tensor with
+requires_grad set.  Only the operations the Q-learning architecture needs
+are provided.  Operands are 2-D, a vector being a 1 x d row, and add, sub
+and mul take operands of equal shape.
 
-Every op follows one protocol: compute the result array `data`, define a
-closure `backward(g)` that `_accum`s the gradient of each parent from the
-output gradient g, and return `_result(data, parents, backward)`.  `_result`
-keeps the closure and the parents only when grad is enabled and some parent
-requires grad; otherwise the result is a leaf.  A closure computes a
-parent's gradient only when that parent requires grad.  An op that is a
-composition of other ops has no closure of its own: sub is add and scale,
-square and dropout are mul, and concat_cols is transpose and concat_rows.
+The graph is made of nodes, not of tensors.  A tensor that requires grad
+points to its node (_node), which holds its gradient, the closure that
+passes that gradient on to its parents (None for a leaf) and the parents'
+nodes; a tensor that needs no grad has none.  Every op follows one
+protocol: compute the result array `data`, define a closure `backward(g)`
+that `_accum`s the gradient of each parent from the output gradient g, and
+return `_result(data, parents, backward)`.  `_result` records a node only
+when grad is enabled and some parent requires grad; otherwise the result
+needs no grad.  A closure holds its parents' nodes and exactly the arrays
+its backward reads: affine its input and weight, mul the other operand (so
+dropout keeps its mask), relu its own output (x > 0 exactly where
+relu(x) > 0), tsum, take_rows and gather_cols a shape, and add, scale,
+concat_rows, put_rows, reshape and transpose none.  A value no backward
+reads is then freed as soon as the forward drops its tensor.  A closure
+computes a parent's gradient only when that parent has a node.  An op that
+is a composition of other ops has no closure of its own: sub is add and
+scale, square and dropout are mul, and concat_cols is transpose and
+concat_rows.
 
 Ops write in place only into arrays they have just made (backward, which
 runs once, may reuse what its op saved), keeping every float operation and
-its order.  `_accum` copies a gradient that is a view or shared (add, tsum,
-concat_rows and reshape pass g on); `_accum_new` keeps a fresh one.
+its order.  `_accum` takes a tensor or a node and copies a gradient that is
+a view or shared (add, tsum, concat_rows and reshape pass g on);
+`_accum_new` takes a node and keeps a fresh gradient.
 
 backward() frees the graph as it goes: once a node's closure has run, the
 node drops its gradient, its closure (and with it the arrays the op saved)
-and its parents, so a train step's peak memory is its forward graph, not
-the graph plus every intermediate gradient.  Leaves keep their gradients:
-Parameters and requires_grad tensors built by the caller.  A second
-backward() through a freed node raises ContractError.
+and its parents, so a train step's peak memory is the arrays its backward
+reads, not every value the forward computed, nor those plus every
+intermediate gradient.  Leaves keep their gradients: Parameters and
+requires_grad tensors built by the caller, whose `grad` is their node's.
+A second backward() through a freed node raises ContractError.
 
 A Tensor keeps a float32 array as float32 and stores anything else as
 float64 (DTYPE).  A graph has one dtype, its parameters': training runs in
@@ -162,15 +174,40 @@ def _as_matrix(data) -> np.ndarray:
     return arr
 
 
+class _Node:
+    """One tensor's place in the graph: its gradient, the closure that passes
+    it on to the parents (None for a leaf) and the parents' nodes."""
+
+    __slots__ = ("grad", "_backward", "_parents", "__weakref__")
+
+    def __init__(self, backward: Optional[Callable[[np.ndarray], None]] = None,
+                 parents: tuple = ()):
+        self.grad: Optional[np.ndarray] = None
+        self._backward = backward
+        self._parents = parents
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_matrix(data)
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._node: Optional[_Node] = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ContractError("a tensor that needs no grad holds no gradient")
 
     @property
     def rows(self) -> int:
@@ -194,9 +231,12 @@ class Tensor:
         freeing every other node of the graph once its closure has run."""
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a 1x1 tensor, got {self.shape}")
-        topo: list[Tensor] = []
+        root = self._node
+        if root is None:   # no graph to pass a gradient through
+            return
+        topo: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -211,7 +251,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if node._backward is None:   # a leaf keeps its gradient
@@ -250,24 +290,29 @@ def _const(value) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    """The op's result; a ContractError if its dtype is not every parent's."""
-    dtype, needs = data.dtype, False
+    """The op's result, with a node recording backward and the parents' nodes
+    when grad is enabled and some parent has a node; a ContractError if its
+    dtype is not every parent's."""
+    dtype = data.dtype
     for p in parents:
         if p.data.dtype != dtype:
             raise ContractError(f"an op mixes {p.data.dtype} and {dtype}: a graph has one dtype")
-        needs = needs or p.requires_grad
-    needs = needs and _GRAD_ENABLED
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out.requires_grad = needs
-    out._parents = tuple(parents) if needs else ()
-    out._backward = backward if needs else None
+    out._node = None
+    if _GRAD_ENABLED:
+        nodes = tuple(p._node for p in parents if p._node is not None)
+        if nodes:
+            out._node = _Node(backward, nodes)
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
+def _accum(t, g: np.ndarray):
+    """Add g to the gradient of t, a Tensor or a node; None, or a tensor that
+    needs no grad, takes none."""
+    if isinstance(t, Tensor):
+        t = t._node
+    if t is None:
         return
     if t.grad is None:
         # Own the buffer: g may be a view of another tensor's gradient.
@@ -276,9 +321,10 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
-def _accum_new(t: Tensor, g: np.ndarray):
-    """_accum of an array the op has just made and keeps no other reference to."""
-    if t.requires_grad:
+def _accum_new(t: Optional[_Node], g: np.ndarray):
+    """_accum into a node (or None) of an array the op has just made and keeps
+    no other reference to."""
+    if t is not None:
         if t.grad is None:
             t.grad = g
         else:
@@ -301,10 +347,11 @@ def add(a: Tensor, b) -> Tensor:
     a, b = _const(a), _const(b)
     _check_same_shape(a, b, "add")
     data = a.data + b.data
+    na, nb = a._node, b._node
 
     def backward(g):
-        _accum(a, g)
-        _accum(b, g)
+        _accum(na, g)
+        _accum(nb, g)
 
     return _result(data, (a, b), backward)
 
@@ -318,12 +365,16 @@ def mul(a: Tensor, b) -> Tensor:
     a, b = _const(a), _const(b)
     _check_same_shape(a, b, "mul")
     data = a.data * b.data
+    na, nb = a._node, b._node
+    # each operand's gradient reads the other: keep only what one will read
+    ad = None if nb is None else a.data
+    bd = None if na is None else b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accum_new(a, g * b.data)
-        if b.requires_grad:   # such as the TD mask
-            _accum_new(b, g * a.data)
+        if na is not None:
+            _accum_new(na, g * bd)
+        if nb is not None:   # such as the TD mask
+            _accum_new(nb, g * ad)
 
     return _result(data, (a, b), backward)
 
@@ -331,9 +382,10 @@ def mul(a: Tensor, b) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     data = a.data * c
+    na = a._node
 
     def backward(g):
-        _accum_new(a, g * c)
+        _accum_new(na, g * c)
 
     return _result(data, (a,), backward)
 
@@ -343,18 +395,20 @@ def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
         data = a.data.sum().reshape(1, 1)
     else:
         data = a.data.sum(axis=axis, keepdims=True)
+    na, shape = a._node, a.shape
 
     def backward(g):
-        _accum(a, np.broadcast_to(g, a.shape))
+        _accum(na, np.broadcast_to(g, shape))
 
     return _result(data, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
+    na = a._node
 
-    def backward(g):
-        _accum_new(a, g * (a.data > 0))
+    def backward(g):   # x > 0 exactly where max(x, 0) > 0, NaN included
+        _accum_new(na, g * (data > 0))
 
     return _result(data, (a,), backward)
 
@@ -368,19 +422,22 @@ def elu(a: Tensor) -> Tensor:
     np.expm1(e, out=e)
     data = np.maximum(0, a.data)
     np.add(e, data, out=data)
+    na = a._node
 
     def backward(g):
         slope = np.add(e, 1.0, out=e)
-        _accum_new(a, np.multiply(g, slope, out=slope))
+        _accum_new(na, np.multiply(g, slope, out=slope))
 
     return _result(data, (a,), backward)
 
 
 def absolute(a: Tensor) -> Tensor:
-    data = np.abs(a.data)
+    ad = a.data
+    data = np.abs(ad)
+    na = a._node
 
     def backward(g):
-        _accum_new(a, g * np.sign(a.data))
+        _accum_new(na, g * np.sign(ad))
 
     return _result(data, (a,), backward)
 
@@ -402,12 +459,13 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         if p.cols != cols:
             raise ShapeError("concat_rows: column counts differ")
     data = np.concatenate([p.data for p in parts])
+    nodes = [(p._node, p.rows) for p in parts]
 
     def backward(g):
         i = 0
-        for p in parts:
-            _accum(p, g[i : i + p.rows])
-            i += p.rows
+        for node, rows in nodes:
+            _accum(node, g[i : i + rows])
+            i += rows
 
     return _result(data, tuple(parts), backward)
 
@@ -415,9 +473,10 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     """a^T, laid out row by row, as is its gradient."""
     data = a.data.T.copy()
+    na = a._node
 
     def backward(g):
-        _accum_new(a, g.T.copy())
+        _accum_new(na, g.T.copy())
 
     return _result(data, (a,), backward)
 
@@ -429,12 +488,13 @@ def gather_cols(a: Tensor, index: np.ndarray) -> Tensor:
         raise ShapeError(f"gather_cols: index shape {index.shape} != ({a.rows},)")
     rows = np.arange(a.rows)
     data = a.data[rows, index].reshape(-1, 1)
+    na, shape, dtype = a._node, a.shape, a.data.dtype
 
     def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, (rows, index), g[:, 0])
+        if na is not None:
+            if na.grad is None:
+                na.grad = np.zeros(shape, dtype)
+            np.add.at(na.grad, (rows, index), g[:, 0])
 
     return _result(data, (a,), backward)
 
@@ -446,11 +506,12 @@ def take_rows(a: Tensor, keep: np.ndarray) -> Tensor:
         raise ShapeError(f"take_rows: need a boolean mask of shape ({a.rows},), "
                          f"got {keep.dtype} {keep.shape}")
     data = a.data[keep]
+    na, shape, dtype = a._node, a.shape, a.data.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[keep] = g
-        _accum_new(a, full)
+        _accum_new(na, full)
 
     return _result(data, (a,), backward)
 
@@ -464,9 +525,10 @@ def put_rows(a: Tensor, keep: np.ndarray) -> Tensor:
                          f"got {keep.dtype} {keep.shape}")
     data = np.zeros((keep.size, a.cols), a.data.dtype)
     data[keep] = a.data
+    na = a._node
 
     def backward(g):
-        _accum_new(a, g[keep])
+        _accum_new(na, g[keep])
 
     return _result(data, (a,), backward)
 
@@ -501,9 +563,10 @@ def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         if mask.shape != a.shape:
             raise ShapeError(f"softmax mask shape {mask.shape} != input {a.shape}")
     data, grad = _masked_softmax(a.data, mask, "softmax row")
+    na = a._node
 
     def backward(g):
-        _accum_new(a, grad(g))
+        _accum_new(na, grad(g))
 
     return _result(data, (a,), backward)
 
@@ -522,16 +585,17 @@ def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(scratch.sum(axis=1, keepdims=True) / d + 1e-5)
     xhat *= inv
     data = _fold(np.add, np.multiply(xhat, gd, out=scratch), beta.data)
+    na, ngamma, nbeta = a._node, gamma._node, beta._node
 
     def backward(g):
-        _accum_new(beta, g.sum(axis=0, keepdims=True))
+        _accum_new(nbeta, g.sum(axis=0, keepdims=True))
         prod = g * xhat
-        _accum_new(gamma, prod.sum(axis=0, keepdims=True))
+        _accum_new(ngamma, prod.sum(axis=0, keepdims=True))
         dxhat = g * gd
         row_mean = dxhat.sum(axis=1, keepdims=True) / d
         proj = np.multiply(dxhat, xhat, out=prod).sum(axis=1, keepdims=True) / d
         dxhat = _fold(np.subtract, dxhat, row_mean, np.multiply(xhat, proj, out=prod))
-        _accum_new(a, _fold(np.multiply, dxhat, inv))
+        _accum_new(na, _fold(np.multiply, dxhat, inv))
 
     return _result(data, (a, gamma, beta), backward)
 
@@ -544,7 +608,7 @@ def dropout(a: Tensor, keep: np.ndarray) -> Tensor:
     return mul(a, Tensor(keep))
 
 
-def _accum_blocks(t: Tensor, blocks: np.ndarray):
+def _accum_blocks(t: _Node, blocks: np.ndarray):
     """_accum_new of each block of a 3-D array in turn, in ascending order."""
     for block in blocks:
         _accum_new(t, block.copy() if t.grad is None else block)
@@ -555,23 +619,25 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Inside per_block both directions run per block (see per_block)."""
     if x.cols != w.cols:
         raise ShapeError(f"affine: input {x.shape} does not match weight {w.shape}")
-    data = _fold(np.add, _times_t(x.data, w.data), b.data)
+    xd, wd = x.data, w.data
+    data = _fold(np.add, _times_t(xd, wd), b.data)
     n = _BLOCK_ROWS   # the forward's blocks: backward runs after per_block has exited
+    nx, nw, nb = x._node, w._node, b._node
 
     def backward(g):
-        if n is None or x.rows == n:
-            if x.requires_grad:   # inputs such as observations need no g @ W
-                _accum_new(x, g @ w.data)
-            _accum_new(w, g.T @ x.data)
-            _accum_new(b, g.sum(axis=0, keepdims=True))
+        if n is None or len(xd) == n:
+            if nx is not None:   # inputs such as observations need no g @ W
+                _accum_new(nx, g @ wd)
+            _accum_new(nw, g.T @ xd)
+            _accum_new(nb, g.sum(axis=0, keepdims=True))
             return
         g3 = g.reshape(-1, n, g.shape[1])
-        if x.requires_grad:
-            _accum_new(x, (g3 @ w.data).reshape(x.shape))
-        if w.requires_grad:
-            _accum_blocks(w, g3.transpose(0, 2, 1) @ x.data.reshape(len(g3), n, -1))
-        if b.requires_grad:
-            _accum_blocks(b, g3.sum(axis=1, keepdims=True))
+        if nx is not None:
+            _accum_new(nx, (g3 @ wd).reshape(xd.shape))
+        if nw is not None:
+            _accum_blocks(nw, g3.transpose(0, 2, 1) @ xd.reshape(len(g3), n, -1))
+        if nb is not None:
+            _accum_blocks(nb, g3.sum(axis=1, keepdims=True))
 
     return _result(data, (x, w, b), backward)
 
@@ -609,18 +675,23 @@ def gru_cell(x: Tensor, h: Tensor,
         raise ShapeError(f"gru_cell: input {x.shape} and state {h.shape} do not match "
                          f"weights {wxz.shape} and {whz.shape}")
     xd, hd = x.data, h.data
+    wxzd, whzd, wxrd, whrd, wxcd, whcd = (w.data for w in (wxz, whz, wxr, whr, wxc, whc))
     zero = not h.requires_grad and not hd.any()
-    z = _times_t(xd, wxz.data)
-    c = _times_t(xd, wxc.data)
+    z = _times_t(xd, wxzd)
+    c = _times_t(xd, wxcd)
     if not zero:
-        z += _times_t(hd, whz.data)
-        r = _sigmoid_(_fold(np.add, _times_t(xd, wxr.data), _times_t(hd, whr.data), br.data))
-        u = _times_t(hd, whc.data)
+        z += _times_t(hd, whzd)
+        r = _sigmoid_(_fold(np.add, _times_t(xd, wxrd), _times_t(hd, whrd), br.data))
+        u = _times_t(hd, whcd)
         c += r * u
     _sigmoid_(_fold(np.add, z, bz.data))
     np.tanh(_fold(np.add, c, bc.data), out=c)
     data = _fold(np.multiply, 1.0 - z, c)
     data += hd if zero else z * hd   # z * h is h itself at the zero state
+    nx, nh, nwxz, nwhz, nbz, nwxr, nwhr, nbr, nwxc, nwhc, nbc = (
+        t._node for t in (x, h, wxz, whz, bz, wxr, whr, br, wxc, whc, bc))
+    # what gets a zero gradient at the zero state
+    unreached = [(t._node, t.shape) for t in (whz, wxr, whr, br, whc)] if zero else []
 
     def backward(g):
         omz = 1.0 - z
@@ -629,27 +700,27 @@ def gru_cell(x: Tensor, h: Tensor,
         if not zero:
             dar = _fold(np.multiply, dac * u, r, np.subtract(1.0, r, out=u))   # u is spent
             du = np.multiply(dac, r, out=r)
-        if x.requires_grad:
-            dx = daz @ wxz.data
+        if nx is not None:
+            dx = daz @ wxzd
             if not zero:
-                dx += dar @ wxr.data
-            _accum_new(x, _fold(np.add, dx, dac @ wxc.data))
-        if h.requires_grad:   # never at the zero state
-            _accum_new(h, _fold(np.add, g * z, daz @ whz.data, dar @ whr.data, du @ whc.data))
-        _accum_new(wxz, daz.T @ xd)
-        _accum_new(bz, daz.sum(axis=0, keepdims=True))
-        _accum_new(wxc, dac.T @ xd)
-        _accum_new(bc, dac.sum(axis=0, keepdims=True))
+                dx += dar @ wxrd
+            _accum_new(nx, _fold(np.add, dx, dac @ wxcd))
+        if nh is not None:   # never at the zero state
+            _accum_new(nh, _fold(np.add, g * z, daz @ whzd, dar @ whrd, du @ whcd))
+        _accum_new(nwxz, daz.T @ xd)
+        _accum_new(nbz, daz.sum(axis=0, keepdims=True))
+        _accum_new(nwxc, dac.T @ xd)
+        _accum_new(nbc, dac.sum(axis=0, keepdims=True))
         if zero:
-            for t in (whz, wxr, whr, br, whc):
-                if t.requires_grad and t.grad is None:
-                    t.grad = np.zeros(t.shape, z.dtype)
+            for t, shape in unreached:
+                if t is not None and t.grad is None:
+                    t.grad = np.zeros(shape, z.dtype)
             return
-        _accum_new(whz, daz.T @ hd)
-        _accum_new(wxr, dar.T @ xd)
-        _accum_new(whr, dar.T @ hd)
-        _accum_new(br, dar.sum(axis=0, keepdims=True))
-        _accum_new(whc, du.T @ hd)
+        _accum_new(nwhz, daz.T @ hd)
+        _accum_new(nwxr, dar.T @ xd)
+        _accum_new(nwhr, dar.T @ hd)
+        _accum_new(nbr, dar.sum(axis=0, keepdims=True))
+        _accum_new(nwhc, du.T @ hd)
 
     return _result(data, (x, h, wxz, whz, bz, wxr, whr, br, wxc, whc, bc), backward)
 
@@ -687,6 +758,7 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
         probs_out.append(probs.copy())
     ctx = probs @ vh
     data = ctx.transpose(0, 2, 1, 3).reshape(rows, dim)
+    nq, nk, nv = q._node, k._node, v._node
 
     def backward(g):
         gh = split(g)
@@ -699,9 +771,9 @@ def set_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sets: int,
         def merge(t):
             return t.transpose(0, 2, 1, 3).reshape(rows, dim)
 
-        _accum_new(q, merge(dq))
-        _accum_new(k, merge(dk_))
-        _accum_new(v, merge(dv))
+        _accum_new(nq, merge(dq))
+        _accum_new(nk, merge(dk_))
+        _accum_new(nv, merge(dv))
 
     return _result(data, (q, k, v), backward)
 
@@ -710,9 +782,10 @@ def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     if rows * cols != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to ({rows}, {cols})")
     data = a.data.reshape(rows, cols).copy()
+    na, shape = a._node, a.shape
 
     def backward(g):
-        _accum(a, g.reshape(a.shape))
+        _accum(na, g.reshape(shape))
 
     return _result(data, (a,), backward)
 
@@ -726,11 +799,12 @@ def block_row_matmul(q: Tensor, w: Tensor) -> Tensor:
     bsz, n = q.shape
     if not n or w.rows != bsz or w.cols % n:
         raise ShapeError(f"block_row_matmul: got q {q.shape}, w {w.shape}")
-    w3 = w.data.reshape(bsz, n, -1)
-    data = (q.data[:, None, :] @ w3)[:, 0, :]
+    qd, w3 = q.data, w.data.reshape(bsz, n, -1)
+    data = (qd[:, None, :] @ w3)[:, 0, :]
+    nq, nw, shape = q._node, w._node, w.shape
 
     def backward(g):
-        _accum_new(q, (w3 @ g[:, :, None])[:, :, 0])
-        _accum_new(w, np.einsum("bi,bk->bik", q.data, g).reshape(w.shape))
+        _accum_new(nq, (w3 @ g[:, :, None])[:, :, 0])
+        _accum_new(nw, np.einsum("bi,bk->bik", qd, g).reshape(shape))
 
     return _result(data, (q, w), backward)

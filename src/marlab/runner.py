@@ -79,7 +79,11 @@ def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
                     eps: float, seed: int, episode_idx: int,
                     comm_mask: Optional[np.ndarray] = None) -> EpisodeRecord:
     """Collect one episode; action noise streams are keyed per (agent, step)."""
-    return _play([env], team, explore, eps, seed, [episode_idx], comm_mask)[0]
+    (obs, states, avail, actions, rewards), = _play(
+        [env], team, explore, eps, seed, [episode_idx], comm_mask)
+    return EpisodeRecord(   # np.array stacks a short list faster than np.stack
+        obs=np.array(obs), states=np.array(states), avail=np.array(avail),
+        actions=np.array(actions), rewards=np.array(rewards, dtype=float), terminated=True)
 
 
 def evaluate(env: Env, team: TeamModel, episodes: int, seed: int,
@@ -95,23 +99,25 @@ def evaluate(env: Env, team: TeamModel, episodes: int, seed: int,
     for start in range(0, episodes, MAX_TEST_EPISODES):
         keys = [_test_episode_key(test_point, e)
                 for e in range(start, min(episodes, start + MAX_TEST_EPISODES))]
-        for ep in _play([copy.copy(env) for _ in keys], team, GREEDY, 0.0,
-                        seed, keys, comm_mask):
-            total = float(ep.rewards.sum())
+        for *_, rewards in _play([copy.copy(env) for _ in keys], team, GREEDY, 0.0,
+                                 seed, keys, comm_mask):
+            total = float(np.array(rewards, dtype=float).sum())
             returns.append(total)
             successes += int(env.is_success(total))
-            steps += ep.length
+            steps += len(rewards)
     return float(np.mean(returns)), successes / episodes, steps
 
 
 def _play(envs: list[Env], team: TeamModel, explore: ExplorationConfig, eps: float,
-          seed: int, keys: list[int], comm_mask: Optional[np.ndarray]) -> list[EpisodeRecord]:
-    """Play one episode on each env, keyed by keys, in lockstep; return their
-    EpisodeRecords, rewards in float64.
+          seed: int, keys: list[int], comm_mask: Optional[np.ndarray]) -> list[tuple]:
+    """Play one episode on each env, keyed by keys, in lockstep.  Returns per
+    episode the lists (observations, states, avail masks, actions, rewards)
+    of its steps, the first three with one entry more; rollout_episode
+    stacks them into an EpisodeRecord, and evaluate reads only the rewards.
 
     Each time step is one team step and one action draw over the agents of
-    every live episode.  An episode ends by the env's done, so every record
-    is terminated; its rows then leave the recurrent carry (T.take_rows).
+    every live episode.  An episode ends by the env's done, which makes its
+    record terminated; its rows then leave the recurrent carry (T.take_rows).
     """
     n, n_actions = envs[0].n_agents, envs[0].n_actions
     traces = []
@@ -147,10 +153,7 @@ def _play(envs: list[Env], team: TeamModel, explore: ExplorationConfig, eps: flo
                 live = [e for e, on in zip(live, going) if on]
             last_actions = actions.reshape(-1)
             t += 1
-    return [EpisodeRecord(   # np.array stacks a short list faster than np.stack
-        obs=np.array(obs), states=np.array(states), avail=np.array(avail),
-        actions=np.array(actions), rewards=np.array(rewards, dtype=float), terminated=True)
-        for obs, states, avail, actions, rewards in traces]
+    return traces
 
 
 def _test_episode_key(test_point: int, episode: int) -> int:
@@ -229,13 +232,13 @@ class SeedRun:
         save_checkpoint(self.learner.target.parameters(), new / "target.bin")
         write_records(new / "optimizer.bin", self.learner.state_arrays().items())
         np.savez(new / "buffer.npz", **self.buffer.state_arrays())
-        (new / "progress.json").write_text(json.dumps({
+        (new / "progress.json").write_text(json.dumps({   # strict JSON: see _loss_to_json
             "env_step": self.env_step,
             "episode_idx": self.episode_idx,
             "train_steps": self.learner.train_steps,
-            "last_loss": None if math.isnan(self.last_loss) else self.last_loss,
-            "rows": self.rows,
-        }))
+            "last_loss": _loss_to_json(self.last_loss),
+            "rows": [{**row, "loss": _loss_to_json(row["loss"])} for row in self.rows],
+        }, allow_nan=False))
         if state.exists():
             state.rename(old)
         new.rename(state)
@@ -248,7 +251,8 @@ class SeedRun:
         progress = _read_progress(state_dir / "progress.json")
         self.env_step, self.episode_idx = progress["env_step"], progress["episode_idx"]
         self.learner.resume_at(progress["train_steps"])
-        last_loss, self.rows = progress["last_loss"], progress["rows"]
+        last_loss = _loss_from_json(progress["last_loss"])
+        self.rows = [{**row, "loss": _loss_from_json(row["loss"])} for row in progress["rows"]]
         load_checkpoint(state_dir / "params.bin", self.team.parameters())
         load_checkpoint(state_dir / "target.bin", self.learner.target.parameters())
         load_records(state_dir / "optimizer.bin", self.learner.state_arrays().items())
@@ -260,7 +264,19 @@ class SeedRun:
         except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError,
                 zipfile.BadZipFile, ContractError) as exc:
             raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
-        self.last_loss = last_loss if last_loss is not None else math.nan
+        self.last_loss = last_loss
+
+
+def _loss_to_json(loss: float):
+    """A loss as strict JSON holds it: null for NaN, the loss before any train
+    step, and "inf" or "-inf" for an infinite one."""
+    return loss if math.isfinite(loss) else None if math.isnan(loss) else str(loss)
+
+
+def _loss_from_json(loss) -> float:
+    """The inverse of _loss_to_json; it also takes the bare NaN and Infinity
+    that older snapshots hold."""
+    return math.nan if loss is None else float(loss) if isinstance(loss, str) else loss
 
 
 def write_csv(path, fields: list[str], rows: list[dict]):
@@ -291,12 +307,24 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_loss(x) -> bool:
+    """A number, or a non-finite loss as _loss_to_json writes it."""
+    return x is None or x in ("inf", "-inf") or _is_number(x)
+
+
+def _is_row(row) -> bool:
+    """A progress row: a loss in "loss" and a number in every other CSV field."""
+    return isinstance(row, dict) and "loss" in row and _is_loss(row["loss"]) and all(
+        _is_number(row.get(k)) for k in CSV_FIELDS if k != "loss")
+
+
 def _read_progress(path: Path) -> dict:
     """A snapshot's progress.json: the counters env_step, episode_idx and
-    train_steps, integers >= 0; last_loss, a number or null; and rows, objects
-    holding a number in every CSV field.  Other keys, such as older snapshots'
-    next_test, are ignored.  Anything else is a CheckpointError naming the
-    file and the field."""
+    train_steps, integers >= 0; last_loss, a loss (a number, or null, "inf"
+    or "-inf"); and rows, objects holding a loss in "loss" and a number in
+    every other CSV field.  Other keys, such as older snapshots' next_test,
+    are ignored.  Anything else is a CheckpointError naming the file and the
+    field."""
     try:
         progress = read_json(path)
         if not isinstance(progress, dict):
@@ -307,13 +335,13 @@ def _read_progress(path: Path) -> dict:
         for key in ("env_step", "episode_idx", "train_steps"):
             check_seed(f"{path}: {key}", progress[key])
         loss, rows = progress["last_loss"], progress["rows"]
-        if loss is not None and not _is_number(loss):
-            raise ConfigError(f"{path}: last_loss: expected a number or null, got {loss!r}")
-        if not isinstance(rows, list) or not all(
-                isinstance(row, dict) and all(_is_number(row.get(k)) for k in CSV_FIELDS)
-                for row in rows):
+        if not _is_loss(loss):
+            raise ConfigError(f"{path}: last_loss: expected a number, null, \"inf\" or "
+                              f"\"-inf\", got {loss!r}")
+        if not isinstance(rows, list) or not all(map(_is_row, rows)):
             raise ConfigError(f"{path}: rows: expected a list of objects holding a number "
-                              f"in each of {', '.join(CSV_FIELDS)}")
+                              f"in each of {', '.join(CSV_FIELDS)}, or for the loss null, "
+                              f"\"inf\" or \"-inf\"")
     except ConfigError as exc:   # read_json's and check_seed's too
         raise CheckpointError(str(exc)) from exc
     return progress

@@ -137,20 +137,20 @@ def test_lockstep_episodes_of_different_lengths_equal_each_one_alone(explore, ep
     env = RandomLength()
     team = perturbed_team(env, comm, seed=7)
     keys = [11 * k + 3 for k in range(23)]
-    records = marlab.runner._play([RandomLength() for _ in keys], team, explore, eps, 5, keys,
-                                  comm_mask=ring(2) if comm else None)
-    assert len({ep.length for ep in records}) > 1   # episodes end at different steps
-    for key, played in zip(keys, records):
+    traces = marlab.runner._play([RandomLength() for _ in keys], team, explore, eps, 5, keys,
+                                 comm_mask=ring(2) if comm else None)
+    assert len({len(trace[-1]) for trace in traces}) > 1   # episodes end at different steps
+    for key, trace in zip(keys, traces):
         alone = per_episode_rollout(env, team, explore, eps, 5, key,
                                     comm_mask=ring(2) if comm else None)
         record = rollout_episode(env, team, explore, eps, 5, key,
                                  comm_mask=ring(2) if comm else None)
-        for ep in (played, record):
-            assert ep.terminated and ep.rewards.dtype == np.float64
-            for name, want in alone.items():
-                want = np.array(want)
-                assert np.array_equal(getattr(ep, name), want), (key, name)
-                assert getattr(ep, name).dtype == want.dtype, (key, name)
+        assert record.terminated and record.rewards.dtype == np.float64
+        for (name, want), played in zip(alone.items(), trace):   # the same field order
+            want = np.array(want)
+            for got in (np.array(played), getattr(record, name)):
+                assert np.array_equal(got, want), (key, name)
+                assert got.dtype == want.dtype, (key, name)
 
 
 @pytest.mark.parametrize("name, params, comm", [

@@ -634,6 +634,44 @@ def test_a_damaged_progress_file_is_a_one_line_checkpoint_error(tmp_path, damage
     assert str(path) in message and field in message
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_snapshot_at_the_first_test_point_is_strict_json_and_resumes_to_the_same_rows(
+        tmp_path):
+    # the first test point comes before any train step, so its row's loss is NaN
+    whole = tmp_path / "whole"
+    train_one_seed(toy_config(), seed=5, out_dir=whole)
+    first = tmp_path / "first"
+    assert np.isnan(train_one_seed(toy_config(total_env_steps=1), seed=5, out_dir=first)[0]["loss"])
+    path = first / "state" / "progress.json"
+    text = path.read_text()
+    progress = json.loads(text, parse_constant=_refuse_constant)
+    assert progress["rows"][0]["loss"] is None
+    # older snapshots hold a bare NaN there; both resume to the uninterrupted rows
+    older = tmp_path / "older"
+    shutil.copytree(first, older)
+    (older / "state" / "progress.json").write_text(text.replace('"loss": null', '"loss": NaN'))
+    for out_dir in (first, older):
+        train_one_seed(toy_config(), seed=5, out_dir=out_dir, resume=True)
+        assert (out_dir / "metrics.csv").read_bytes() == (whole / "metrics.csv").read_bytes()
+        json.loads((out_dir / "state" / "progress.json").read_text(),
+                   parse_constant=_refuse_constant)
+
+
+def test_infinite_losses_survive_a_strict_json_snapshot(tmp_path):
+    run = SeedRun(toy_config(total_env_steps=1), seed=5, out_dir=tmp_path)
+    run.run()
+    run.rows[0]["loss"], run.last_loss = -np.inf, np.inf   # a diverged run's
+    run.save_state()
+    json.loads((tmp_path / "state" / "progress.json").read_text(),
+               parse_constant=_refuse_constant)
+    loaded = SeedRun(toy_config(), seed=5, out_dir=tmp_path)
+    loaded.load_state()
+    assert loaded.rows == run.rows and loaded.last_loss == np.inf
+
+
 class _Crash(Exception):
     pass
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from marlab.errors import ContractError, MaskError, ShapeError
 from marlab.nn import tensor as T
-from marlab.nn import Parameter, Tensor, dropout_mask, no_grad
+from marlab.nn import EncoderLayer, Parameter, Tensor, TrainContext, dropout_mask, no_grad
 from marlab.nn.gradcheck import finite_difference_gradient, relative_errors
 
 
@@ -299,9 +299,9 @@ def test_no_grad_builds_no_graph(op):
     with no_grad():
         off = OP_CALLS[op](trainable, 2, 3)
     for y in (off, OP_CALLS[op](fixed, 2, 3)):
-        assert y._backward is None and y._parents == () and not y.requires_grad
+        assert y._node is None and not y.requires_grad
     on = OP_CALLS[op](trainable, 2, 3)
-    assert on._backward is not None and on._parents and on.requires_grad
+    assert on._node._backward is not None and on._node._parents and on.requires_grad
 
 
 def call_in_dtypes(op, dtypes):
@@ -352,7 +352,9 @@ def test_grad_accumulates_across_uses():
 def reference_backward(root):
     """Tensor.backward before it freed the graph: the same traversal, with
     every node, gradient and closure kept."""
-    topo, visited, stack = [], set(), [(root, False)]
+    if root._node is None:   # no graph
+        return
+    topo, visited, stack = [], set(), [(root._node, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -365,7 +367,7 @@ def reference_backward(root):
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    root.grad = np.ones_like(root.data)
+    root._node.grad = np.ones_like(root.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -414,8 +416,8 @@ def test_every_op_gradient_matches_finite_differences(op, rows, cols, needs_grad
 
 def test_backward_frees_intermediates_and_keeps_leaf_grads():
     x = Parameter(np.array([[1.0, -2.0, 3.0]]), name="x")
-    hidden = T.relu(T.scale(x, 2.0))   # only the graph will reference it
-    alive = weakref.ref(hidden)
+    hidden = T.relu(T.scale(x, 2.0))   # only the graph will reference its node
+    alive = weakref.ref(hidden._node)
     loss = T.tsum(T.square(hidden))
     del hidden
     gc.collect()
@@ -423,7 +425,45 @@ def test_backward_frees_intermediates_and_keeps_leaf_grads():
     loss.backward()
     assert alive() is None
     assert np.array_equal(x.grad, [[8.0, 0.0, 24.0]])
-    assert loss._parents == () and loss.grad is None
+    assert loss._node._parents == () and loss.grad is None
+
+
+def test_an_encoder_layer_graph_frees_what_no_backward_reads_before_backward(monkeypatch):
+    layer = EncoderLayer(8, 2, 16, 0.3, np.random.default_rng(0), "comm.layer0")
+    x = Parameter(np.random.default_rng(1).standard_normal((6, 8)), name="hidden")
+    weights = np.random.default_rng(2).standard_normal((6, 8))
+    leaves = [x, *layer.parameters()]
+
+    def loss():   # dropout on: the same masks at every call
+        out = layer(x, sets=2, ctx=TrainContext(seed=0, step=0))
+        return T.tsum(T.mul(out, weights))
+
+    reference_backward(loss())
+    expected = [leaf.grad.copy() for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+    watched = {}
+
+    def watching(name, op, array):
+        def call(*args):
+            out = op(*args)
+            watched.setdefault(name, []).append(weakref.ref(array(args, out)))
+            return out
+        return call
+
+    monkeypatch.setattr(T, "relu", watching("relu pre-activation", T.relu,
+                                            lambda args, out: args[0].data))
+    monkeypatch.setattr(T, "dropout", watching("dropout product", T.dropout,
+                                               lambda args, out: out.data))
+    monkeypatch.setattr(T, "add", watching("residual sum", T.add, lambda args, out: out.data))
+    graph = loss()
+    assert {name: len(refs) for name, refs in watched.items()} == {
+        "relu pre-activation": 1, "dropout product": 2, "residual sum": 2}
+    for name, refs in watched.items():
+        assert all(ref() is None for ref in refs), name
+    graph.backward()
+    for leaf, want in zip(leaves, expected):
+        assert leaf.grad.tobytes() == want.tobytes(), leaf.name
 
 
 def test_second_backward_raises_and_leaves_grads_untouched():
