@@ -17,7 +17,7 @@ import numpy as np
 from .comm import CommSettings, CommStack
 from .errors import ShapeError
 from .mixers import make_mixer
-from .nn import Dense, GRUCell, Module, Tensor, TrainContext, relu
+from .nn import Dense, GRUCell, Module, Tensor, TrainContext
 from .nn import tensor as T
 from .rng import stream
 
@@ -57,7 +57,7 @@ class AgentNet(Module):
         self.fc_out = self._register(Dense(hidden_dim, n_actions, rng, "agent.fc_out"))
 
     def encode(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        return self.gru(relu(self.fc_in(x)), h_prev)
+        return self.gru(T.relu(self.fc_in(x)), h_prev)
 
     def q_head(self, h: Tensor) -> Tensor:
         return self.fc_out(h)

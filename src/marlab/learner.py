@@ -176,6 +176,10 @@ class TrainConfig:
         # lr 0 is allowed: it freezes a group (comm_lr=0 trains the agents alone)
         if self.lr < 0 or self.comm_lr < 0:
             raise ConfigError(f"lr and comm_lr must be >= 0, got {self.lr}, {self.comm_lr}")
+        for name in ("lr", "comm_lr", "rmsprop_eps"):   # training casts them to float32
+            if getattr(self, name) > float(np.finfo(np.float32).max):
+                raise ConfigError(f"{name} must be at most float32's largest value, "
+                                  f"got {getattr(self, name)}")
         if self.grad_clip < 0:   # clip_grad_norm would silently never clip
             raise ConfigError(f"grad_clip must be >= 0 (0 turns clipping off), "
                               f"got {self.grad_clip}")

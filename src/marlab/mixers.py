@@ -91,6 +91,5 @@ def mix_values(mixer, q_locals: np.ndarray, states: np.ndarray) -> np.ndarray:
     Inside T.per_block(rows) each block of rows is mixed bit for bit as if
     alone, which is how double_q_targets mixes every step of a batch at once."""
     with no_grad():
-        out = mixer(Tensor(q_locals), Tensor(states.astype(mixer.dtype, copy=False))
-                    if states is not None else None)
+        out = mixer(Tensor(q_locals), Tensor(states.astype(mixer.dtype, copy=False)))
     return out.data[:, 0].copy()

@@ -1,41 +1,15 @@
-from .tensor import (
-    Parameter,
-    Tensor,
-    absolute,
-    add,
-    affine,
-    block_row_matmul,
-    concat_cols,
-    dropout,
-    elu,
-    gather_cols,
-    grad_enabled,
-    gru_cell,
-    layer_norm_rows,
-    mul,
-    no_grad,
-    per_block,
-    relu,
-    reshape,
-    scale,
-    set_attention,
-    softmax_rows,
-    square,
-    sub,
-    tsum,
-)
+"""The names src/ and the demos import from marlab.nn; the ops are reached
+as `from marlab.nn import tensor as T`, and the rest from their submodules."""
+
+from .tensor import Parameter, Tensor, no_grad
 from .layers import (
     Dense,
-    Dropout,
     EncoderLayer,
-    FeedForward,
     GRUCell,
-    LayerNorm,
     Module,
     MultiHeadSelfAttention,
     TrainContext,
     dropout_mask,
 )
 from .optim import Adam, RMSProp, clip_grad_norm
-from .gradcheck import finite_difference_gradient, max_gradient_error, relative_errors
-from .serialize import load_checkpoint, load_records, read_records, save_checkpoint, write_records
+from .serialize import load_checkpoint, load_records, save_checkpoint, write_records

@@ -27,9 +27,9 @@ concat_rows.
 
 Ops write in place only into arrays they have just made (backward, which
 runs once, may reuse what its op saved), keeping every float operation and
-its order.  `_accum` takes a tensor or a node and copies a gradient that is
-a view or shared (add, tsum, concat_rows and reshape pass g on);
-`_accum_new` takes a node and keeps a fresh gradient.
+its order.  `_accum` takes a node and copies a gradient that is a view or
+shared (add, tsum, concat_rows and reshape pass g on); `_accum_new` takes a
+node and keeps a fresh gradient.
 
 backward() frees the graph as it goes: once a node's closure has run, the
 node drops its gradient, its closure (and with it the arrays the op saved)
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -89,19 +90,15 @@ _keep_freed_heap()
 _GRAD_ENABLED = True
 
 
-class no_grad:
-    """Context manager that disables graph construction inside its body."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
+@contextmanager
+def no_grad():
+    """Disables graph construction inside its body."""
+    global _GRAD_ENABLED
+    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 def grad_enabled() -> bool:
@@ -111,9 +108,10 @@ def grad_enabled() -> bool:
 _BLOCK_ROWS: Optional[int] = None
 
 
-class per_block:
-    """Context manager under which affine and gru_cell form each product per
-    block of `rows` consecutive rows, as one 3-D matmul.
+@contextmanager
+def per_block(rows: int):
+    """A scope under which affine and gru_cell form each product per block
+    of `rows` consecutive rows, as one 3-D matmul.
 
     x.reshape(blocks, rows, d) @ W^T gives each block bit for bit the product of
     that block alone, while one 2-D product over the stacked blocks need not:
@@ -131,20 +129,12 @@ class per_block:
     and layer_norm_rows have no per-block backward and refuse to run here
     with grad (ContractError).  Every other op is per row or per set.
     """
-
-    def __init__(self, rows: int):
-        self.rows = rows
-
-    def __enter__(self):
-        global _BLOCK_ROWS
-        self._prev = _BLOCK_ROWS
-        _BLOCK_ROWS = self.rows
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        global _BLOCK_ROWS
-        _BLOCK_ROWS = self._prev
-        return False
+    global _BLOCK_ROWS
+    prev, _BLOCK_ROWS = _BLOCK_ROWS, rows
+    try:
+        yield
+    finally:
+        _BLOCK_ROWS = prev
 
 
 def _times_t(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -307,11 +297,8 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     return out
 
 
-def _accum(t, g: np.ndarray):
-    """Add g to the gradient of t, a Tensor or a node; None, or a tensor that
-    needs no grad, takes none."""
-    if isinstance(t, Tensor):
-        t = t._node
+def _accum(t: Optional[_Node], g: np.ndarray):
+    """Add g to the gradient of the node t; None takes none."""
     if t is None:
         return
     if t.grad is None:

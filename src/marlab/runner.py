@@ -28,11 +28,12 @@ invariant oracles (checks.py, nn.gradcheck) build float64 models.  Snapshot
 and checkpoint files keep float64 records; widening float32 is exact, and a
 float64-trained snapshot, which float32 cannot hold, is refused on load.
 
-A snapshot, a seed directory's state/, holds the run config, the online and
-target parameters, the optimizer state, the replay buffer, and the counters
-and CSV rows so far.  SeedRun names the files and writes the config, the
-parameters and the counters; the Learner lays out the optimizer state
-(Learner.state_arrays, resume_at) and the buffer its own arrays
+A snapshot, a seed directory's state/, holds config.json (the run config),
+params.bin and target.bin (the online and target parameters), optimizer.bin
+(the optimizer state), buffer.npz (the replay buffer) and progress.json (the
+counters and CSV rows so far).  SeedRun names the files and writes the
+config, the parameters and the counters; the Learner lays out the optimizer
+state (Learner.state_arrays, resume_at) and the buffer its own arrays
 (ReplayBuffer.state_arrays, from_state_arrays).  Every run snapshots at
 each test point, so resuming after a crash continues from the last one.  A
 snapshot is written as a unit: a process that dies while saving leaves the
@@ -76,11 +77,10 @@ def build_team_for_env(config: RunConfig, env: Env, seed: int) -> TeamModel:
 
 
 def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
-                    eps: float, seed: int, episode_idx: int,
-                    comm_mask: Optional[np.ndarray] = None) -> EpisodeRecord:
+                    eps: float, seed: int, episode_idx: int) -> EpisodeRecord:
     """Collect one episode; action noise streams are keyed per (agent, step)."""
     (obs, states, avail, actions, rewards), = _play(
-        [env], team, explore, eps, seed, [episode_idx], comm_mask)
+        [env], team, explore, eps, seed, [episode_idx], None)
     return EpisodeRecord(   # np.array stacks a short list faster than np.stack
         obs=np.array(obs), states=np.array(states), avail=np.array(avail),
         actions=np.array(actions), rewards=np.array(rewards, dtype=float), terminated=True)
@@ -228,8 +228,8 @@ class SeedRun:
             shutil.rmtree(stale, ignore_errors=True)
         new.mkdir(parents=True)
         save_run_config(self.config, new / "config.json")
-        save_checkpoint(self.team.parameters(), new / "params.bin")
-        save_checkpoint(self.learner.target.parameters(), new / "target.bin")
+        for name, team in (("params", self.team), ("target", self.learner.target)):
+            write_records(new / f"{name}.bin", ((p.name, p.data) for p in team.parameters()))
         write_records(new / "optimizer.bin", self.learner.state_arrays().items())
         np.savez(new / "buffer.npz", **self.buffer.state_arrays())
         (new / "progress.json").write_text(json.dumps({   # strict JSON: see _loss_to_json

@@ -14,7 +14,8 @@ from marlab.agents import build_inputs, make_team
 from marlab.comm import CommSettings
 from marlab.envs import Env, make_env
 from marlab.exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
-from marlab.nn import Tensor, no_grad, per_block
+from marlab.nn import Tensor, no_grad
+from marlab.nn.tensor import per_block
 from marlab.rng import stream, unit_uniform
 from marlab.runner import _test_episode_key, evaluate, rollout_episode
 
@@ -137,20 +138,23 @@ def test_lockstep_episodes_of_different_lengths_equal_each_one_alone(explore, ep
     env = RandomLength()
     team = perturbed_team(env, comm, seed=7)
     keys = [11 * k + 3 for k in range(23)]
+    mask = ring(2) if comm else None
     traces = marlab.runner._play([RandomLength() for _ in keys], team, explore, eps, 5, keys,
-                                 comm_mask=ring(2) if comm else None)
+                                 comm_mask=mask)
     assert len({len(trace[-1]) for trace in traces}) > 1   # episodes end at different steps
     for key, trace in zip(keys, traces):
-        alone = per_episode_rollout(env, team, explore, eps, 5, key,
-                                    comm_mask=ring(2) if comm else None)
-        record = rollout_episode(env, team, explore, eps, 5, key,
-                                 comm_mask=ring(2) if comm else None)
+        alone = per_episode_rollout(env, team, explore, eps, 5, key, comm_mask=mask)
+        # rollout_episode plays with every agent in reach of every other
+        alone_unmasked = alone if mask is None else per_episode_rollout(
+            env, team, explore, eps, 5, key)
+        record = rollout_episode(env, team, explore, eps, 5, key)
         assert record.terminated and record.rewards.dtype == np.float64
-        for (name, want), played in zip(alone.items(), trace):   # the same field order
-            want = np.array(want)
-            for got in (np.array(played), getattr(record, name)):
-                assert np.array_equal(got, want), (key, name)
-                assert got.dtype == want.dtype, (key, name)
+        for (name, want), played, want_unmasked in zip(
+                alone.items(), trace, alone_unmasked.values()):   # the same field order
+            for got, ref in ((np.array(played), np.array(want)),
+                             (getattr(record, name), np.array(want_unmasked))):
+                assert np.array_equal(got, ref), (key, name)
+                assert got.dtype == ref.dtype, (key, name)
 
 
 @pytest.mark.parametrize("name, params, comm", [

@@ -15,7 +15,7 @@ from marlab.nn import tensor as T
 def absolute_with_identity_backward(a):
     """|a| whose backward passes the gradient through unchanged (wrong for a < 0)."""
     def backward(g):
-        T._accum(a, g)
+        T._accum(a._node, g)
 
     return T._result(np.abs(a.data), (a,), backward)
 

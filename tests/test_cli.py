@@ -11,7 +11,8 @@ from marlab.cli import curve_auc, main
 from marlab.config import load_run_config
 from marlab.envs import make_env
 from marlab.netsim import Topology, centralized_traffic, distributed_traffic
-from marlab.nn import load_checkpoint, read_records, write_records
+from marlab.nn import load_checkpoint, write_records
+from marlab.nn.serialize import read_records
 from marlab.runner import build_team_for_env, evaluate
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,9 +252,9 @@ def train_configs(draw):
     return TrainConfig(
         gamma=draw(unit), batch_size=batch, lr=draw(unit), comm_lr=draw(unit),
         rmsprop_decay=draw(unit),
-        # every eps that stays above 0 in float32
+        # every eps that stays above 0 in float32, up to its largest value
         rmsprop_eps=draw(st.floats(float(np.finfo(np.float32).smallest_subnormal) / 2,
-                                   exclude_min=True, allow_infinity=False)),
+                                   float(np.finfo(np.float32).max), exclude_min=True)),
         epsilon_start=eps_start, epsilon_finish=eps_finish,
         anneal_steps=draw(st.integers(1, 10**6)), grad_clip=draw(st.floats(0, 100)),
         target_update_interval=draw(st.integers(1, 1000)),
@@ -371,6 +372,24 @@ def test_cli_train_exits_0_or_with_one_error_line(data):
     lines = err.getvalue().splitlines()
     assert (code, lines) == (0, []) or (
         code == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (code, lines)
+
+
+# each trained to exit 0, warning "overflow encountered in cast" on stderr:
+# float32, which training casts them to, holds them only as inf
+@pytest.mark.parametrize("key, value", [("lr", 1e300), ("comm_lr", 1e300),
+                                        ("rmsprop_eps", 3.4028235677973366e+38)])
+def test_cli_train_refuses_a_setting_that_overflows_float32_in_one_line(
+        tmp_path, capsys, key, value):
+    data = run_config_to_dict(toy_config(total_env_steps=40))
+    data["train"][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # as -W error::RuntimeWarning
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
+    assert key in lines[0] and not (tmp_path / "run").exists()
 
 
 class TestTrainingRun:
@@ -575,6 +594,37 @@ class TestSnapshot:
         loaded = SeedRun(toy_config(), seed=5, out_dir=tmp_path)
         loaded.load_state()
         assert len(loaded.rows) == 3 and loaded.next_test == 120
+
+    def test_a_snapshot_holds_its_six_files_and_resumes_to_the_run_that_wrote_it(
+            self, tmp_path):
+        run = SeedRun(toy_config(), seed=5, out_dir=tmp_path)
+        run.run()
+        run.save_state()
+        assert sorted(p.name for p in (tmp_path / "state").iterdir()) == sorted([
+            "config.json", "params.bin", "target.bin", "optimizer.bin", "buffer.npz",
+            "progress.json"])
+
+        def params(r):
+            return [(p.name, p.data.copy()) for team in (r.team, r.learner.target)
+                    for p in team.parameters()]
+
+        def counters(r):
+            return [r.env_step, r.episode_idx, r.learner.train_steps, r.last_loss,
+                    *(row[k] for row in r.rows for k in marlab.runner.CSV_FIELDS)]
+
+        fresh = SeedRun(toy_config(), seed=5, out_dir=tmp_path)
+        assert run.learner.train_steps > 0 and len(run.buffer) > 0
+        assert not all(np.array_equal(a, b) for (_, a), (_, b) in zip(params(fresh), params(run)))
+        fresh.load_state()
+        for (name, want), (got_name, got) in zip(
+                [*params(run), *run.learner.state_arrays().items(),
+                 *run.buffer.state_arrays().items()],
+                [*params(fresh), *fresh.learner.state_arrays().items(),
+                 *fresh.buffer.state_arrays().items()], strict=True):
+            assert name == got_name and got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert len(fresh.rows) == len(run.rows)
+        assert np.array_equal(counters(fresh), counters(run), equal_nan=True)
 
     def test_optimizer_step_counts_are_the_train_steps(self, tmp_path):
         run = SeedRun(toy_config(), seed=5, out_dir=tmp_path / "fresh")

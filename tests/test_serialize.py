@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 from marlab.agents import make_team
 from marlab.comm import CommSettings
 from marlab.errors import CheckpointError, ContractError, MarlabError
-from marlab.nn import Parameter, load_checkpoint, read_records, save_checkpoint, write_records
+from marlab.nn import Parameter, load_checkpoint, save_checkpoint, write_records
+from marlab.nn.serialize import read_records
 
 
 def test_roundtrip(tmp_path):

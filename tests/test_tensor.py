@@ -1,5 +1,6 @@
 """Autodiff engine: forward values and gradients against finite differences."""
 
+import contextlib
 import gc
 import inspect
 import math
@@ -282,7 +283,7 @@ MAX_LEAVES = 11  # gru_cell's
 def test_op_table_covers_every_op():
     ops = {name for name, fn in vars(T).items()
            if inspect.isfunction(fn) and fn.__module__ == T.__name__
-           and not name.startswith("_") and name != "grad_enabled"}
+           and not name.startswith("_") and name not in ("grad_enabled", "no_grad", "per_block")}
     assert ops == set(OP_CALLS)
 
 
@@ -786,6 +787,36 @@ def test_per_block_refuses_rows_that_are_not_whole_blocks():
                 T.affine(x, w, b)
             with pytest.raises(ShapeError, match=match):
                 T.gru_cell(x, Tensor(gen.standard_normal((5, 4))), *gru)
+
+
+def test_no_grad_and_per_block_restore_the_enclosing_mode():
+    x = Parameter(np.ones((2, 2)), name="x")
+
+    def mode():
+        return T.scale(x, 2.0).requires_grad, T._BLOCK_ROWS
+
+    assert mode() == (True, None)
+    with no_grad():
+        assert mode() == (False, None)
+        with T.per_block(3):
+            assert mode() == (False, 3)
+            with no_grad(), T.per_block(2):
+                assert mode() == (False, 2)
+            assert mode() == (False, 3)
+        assert mode() == (False, None)
+    assert mode() == (True, None)
+    for outer in (False, True):
+        with contextlib.ExitStack() as enclosing:
+            if outer:
+                enclosing.enter_context(no_grad())
+            enclosing.enter_context(T.per_block(4))
+            for scope, inside in ((no_grad, (False, 4)), (lambda: T.per_block(7), (not outer, 7))):
+                with pytest.raises(KeyError, match="body"):
+                    with scope():
+                        assert mode() == inside
+                        raise KeyError("body")
+                assert mode() == (not outer, 4)
+        assert mode() == (True, None)
 
 
 def test_gru_zero_state_path_leaves_other_steps_gradients_alone():
