@@ -27,15 +27,14 @@ def build_inputs(obs: np.ndarray, last_actions: Optional[np.ndarray],
     """Concatenate [observation | last-action one-hot | agent-id one-hot].
 
     obs is (rows, obs_dim) with rows = sets * n_agents, agents varying
-    fastest.  last_actions is (rows,) or None for the first timestep, where
-    the action one-hot is all zeros.
+    fastest.  last_actions is (rows,); -1 means no previous action and gives
+    an all-zero action one-hot, and None means -1 for every row.
     """
     rows = obs.shape[0]
     if rows % n_agents != 0:
         raise ShapeError(f"{rows} rows do not split into teams of {n_agents}")
-    act = np.zeros((rows, n_actions))
-    if last_actions is not None:
-        act[np.arange(rows), np.asarray(last_actions, dtype=np.intp)] = 1.0
+    last = np.full(rows, -1) if last_actions is None else np.asarray(last_actions)
+    act = (last[:, None] == np.arange(n_actions)).astype(float)
     ids = np.tile(np.eye(n_agents), (rows // n_agents, 1))
     return np.concatenate([obs, act, ids], axis=1)
 
@@ -79,23 +78,19 @@ class TeamModel(Module):
     def initial_hidden(self, rows: int) -> Tensor:
         return Tensor(np.zeros((rows, self.agent.hidden_dim), dtype=self.dtype))
 
-    def encode(self, inputs: np.ndarray, h_prev: Tensor) -> Tensor:
-        """Cast inputs into the team's dtype and advance the recurrent state."""
-        return self.agent.encode(Tensor(inputs.astype(self.dtype, copy=False)), h_prev)
-
     def step(self, inputs: np.ndarray, h_prev: Tensor,
              ctx: Optional[TrainContext] = None,
              comm_mask: Optional[np.ndarray] = None):
         """One team-forward over independent teams of n_agents rows, stacked row-wise.
 
-        Returns (local Q values (rows, actions), next recurrent state).
-        An optional n x n comm_mask restricts which agents hear which; it is
-        applied inside every team block.
+        Returns (local Q values (rows, actions), next recurrent state); inputs
+        are cast into the team's dtype.  An optional n x n comm_mask restricts
+        which agents hear which; it is applied inside every team block.
         """
         sets, extra = divmod(inputs.shape[0], self.agent.n_agents)
         if extra or not sets:
             raise ShapeError(f"{len(inputs)} rows do not split into teams of {self.agent.n_agents}")
-        h = self.encode(inputs, h_prev)
+        h = self.agent.encode(Tensor(inputs.astype(self.dtype, copy=False)), h_prev)
         if self.comm is not None:
             z = self.comm(h, mask=comm_mask, sets=sets, ctx=ctx)
             h_tilde = T.add(h, z) if self.comm.settings.residual else z

@@ -8,11 +8,12 @@ states, and the same model drives both the learner and the planner:
   model_joint_actions(state) the legal joint actions: every combination of
                              the rows of avail_actions()
 
-reset() draws a start state with the env's _start(rng), and step() checks
-the team action, advances with model_step and returns the observations
-that _observe(state) gives; after the last step those are the final
-state's.  Observations are deterministic functions of the state.  The
-three built-in tasks are deliberately small enough for exact dynamic
+The model alone states the task.  reset() starts in the model's one start
+state; only a model with several needs a _start(rng) that draws one.
+step() checks the team action, advances with model_step and returns the
+observations that _observe(state) gives; after the last step those are the
+final state's.  Observations are deterministic functions of the state.
+The three built-in tasks are deliberately small enough for exact dynamic
 programming, so learned values can be checked against a brute-force
 optimum:
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import getitem
 from typing import Optional
 
 import numpy as np
@@ -52,10 +54,10 @@ class Env:
 
     Subclasses set n_agents, n_actions, obs_dim, state_dim and best_return
     (the optimal episode return, which is_success asks for) and define
-    the model: _start(rng) draws a start state from model_initial's
-    support, _observe(state) gives the (per-agent observations, global
-    state) arrays of a state, and model_initial/model_step are the
-    dynamics the planner enumerates and step() runs.
+    the model: model_initial/model_step are the dynamics the planner
+    enumerates and step() runs, and _observe(state) gives the (per-agent
+    observations, global state) arrays of a state.  A model with several
+    start states also defines _start(rng), which draws one of them.
     """
 
     n_agents: int
@@ -103,7 +105,10 @@ class Env:
         return joint
 
     def _start(self, rng: np.random.Generator):
-        raise NotImplementedError
+        (start, _), *more = self.model_initial()
+        if more:   # a model with several start states draws one in its own _start
+            raise ContractError(f"{type(self).__name__} has several start states and no _start")
+        return start
 
     def _observe(self, state) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -135,9 +140,6 @@ class MatrixGame(Env):
         self.n_actions = max(self.payoff.shape)
         self.obs_dim = 1
         self.state_dim = 1
-
-    def _start(self, rng):
-        return "s0"
 
     def _observe(self, state):
         return np.ones((2, 1)), np.ones(1)
@@ -245,9 +247,6 @@ class TwoStepCoop(Env):
         self.obs_dim = 3
         self.state_dim = 3
 
-    def _start(self, rng):
-        return 0
-
     def _observe(self, state):
         onehot = np.eye(3)[state]
         return np.repeat(onehot[None, :], 2, axis=0), onehot
@@ -313,25 +312,24 @@ def value_iteration(env: Env, gamma: float):
 
 def blind_optimum(env: CuePassing) -> float:
     """Best expected return over deterministic policies that see only the
-    agent's own cue, found by exhaustive enumeration.
+    agent's own cue, found by exhaustive enumeration of env's model.
 
     Each agent's second-step action is a table own-cue -> action; the first
-    step never affects the reward.  Every joint table is scored over every
-    cue combination.
+    step's action changes neither the reward nor the next state.  A joint
+    table scores the reward model_step((cues, 1), actions) gives at each
+    start (cues, 0) of model_initial, weighted by the start's probability and
+    summed exactly (math.fsum), so that a sure win scores 1.0.
     """
     if not isinstance(env, CuePassing):
         raise ContractError("blind_optimum is defined for CuePassing")
     n, m = env.n_agents, env.num_cues
-    per_agent = m ** m
-    if per_agent ** n > POLICY_ENUM_LIMIT:
+    if (m ** m) ** n > POLICY_ENUM_LIMIT:
         raise CapacityError("policy space too large to enumerate")
-    combos = list(itertools.product(range(m), repeat=n))
+    # per start: its cues, its probability and the reward of each joint action at (cues, 1)
+    starts = [(cues, p, {a: env.model_step((cues, 1), a)[0]
+                         for a in env.model_joint_actions((cues, 1))})
+              for (cues, _), p in env.model_initial()]
     tables = list(itertools.product(range(m), repeat=m))
-    best = 0.0
-    for joint in itertools.product(tables, repeat=n):
-        wins = 0
-        for cues in combos:
-            if all(joint[i][cues[i]] == cues[(i - 1) % n] for i in range(n)):
-                wins += 1
-        best = max(best, wins / len(combos))
-    return best
+    return max(math.fsum(p * reward[tuple(map(getitem, joint, cues))]
+                         for cues, p, reward in starts)
+               for joint in itertools.product(tables, repeat=n))

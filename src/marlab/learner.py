@@ -43,12 +43,12 @@ forward drops it.  backward() frees each node's gradient and saved arrays
 once it has used them, and every dropout layer applies one mask, drawn
 once per train step, at all time steps.
 
-A train step computes in the dtype of the team's parameters: float32 for
-the teams a run builds (runner.build_team_for_env), float64 for the models
-the invariant oracles in checks.py build.  Batches stay float64 arrays;
-unroll_team, taken_joint_values, mix_values and td_loss cast what they feed
-into the graph to the parameters' dtype.  The TD targets are formed in
-float64 from the float32 target-network values and then cast.
+A train step computes in the dtype of the team's parameters: TRAIN_DTYPE
+(float32) for the teams a run builds (runner.build_team_for_env), float64
+for the models checks.py's invariant oracles build.  Batches stay float64
+arrays; unroll_team, taken_joint_values, mix_values and td_loss cast what
+they feed into the graph to the parameters' dtype.  The TD targets are
+formed in float64 from the float32 target-network values and then cast.
 
 Each object here lays out its own part of a run's snapshot: the
 ReplayBuffer its episodes as one padded batch, and the Learner both
@@ -132,9 +132,37 @@ class ReplayBuffer:
 
     @classmethod
     def from_state_arrays(cls, capacity: int, arrays: dict) -> "ReplayBuffer":
-        """The buffer whose state_arrays() are `arrays`."""
+        """The buffer whose state_arrays() are `arrays`.
+
+        Their padded layout is checked once: count is an integer in
+        [0, capacity] and at most the row count; each other array has its
+        dtype kind, one row count and one padded-step count, and 1 <= lengths
+        <= the padded steps.  Anything else is a ContractError naming the
+        array; each episode's own length rule is EpisodeRecord's.
+        """
+        # each array's numpy dtype kinds and steps past the padded ones (None: one per episode)
+        layout = {"lengths": ("iu", None), "terminated": ("b", None), "actions": ("iu", 0),
+                  "rewards": ("f", 0), "obs": ("f", 1), "states": ("f", 1), "avail": ("b", 1)}
+        count = arrays.get("count", np.array(None))   # an object array if missing: refused
+        if count.dtype.kind not in "iu" or count.shape or not 0 <= count <= capacity:
+            raise ContractError(f"count must be an integer in [0, {capacity}], got {count!r}")
         buffer = cls(capacity)
-        for i in range(int(arrays["count"])):
+        if not count:
+            return buffer
+        if missing := [key for key in layout if key not in arrays]:
+            raise ContractError(f"no {', '.join(missing)} array beside count {count}")
+        rows, steps = arrays["rewards"].shape[:2]
+        for key, (kinds, extra) in layout.items():
+            array, shape = arrays[key], (rows,) if extra is None else (rows, steps + extra)
+            if array.dtype.kind not in kinds or array.shape[:2] != shape:
+                raise ContractError(f"{key}: a {array.dtype} array of shape {array.shape}, not "
+                                    f"of dtype kind {kinds!r} and leading shape {shape}")
+        if count > rows:
+            raise ContractError(f"count {count} exceeds the {rows} episodes in lengths")
+        bad = np.flatnonzero((arrays["lengths"] < 1) | (arrays["lengths"] > steps))
+        if bad.size:
+            raise ContractError(f"lengths[{bad[0]}] is not in [1, {steps}], the padded steps")
+        for i in range(int(count)):
             t = int(arrays["lengths"][i])
             buffer.add(EpisodeRecord(
                 **{key: arrays[key][i, : t + 1].copy() for key in ("obs", "states", "avail")},
@@ -146,6 +174,7 @@ class ReplayBuffer:
 # test_episodes is at most this, the stride of the test episode keys: a test
 # point's episodes never share the env and act streams of the next one's
 MAX_TEST_EPISODES = 10_000
+TRAIN_DTYPE = np.float32   # the dtype of a run's teams (runner.build_team_for_env)
 
 
 @dataclass(frozen=True)
@@ -176,17 +205,19 @@ class TrainConfig:
         # lr 0 is allowed: it freezes a group (comm_lr=0 trains the agents alone)
         if self.lr < 0 or self.comm_lr < 0:
             raise ConfigError(f"lr and comm_lr must be >= 0, got {self.lr}, {self.comm_lr}")
-        for name in ("lr", "comm_lr", "rmsprop_eps"):   # training casts them to float32
-            if getattr(self, name) > float(np.finfo(np.float32).max):
-                raise ConfigError(f"{name} must be at most float32's largest value, "
+        finfo = np.finfo(TRAIN_DTYPE)
+        for name in ("lr", "comm_lr", "rmsprop_eps"):   # training casts them to TRAIN_DTYPE
+            if getattr(self, name) > float(finfo.max):
+                raise ConfigError(f"{name} must be at most {finfo.dtype}'s largest value, "
                                   f"got {getattr(self, name)}")
         if self.grad_clip < 0:   # clip_grad_norm would silently never clip
             raise ConfigError(f"grad_clip must be >= 0 (0 turns clipping off), "
                               f"got {self.grad_clip}")
-        # training runs in float32, where an eps at or below half the smallest
-        # subnormal is 0, and a zero gradient entry then steps by 0 / 0
-        if not self.rmsprop_eps > float(np.finfo(np.float32).smallest_subnormal) / 2:
-            raise ConfigError(f"rmsprop_eps must be above 0 in float32, got {self.rmsprop_eps}")
+        # in TRAIN_DTYPE an eps at or below half the smallest subnormal is 0,
+        # and a zero gradient entry then steps by 0 / 0
+        if not self.rmsprop_eps > float(finfo.smallest_subnormal) / 2:
+            raise ConfigError(f"rmsprop_eps must be above 0 in {finfo.dtype}, "
+                              f"got {self.rmsprop_eps}")
         if self.anneal_steps < 0:   # epsilon() would silently never anneal
             raise ConfigError(f"anneal_steps must be >= 0 (0 starts at epsilon_finish), "
                               f"got {self.anneal_steps}")
@@ -263,14 +294,12 @@ def unroll_team(team: TeamModel, batch: dict,
     stop = int(horizon.max()) + 1
     if first >= stop:
         return []
-    obs, actions = batch["obs"], batch["actions"]
-    obs_dim = obs.shape[-1]
-    step0 = build_inputs(obs[:, 0].reshape(-1, obs_dim), None, n_actions, n)
-    # steps 1..stop-1 in one array, time-major: later[t - 1] is step t
-    later = build_inputs(obs[:, 1:stop].swapaxes(0, 1).reshape(-1, obs_dim),
-                         actions[:, : stop - 1].swapaxes(0, 1).reshape(-1), n_actions, n)
-    step0 = step0.astype(team.dtype, copy=False)
-    later = later.astype(team.dtype, copy=False).reshape(stop - 1, bsz * n, step0.shape[1])
+    # steps 0..stop-1 in one array, time-major: inputs[t] is step t, whose
+    # previous actions are those of step t - 1, and -1 (none) at step 0
+    last = np.concatenate([np.full((bsz, 1, n), -1), batch["actions"][:, : stop - 1]], axis=1)
+    inputs = build_inputs(batch["obs"][:, :stop].swapaxes(0, 1).reshape(stop * bsz * n, -1),
+                          last.swapaxes(0, 1).reshape(-1), n_actions, n)
+    inputs = inputs.astype(team.dtype, copy=False).reshape(stop, bsz * n, -1)
 
     ends = set(horizon.tolist())
     live = None   # the rows h holds, as a mask over all rows; None for all
@@ -282,13 +311,11 @@ def unroll_team(team: TeamModel, batch: dict,
             h = T.take_rows(h, now if live is None else now[live])
             live = now
             ctx = ctx.on_rows(live) if ctx is not None else None
-        inputs = step0 if t == 0 else later[t - 1]
-        if live is not None:
-            inputs = inputs[live]
+        x = inputs[t] if live is None else inputs[t][live]
         if t < first:
-            h = team.encode(inputs, h)
+            h = team.agent.encode(Tensor(x), h)
             continue
-        q, h = team.step(inputs, h, ctx=ctx)
+        q, h = team.step(x, h, ctx=ctx)
         out.append(q if live is None else T.put_rows(q, live))
     return out
 

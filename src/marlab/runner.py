@@ -22,8 +22,8 @@ last bits, by the batch size.  Training's unrolls keep 2-D products over a
 batch's rows, which at their sizes are faster and which the losses were
 recorded with; its mixing runs per block of one step's rows (learner).
 
-Training runs in float32: the online and target teams, and so the
-optimizer state, are float32, and acting computes in float32 too.  The
+Training runs in learner.TRAIN_DTYPE, float32: the online and target
+teams, and so the optimizer state, are float32, and acting is too.  The
 invariant oracles (checks.py, nn.gradcheck) build float64 models.  Snapshot
 and checkpoint files keep float64 records; widening float32 is exact, and a
 float64-trained snapshot, which float32 cannot hold, is refused on load.
@@ -61,7 +61,7 @@ from .config import (RunConfig, check_seed, differing_keys, read_json,
 from .envs import Env, make_env
 from .errors import CheckpointError, ConfigError, ContractError, MarlabError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
-from .learner import MAX_TEST_EPISODES, EpisodeRecord, Learner, ReplayBuffer, epsilon
+from .learner import MAX_TEST_EPISODES, TRAIN_DTYPE, EpisodeRecord, Learner, ReplayBuffer, epsilon
 from .nn import load_checkpoint, load_records, save_checkpoint, write_records
 from .nn import tensor as T
 from .rng import stream, unit_uniform
@@ -70,10 +70,10 @@ CSV_FIELDS = ["seed", "env_step", "mean_test_return", "success_rate", "loss", "e
 
 
 def build_team_for_env(config: RunConfig, env: Env, seed: int) -> TeamModel:
-    """The team a run trains and evaluates, in float32."""
+    """The team a run trains and evaluates, in TRAIN_DTYPE."""
     return make_team(env.obs_dim, env.n_actions, env.n_agents, env.state_dim,
                      config.train.hidden_dim, config.mixer, config.comm, seed,
-                     dtype=np.float32)
+                     dtype=TRAIN_DTYPE)
 
 
 def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
@@ -261,8 +261,7 @@ class SeedRun:
             with open(path, "rb") as fh, np.load(fh) as data:
                 arrays = {key: data[key] for key in data.files}
             self.buffer = ReplayBuffer.from_state_arrays(self.config.train.buffer_capacity, arrays)
-        except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError,
-                zipfile.BadZipFile, ContractError) as exc:
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile, ContractError) as exc:
             raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
         self.last_loss = last_loss
 

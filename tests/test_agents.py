@@ -39,6 +39,16 @@ class TestBuildInputs:
         x = build_inputs(np.zeros((2, 4)), None, n_actions=3, n_agents=2)
         assert np.all(x[:, 4:7] == 0.0)
 
+    def test_a_previous_action_of_minus_one_is_the_none_form(self):
+        # unroll_team builds step 0 with the later steps, its actions -1
+        obs = np.arange(16, dtype=float).reshape(4, 4)
+        mixed = build_inputs(obs, np.array([-1, 2, 0, -1]), n_actions=3, n_agents=2)
+        first = build_inputs(obs, None, n_actions=3, n_agents=2)
+        taken = build_inputs(obs, np.array([1, 2, 0, 1]), n_actions=3, n_agents=2)
+        assert mixed.dtype == first.dtype == np.float64
+        assert np.array_equal(mixed[[0, 3]], first[[0, 3]])
+        assert np.array_equal(mixed[[1, 2]], taken[[1, 2]])
+
     def test_row_count_must_split_into_teams(self):
         with pytest.raises(ShapeError):
             build_inputs(np.zeros((3, 4)), None, n_actions=2, n_agents=2)

@@ -1,6 +1,9 @@
 """Invariant suite: the QMIX gradient check near the |.| kink, the checks of
-the communication stack's claims catching what they claim to, and an unknown
-fault refused."""
+the communication stack's claims catching what they claim to, each seeded
+fault failing exactly its own check, two faults no check catches yet, and an
+unknown fault refused."""
+
+import types
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from marlab.checks import (check_comm_param_count_team_size, check_deployment_eq
                            check_gradient_qmix, run_checks)
 from marlab.comm import CommStack
 from marlab.errors import ConfigError
+from marlab.nn import Module, Tensor
 from marlab.nn import tensor as T
 
 
@@ -64,3 +68,38 @@ def test_comm_param_count_catches_a_parameter_added_by_a_forward(monkeypatch):
 def test_an_unknown_fault_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown fault 'qmix-unsigned'"):
         run_checks(0, "qmix-unsigned")
+
+
+@pytest.mark.parametrize("seed", [0, 115, 311])
+@pytest.mark.parametrize("fault, caught", [("qmix-signed", "qmix_monotonicity"),
+                                           ("comm-hot-init", "comm_zero_init_passthrough")])
+def test_each_seeded_fault_fails_exactly_its_own_check(seed, fault, caught):
+    report = run_checks(seed, fault)
+    failed = [name for name, result in report["checks"].items() if not result["passed"]]
+    assert failed == [caught] and report["passed"] is False, failed
+
+
+def attention_output():
+    gen = np.random.default_rng(0)
+    q, k, v = (Tensor(gen.standard_normal((4, 8))) for _ in range(3))
+    return T.set_attention(q, k, v, heads=2, sets=1).data
+
+
+# Two escapes: faults that pass every check today.  Each test asserts what a
+# suite that caught the fault would report; once a check catches it, the
+# strict xfail turns into a failure that asks for the mark to go.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="no check sees attention scores left unscaled by 1/sqrt(d_k)")
+def test_attention_without_its_scale_fails_a_check(monkeypatch):
+    scaled = attention_output()
+    monkeypatch.setattr(T, "math", types.SimpleNamespace(sqrt=lambda x: 1.0))
+    if np.array_equal(attention_output(), scaled):
+        pytest.fail("the patch left the attention output unchanged")
+    assert run_checks(0)["passed"] is False
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="no check sees a target network that is never synced")
+def test_a_target_network_never_synced_fails_a_check(monkeypatch):
+    monkeypatch.setattr(Module, "copy_from", lambda self, other: None)
+    assert run_checks(0)["passed"] is False

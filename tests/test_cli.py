@@ -224,6 +224,37 @@ class TestTrainCommand:
         assert_one_line_error(capsys, str(path), "damaged")
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("damage, array", [("float actions", "actions"),
+                                               ("count past the capacity", "count"),
+                                               ("a length past the padded steps", "lengths"),
+                                               ("float avail", "avail")])
+    def test_resume_from_a_buffer_it_would_repair_is_a_one_line_error(self, tmp_path, capsys,
+                                                                      damage, array):
+        # each loaded without an error: the truncated actions, the newest 50
+        # episodes, an episode cut to the 2 padded steps, 0.5 as available
+        cfg = write_toy_config(tmp_path)   # buffer_capacity 50, 2-step episodes
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "run" / "seed_1" / "state" / "buffer.npz"
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        assert arrays["rewards"].shape == (20, 2)
+        if damage == "float actions":
+            arrays["actions"] = arrays["actions"] + 0.7
+        elif damage == "count past the capacity":
+            arrays = {key: np.concatenate([value] * 3) if value.ndim else np.array(60)
+                      for key, value in arrays.items()}
+        elif damage == "a length past the padded steps":
+            arrays["lengths"][0] = 5
+        else:
+            arrays["avail"] = np.where(arrays["avail"], 0.5, 0.0)
+        np.savez(path, **arrays)
+        run = tmp_path / "run"
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(cfg), "--resume"]) == 2
+        assert_one_line_error(capsys, str(path), "damaged", f"ContractError: {array}")
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
     def test_resume_may_extend_total_steps(self, tmp_path):
         cfg = write_toy_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0

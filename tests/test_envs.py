@@ -208,6 +208,19 @@ class TestOracles:
         with pytest.raises(ContractError):
             blind_optimum(MatrixGame())
 
+    def test_blind_optimum_scores_the_envs_own_model(self):
+        # a task whose model pays for announcing one's own cue needs no
+        # communication: blind_optimum reads the rule from model_step
+        class OwnCue(CuePassing):
+            def model_step(self, state, joint_action):
+                cues, t = state
+                if t == 0:
+                    return 0.0, (cues, 1)
+                return float(tuple(joint_action) == cues), None
+
+        assert blind_optimum(OwnCue(3, 3)) == 1.0
+        assert blind_optimum(OwnCue(2, 2)) == 1.0
+
 
 def test_make_env_dispatch():
     assert isinstance(make_env("matrix_game"), MatrixGame)
@@ -317,3 +330,24 @@ def test_success_is_reaching_the_best_return(make, best):
 def test_best_return_is_the_planners_optimum(make):
     env = make()
     assert value_iteration(env, gamma=1.0)[0] == env.best_return
+
+
+@pytest.mark.parametrize("make, start, obs, state", [
+    (MatrixGame, "s0", np.ones((2, 1)), np.ones(1)),
+    (TwoStepCoop, 0, np.array([[1.0, 0.0, 0.0]] * 2), np.array([1.0, 0.0, 0.0])),
+])
+def test_a_model_with_one_start_resets_to_it_without_a_draw(make, start, obs, state):
+    env, gen = make(), rng(3)
+    before = gen.bit_generator.state
+    got_obs, got_state = env.reset(gen)
+    assert env._state == start and gen.bit_generator.state == before
+    assert np.array_equal(got_obs, obs) and np.array_equal(got_state, state)
+
+
+def test_a_model_with_several_starts_and_no_start_draw_is_refused_on_reset():
+    class TwoStarts(TwoStepCoop):
+        def model_initial(self):
+            return [(0, 0.5), (1, 0.5)]
+
+    with pytest.raises(ContractError, match="TwoStarts has several start states"):
+        TwoStarts().reset(rng())

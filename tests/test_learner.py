@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import marlab
 import marlab.learner as learner_module
-from marlab.agents import TeamModel, build_inputs, make_team
+from marlab.agents import AgentNet, TeamModel, build_inputs, make_team
 from marlab.comm import CommSettings
 from marlab.errors import ContractError
 from marlab.learner import (
@@ -354,9 +354,9 @@ def test_unroll_from_step_one_is_the_full_unroll_from_there():
 
 def test_one_step_terminated_episodes_have_no_step_from_one(monkeypatch):
     calls = []
-    for name in ("step", "encode"):
-        original = getattr(TeamModel, name)
-        monkeypatch.setattr(TeamModel, name, lambda self, *a, _f=original, **kw:
+    for cls, name in ((TeamModel, "step"), (AgentNet, "encode")):
+        original = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *a, _f=original, **kw:
                             calls.append(self) or _f(self, *a, **kw))
     gen = np.random.default_rng(10)
     batch = pad_batch([make_episode(gen, length=1) for _ in range(3)])
@@ -500,7 +500,7 @@ def per_step_unroll(team, batch, ctx=None, first=0):
         last = batch["actions"][:, t - 1].reshape(-1) if t > 0 else None
         inputs = build_inputs(flat_obs, last, n_actions, n)
         if t < first:
-            h = team.encode(inputs, h)
+            h = team.agent.encode(Tensor(inputs.astype(team.dtype)), h)
             continue
         q, h = team.step(inputs, h, ctx=ctx)
         out.append(q)
