@@ -25,8 +25,8 @@ from .envs import make_env
 from .errors import ConfigError, MarlabError
 from .mixers import MIXERS
 from .netsim import Topology, centralized_traffic, distributed_traffic
-from .nn import load_checkpoint
-from .runner import build_team_for_env, evaluate, train_all_seeds, write_csv
+from .nn import load_records
+from .runner import build_team_for_env, evaluate, last_snapshot, train_all_seeds, write_csv
 
 
 def resolve_out_dir(path: str) -> Path:
@@ -158,10 +158,8 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     check_seed("--seed", args.seed)
     _check_out_path(args.out)
-    run_dir = Path(args.run)
-    config_path = run_dir / "config.json"
-    if not config_path.exists():
-        config_path = run_dir.parent / "config.json"
+    state_dir = last_snapshot(Path(args.run))   # renames nothing: a live run may be saving
+    config_path = state_dir / "config.json"
     config = load_run_config(config_path)
     if not config.comm.enabled and (args.topology or args.deploy):
         raise ConfigError(f"--topology and --deploy need a run trained with comm; "
@@ -172,7 +170,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"{args.topology}: a topology of {topology.n} agents for "
                           f"{config_path}, whose team has {env.n_agents}")
     team = build_team_for_env(config, env, seed=args.seed)
-    load_checkpoint(run_dir / "checkpoint.bin", team.parameters())
+    load_records(state_dir / "params.bin", ((p.name, p.data) for p in team.parameters()))
 
     mean_return, success_rate, steps = evaluate(
         env, team, args.episodes, args.seed, test_point=0,
@@ -238,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="greedy evaluation of a trained run")
     p_eval.add_argument("--run", required=True,
-                        help="seed directory holding checkpoint.bin")
+                        help="seed directory; eval reads its last snapshot, state/")
     p_eval.add_argument("--episodes", type=int, default=32)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--topology", default=None,

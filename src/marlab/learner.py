@@ -131,18 +131,27 @@ class ReplayBuffer:
         return {"count": np.array(len(eps)), **(pad_batch(eps) if eps else {})}
 
     @classmethod
-    def from_state_arrays(cls, capacity: int, arrays: dict) -> "ReplayBuffer":
-        """The buffer whose state_arrays() are `arrays`.
+    def from_state_arrays(cls, capacity: int, arrays: dict, sizes: tuple) -> "ReplayBuffer":
+        """The buffer whose state_arrays() are `arrays`, for an env of these
+        sizes: (n_agents, obs_dim, state_dim, n_actions).
 
         Their padded layout is checked once: count is an integer in
         [0, capacity] and at most the row count; each other array has its
-        dtype kind, one row count and one padded-step count, and 1 <= lengths
-        <= the padded steps.  Anything else is a ContractError naming the
-        array; each episode's own length rule is EpisodeRecord's.
+        dtype kind, one row count, one padded-step count and the env's shape
+        of a step, and 1 <= lengths <= the padded steps.  What the episodes
+        hold is checked against the env: at each t <= length every agent has
+        an available action, and obs and states are finite; at each t <
+        length the action taken is in range and available, and the reward is
+        finite.  Anything else is a ContractError naming the array; each
+        episode's own length rule is EpisodeRecord's.
         """
-        # each array's numpy dtype kinds and steps past the padded ones (None: one per episode)
-        layout = {"lengths": ("iu", None), "terminated": ("b", None), "actions": ("iu", 0),
-                  "rewards": ("f", 0), "obs": ("f", 1), "states": ("f", 1), "avail": ("b", 1)}
+        n, obs_dim, state_dim, n_actions = sizes
+        # each array's numpy dtype kinds, steps past the padded ones (None: one
+        # per episode) and the shape of one step
+        layout = {"lengths": ("iu", None, ()), "terminated": ("b", None, ()),
+                  "actions": ("iu", 0, (n,)), "rewards": ("f", 0, ()),
+                  "obs": ("f", 1, (n, obs_dim)), "states": ("f", 1, (state_dim,)),
+                  "avail": ("b", 1, (n, n_actions))}
         count = arrays.get("count", np.array(None))   # an object array if missing: refused
         if count.dtype.kind not in "iu" or count.shape or not 0 <= count <= capacity:
             raise ContractError(f"count must be an integer in [0, {capacity}], got {count!r}")
@@ -152,16 +161,25 @@ class ReplayBuffer:
         if missing := [key for key in layout if key not in arrays]:
             raise ContractError(f"no {', '.join(missing)} array beside count {count}")
         rows, steps = arrays["rewards"].shape[:2]
-        for key, (kinds, extra) in layout.items():
-            array, shape = arrays[key], (rows,) if extra is None else (rows, steps + extra)
-            if array.dtype.kind not in kinds or array.shape[:2] != shape:
+        for key, (kinds, extra, step) in layout.items():
+            array, shape = arrays[key], (rows,) if extra is None else (rows, steps + extra, *step)
+            if array.dtype.kind not in kinds or array.shape != shape:
                 raise ContractError(f"{key}: a {array.dtype} array of shape {array.shape}, not "
-                                    f"of dtype kind {kinds!r} and leading shape {shape}")
+                                    f"of dtype kind {kinds!r} and shape {shape}")
         if count > rows:
             raise ContractError(f"count {count} exceeds the {rows} episodes in lengths")
         bad = np.flatnonzero((arrays["lengths"] < 1) | (arrays["lengths"] > steps))
         if bad.size:
             raise ContractError(f"lengths[{bad[0]}] is not in [1, {steps}], the padded steps")
+        live = np.arange(steps + 1) <= arrays["lengths"][:, None]   # the steps t <= length
+        legal = (arrays["actions"][..., None] == np.arange(n_actions)) & arrays["avail"][:, :-1]
+        for key, ok in (("avail", arrays["avail"].any(-1)), ("actions", legal.any(-1)),
+                        *((k, np.isfinite(arrays[k])) for k in ("obs", "states", "rewards"))):
+            # an array of steps + 1 steps is read at t <= length, one of steps at t < length
+            at = np.argwhere(live[:, -ok.shape[1]:] & ~ok.reshape(*ok.shape[:2], -1).all(-1))
+            if at.size:
+                raise ContractError(f"{key}[{at[0][0]}, {at[0][1]}]: " + dict(
+                    avail="none available", actions="not available").get(key, "not finite"))
         for i in range(int(count)):
             t = int(arrays["lengths"][i])
             buffer.add(EpisodeRecord(

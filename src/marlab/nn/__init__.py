@@ -12,4 +12,4 @@ from .layers import (
     dropout_mask,
 )
 from .optim import Adam, RMSProp, clip_grad_norm
-from .serialize import load_checkpoint, load_records, save_checkpoint, write_records
+from .serialize import load_records, write_records

@@ -1,12 +1,12 @@
-"""Binary checkpoint format for named parameter arrays.
+"""Binary record format for named 2-D arrays: parameters and optimizer state.
 
-A checkpoint is a flat sequence of records, every integer little-endian
+A record file is a flat sequence of records, every integer little-endian
 64-bit unsigned, every value little-endian float64:
 
     [u64 name_len][name utf-8][u64 rows][u64 cols][rows*cols f64 values]
 
-A JSON manifest alongside lists the records so checkpoints are inspectable
-without parsing binary.
+No manifest is written beside the file: read_records lists its names and
+shapes.
 
 float32 arrays, such as a trained team's parameters and optimizer state, are
 widened to float64 on writing, which is exact, so loading them back into
@@ -17,17 +17,14 @@ CheckpointError instead of rounding it.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..errors import CheckpointError, ContractError
-from .tensor import Parameter
 
-FORMAT_NAME = "marlab-params-v1"
 _U64 = struct.Struct("<Q")
 
 
@@ -81,24 +78,6 @@ def read_records(path) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def save_checkpoint(params: Sequence[Parameter], bin_path, extra: dict | None = None):
-    """Write parameters plus a JSON manifest describing them, beside bin_path
-    with the suffix .json."""
-    bin_path = Path(bin_path)
-    write_records(bin_path, ((p.name, p.data) for p in params))
-    manifest = {
-        "format": FORMAT_NAME,
-        "endianness": "little",
-        "record_layout": "u64 name_len | name utf-8 | u64 rows | u64 cols | rows*cols f64",
-        "params": [
-            {"name": p.name, "rows": p.rows, "cols": p.cols} for p in params
-        ],
-    }
-    if extra:
-        manifest["extra"] = extra
-    bin_path.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
-
-
 def load_records(path, targets: Iterable[tuple[str, np.ndarray]]):
     """Fill each (name, array) target in place from the record of that name;
     a record the target's dtype cannot hold exactly raises CheckpointError."""
@@ -115,7 +94,3 @@ def load_records(path, targets: Iterable[tuple[str, np.ndarray]]):
             raise CheckpointError(f"{path}: record {name!r} does not fit a "
                                   f"{target.dtype} array exactly; refusing to round it")
 
-
-def load_checkpoint(bin_path, params: Sequence[Parameter]):
-    """Fill the given parameters in place from a checkpoint file."""
-    load_records(bin_path, ((p.name, p.data) for p in params))

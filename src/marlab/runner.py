@@ -25,21 +25,22 @@ recorded with; its mixing runs per block of one step's rows (learner).
 Training runs in learner.TRAIN_DTYPE, float32: the online and target
 teams, and so the optimizer state, are float32, and acting is too.  The
 invariant oracles (checks.py, nn.gradcheck) build float64 models.  Snapshot
-and checkpoint files keep float64 records; widening float32 is exact, and a
-float64-trained snapshot, which float32 cannot hold, is refused on load.
+files keep float64 records; widening float32 is exact, and a float64-trained
+snapshot, which float32 cannot hold, is refused on load.
 
-A snapshot, a seed directory's state/, holds config.json (the run config),
-params.bin and target.bin (the online and target parameters), optimizer.bin
-(the optimizer state), buffer.npz (the replay buffer) and progress.json (the
-counters and CSV rows so far).  SeedRun names the files and writes the
-config, the parameters and the counters; the Learner lays out the optimizer
-state (Learner.state_arrays, resume_at) and the buffer its own arrays
-(ReplayBuffer.state_arrays, from_state_arrays).  Every run snapshots at
-each test point, so resuming after a crash continues from the last one.  A
-snapshot is written as a unit: a process that dies while saving leaves the
-previous snapshot whole, and a damaged one is a CheckpointError naming the
-file.  Files are not synced to disk, so a crash of the machine is not
-covered.
+A finished seed directory holds metrics.csv and state/, its last snapshot,
+which `marlab eval` reads the trained team from (last_snapshot).  A snapshot
+holds config.json (the run config), params.bin and target.bin (the online
+and target parameters), optimizer.bin (the optimizer state), buffer.npz (the
+replay buffer) and progress.json (the counters and CSV rows so far).
+SeedRun names the files and writes the config, the parameters and the
+counters; the Learner lays out the optimizer state (Learner.state_arrays,
+resume_at) and the buffer its own arrays (ReplayBuffer.state_arrays,
+from_state_arrays).  Every run snapshots at each test point, so resuming
+after a crash continues from the last one.  A snapshot is written as a unit:
+a process that dies while saving leaves the previous snapshot whole, and a
+damaged one is a CheckpointError naming the file.  Files are not synced to
+disk, so a crash of the machine is not covered.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .envs import Env, make_env
 from .errors import CheckpointError, ConfigError, ContractError, MarlabError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
 from .learner import MAX_TEST_EPISODES, TRAIN_DTYPE, EpisodeRecord, Learner, ReplayBuffer, epsilon
-from .nn import load_checkpoint, load_records, save_checkpoint, write_records
+from .nn import load_records, write_records
 from .nn import tensor as T
 from .rng import stream, unit_uniform
 
@@ -222,7 +223,7 @@ class SeedRun:
 
     def save_state(self):
         """Write the snapshot to state.new/, then swap it in for state/, which
-        is state.old/ during the swap (see _settled_state_dir)."""
+        is state.old/ during the swap (see last_snapshot)."""
         new, state, old = (self.out_dir / f"state{s}" for s in (".new", "", ".old"))
         for stale in (new, old):
             shutil.rmtree(stale, ignore_errors=True)
@@ -253,14 +254,16 @@ class SeedRun:
         self.learner.resume_at(progress["train_steps"])
         last_loss = _loss_from_json(progress["last_loss"])
         self.rows = [{**row, "loss": _loss_from_json(row["loss"])} for row in progress["rows"]]
-        load_checkpoint(state_dir / "params.bin", self.team.parameters())
-        load_checkpoint(state_dir / "target.bin", self.learner.target.parameters())
+        for name, team in (("params", self.team), ("target", self.learner.target)):
+            load_records(state_dir / f"{name}.bin", ((p.name, p.data) for p in team.parameters()))
         load_records(state_dir / "optimizer.bin", self.learner.state_arrays().items())
         path = state_dir / "buffer.npz"
         try:   # one lookup per key: each NpzFile lookup reads the whole array again
             with open(path, "rb") as fh, np.load(fh) as data:
                 arrays = {key: data[key] for key in data.files}
-            self.buffer = ReplayBuffer.from_state_arrays(self.config.train.buffer_capacity, arrays)
+            sizes = self.env.n_agents, self.env.obs_dim, self.env.state_dim, self.env.n_actions
+            self.buffer = ReplayBuffer.from_state_arrays(self.config.train.buffer_capacity, arrays,
+                                                         sizes)
         except (OSError, EOFError, ValueError, zipfile.BadZipFile, ContractError) as exc:
             raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
         self.last_loss = last_loss
@@ -288,7 +291,7 @@ def write_csv(path, fields: list[str], rows: list[dict]):
 
 def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False) -> list[dict]:
     """Full training for one seed, snapshotting state/ at every test point;
-    writes metrics.csv, a final checkpoint and a final snapshot."""
+    writes metrics.csv and the final snapshot, which holds the trained team."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run = SeedRun(config, seed, out_dir)
@@ -296,8 +299,6 @@ def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False) 
         run.load_state()
     rows = run.run(snapshot_interval=1)
     write_csv(out_dir / "metrics.csv", CSV_FIELDS, rows)
-    save_checkpoint(run.team.parameters(), out_dir / "checkpoint.bin",
-                    extra={"seed": seed, "env_step": run.env_step})
     run.save_state()
     return rows
 
@@ -346,13 +347,16 @@ def _read_progress(path: Path) -> dict:
     return progress
 
 
-def _settled_state_dir(out_dir: Path) -> Path:
-    """out_dir/state, moved back from state.old first if a save_state stopped
-    between its two renames: state.old then holds the last whole snapshot."""
+def last_snapshot(out_dir: Path) -> Path:
+    """out_dir's last whole snapshot: state/, or state.old/ if a save stopped mid-swap."""
     state, old = out_dir / "state", out_dir / "state.old"
-    if old.exists() and not state.exists():
-        old.rename(state)
-    return state
+    return old if old.exists() and not state.exists() else state
+
+
+def _settled_state_dir(out_dir: Path) -> Path:
+    """out_dir/state, moved back first if the last snapshot is state.old."""
+    last = last_snapshot(out_dir)
+    return last if last.name == "state" else last.rename(out_dir / "state")
 
 
 def _refuse_changed_config(out_dir: Path, stored_path: Path, config: RunConfig):

@@ -11,9 +11,9 @@ from marlab.cli import curve_auc, main
 from marlab.config import load_run_config
 from marlab.envs import make_env
 from marlab.netsim import Topology, centralized_traffic, distributed_traffic
-from marlab.nn import load_checkpoint, write_records
+from marlab.nn import load_records, write_records
 from marlab.nn.serialize import read_records
-from marlab.runner import build_team_for_env, evaluate
+from marlab.runner import build_team_for_env, evaluate, train_one_seed
 
 
 def assert_one_line_error(capsys, *fragments):
@@ -42,6 +42,45 @@ def write_toy_config(tmp_path, **overrides):
     return path
 
 
+def set_entry(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# each damage to a resumed buffer.npz, as (the array named, an edit of the
+# arrays) on a cue_passing run of 2 agents and 2 cues, whose episodes are 2 steps
+BUFFER_DAMAGE = {
+    "an action past the last": ("actions", lambda a: {**a, "actions": set_entry(
+        a["actions"], (0, 0, 0), 7)}),
+    "a negative action": ("actions", lambda a: {**a, "actions": set_entry(
+        a["actions"], (0, 1, 1), -5)}),
+    "an action taken that is not available": ("actions", lambda a: {**a, "avail": set_entry(
+        a["avail"], (0, 0, 0, a["actions"][0, 0, 0]), False)}),
+    "a NaN reward": ("rewards", lambda a: {**a, "rewards": set_entry(
+        a["rewards"], (3, 1), np.nan)}),
+    "no action available": ("avail", lambda a: {**a, "avail": np.zeros_like(a["avail"])}),
+    "no action available after the last step": ("avail", lambda a: {**a, "avail": set_entry(
+        a["avail"], (2, 2, 1), False)}),
+    "an infinite observation after the last step": ("obs", lambda a: {**a, "obs": set_entry(
+        a["obs"], (4, 2, 0, 1), np.inf)}),
+    "a NaN state": ("states", lambda a: {**a, "states": set_entry(a["states"], (1, 0, 0), np.nan)}),
+    "an extra obs column": ("obs", lambda a: {**a, "obs": np.concatenate(
+        [a["obs"], a["obs"][..., :1]], axis=-1)}),
+    "a state column short": ("states", lambda a: {**a, "states": a["states"][..., :-1]}),
+    "a third agent": ("actions", lambda a: {**a, **{key: np.concatenate(
+        [a[key], a[key][:, :, :1]], axis=2) for key in ("obs", "avail", "actions")}}),
+    "an extra action": ("avail", lambda a: {**a, "avail": np.concatenate(
+        [a["avail"], a["avail"][..., :1]], axis=-1)}),
+}
+
+
+def write_snapshot_config(seed_dir):
+    """A bare seed directory whose snapshot holds only the toy config.json."""
+    (seed_dir / "state").mkdir(parents=True)
+    return write_toy_config(seed_dir.parent).rename(seed_dir / "state" / "config.json")
+
+
 class TestTrainCommand:
     def test_train_writes_artifacts(self, tmp_path, capsys):
         cfg = write_toy_config(tmp_path)
@@ -49,9 +88,17 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert (out / "config.json").exists()
         assert (out / "metrics.csv").exists()
-        assert (out / "seed_1" / "checkpoint.bin").exists()
-        assert (out / "seed_1" / "checkpoint.json").exists()
+        assert (out / "seed_1" / "state" / "params.bin").exists()
+        assert (out / "seed_1" / "state" / "config.json").exists()
         assert "seed 1" in capsys.readouterr().out
+
+    def test_a_finished_seed_directory_holds_its_metrics_and_last_snapshot_alone(self,
+                                                                                 tmp_path):
+        cfg = write_toy_config(tmp_path)
+        seed_dir = tmp_path / "run" / "seed_1"
+        for flags in ([], ["--resume", "--total-steps", "80"]):
+            assert main(["train", "--config", str(cfg), *flags]) == 0
+            assert sorted(p.name for p in seed_dir.iterdir()) == ["metrics.csv", "state"]
 
     def test_overrides_are_recorded_in_resolved_config(self, tmp_path):
         cfg = write_toy_config(tmp_path)
@@ -255,6 +302,27 @@ class TestTrainCommand:
         assert_one_line_error(capsys, str(path), "damaged", f"ContractError: {array}")
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("damage", sorted(BUFFER_DAMAGE))
+    def test_resume_from_a_buffer_the_env_cannot_have_written_is_a_one_line_error(
+            self, tmp_path, capsys, damage):
+        # unchecked, an action out of range was an IndexError traceback, an
+        # extra obs column an error from the first affine naming no file, and
+        # the rest trained on: a NaN reward into a NaN loss in metrics.csv
+        array, edit = BUFFER_DAMAGE[damage]
+        cfg = write_toy_config(tmp_path, mixer="qmix")
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "run" / "seed_1" / "state" / "buffer.npz"
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        assert arrays["actions"].shape == (20, 2, 2) and set(arrays["lengths"]) == {2}
+        np.savez(path, **edit(arrays))
+        run = tmp_path / "run"
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(cfg), "--resume"]) == 2
+        assert_one_line_error(capsys, str(path), "damaged", f"ContractError: {array}")
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
     def test_resume_may_extend_total_steps(self, tmp_path):
         cfg = write_toy_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
@@ -331,7 +399,7 @@ class TestTrainCommand:
         assert (tmp_path / "run" / "seed_1" / "state").is_dir()
         assert main(["train", "--config", config, "--resume"]) == 0
         assert main(["train", "--config", config, "--out", str(tmp_path / "whole")]) == 0
-        for name in ("metrics.csv", "seed_2/checkpoint.bin"):
+        for name in ("metrics.csv", "seed_2/state/params.bin"):
             assert (tmp_path / "run" / name).read_bytes() == \
                 (tmp_path / "whole" / name).read_bytes()
 
@@ -447,6 +515,40 @@ class TestEvalCommand:
         assert row["episodes"] == 4
         assert 0.0 <= row["success_rate"] <= 1.0
 
+    def test_eval_of_a_seed_directory_trained_alone(self, tmp_path, capsys):
+        # train_one_seed writes no config.json beside its seed directory, and
+        # eval read the config there: a one-line error
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        train_one_seed(load_run_config(cfg), 1, tmp_path / "alone" / "seed_1")
+        assert not (tmp_path / "alone" / "config.json").exists()
+        capsys.readouterr()
+        rows = []
+        for run in ("run", "alone"):
+            assert main(["eval", "--run", str(tmp_path / run / "seed_1"), "--episodes", "3"]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
+    def test_eval_of_a_seed_directory_whose_save_stopped_between_its_renames(self, tmp_path,
+                                                                              capsys):
+        # save_state renames state/ to state.old/, then state.new/ to state/;
+        # eval reads state.old/ and, as a training process may be saving,
+        # moves nothing
+        assert main(["train", "--config", str(write_toy_config(tmp_path))]) == 0
+        seed_dir = tmp_path / "run" / "seed_1"
+        capsys.readouterr()
+        rows = []
+        for stopped in (False, True):
+            if stopped:
+                (seed_dir / "state").rename(seed_dir / "state.old")
+            before = {p: p.read_bytes() if p.is_file() else None for p in seed_dir.rglob("*")}
+            assert main(["eval", "--run", str(seed_dir), "--deploy", "distributed"]) == 0
+            rows.append(capsys.readouterr().out)
+            assert {p: p.read_bytes() if p.is_file() else None
+                    for p in seed_dir.rglob("*")} == before
+        assert rows[0] == rows[1]
+        assert sorted(p.name for p in seed_dir.iterdir()) == ["metrics.csv", "state.old"]
+
     def test_eval_with_negative_seed_is_a_one_line_error(self, tmp_path, capsys):
         cfg = write_toy_config(tmp_path)
         main(["train", "--config", str(cfg)])
@@ -462,7 +564,7 @@ class TestEvalCommand:
         cfg = write_toy_config(tmp_path)
         main(["train", "--config", str(cfg)])
         capsys.readouterr()
-        ckpt = tmp_path / "run" / "seed_1" / "checkpoint.bin"
+        ckpt = tmp_path / "run" / "seed_1" / "state" / "params.bin"
         ckpt.write_bytes(ckpt.read_bytes()[:keep])
         assert main(["eval", "--run", str(tmp_path / "run" / "seed_1")]) == 2
         err = capsys.readouterr().err
@@ -470,11 +572,11 @@ class TestEvalCommand:
         assert str(ckpt) in err and "truncated at byte" in err
 
     def test_eval_of_run_without_checkpoint_is_a_one_line_error(self, tmp_path, capsys):
-        write_toy_config(tmp_path)   # the run directory's parent holds config.json
+        write_toy_config(tmp_path)   # the run directory's parent's config.json is not read
         seed_dir = tmp_path / "seed_1"
         seed_dir.mkdir()
         assert main(["eval", "--run", str(seed_dir)]) == 2   # FileNotFoundError
-        assert_one_line_error(capsys, str(seed_dir / "checkpoint.bin"))
+        assert_one_line_error(capsys, str(seed_dir / "state" / "config.json"))
 
     @pytest.mark.parametrize("text", [
         None,                              # FileNotFoundError
@@ -482,7 +584,7 @@ class TestEvalCommand:
         json.dumps({"n": 2}),              # KeyError
     ])
     def test_eval_with_bad_topology_file_is_a_one_line_error(self, tmp_path, capsys, text):
-        write_toy_config(tmp_path)
+        write_snapshot_config(tmp_path / "seed_1")
         topo_path = tmp_path / "topo.json"
         if text is not None:
             topo_path.write_text(text)
@@ -492,7 +594,8 @@ class TestEvalCommand:
 
     def test_eval_with_a_topology_for_another_team_size_is_a_one_line_error(self, tmp_path,
                                                                             capsys):
-        config = write_toy_config(tmp_path)   # 2 agents, no run: refused before the team
+        # 2 agents, no params.bin: refused before the team
+        config = write_snapshot_config(tmp_path / "seed_1")
         topo_path = tmp_path / "topo.json"
         topo_path.write_text(json.dumps({"reachable": np.eye(3, dtype=int).tolist()}))
         assert main(["eval", "--run", str(tmp_path / "seed_1"),
@@ -583,7 +686,8 @@ class TestEvalCommand:
         config = load_run_config(tmp_path / "run" / "config.json")
         env = make_env(config.env.name, config.env.params)
         team = build_team_for_env(config, env, seed=4)
-        load_checkpoint(seed_dir / "checkpoint.bin", team.parameters())
+        load_records(seed_dir / "state" / "params.bin",
+                     ((p.name, p.data) for p in team.parameters()))
         mean_return, success, steps = evaluate(env, team, 3, seed=4, test_point=0)
         assert (row["mean_return"], row["success_rate"], row["env_steps"]) == \
             (mean_return, success, steps)

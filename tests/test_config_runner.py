@@ -426,7 +426,7 @@ class TestTrainingRun:
         assert seeds_in_csv == ["1", "1", "2", "2", "3", "3"]
         assert (tmp_path / "multi" / "config.json").exists()
         for s in (1, 2, 3):
-            assert (tmp_path / "multi" / f"seed_{s}" / "checkpoint.bin").exists()
+            assert (tmp_path / "multi" / f"seed_{s}" / "state" / "params.bin").exists()
 
     def test_seed_resume_refuses_a_changed_config(self, tmp_path):
         train_one_seed(toy_config(), seed=5, out_dir=tmp_path)
@@ -453,8 +453,8 @@ class TestTrainingRun:
         assert len(resumed) == len(full)
         assert (tmp_path / "full" / "metrics.csv").read_bytes() == \
             (tmp_path / "parts" / "metrics.csv").read_bytes()
-        a = (tmp_path / "full" / "checkpoint.bin").read_bytes()
-        b = (tmp_path / "parts" / "checkpoint.bin").read_bytes()
+        a = (tmp_path / "full" / "state" / "params.bin").read_bytes()
+        b = (tmp_path / "parts" / "state" / "params.bin").read_bytes()
         assert a == b
 
     def test_worker_processes_match_sequential(self, tmp_path):
@@ -504,16 +504,20 @@ class TestTrainingRun:
 
 
 def add_episodes(run, lengths, seed=0):
-    """Synthetic episodes of the given lengths; every other one truncated."""
+    """Synthetic episodes of the given lengths; every other one truncated.
+    Each holds what the env allows, as a resumed buffer must: every agent
+    has an available action at each step and takes one of them."""
     gen = np.random.default_rng(seed)
     env = run.env
     n, a = env.n_agents, env.n_actions
     for i, t in enumerate(lengths):
+        obs = gen.standard_normal((t + 1, n, env.obs_dim))
+        states = gen.standard_normal((t + 1, env.state_dim))
+        avail = gen.random((t + 1, n, a)) < 0.7
+        avail[..., 0] |= ~avail.any(axis=-1)
         run.buffer.add(EpisodeRecord(
-            obs=gen.standard_normal((t + 1, n, env.obs_dim)),
-            states=gen.standard_normal((t + 1, env.state_dim)),
-            avail=gen.random((t + 1, n, a)) < 0.7,
-            actions=gen.integers(0, a, size=(t, n)),
+            obs=obs, states=states, avail=avail,
+            actions=(gen.random((t, n, a)) * avail[:t]).argmax(axis=-1),
             rewards=gen.standard_normal(t),
             terminated=(i % 2 == 0)))
 
@@ -571,7 +575,10 @@ class TestSnapshot:
         # ReplayBuffer.state_arrays lays out now, key order included
         with np.load(EARLIER_STATE / "buffer.npz") as old:
             arrays = {key: old[key] for key in old.files}
-        buffer = ReplayBuffer.from_state_arrays(toy_config().train.buffer_capacity, arrays)
+        env = SeedRun(toy_config(), seed=5, out_dir=tmp_path).env
+        buffer = ReplayBuffer.from_state_arrays(toy_config().train.buffer_capacity, arrays,
+                                                (env.n_agents, env.obs_dim, env.state_dim,
+                                                 env.n_actions))
         assert len(buffer) == 20
         np.savez(tmp_path / "buffer.npz", **buffer.state_arrays())
         with np.load(tmp_path / "buffer.npz") as new:

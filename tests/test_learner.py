@@ -106,6 +106,30 @@ class TestReplayBuffer:
         with pytest.raises(ContractError):
             buf.sample(1, np.random.default_rng(0))
 
+    def test_env_checks_read_each_episode_up_to_its_length(self):
+        # steps past an episode's length are padding that no load reads, so
+        # what they hold is not refused; the same damage one step earlier is
+        gen = np.random.default_rng(3)
+        episodes = [make_episode(gen, length=1), make_episode(gen, length=3)]
+        buf, sizes = ReplayBuffer(capacity=4), (2, 3, 4, 2)   # make_episode's
+        for ep in episodes:
+            buf.add(ep)
+        arrays = buf.state_arrays()
+        damage = {"avail": ((0, 1), False), "actions": ((0, 0, 1), 7),
+                  "obs": ((0, 1, 0, 2), np.inf), "states": ((0, 1, 3), np.nan),
+                  "rewards": ((0, 0), np.nan)}
+        for key, (index, value) in damage.items():   # one step past the length
+            arrays[key][(index[0], index[1] + 1, *index[2:])] = value
+        loaded = ReplayBuffer.from_state_arrays(4, arrays, sizes).episodes
+        for got, ep in zip(loaded, episodes, strict=True):
+            for key in ("obs", "states", "avail", "actions", "rewards"):
+                assert np.array_equal(getattr(got, key), getattr(ep, key)), key
+        for key, (index, value) in damage.items():
+            damaged = {**arrays, key: arrays[key].copy()}
+            damaged[key][index] = value
+            with pytest.raises(ContractError, match=rf"^{key}\[0, {index[1]}\]: "):
+                ReplayBuffer.from_state_arrays(4, damaged, sizes)
+
 
 class TestEpisodeRecord:
     def test_length_mismatch_rejected(self):

@@ -1,6 +1,5 @@
-"""Checkpoint format: byte layout and roundtrip."""
+"""Record format: byte layout and roundtrip."""
 
-import json
 import struct
 
 import numpy as np
@@ -12,8 +11,13 @@ from hypothesis.extra import numpy as hnp
 from marlab.agents import make_team
 from marlab.comm import CommSettings
 from marlab.errors import CheckpointError, ContractError, MarlabError
-from marlab.nn import Parameter, load_checkpoint, save_checkpoint, write_records
+from marlab.nn import Parameter, load_records, write_records
 from marlab.nn.serialize import read_records
+
+
+def named(params):
+    """The (name, array) pairs that write_records and load_records take."""
+    return [(p.name, p.data) for p in params]
 
 
 def test_roundtrip(tmp_path):
@@ -23,25 +27,20 @@ def test_roundtrip(tmp_path):
         Parameter(rng.standard_normal((1, 4)), name="fc.bias"),
     ]
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(params, path)
+    write_records(path, named(params))
 
     originals = [p.data.copy() for p in params]
     for p in params:
         p.data[...] = 0.0
-    load_checkpoint(path, params)
+    load_records(path, named(params))
     for p, orig in zip(params, originals):
         assert np.array_equal(p.data, orig)
-
-    manifest = json.loads((tmp_path / "ckpt.json").read_text())
-    assert manifest["endianness"] == "little"
-    assert manifest["params"] == [{"name": "fc.weight", "rows": 3, "cols": 4},
-                                  {"name": "fc.bias", "rows": 1, "cols": 4}]
 
 
 def test_binary_layout_is_length_prefixed_little_endian(tmp_path):
     p = Parameter(np.array([[1.5, -2.0]]), name="w")
     path = tmp_path / "one.bin"
-    save_checkpoint([p], path)
+    write_records(path, named([p]))
     blob = path.read_bytes()
 
     name_len = struct.unpack_from("<Q", blob, 0)[0]
@@ -57,7 +56,7 @@ def test_binary_layout_is_length_prefixed_little_endian(tmp_path):
 def test_read_records_order_preserved(tmp_path):
     params = [Parameter(np.zeros((2, 2)), name=f"p{i}") for i in range(5)]
     path = tmp_path / "many.bin"
-    save_checkpoint(params, path)
+    write_records(path, named(params))
     names = [name for name, _ in read_records(path)]
     assert names == [f"p{i}" for i in range(5)]
 
@@ -65,37 +64,37 @@ def test_read_records_order_preserved(tmp_path):
 def test_load_missing_param_raises(tmp_path):
     p = Parameter(np.zeros((1, 1)), name="present")
     path = tmp_path / "x.bin"
-    save_checkpoint([p], path)
+    write_records(path, named([p]))
     other = Parameter(np.zeros((1, 1)), name="absent")
     with pytest.raises(ContractError, match="absent"):
-        load_checkpoint(path, [other])
+        load_records(path, named([other]))
 
 
 def test_load_shape_mismatch_raises(tmp_path):
     p = Parameter(np.zeros((2, 2)), name="w")
     path = tmp_path / "x.bin"
-    save_checkpoint([p], path)
+    write_records(path, named([p]))
     wrong = Parameter(np.zeros((2, 3)), name="w")
     with pytest.raises(ContractError, match="shape"):
-        load_checkpoint(path, [wrong])
+        load_records(path, named([wrong]))
 
 
 def test_float32_round_trip_is_exact_and_a_lossy_load_is_refused(tmp_path):
     values = np.array([[0.1, 1e-40, np.nan, np.inf, -3.0]])
     narrow = Parameter(values.astype(np.float32), name="w")
     path = tmp_path / "narrow.bin"
-    save_checkpoint([narrow], path)
+    write_records(path, named([narrow]))
     target = Parameter(np.zeros((1, 5), dtype=np.float32), name="w")
-    load_checkpoint(path, [target])
+    load_records(path, named([target]))
     assert target.data.dtype == np.float32
     assert target.data.tobytes() == narrow.data.tobytes()
 
-    save_checkpoint([Parameter(values, name="w")], path)
+    write_records(path, named([Parameter(values, name="w")]))
     with pytest.raises(CheckpointError, match="'w'") as info:
-        load_checkpoint(path, [target])
+        load_records(path, named([target]))
     assert len(str(info.value).splitlines()) == 1
     wide = Parameter(np.zeros((1, 5)), name="w")
-    load_checkpoint(path, [wide])   # float64 targets hold every record
+    load_records(path, named([wide]))   # float64 targets hold every record
     assert np.array_equal(wide.data, values, equal_nan=True)
 
 
@@ -108,7 +107,7 @@ def test_truncated_file_names_path_and_offset(tmp_path, keep, offset):
     params = [Parameter(np.arange(4.0).reshape(2, 2), name="w"),
               Parameter(np.ones((1, 3)), name="b")]
     path = tmp_path / "cut.bin"
-    save_checkpoint(params, path)
+    write_records(path, named(params))
     blob = path.read_bytes()
     offset %= len(blob)
     path.write_bytes(blob[:keep])
