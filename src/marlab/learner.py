@@ -140,10 +140,11 @@ class ReplayBuffer:
         dtype kind, one row count, one padded-step count and the env's shape
         of a step, and 1 <= lengths <= the padded steps.  What the episodes
         hold is checked against the env: at each t <= length every agent has
-        an available action, and obs and states are finite; at each t <
-        length the action taken is in range and available, and the reward is
-        finite.  Anything else is a ContractError naming the array; each
-        episode's own length rule is EpisodeRecord's.
+        an available action, and obs and states are finite in TRAIN_DTYPE,
+        float32, which training casts them to; at each t < length the action
+        taken is in range and available, and the reward is finite in float32.
+        Anything else is a ContractError naming the array; each episode's own
+        length rule is EpisodeRecord's.
         """
         n, obs_dim, state_dim, n_actions = sizes
         # each array's numpy dtype kinds, steps past the padded ones (None: one
@@ -173,13 +174,15 @@ class ReplayBuffer:
             raise ContractError(f"lengths[{bad[0]}] is not in [1, {steps}], the padded steps")
         live = np.arange(steps + 1) <= arrays["lengths"][:, None]   # the steps t <= length
         legal = (arrays["actions"][..., None] == np.arange(n_actions)) & arrays["avail"][:, :-1]
+        top = np.finfo(TRAIN_DTYPE).max   # NaN and inf are past it too
         for key, ok in (("avail", arrays["avail"].any(-1)), ("actions", legal.any(-1)),
-                        *((k, np.isfinite(arrays[k])) for k in ("obs", "states", "rewards"))):
+                        *((k, abs(arrays[k]) <= top) for k in ("obs", "states", "rewards"))):
             # an array of steps + 1 steps is read at t <= length, one of steps at t < length
             at = np.argwhere(live[:, -ok.shape[1]:] & ~ok.reshape(*ok.shape[:2], -1).all(-1))
             if at.size:
                 raise ContractError(f"{key}[{at[0][0]}, {at[0][1]}]: " + dict(
-                    avail="none available", actions="not available").get(key, "not finite"))
+                    avail="none available", actions="not available").get(
+                        key, f"not finite in {np.dtype(TRAIN_DTYPE)}"))
         for i in range(int(count)):
             t = int(arrays["lengths"][i])
             buffer.add(EpisodeRecord(

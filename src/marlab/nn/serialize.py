@@ -89,7 +89,8 @@ def load_records(path, targets: Iterable[tuple[str, np.ndarray]]):
         if arr.shape != target.shape:
             raise ContractError(
                 f"{path}: checkpoint shape {arr.shape} does not match {name} {target.shape}")
-        target[...] = arr
+        with np.errstate(over="ignore"):   # a value past the dtype's range is refused below
+            target[...] = arr
         if not np.array_equal(target, arr, equal_nan=True):
             raise CheckpointError(f"{path}: record {name!r} does not fit a "
                                   f"{target.dtype} array exactly; refusing to round it")

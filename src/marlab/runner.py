@@ -29,18 +29,20 @@ files keep float64 records; widening float32 is exact, and a float64-trained
 snapshot, which float32 cannot hold, is refused on load.
 
 A finished seed directory holds metrics.csv and state/, its last snapshot,
-which `marlab eval` reads the trained team from (last_snapshot).  A snapshot
-holds config.json (the run config), params.bin and target.bin (the online
-and target parameters), optimizer.bin (the optimizer state), buffer.npz (the
-replay buffer) and progress.json (the counters and CSV rows so far).
-SeedRun names the files and writes the config, the parameters and the
-counters; the Learner lays out the optimizer state (Learner.state_arrays,
-resume_at) and the buffer its own arrays (ReplayBuffer.state_arrays,
-from_state_arrays).  Every run snapshots at each test point, so resuming
-after a crash continues from the last one.  A snapshot is written as a unit:
-a process that dies while saving leaves the previous snapshot whole, and a
-damaged one is a CheckpointError naming the file.  Files are not synced to
-disk, so a crash of the machine is not covered.
+which `marlab eval` reads the trained team from and a resume continues
+from, both in place (last_snapshot).  A snapshot holds config.json (the run
+config), params.bin and target.bin (the online and target parameters),
+optimizer.bin (the optimizer state), buffer.npz (the replay buffer) and
+progress.json (the counters and CSV rows so far).  SeedRun names the files
+and writes the config, the parameters and the counters; the Learner lays
+out the optimizer state (Learner.state_arrays, resume_at) and the buffer its
+own arrays (ReplayBuffer.state_arrays, from_state_arrays).  Every run
+snapshots at each test point, so resuming after a crash continues from the
+last one.  A snapshot is written as a unit, and only SeedRun.save_state
+moves snapshot directories: a process that dies while saving leaves the
+previous snapshot whole, and a damaged one is a CheckpointError naming the
+file.  Files are not synced to disk, so a crash of the machine is not
+covered.
 """
 
 from __future__ import annotations
@@ -223,10 +225,11 @@ class SeedRun:
 
     def save_state(self):
         """Write the snapshot to state.new/, then swap it in for state/, which
-        is state.old/ during the swap (see last_snapshot)."""
+        is state.old/ during the swap (see last_snapshot); the one code that
+        moves snapshot directories.  A stale state.old/ goes only once state/
+        exists: until state.new/ is renamed in, it may be the last whole one."""
         new, state, old = (self.out_dir / f"state{s}" for s in (".new", "", ".old"))
-        for stale in (new, old):
-            shutil.rmtree(stale, ignore_errors=True)
+        shutil.rmtree(new, ignore_errors=True)
         new.mkdir(parents=True)
         save_run_config(self.config, new / "config.json")
         for name, team in (("params", self.team), ("target", self.learner.target)):
@@ -241,12 +244,14 @@ class SeedRun:
             "rows": [{**row, "loss": _loss_to_json(row["loss"])} for row in self.rows],
         }, allow_nan=False))
         if state.exists():
+            shutil.rmtree(old, ignore_errors=True)
             state.rename(old)
         new.rename(state)
         shutil.rmtree(old, ignore_errors=True)
 
     def load_state(self):
-        state_dir = _settled_state_dir(self.out_dir)
+        """Load out_dir's last snapshot, read in place (last_snapshot)."""
+        state_dir = last_snapshot(self.out_dir)
         if (state_dir / "config.json").exists():   # absent in older snapshots
             _refuse_changed_config(state_dir, state_dir / "config.json", self.config)
         progress = _read_progress(state_dir / "progress.json")
@@ -291,14 +296,13 @@ def write_csv(path, fields: list[str], rows: list[dict]):
 
 def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False) -> list[dict]:
     """Full training for one seed, snapshotting state/ at every test point;
-    writes metrics.csv and the final snapshot, which holds the trained team."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    writes metrics.csv and the final snapshot, which holds the trained team.
+    With resume it continues from the last snapshot, if one exists."""
     run = SeedRun(config, seed, out_dir)
-    if resume and (_settled_state_dir(out_dir) / "progress.json").exists():
+    if resume and last_snapshot(run.out_dir).exists():
         run.load_state()
     rows = run.run(snapshot_interval=1)
-    write_csv(out_dir / "metrics.csv", CSV_FIELDS, rows)
+    write_csv(run.out_dir / "metrics.csv", CSV_FIELDS, rows)
     run.save_state()
     return rows
 
@@ -348,15 +352,11 @@ def _read_progress(path: Path) -> dict:
 
 
 def last_snapshot(out_dir: Path) -> Path:
-    """out_dir's last whole snapshot: state/, or state.old/ if a save stopped mid-swap."""
+    """out_dir's last whole snapshot: state/, or state.old/ if a save stopped
+    mid-swap.  Eval and resume read it where it is; the next save_state
+    settles the directories."""
     state, old = out_dir / "state", out_dir / "state.old"
     return old if old.exists() and not state.exists() else state
-
-
-def _settled_state_dir(out_dir: Path) -> Path:
-    """out_dir/state, moved back first if the last snapshot is state.old."""
-    last = last_snapshot(out_dir)
-    return last if last.name == "state" else last.rename(out_dir / "state")
 
 
 def _refuse_changed_config(out_dir: Path, stored_path: Path, config: RunConfig):
@@ -375,10 +375,12 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
     is a ConfigError.
 
     Resuming refuses a config that differs from the stored config.json in
-    anything but total_env_steps, before any file is written.  A worker
-    process that dies (killed, out of memory) is an error, not a hang: the
-    seeds not yet started are cancelled, and every seed keeps state/ from
-    its last test point, so a run with --resume continues.
+    anything but total_env_steps, before any file is written, and rewrites
+    config.json only once every seed has run, so a resume that a seed's
+    snapshot refuses leaves it as it was.  A fresh run writes config.json
+    before it trains, so that a crashed run's resume is checked against it.  A worker process that dies (killed, out of memory) is an
+    error, not a hang: the seeds not yet started are cancelled, and every
+    seed keeps its last snapshot, so a run with --resume continues.
     """
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
@@ -386,8 +388,9 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
     stored_path = out_dir / "config.json"
     if resume and stored_path.exists():
         _refuse_changed_config(out_dir, stored_path, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_run_config(config, stored_path)
+    else:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_run_config(config, stored_path)
     seeds = config.seeds
     jobs = ([config] * len(seeds), seeds, [out_dir / f"seed_{seed}" for seed in seeds],
             [resume] * len(seeds))
@@ -405,4 +408,5 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
     else:
         runs = list(map(train_one_seed, *jobs))
     write_csv(out_dir / "metrics.csv", CSV_FIELDS, [row for rows in runs for row in rows])
+    save_run_config(config, stored_path)   # a resume's total_env_steps
     return dict(zip(seeds, runs))

@@ -72,6 +72,13 @@ BUFFER_DAMAGE = {
         [a[key], a[key][:, :, :1]], axis=2) for key in ("obs", "avail", "actions")}}),
     "an extra action": ("avail", lambda a: {**a, "avail": np.concatenate(
         [a["avail"], a["avail"][..., :1]], axis=-1)}),
+    # finite in float64, but past float32's range: an overflow in the training cast
+    "an observation float32 cannot hold": ("obs", lambda a: {**a, "obs": set_entry(
+        a["obs"], (2, 1, 1, 0), 1e39)}),
+    "a state float32 cannot hold": ("states", lambda a: {**a, "states": set_entry(
+        a["states"], (5, 2, 0), -1e39)}),
+    "a reward float32 cannot hold": ("rewards", lambda a: {**a, "rewards": set_entry(
+        a["rewards"], (6, 0), 1e39)}),
 }
 
 
@@ -307,7 +314,8 @@ class TestTrainCommand:
             self, tmp_path, capsys, damage):
         # unchecked, an action out of range was an IndexError traceback, an
         # extra obs column an error from the first affine naming no file, and
-        # the rest trained on: a NaN reward into a NaN loss in metrics.csv
+        # the rest trained on: a NaN reward into a NaN loss in metrics.csv.
+        # A longer resume once rewrote the run's config.json before the refusal
         array, edit = BUFFER_DAMAGE[damage]
         cfg = write_toy_config(tmp_path, mixer="qmix")
         assert main(["train", "--config", str(cfg)]) == 0
@@ -319,9 +327,26 @@ class TestTrainCommand:
         np.savez(path, **edit(arrays))
         run = tmp_path / "run"
         before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
-        assert main(["train", "--config", str(cfg), "--resume"]) == 2
+        assert main(["train", "--config", str(cfg), "--resume", "--total-steps", "80"]) == 2
         assert_one_line_error(capsys, str(path), "damaged", f"ContractError: {array}")
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("name", ["progress.json", "params.bin", "target.bin",
+                                      "optimizer.bin", "buffer.npz"])
+    def test_resume_from_a_snapshot_missing_a_file_is_a_one_line_error(self, tmp_path, capsys,
+                                                                        name):
+        # without progress.json the seed started over, with exit 0.  A snapshot
+        # without config.json is the older layout, which resumes
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "run" / "seed_1" / "state" / name
+        path.unlink()
+        run = tmp_path / "run"
+        before = {p: p.read_bytes() if p.is_file() else None for p in run.rglob("*")}
+        assert main(["train", "--config", str(cfg), "--resume", "--total-steps", "80"]) == 2
+        assert_one_line_error(capsys, str(path))
+        assert {p: p.read_bytes() if p.is_file() else None for p in run.rglob("*")} == before
 
     def test_resume_may_extend_total_steps(self, tmp_path):
         cfg = write_toy_config(tmp_path)

@@ -793,6 +793,22 @@ def test_a_crash_at_any_write_of_a_snapshot_resumes_exactly_or_refuses(tmp_path,
     assert at > 10   # every file of the snapshot, the renames and the clean-up
 
 
+def test_a_resume_from_state_old_reads_it_in_place_and_ends_as_the_whole_run(tmp_path):
+    # a save that stopped between its renames leaves state.old/ alone; load_state
+    # renamed it back to state/, where eval reads it in place
+    train_one_seed(toy_config(), seed=5, out_dir=tmp_path / "whole")
+    seed_dir = tmp_path / "stopped"
+    train_one_seed(toy_config(total_env_steps=40), seed=5, out_dir=seed_dir)
+    (seed_dir / "state").rename(seed_dir / "state.old")
+    before = tree_bytes(seed_dir)
+    SeedRun(toy_config(), seed=5, out_dir=seed_dir).load_state()
+    assert sorted(p.name for p in seed_dir.iterdir()) == ["metrics.csv", "state.old"]
+    assert tree_bytes(seed_dir) == before
+    train_one_seed(toy_config(), seed=5, out_dir=seed_dir, resume=True)
+    assert not (seed_dir / "state.old").exists()
+    assert tree_bytes(seed_dir) == tree_bytes(tmp_path / "whole")
+
+
 def test_a_run_that_crashes_resumes_from_its_last_test_point(tmp_path, monkeypatch):
     cfg = toy_config(seeds=(5,), total_env_steps=120)   # test points at 0, 40, 80, 120
     train_all_seeds(cfg, tmp_path / "full")

@@ -98,6 +98,16 @@ def test_float32_round_trip_is_exact_and_a_lossy_load_is_refused(tmp_path):
     assert np.array_equal(wide.data, values, equal_nan=True)
 
 
+def test_a_record_past_float32s_range_is_refused_without_a_warning(tmp_path):
+    # the cast into the target raised "overflow encountered in cast" before the check ran
+    path = tmp_path / "huge.bin"
+    write_records(path, [("w", np.array([[0.5, 1e300]]))])
+    target = np.zeros((1, 2), dtype=np.float32)
+    with pytest.raises(CheckpointError, match="'w'") as info:
+        load_records(path, [("w", target)])
+    assert len(str(info.value).splitlines()) == 1
+
+
 @pytest.mark.parametrize("keep, offset", [
     (5, 0),     # inside the first name length
     (20, 17),   # inside the column count of the first record
