@@ -31,7 +31,7 @@ from .mixers import MIXERS
 _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), dict: (dict,)}
 
 
-def _check_type(where: str, annotation, value):
+def check_type(where: str, annotation, value):
     """Reject a value of the wrong JSON type, such as 2.5 for an int or "no" for a bool,
     and the NaN and Infinity that Python's JSON reader accepts for a float."""
     kinds = _JSON_TYPES.get(annotation)
@@ -65,7 +65,7 @@ class EnvSpec:
             raise ConfigError(f"env {self.name!r}: unknown params {sorted(unknown)}, "
                               f"it takes {sorted(accepted)}")
         for key, value in self.params.items():
-            _check_type(f"env.params.{key}", accepted[key].annotation, value)
+            check_type(f"env.params.{key}", accepted[key].annotation, value)
         cls(**self.params)  # the constructor's value checks, before any output
 
 
@@ -116,7 +116,7 @@ def _build(cls, data: dict, where: str):
                 raise ConfigError(f"{path}: expected a list, got {value!r}")
             value = tuple(value)
         else:
-            _check_type(path, kind, value)
+            check_type(path, kind, value)
         kwargs[name] = value
     return cls(**kwargs)
 

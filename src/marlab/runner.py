@@ -40,9 +40,12 @@ own arrays (ReplayBuffer.state_arrays, from_state_arrays).  Every run
 snapshots at each test point, so resuming after a crash continues from the
 last one.  A snapshot is written as a unit, and only SeedRun.save_state
 moves snapshot directories: a process that dies while saving leaves the
-previous snapshot whole, and a damaged one is a CheckpointError naming the
-file.  Files are not synced to disk, so a crash of the machine is not
-covered.
+previous snapshot whole.  A snapshot is its six files, each required: one
+that is missing, damaged or at odds with the others is refused in one line
+naming the file (SeedRun.load_state).  A resume may change only
+total_env_steps and out_dir of the config, so a run directory that was
+copied or moved resumes where it is.  Files are not synced to disk, so a
+crash of the machine is not covered.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .agents import TeamModel, build_inputs, make_team
-from .config import (RunConfig, check_seed, differing_keys, read_json,
+from .config import (RunConfig, check_seed, check_type, differing_keys, read_json,
                      run_config_to_dict, save_run_config)
 from .envs import Env, make_env
 from .errors import CheckpointError, ConfigError, ContractError, MarlabError
@@ -250,15 +253,20 @@ class SeedRun:
         shutil.rmtree(old, ignore_errors=True)
 
     def load_state(self):
-        """Load out_dir's last snapshot, read in place (last_snapshot)."""
+        """Load out_dir's last snapshot, read in place (last_snapshot).  Each
+        of its six files is required; config.json must match the run's config
+        but for total_env_steps and out_dir (_refuse_changed_config), and
+        progress.json must agree with the buffer: with I the test interval,
+        episode_idx <= env_step, and the rows number at least one per test
+        point due before the newest episode, (env_step - its length) // I + 1,
+        and at most env_step // I + 1.  Anything else is refused in one line
+        naming the file, as a CheckpointError or, for config.json, a
+        ConfigError."""
         state_dir = last_snapshot(self.out_dir)
-        if (state_dir / "config.json").exists():   # absent in older snapshots
-            _refuse_changed_config(state_dir, state_dir / "config.json", self.config)
-        progress = _read_progress(state_dir / "progress.json")
-        self.env_step, self.episode_idx = progress["env_step"], progress["episode_idx"]
-        self.learner.resume_at(progress["train_steps"])
-        last_loss = _loss_from_json(progress["last_loss"])
-        self.rows = [{**row, "loss": _loss_from_json(row["loss"])} for row in progress["rows"]]
+        _refuse_changed_config(state_dir / "config.json", self.config)
+        self.env_step, self.episode_idx, train_steps, self.last_loss, self.rows = \
+            _read_progress(state_dir / "progress.json")
+        self.learner.resume_at(train_steps)
         for name, team in (("params", self.team), ("target", self.learner.target)):
             load_records(state_dir / f"{name}.bin", ((p.name, p.data) for p in team.parameters()))
         load_records(state_dir / "optimizer.bin", self.learner.state_arrays().items())
@@ -271,7 +279,14 @@ class SeedRun:
                                                          sizes)
         except (OSError, EOFError, ValueError, zipfile.BadZipFile, ContractError) as exc:
             raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
-        self.last_loss = last_loss
+        interval, steps = self.config.train.test_interval, self.env_step
+        least = (steps - self.buffer.episodes[-1].length) // interval + 1 if len(self.buffer) else 0
+        if not (self.episode_idx <= steps and least <= len(self.rows) <= steps // interval + 1):
+            raise CheckpointError(
+                f"{state_dir / 'progress.json'}: env_step {steps}, episode_idx "
+                f"{self.episode_idx} and {len(self.rows)} rows disagree: with test_interval "
+                f"{interval} and this buffer, want episode_idx <= env_step and {least} to "
+                f"{steps // interval + 1} rows")
 
 
 def _loss_to_json(loss: float):
@@ -280,10 +295,15 @@ def _loss_to_json(loss: float):
     return loss if math.isfinite(loss) else None if math.isnan(loss) else str(loss)
 
 
-def _loss_from_json(loss) -> float:
-    """The inverse of _loss_to_json; it also takes the bare NaN and Infinity
-    that older snapshots hold."""
-    return math.nan if loss is None else float(loss) if isinstance(loss, str) else loss
+def _loss_from_json(where: str, loss) -> float:
+    """The inverse of _loss_to_json: null is NaN, "inf" and "-inf" are
+    infinite, and a number, older snapshots' bare NaN and Infinity included,
+    is itself.  Anything else is a ConfigError naming where."""
+    if loss is None or loss in ("inf", "-inf"):
+        return math.nan if loss is None else float(loss)
+    if isinstance(loss, bool) or not isinstance(loss, (int, float)):
+        raise ConfigError(f'{where}: expected a number, null, "inf" or "-inf", got {loss!r}')
+    return loss
 
 
 def write_csv(path, fields: list[str], rows: list[dict]):
@@ -307,28 +327,14 @@ def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False) 
     return rows
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_loss(x) -> bool:
-    """A number, or a non-finite loss as _loss_to_json writes it."""
-    return x is None or x in ("inf", "-inf") or _is_number(x)
-
-
-def _is_row(row) -> bool:
-    """A progress row: a loss in "loss" and a number in every other CSV field."""
-    return isinstance(row, dict) and "loss" in row and _is_loss(row["loss"]) and all(
-        _is_number(row.get(k)) for k in CSV_FIELDS if k != "loss")
-
-
-def _read_progress(path: Path) -> dict:
-    """A snapshot's progress.json: the counters env_step, episode_idx and
-    train_steps, integers >= 0; last_loss, a loss (a number, or null, "inf"
-    or "-inf"); and rows, objects holding a loss in "loss" and a number in
-    every other CSV field.  Other keys, such as older snapshots' next_test,
-    are ignored.  Anything else is a CheckpointError naming the file and the
-    field."""
+def _read_progress(path: Path) -> tuple[int, int, int, float, list[dict]]:
+    """A snapshot's progress.json as (env_step, episode_idx, train_steps,
+    last_loss, rows), each value checked as it is read: the counters are
+    integers >= 0 (check_seed), last_loss and each row's loss are losses
+    (_loss_from_json), and each row is an object holding every CSV field,
+    whose other fields are finite numbers (check_type).  Other keys, such as
+    older snapshots' next_test, are ignored.  Anything else is a
+    CheckpointError naming the file and the field, such as rows[1].loss."""
     try:
         progress = read_json(path)
         if not isinstance(progress, dict):
@@ -338,17 +344,21 @@ def _read_progress(path: Path) -> dict:
                 raise ConfigError(f"{path}: missing {key!r}")
         for key in ("env_step", "episode_idx", "train_steps"):
             check_seed(f"{path}: {key}", progress[key])
-        loss, rows = progress["last_loss"], progress["rows"]
-        if not _is_loss(loss):
-            raise ConfigError(f"{path}: last_loss: expected a number, null, \"inf\" or "
-                              f"\"-inf\", got {loss!r}")
-        if not isinstance(rows, list) or not all(map(_is_row, rows)):
-            raise ConfigError(f"{path}: rows: expected a list of objects holding a number "
-                              f"in each of {', '.join(CSV_FIELDS)}, or for the loss null, "
-                              f"\"inf\" or \"-inf\"")
-    except ConfigError as exc:   # read_json's and check_seed's too
+        rows = progress["rows"]
+        if not isinstance(rows, list) or not all(
+                isinstance(row, dict) and row.keys() >= set(CSV_FIELDS) for row in rows):
+            raise ConfigError(f"{path}: rows: expected a list of objects holding each of "
+                              f"{', '.join(CSV_FIELDS)}")
+        for i, row in enumerate(rows):
+            for key in CSV_FIELDS:
+                if key != "loss":
+                    check_type(f"{path}: rows[{i}].{key}", float, row[key])
+        return (progress["env_step"], progress["episode_idx"], progress["train_steps"],
+                _loss_from_json(f"{path}: last_loss", progress["last_loss"]),
+                [{**row, "loss": _loss_from_json(f"{path}: rows[{i}].loss", row["loss"])}
+                 for i, row in enumerate(rows)])
+    except ConfigError as exc:   # read_json's, check_seed's and check_type's too
         raise CheckpointError(str(exc)) from exc
-    return progress
 
 
 def last_snapshot(out_dir: Path) -> Path:
@@ -359,14 +369,17 @@ def last_snapshot(out_dir: Path) -> Path:
     return old if old.exists() and not state.exists() else state
 
 
-def _refuse_changed_config(out_dir: Path, stored_path: Path, config: RunConfig):
-    """A resumed run may change total_env_steps and nothing else of its config."""
+def _refuse_changed_config(stored_path: Path, config: RunConfig):
+    """A resumed run may change total_env_steps and out_dir and nothing else
+    of the config stored at stored_path, which must be there to read: how
+    long a run goes on and where it lives are not part of what it computes,
+    so a run directory that was copied or moved resumes where it is now."""
     changed = [key for key in differing_keys(read_json(stored_path),
                                              run_config_to_dict(config))
-               if key != "config.total_env_steps"]
+               if key not in ("config.total_env_steps", "config.out_dir")]
     if changed:
-        raise ConfigError(f"cannot resume {out_dir}: config differs from {stored_path} "
-                          f"in {', '.join(changed)}")
+        raise ConfigError(f"cannot resume {stored_path.parent}: config differs from "
+                          f"{stored_path} in {', '.join(changed)}")
 
 
 def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
@@ -375,19 +388,21 @@ def train_all_seeds(config: RunConfig, out_dir, resume: bool = False,
     is a ConfigError.
 
     Resuming refuses a config that differs from the stored config.json in
-    anything but total_env_steps, before any file is written, and rewrites
-    config.json only once every seed has run, so a resume that a seed's
-    snapshot refuses leaves it as it was.  A fresh run writes config.json
-    before it trains, so that a crashed run's resume is checked against it.  A worker process that dies (killed, out of memory) is an
-    error, not a hang: the seeds not yet started are cancelled, and every
-    seed keeps its last snapshot, so a run with --resume continues.
+    anything but total_env_steps and out_dir, before any file is written, and
+    rewrites config.json only once every seed has run, so a resume that a
+    seed's snapshot refuses leaves it as it was; a run directory that was
+    copied or moved resumes at its new out_dir, which the rewrite records.  A
+    fresh run writes config.json before it trains, so that a crashed run's
+    resume is checked against it.  A worker process that dies (killed, out of
+    memory) is an error, not a hang: the seeds not yet started are cancelled,
+    and every seed keeps its last snapshot, so a run with --resume continues.
     """
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     stored_path = out_dir / "config.json"
     if resume and stored_path.exists():
-        _refuse_changed_config(out_dir, stored_path, config)
+        _refuse_changed_config(stored_path, config)
     else:
         out_dir.mkdir(parents=True, exist_ok=True)
         save_run_config(config, stored_path)

@@ -2,13 +2,14 @@
 
 import json
 import os
+import shutil
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from marlab.cli import curve_auc, main
-from marlab.config import load_run_config
+from marlab.config import differing_keys, load_run_config
 from marlab.envs import make_env
 from marlab.netsim import Topology, centralized_traffic, distributed_traffic
 from marlab.nn import load_records, write_records
@@ -331,12 +332,11 @@ class TestTrainCommand:
         assert_one_line_error(capsys, str(path), "damaged", f"ContractError: {array}")
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
-    @pytest.mark.parametrize("name", ["progress.json", "params.bin", "target.bin",
-                                      "optimizer.bin", "buffer.npz"])
+    @pytest.mark.parametrize("name", ["config.json", "progress.json", "params.bin",
+                                      "target.bin", "optimizer.bin", "buffer.npz"])
     def test_resume_from_a_snapshot_missing_a_file_is_a_one_line_error(self, tmp_path, capsys,
                                                                         name):
-        # without progress.json the seed started over, with exit 0.  A snapshot
-        # without config.json is the older layout, which resumes
+        # without progress.json the seed started over, with exit 0
         cfg = write_toy_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
         capsys.readouterr()
@@ -347,6 +347,44 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--resume", "--total-steps", "80"]) == 2
         assert_one_line_error(capsys, str(path))
         assert {p: p.read_bytes() if p.is_file() else None for p in run.rglob("*")} == before
+
+    @pytest.mark.parametrize("edit", [{"rows": []}, {"env_step": 2000}, {"episode_idx": 10**30}],
+                             ids=["no rows", "env_step past the rows", "episode_idx past env_step"])
+    def test_resume_from_progress_at_odds_with_its_rows_is_a_one_line_error(self, tmp_path,
+                                                                            capsys, edit):
+        # each resumed with exit 0, writing test rows the run never had (no
+        # rows, env_step 2000) or keying rollouts by episodes it never played
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "run" / "seed_1" / "state" / "progress.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        run = tmp_path / "run"
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(cfg), "--resume", "--total-steps", "80"]) == 2
+        assert_one_line_error(capsys, str(path), *edit)
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    def test_a_copied_run_resumes_at_its_new_path_as_it_does_in_place(self, tmp_path):
+        # the copy was refused: "config differs from ... in config.out_dir"
+        cfg = write_toy_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        run, moved = tmp_path / "run", tmp_path / "moved"
+        shutil.copytree(run, moved)
+        assert main(["train", "--config", str(cfg), "--out", str(moved), "--resume",
+                     "--total-steps", "80"]) == 0
+        assert main(["train", "--config", str(cfg), "--resume", "--total-steps", "80"]) == 0
+        files = sorted(p.relative_to(run) for p in run.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(moved) for p in moved.rglob("*") if p.is_file())
+        assert {"metrics.csv", "params.bin", "progress.json"} <= {name.name for name in files}
+        for name in files:
+            here, there = (run / name).read_bytes(), (moved / name).read_bytes()
+            if name.name == "config.json":
+                assert differing_keys(json.loads(here), json.loads(there)) == \
+                    ["config.out_dir"], name
+                assert json.loads(there)["out_dir"] == str(moved)
+            else:
+                assert here == there, name
 
     def test_resume_may_extend_total_steps(self, tmp_path):
         cfg = write_toy_config(tmp_path)

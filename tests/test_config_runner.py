@@ -563,11 +563,22 @@ class TestSnapshot:
         # train_one_seed(toy_config(total_env_steps=40), seed=5); training
         # now runs in float32, which cannot hold its parameters exactly
         shutil.copytree(EARLIER_STATE, tmp_path / "state")
+        save_run_config(toy_config(total_env_steps=40), tmp_path / "state" / "config.json")
         with pytest.raises(CheckpointError) as info:
             train_one_seed(toy_config(), seed=5, out_dir=tmp_path, resume=True)
         message = str(info.value)
         assert len(message.splitlines()) == 1
         assert "params.bin" in message and "'agent.fc_in.weight'" in message
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_earlier_state_without_its_config_is_refused_in_one_line(self, tmp_path):
+        # a snapshot without config.json once resumed unchecked against the config
+        shutil.copytree(EARLIER_STATE, tmp_path / "state")
+        with pytest.raises(ConfigError) as info:
+            train_one_seed(toy_config(), seed=5, out_dir=tmp_path, resume=True)
+        message = str(info.value)
+        assert len(message.splitlines()) == 1
+        assert str(tmp_path / "state" / "config.json") in message
         assert not (tmp_path / "metrics.csv").exists()
 
     def test_earlier_state_buffer_round_trips_through_load_and_save(self, tmp_path):
@@ -673,6 +684,10 @@ PROGRESS_DAMAGE = {
         {k: v for k, v in row.items() if k != "loss"} for row in p["rows"]]}),
     "a row with a string loss": ("rows", lambda p: {**p, "rows": [
         {**row, "loss": "x"} for row in p["rows"]]}),
+    "a NaN mean_test_return": ("rows[0].mean_test_return", lambda p: {**p, "rows": [
+        {**p["rows"][0], "mean_test_return": float("nan")}, *p["rows"][1:]]}),
+    "a string success_rate": ("rows[1].success_rate", lambda p: {**p, "rows": [
+        p["rows"][0], {**p["rows"][1], "success_rate": "0.25"}]}),
 }
 
 
