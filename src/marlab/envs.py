@@ -5,14 +5,18 @@ states, and the same model drives both the learner and the planner:
 
   model_initial()            [(start state, probability), ...]
   model_step(state, joint)   (shared reward, next state, or None at the end)
-  model_joint_actions(state) the legal joint actions: every combination of
-                             the rows of avail_actions()
+  model_avail(state)         (n_agents, n_actions) bool: each agent's legal
+                             actions in state; all True unless overridden
 
-The model alone states the task.  reset() starts in the model's one start
-state; only a model with several needs a _start(rng) that draws one.
-step() checks the team action, advances with model_step and returns the
+model_joint_actions(state) enumerates the joint actions model_avail(state)
+allows, for the planners.  The model alone states the task.  reset() starts
+in the model's one start state; only a model with several needs a
+_start(rng) that draws one.  step() checks the team action against
+model_avail of the current state, advances with model_step and returns the
 observations that _observe(state) gives; after the last step those are the
-final state's.  Observations are deterministic functions of the state.
+final state's.  avail_actions() is the mask of the state _observe last
+described, so after the last step it too is the final state's.
+Observations are deterministic functions of the state.
 The three built-in tasks are deliberately small enough for exact dynamic
 programming, so learned values can be checked against a brute-force
 optimum:
@@ -54,10 +58,10 @@ class Env:
 
     Subclasses set n_agents, n_actions, obs_dim, state_dim and best_return
     (the optimal episode return, which is_success asks for) and define
-    the model: model_initial/model_step are the dynamics the planner
-    enumerates and step() runs, and _observe(state) gives the (per-agent
-    observations, global state) arrays of a state.  A model with several
-    start states also defines _start(rng), which draws one of them.
+    the model: model_initial/model_step/model_avail are the dynamics the
+    planner enumerates and step() runs, and _observe(state) gives the
+    (per-agent observations, global state) arrays of a state.  A model with
+    several start states also defines _start(rng), which draws one of them.
     """
 
     n_agents: int
@@ -65,24 +69,28 @@ class Env:
     obs_dim: int
     state_dim: int
     best_return: float
-    _state = None  # current model state; None before reset and after the last step
+    _state = None  # the state _observe last described; None before reset
+    _over = True   # whether the episode has ended, as it has before reset
 
     def reset(self, rng: np.random.Generator):
         """Start an episode; returns (observations (n, obs_dim), global state)."""
-        self._state = self._start(rng)
+        self._state, self._over = self._start(rng), False
         return self._observe(self._state)
 
     def step(self, actions):
         """Apply one team action; returns (reward, done, observations, global state)."""
-        if self._state is None:
+        if self._over:
             raise EpisodeOverError("episode already finished")
         reward, nxt = self.model_step(self._state, self._check_actions(actions))
-        obs, state = self._observe(self._state if nxt is None else nxt)
-        self._state = nxt
-        return reward, nxt is None, obs, state
+        self._over = nxt is None
+        if nxt is not None:   # after the last step, the final state is the one described
+            self._state = nxt
+        obs, state = self._observe(self._state)
+        return reward, self._over, obs, state
 
     def avail_actions(self) -> np.ndarray:
-        return np.ones((self.n_agents, self.n_actions), dtype=bool)
+        """The (n_agents, n_actions) mask of the state _observe last described."""
+        return self.model_avail(self._state)
 
     def is_success(self, episode_return: float) -> bool:
         return episode_return >= self.best_return - 1e-9
@@ -97,7 +105,7 @@ class Env:
         if shape != (self.n_agents,):
             raise ContractError(f"need {self.n_agents} actions, got shape {shape}")
         joint = tuple(actions.tolist() if isinstance(actions, np.ndarray) else actions)
-        avail = self.avail_actions()
+        avail = self.model_avail(self._state)
         for i, a in enumerate(joint):   # 0.5 or True is no action, though numpy casts it to one
             if (not isinstance(a, (int, np.integer)) or isinstance(a, bool)
                     or not 0 <= a < self.n_actions or not avail[i, a]):
@@ -116,9 +124,13 @@ class Env:
     def model_initial(self) -> list[tuple[object, float]]:
         raise NotImplementedError
 
+    def model_avail(self, state) -> np.ndarray:
+        return np.ones((self.n_agents, self.n_actions), dtype=bool)
+
     def model_joint_actions(self, state) -> list[tuple[int, ...]]:
+        """Every joint action model_avail(state) allows."""
         return list(itertools.product(
-            *(np.flatnonzero(row).tolist() for row in self.avail_actions())))
+            *(np.flatnonzero(row).tolist() for row in self.model_avail(state))))
 
     def model_step(self, state, joint_action) -> tuple[float, Optional[object]]:
         raise NotImplementedError
@@ -144,7 +156,7 @@ class MatrixGame(Env):
     def _observe(self, state):
         return np.ones((2, 1)), np.ones(1)
 
-    def avail_actions(self):
+    def model_avail(self, state):
         avail = np.zeros((2, self.n_actions), dtype=bool)
         avail[0, : self.payoff.shape[0]] = True
         avail[1, : self.payoff.shape[1]] = True
@@ -195,6 +207,7 @@ class CuePassing(Env):
         self.n_actions = num_cues
         self.obs_dim = (n_agents * num_cues if cheat_obs else num_cues) + 2
         self.state_dim = n_agents * num_cues + 2
+        self._cue_offsets = np.arange(n_agents) * num_cues   # agent i's cue block starts here
 
     # perfbench traces envs.CuePassing.step, which it looks up in this class's own namespace
     step = Env.step
@@ -205,8 +218,7 @@ class CuePassing(Env):
     def _observe(self, state):
         cues, t = state
         onehot = np.zeros(self.state_dim)   # the global state: each agent's cue, then t
-        for i, c in enumerate(cues):
-            onehot[i * self.num_cues + c] = 1.0
+        onehot[self._cue_offsets + cues] = 1.0
         onehot[-2 + t] = 1.0
         cue_rows = onehot[:-2] if self.cheat_obs else onehot[:-2].reshape(self.n_agents, -1)
         obs = np.zeros((self.n_agents, self.obs_dim))

@@ -118,8 +118,10 @@ def _play(envs: list[Env], team: TeamModel, explore: ExplorationConfig, eps: flo
           seed: int, keys: list[int], comm_mask: Optional[np.ndarray]) -> list[tuple]:
     """Play one episode on each env, keyed by keys, in lockstep.  Returns per
     episode the lists (observations, states, avail masks, actions, rewards)
-    of its steps, the first three with one entry more; rollout_episode
-    stacks them into an EpisodeRecord, and evaluate reads only the rewards.
+    of its steps, the first three with one entry more: the last is what the
+    env shows after the last step, the final state's observations and
+    avail_actions() mask.  rollout_episode stacks them into an
+    EpisodeRecord, and evaluate reads only the rewards.
 
     Each time step is one team step and one action draw over the agents of
     every live episode.  An episode ends by the env's done, which makes its
@@ -255,17 +257,19 @@ class SeedRun:
     def load_state(self):
         """Load out_dir's last snapshot, read in place (last_snapshot).  Each
         of its six files is required; config.json must match the run's config
-        but for total_env_steps and out_dir (_refuse_changed_config), and
-        progress.json must agree with the buffer: with I the test interval,
+        but for total_env_steps and out_dir (_refuse_changed_config),
+        progress.json's rows must be this run's test points (_read_progress,
+        which bounds their number by env_step // I + 1, with I the test
+        interval), and progress.json must agree with the buffer:
         episode_idx <= env_step, and the rows number at least one per test
-        point due before the newest episode, (env_step - its length) // I + 1,
-        and at most env_step // I + 1.  Anything else is refused in one line
-        naming the file, as a CheckpointError or, for config.json, a
-        ConfigError."""
+        point due before the newest episode, (env_step - its length) // I + 1.
+        Anything else is refused in one line naming the file, as a
+        CheckpointError or, for config.json, a ConfigError."""
         state_dir = last_snapshot(self.out_dir)
         _refuse_changed_config(state_dir / "config.json", self.config)
+        interval = self.config.train.test_interval
         self.env_step, self.episode_idx, train_steps, self.last_loss, self.rows = \
-            _read_progress(state_dir / "progress.json")
+            _read_progress(state_dir / "progress.json", self.seed, interval)
         self.learner.resume_at(train_steps)
         for name, team in (("params", self.team), ("target", self.learner.target)):
             load_records(state_dir / f"{name}.bin", ((p.name, p.data) for p in team.parameters()))
@@ -279,14 +283,14 @@ class SeedRun:
                                                          sizes)
         except (OSError, EOFError, ValueError, zipfile.BadZipFile, ContractError) as exc:
             raise CheckpointError(f"{path}: damaged ({type(exc).__name__}: {exc})") from exc
-        interval, steps = self.config.train.test_interval, self.env_step
+        steps = self.env_step
         least = (steps - self.buffer.episodes[-1].length) // interval + 1 if len(self.buffer) else 0
-        if not (self.episode_idx <= steps and least <= len(self.rows) <= steps // interval + 1):
+        if not (self.episode_idx <= steps and least <= len(self.rows)):
             raise CheckpointError(
                 f"{state_dir / 'progress.json'}: env_step {steps}, episode_idx "
                 f"{self.episode_idx} and {len(self.rows)} rows disagree: with test_interval "
-                f"{interval} and this buffer, want episode_idx <= env_step and {least} to "
-                f"{steps // interval + 1} rows")
+                f"{interval} and this buffer, want episode_idx <= env_step and at least "
+                f"{least} rows")
 
 
 def _loss_to_json(loss: float):
@@ -327,12 +331,16 @@ def train_one_seed(config: RunConfig, seed: int, out_dir, resume: bool = False) 
     return rows
 
 
-def _read_progress(path: Path) -> tuple[int, int, int, float, list[dict]]:
+def _read_progress(path: Path, seed: int, interval: int,
+                   ) -> tuple[int, int, int, float, list[dict]]:
     """A snapshot's progress.json as (env_step, episode_idx, train_steps,
     last_loss, rows), each value checked as it is read: the counters are
     integers >= 0 (check_seed), last_loss and each row's loss are losses
     (_loss_from_json), and each row is an object holding every CSV field,
-    whose other fields are finite numbers (check_type).  Other keys, such as
+    whose other fields are finite numbers (check_type).  The rows are those
+    _due_test_points writes: each carries the run's seed, and row i's
+    env_step is at least test point i's, i * interval, and the row before's,
+    and at most env_step.  Other keys, such as
     older snapshots' next_test, are ignored.  Anything else is a
     CheckpointError naming the file and the field, such as rows[1].loss."""
     try:
@@ -349,10 +357,19 @@ def _read_progress(path: Path) -> tuple[int, int, int, float, list[dict]]:
                 isinstance(row, dict) and row.keys() >= set(CSV_FIELDS) for row in rows):
             raise ConfigError(f"{path}: rows: expected a list of objects holding each of "
                               f"{', '.join(CSV_FIELDS)}")
+        env_step, floor = progress["env_step"], 0
         for i, row in enumerate(rows):
             for key in CSV_FIELDS:
                 if key != "loss":
                     check_type(f"{path}: rows[{i}].{key}", float, row[key])
+            if row["seed"] != seed:
+                raise ConfigError(f"{path}: rows[{i}].seed: expected the run's seed {seed}, "
+                                  f"got {row['seed']!r}")
+            floor = max(floor, i * interval)
+            if not floor <= row["env_step"] <= env_step:
+                raise ConfigError(f"{path}: rows[{i}].env_step: expected {floor} to {env_step}, "
+                                  f"got {row['env_step']!r}")
+            floor = row["env_step"]
         return (progress["env_step"], progress["episode_idx"], progress["train_steps"],
                 _loss_from_json(f"{path}: last_loss", progress["last_loss"]),
                 [{**row, "loss": _loss_from_json(f"{path}: rows[{i}].loss", row["loss"])}

@@ -116,10 +116,9 @@ class RandomLength(Env):
         obs = np.array([[t / length, last, 1.0], [last / 2.0, t, -1.0]])
         return obs, np.array([length, t], dtype=float)
 
-    def avail_actions(self):
+    def model_avail(self, state):
         avail = np.ones((2, 3), dtype=bool)
-        if self._state is not None and self._state[1] % 2:
-            avail[1, 0] = False   # agent 1 may not take action 0 at odd steps
+        avail[1, 0] = state[1] % 2 == 0   # agent 1 may not take action 0 at odd steps t
         return avail
 
     def model_initial(self):
@@ -149,6 +148,11 @@ def test_lockstep_episodes_of_different_lengths_equal_each_one_alone(explore, ep
             env, team, explore, eps, 5, key)
         record = rollout_episode(env, team, explore, eps, 5, key)
         assert record.terminated and record.rewards.dtype == np.float64
+        # each mask is that of the global state (length, t) beside it, and the
+        # last pair, shown after the last step, is the final state's
+        assert record.states[-1, 1] == len(record.rewards) - 1
+        for (_, t), avail in zip(record.states, record.avail):
+            assert np.array_equal(avail, env.model_avail((None, int(t), None))), key
         for (name, want), played, want_unmasked in zip(
                 alone.items(), trace, alone_unmasked.values()):   # the same field order
             for got, ref in ((np.array(played), np.array(want)),

@@ -688,6 +688,12 @@ PROGRESS_DAMAGE = {
         {**p["rows"][0], "mean_test_return": float("nan")}, *p["rows"][1:]]}),
     "a string success_rate": ("rows[1].success_rate", lambda p: {**p, "rows": [
         p["rows"][0], {**p["rows"][1], "success_rate": "0.25"}]}),
+    "another seed's row": ("rows[0].seed", lambda p: {**p, "rows": [
+        {**p["rows"][0], "seed": 99}, *p["rows"][1:]]}),
+    "a row past env_step": ("rows[1].env_step", lambda p: {**p, "rows": [
+        p["rows"][0], {**p["rows"][1], "env_step": 12345}]}),
+    "a row before its test point": ("rows[1].env_step", lambda p: {**p, "rows": [
+        p["rows"][0], {**p["rows"][1], "env_step": 39}]}),
 }
 
 

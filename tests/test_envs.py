@@ -8,6 +8,7 @@ import pytest
 from marlab.envs import (
     CLIMBING_PAYOFF,
     CuePassing,
+    Env,
     MatrixGame,
     TwoStepCoop,
     blind_optimum,
@@ -247,12 +248,71 @@ def test_env_determinism_given_action_sequence():
         assert r1 == r2 and np.array_equal(o1, o2) and np.array_equal(s1, s2)
 
 
+class MaskedLater(Env):
+    """Two agents, two steps, states 0 then 1.  Agent 0's action 1 would pay
+    10 at the second step, but state 1 masks it, so the optimum is 1."""
+
+    n_agents, n_actions, obs_dim, state_dim = 2, 2, 2, 2
+    best_return = 1.0
+
+    def _observe(self, state):
+        onehot = np.eye(2)[state]
+        return np.stack([onehot, onehot]), onehot
+
+    def model_avail(self, state):
+        avail = np.ones((2, 2), dtype=bool)
+        avail[0, 1] = state == 0
+        return avail
+
+    def model_initial(self):
+        return [(0, 1.0)]
+
+    def model_step(self, state, joint_action):
+        if state == 0:
+            return 0.0, 1
+        return (10.0 if joint_action[0] == 1 else 1.0), None
+
+
+def brute_force_value(env, state, gamma):
+    """The best return from state over every joint action in range whose every
+    agent's action model_avail(state) allows, recursing without memory."""
+    avail = env.model_avail(state)
+    best = -np.inf
+    for joint in itertools.product(range(env.n_actions), repeat=env.n_agents):
+        if all(avail[i, a] for i, a in enumerate(joint)):
+            reward, nxt = env.model_step(state, joint)
+            best = max(best, reward if nxt is None else
+                       reward + gamma * brute_force_value(env, nxt, gamma))
+    return best
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+def test_availability_that_changes_with_the_state_is_read_from_model_avail(gamma):
+    env = MaskedLater()
+    # the planner enumerates each state's own mask
+    v, policy, _ = value_iteration(env, gamma)
+    assert v == brute_force_value(env, 0, gamma) == gamma * 1.0
+    assert policy[1][0] == 0
+    # acting checks the current state's mask and shows the mask of the state
+    # it describes: after the last step, the final state's
+    env.reset(rng())
+    assert np.array_equal(env.avail_actions(), env.model_avail(0))
+    env.step([1, 1])
+    assert np.array_equal(env.avail_actions(), env.model_avail(1))
+    with pytest.raises(ContractError, match="agent 0 took unavailable action 1"):
+        env.step([1, 0])
+    reward, done, _, _ = env.step([0, 1])
+    assert (reward, done) == (1.0, True)
+    assert np.array_equal(env.avail_actions(), env.model_avail(1))
+
+
 PLANNED_ENVS = {
     "climbing": MatrixGame,
     "rectangular": lambda: MatrixGame(payoff=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])),
     "two_step_coop": TwoStepCoop,
     "cue_passing_2x2": lambda: CuePassing(2, 2),
     "cue_passing_3x2": lambda: CuePassing(3, 2),
+    "masked_later": MaskedLater,
 }
 
 
