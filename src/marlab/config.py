@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
-import math
+import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,16 +32,19 @@ _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), dic
 
 
 def check_type(where: str, annotation, value):
-    """Reject a value of the wrong JSON type, such as 2.5 for an int or "no" for a bool,
+    """value in its field's type: a float field's integer as that float.  Reject
+    a value of the wrong JSON type, such as 2.5 for an int or "no" for a bool,
     and the NaN and Infinity that Python's JSON reader accepts for a float."""
     kinds = _JSON_TYPES.get(annotation)
     if kinds is None:
-        return
+        return value
     # bool is an int subclass, but true is not a count and 1 is not a switch
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise ConfigError(f"{where}: expected {annotation.__name__}, got {value!r}")
-    if annotation is float and not math.isfinite(value):
+    # NaN, inf and an integer no float holds
+    if annotation is float and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value) if annotation is float else value
 
 
 def check_seed(where: str, seed):
@@ -116,7 +119,7 @@ def _build(cls, data: dict, where: str):
                 raise ConfigError(f"{path}: expected a list, got {value!r}")
             value = tuple(value)
         else:
-            check_type(path, kind, value)
+            value = check_type(path, kind, value)
         kwargs[name] = value
     return cls(**kwargs)
 

@@ -40,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ContractError, EpisodeOverError
+from .learner import TRAIN_DTYPE
 
 # Classic climbing payoffs: (0,0) is optimal at 11, but (2,2) at 5 is a
 # strict equilibrium that unilateral exploration cannot escape.
@@ -171,17 +172,21 @@ class MatrixGame(Env):
 
 def _payoff_table(payoff) -> np.ndarray:
     """payoff as a float array; it must be a list of equally long, non-empty
-    rows of finite numbers."""
+    rows of finite numbers that TRAIN_DTYPE, which training casts rewards to,
+    holds."""
     rows = payoff.tolist() if isinstance(payoff, np.ndarray) else payoff
     if not (isinstance(rows, (list, tuple)) and rows
             and all(isinstance(row, (list, tuple)) and row for row in rows)):
         raise ConfigError("payoff must be a 2-D table: a non-empty list of non-empty rows")
     if len({len(row) for row in rows}) != 1:
         raise ConfigError(f"payoff rows differ in length: {[len(row) for row in rows]}")
-    for value in (v for row in rows for v in row):
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value)):
-            raise ConfigError(f"payoff entries must be finite numbers, got {value!r}")
+    top = float(np.finfo(TRAIN_DTYPE).max)
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not abs(value) <= top):   # NaN and inf are past it too
+                raise ConfigError(f"payoff entries must be finite numbers "
+                                  f"{np.dtype(TRAIN_DTYPE)} holds; payoff[{i}][{j}] is {value!r}")
     return np.array(rows, dtype=float)
 
 

@@ -2,14 +2,17 @@
 
 Episodes are stored whole and replayed in padded batches, which hold only
 arrays, in the layout of the ReplayBuffer's snapshot: each episode's length
-and whether it terminated, then its obs, states, avail, actions and rewards
-padded to the longest episode.  The batch size, t_max, n_agents and
-n_actions are their shapes.  Hidden states are re-unrolled from zero for
-both the online and the frozen target networks.  Targets pick the next
-action with the online network and evaluate it with the target network.
-After one shared global-norm clip two optimizers step side by side, both
-built by the Learner from the team's modules: RMSProp on the agent network
-and the mixer, Adam on the communication stack.
+and whether it terminated, then its arrays padded to the longest episode.
+EPISODE_ARRAYS, the episode table, states those arrays once, in snapshot
+order, with the steps, dtype and padding value of each; EpisodeRecord,
+pad_batch, ReplayBuffer.from_state_arrays and runner.rollout_episode all
+read it.  The batch size, t_max, n_agents and n_actions are their shapes.
+Hidden states are re-unrolled from zero for both the online and the frozen
+target networks.  Targets pick the next action with the online network and
+evaluate it with the target network.  After one shared global-norm clip two
+optimizers step side by side, both built by the Learner from the team's
+modules: RMSProp on the agent network and the mixer, Adam on the
+communication stack.
 
 One horizon per episode, its length L minus terminated (horizons), decides
 what a train step computes and what its loss counts.  Both unrolls run up to
@@ -72,29 +75,33 @@ from .nn import tensor as T
 from .rng import stream
 
 
+# An episode's arrays, in snapshot order, each as (steps past the episode's
+# length T, dtype, padding value): obs, states and avail carry one extra,
+# post-terminal entry for target bootstrapping, and a padded step is
+# all-available so that argmax stays well defined
+EPISODE_ARRAYS = {"obs": (1, np.float64, 0), "states": (1, np.float64, 0),
+                  "avail": (1, np.bool_, True), "actions": (0, np.intp, 0),
+                  "rewards": (0, np.float64, 0)}
+
+
 @dataclass
 class EpisodeRecord:
-    """One complete episode.
+    """One complete episode: the arrays of EPISODE_ARRAYS, whose table
+    states how many steps each holds; a comment gives the shape of a step."""
 
-    Per-step arrays cover t = 0..T-1; observation-like arrays carry one
-    extra entry (the post-terminal observation) for target bootstrapping.
-    """
-
-    obs: np.ndarray        # (T+1, n, obs_dim)
-    states: np.ndarray     # (T+1, state_dim)
-    avail: np.ndarray      # (T+1, n, n_actions) bool
-    actions: np.ndarray    # (T, n) int
-    rewards: np.ndarray    # (T,)
+    obs: np.ndarray        # (n, obs_dim)
+    states: np.ndarray     # (state_dim,)
+    avail: np.ndarray      # (n, n_actions)
+    actions: np.ndarray    # (n,)
+    rewards: np.ndarray    # ()
     terminated: bool = True
 
     def __post_init__(self):
         t = len(self.rewards)
         if t == 0:   # no step for the loss to count, and a horizon before step 0
             raise ContractError("an episode needs at least one step")
-        if not (self.actions.shape[0] == t
-                and self.obs.shape[0] == t + 1
-                and self.states.shape[0] == t + 1
-                and self.avail.shape[0] == t + 1):
+        if any(getattr(self, key).shape[0] != t + extra
+               for key, (extra, _, _) in EPISODE_ARRAYS.items()):
             raise ContractError("episode arrays disagree on length")
 
     @property
@@ -137,28 +144,33 @@ class ReplayBuffer:
 
         Their padded layout is checked once: count is an integer in
         [0, capacity] and at most the row count; each other array has its
-        dtype kind, one row count, one padded-step count and the env's shape
-        of a step, and 1 <= lengths <= the padded steps.  What the episodes
-        hold is checked against the env: at each t <= length every agent has
-        an available action, and obs and states are finite in TRAIN_DTYPE,
-        float32, which training casts them to; at each t < length the action
-        taken is in range and available, and the reward is finite in float32.
+        dtype kind, one row count, its padded steps (EPISODE_ARRAYS) and the
+        env's shape of a step, and 1 <= lengths <= the padded steps.  What
+        the episodes hold is checked against the env: at each t <= length
+        every agent has an available action, and obs and states are finite in
+        TRAIN_DTYPE, float32, which training casts them to; at each t < length
+        the action taken is in range and available, and the reward is finite
+        in float32.
         Anything else is a ContractError naming the array; each episode's own
         length rule is EpisodeRecord's.
         """
         n, obs_dim, state_dim, n_actions = sizes
-        # each array's numpy dtype kinds, steps past the padded ones (None: one
-        # per episode) and the shape of one step
-        layout = {"lengths": ("iu", None, ()), "terminated": ("b", None, ()),
-                  "actions": ("iu", 0, (n,)), "rewards": ("f", 0, ()),
-                  "obs": ("f", 1, (n, obs_dim)), "states": ("f", 1, (state_dim,)),
-                  "avail": ("b", 1, (n, n_actions))}
+        # the shape of one step of each array, which the env decides
+        step_shape = {"obs": (n, obs_dim), "states": (state_dim,), "avail": (n, n_actions),
+                      "actions": (n,), "rewards": ()}
         count = arrays.get("count", np.array(None))   # an object array if missing: refused
         if count.dtype.kind not in "iu" or count.shape or not 0 <= count <= capacity:
             raise ContractError(f"count must be an integer in [0, {capacity}], got {count!r}")
         buffer = cls(capacity)
         if not count:
             return buffer
+        # each array's numpy dtype kinds (any integer for an integer dtype),
+        # steps past the padded ones (None: one per episode) and shape of a
+        # step, checked in this order: those of fewer steps first
+        layout = {"lengths": ("iu", None, ()), "terminated": ("b", None, ()),
+                  **{key: (np.dtype(dtype).kind.replace("i", "iu"), extra, step_shape[key])
+                     for key, (extra, dtype, _) in sorted(EPISODE_ARRAYS.items(),
+                                                          key=lambda item: item[1][0])}}
         if missing := [key for key in layout if key not in arrays]:
             raise ContractError(f"no {', '.join(missing)} array beside count {count}")
         rows, steps = arrays["rewards"].shape[:2]
@@ -173,7 +185,7 @@ class ReplayBuffer:
         if bad.size:
             raise ContractError(f"lengths[{bad[0]}] is not in [1, {steps}], the padded steps")
         live = np.arange(steps + 1) <= arrays["lengths"][:, None]   # the steps t <= length
-        legal = (arrays["actions"][..., None] == np.arange(n_actions)) & arrays["avail"][:, :-1]
+        legal = arrays["avail"][:, :steps] & (arrays["actions"][..., None] == np.arange(n_actions))
         top = np.finfo(TRAIN_DTYPE).max   # NaN and inf are past it too
         for key, ok in (("avail", arrays["avail"].any(-1)), ("actions", legal.any(-1)),
                         *((k, abs(arrays[k]) <= top) for k in ("obs", "states", "rewards"))):
@@ -186,8 +198,8 @@ class ReplayBuffer:
         for i in range(int(count)):
             t = int(arrays["lengths"][i])
             buffer.add(EpisodeRecord(
-                **{key: arrays[key][i, : t + 1].copy() for key in ("obs", "states", "avail")},
-                **{key: arrays[key][i, :t].copy() for key in ("actions", "rewards")},
+                **{key: arrays[key][i, : t + extra].copy()
+                   for key, (extra, _, _) in EPISODE_ARRAYS.items()},
                 terminated=bool(arrays["terminated"][i])))
         return buffer
 
@@ -264,31 +276,23 @@ def epsilon(env_step: int, config: TrainConfig) -> float:
 
 def pad_batch(episodes: list[EpisodeRecord]) -> dict:
     """Stack episodes into the snapshot layout: lengths and terminated, one
-    entry per episode, then obs, states, avail, actions and rewards padded to
-    the longest episode, in that key order.
+    entry per episode, then the arrays of EPISODE_ARRAYS, in its order, dtypes
+    and steps, padded to the longest episode.
 
-    Sizes are read from the shapes.  Padded steps hold zeros and all-available
-    action masks (so argmax stays well defined); they lie past their
-    episode's horizon, so no loss term reads them.
+    Sizes are read from the shapes.  Padded steps hold each array's padding
+    value; they lie past their episode's horizon, so no loss term reads them.
     """
     if not episodes:
         raise ContractError("empty batch")
     lengths = np.array([ep.length for ep in episodes])
-    bsz, t_max, ep0 = len(episodes), int(lengths.max()), episodes[0]
-    obs = np.zeros((bsz, t_max + 1, *ep0.obs.shape[1:]))
-    states = np.zeros((bsz, t_max + 1, *ep0.states.shape[1:]))
-    avail = np.ones((bsz, t_max + 1, *ep0.avail.shape[1:]), dtype=bool)
-    actions = np.zeros((bsz, t_max, *ep0.actions.shape[1:]), dtype=np.intp)
-    rewards = np.zeros((bsz, t_max))
-    for b, ep in enumerate(episodes):
-        t = ep.length
-        obs[b, : t + 1] = ep.obs
-        states[b, : t + 1] = ep.states
-        avail[b, : t + 1] = ep.avail
-        actions[b, :t] = ep.actions
-        rewards[b, :t] = ep.rewards
-    return {"lengths": lengths, "terminated": np.array([ep.terminated for ep in episodes]),
-            "obs": obs, "states": states, "avail": avail, "actions": actions, "rewards": rewards}
+    bsz, t_max = len(episodes), int(lengths.max())
+    batch = {"lengths": lengths, "terminated": np.array([ep.terminated for ep in episodes])}
+    for key, (extra, dtype, pad) in EPISODE_ARRAYS.items():
+        parts = [getattr(ep, key) for ep in episodes]
+        out = batch[key] = np.full((bsz, t_max + extra, *parts[0].shape[1:]), pad, dtype)
+        for b, part in enumerate(parts):
+            out[b, : len(part)] = part
+    return batch
 
 
 def horizons(batch: dict) -> np.ndarray:

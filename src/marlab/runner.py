@@ -29,23 +29,24 @@ files keep float64 records; widening float32 is exact, and a float64-trained
 snapshot, which float32 cannot hold, is refused on load.
 
 A finished seed directory holds metrics.csv and state/, its last snapshot,
-which `marlab eval` reads the trained team from and a resume continues
-from, both in place (last_snapshot).  A snapshot holds config.json (the run
+which `marlab eval` reads the trained team from and a resume continues from,
+both in place (last_snapshot).  A snapshot holds config.json (the run
 config), params.bin and target.bin (the online and target parameters),
 optimizer.bin (the optimizer state), buffer.npz (the replay buffer) and
-progress.json (the counters and CSV rows so far).  SeedRun names the files
-and writes the config, the parameters and the counters; the Learner lays
-out the optimizer state (Learner.state_arrays, resume_at) and the buffer its
-own arrays (ReplayBuffer.state_arrays, from_state_arrays).  Every run
-snapshots at each test point, so resuming after a crash continues from the
-last one.  A snapshot is written as a unit, and only SeedRun.save_state
-moves snapshot directories: a process that dies while saving leaves the
-previous snapshot whole.  A snapshot is its six files, each required: one
-that is missing, damaged or at odds with the others is refused in one line
-naming the file (SeedRun.load_state).  A resume may change only
-total_env_steps and out_dir of the config, so a run directory that was
-copied or moved resumes where it is.  Files are not synced to disk, so a
-crash of the machine is not covered.
+progress.json (the counters and the rows so far, which CSV_FIELDS, the row
+table, types column by column).  SeedRun names the files and writes the
+config, the parameters and the counters; the Learner lays out the optimizer
+state (Learner.state_arrays, resume_at) and the buffer its own arrays
+(ReplayBuffer.state_arrays, from_state_arrays), by learner.EPISODE_ARRAYS,
+the episode table.  Every run snapshots at each test point, so resuming
+after a crash continues from the last one.  A snapshot is written as a unit,
+and only SeedRun.save_state moves snapshot directories: a process that dies
+while saving leaves the previous snapshot whole.  A snapshot is its six
+files, each required: one that is missing, damaged or at odds with the
+others is refused in one line naming the file (SeedRun.load_state).  A
+resume may change only total_env_steps and out_dir of the config, so a run
+directory that was copied or moved resumes where it is.  Files are not
+synced to disk, so a crash of the machine is not covered.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import math
 import shutil
 import zipfile
 from pathlib import Path
-from typing import Optional
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -67,12 +68,17 @@ from .config import (RunConfig, check_seed, check_type, differing_keys, read_jso
 from .envs import Env, make_env
 from .errors import CheckpointError, ConfigError, ContractError, MarlabError
 from .exploration import GREEDY, ExplorationConfig, action_distribution, sample_from
-from .learner import MAX_TEST_EPISODES, TRAIN_DTYPE, EpisodeRecord, Learner, ReplayBuffer, epsilon
+from .learner import (EPISODE_ARRAYS, MAX_TEST_EPISODES, TRAIN_DTYPE, EpisodeRecord, Learner,
+                      ReplayBuffer, epsilon)
 from .nn import load_records, write_records
 from .nn import tensor as T
 from .rng import stream, unit_uniform
 
-CSV_FIELDS = ["seed", "env_step", "mean_test_return", "success_rate", "loss", "epsilon"]
+# The row table: each column of metrics.csv, in order, with the type a row
+# holds it in, which progress.json's rows are read back as (_read_progress);
+# a loss may be NaN or infinite, so strict JSON holds it as _loss_to_json says
+CSV_FIELDS = {"seed": int, "env_step": int, "mean_test_return": float,
+              "success_rate": float, "loss": float, "epsilon": float}
 
 
 def build_team_for_env(config: RunConfig, env: Env, seed: int) -> TeamModel:
@@ -85,11 +91,10 @@ def build_team_for_env(config: RunConfig, env: Env, seed: int) -> TeamModel:
 def rollout_episode(env: Env, team: TeamModel, explore: ExplorationConfig,
                     eps: float, seed: int, episode_idx: int) -> EpisodeRecord:
     """Collect one episode; action noise streams are keyed per (agent, step)."""
-    (obs, states, avail, actions, rewards), = _play(
-        [env], team, explore, eps, seed, [episode_idx], None)
+    trace, = _play([env], team, explore, eps, seed, [episode_idx], None)
     return EpisodeRecord(   # np.array stacks a short list faster than np.stack
-        obs=np.array(obs), states=np.array(states), avail=np.array(avail),
-        actions=np.array(actions), rewards=np.array(rewards, dtype=float), terminated=True)
+        **{key: np.array(steps, dtype) for (key, (_, dtype, _)), steps
+           in zip(EPISODE_ARRAYS.items(), trace, strict=True)}, terminated=True)
 
 
 def evaluate(env: Env, team: TeamModel, episodes: int, seed: int,
@@ -118,10 +123,10 @@ def _play(envs: list[Env], team: TeamModel, explore: ExplorationConfig, eps: flo
           seed: int, keys: list[int], comm_mask: Optional[np.ndarray]) -> list[tuple]:
     """Play one episode on each env, keyed by keys, in lockstep.  Returns per
     episode the lists (observations, states, avail masks, actions, rewards)
-    of its steps, the first three with one entry more: the last is what the
-    env shows after the last step, the final state's observations and
-    avail_actions() mask.  rollout_episode stacks them into an
-    EpisodeRecord, and evaluate reads only the rewards.
+    of its steps, those of learner.EPISODE_ARRAYS in its order and with its
+    steps: the observations, states and masks end with what the env shows
+    after the last step, the final state's.  rollout_episode stacks them into
+    an EpisodeRecord, and evaluate reads only the rewards.
 
     Each time step is one team step and one action draw over the agents of
     every live episode.  An episode ends by the env's done, which makes its
@@ -197,14 +202,9 @@ class SeedRun:
         mean_return, success, _ = evaluate(
             self.env, self.team, self.config.train.test_episodes,
             self.seed, len(self.rows))
-        self.rows.append({
-            "seed": self.seed,
-            "env_step": self.env_step,
-            "mean_test_return": mean_return,
-            "success_rate": success,
-            "loss": self.last_loss,
-            "epsilon": epsilon(self.env_step, self.config.train),
-        })
+        self.rows.append(dict(zip(CSV_FIELDS, (
+            self.seed, self.env_step, mean_return, success, self.last_loss,
+            epsilon(self.env_step, self.config.train)), strict=True)))
 
     def _due_test_points(self, snapshot_interval: Optional[int]):
         while self.env_step >= self.next_test:
@@ -310,7 +310,7 @@ def _loss_from_json(where: str, loss) -> float:
     return loss
 
 
-def write_csv(path, fields: list[str], rows: list[dict]):
+def write_csv(path, fields: Collection[str], rows: list[dict]):
     """The one CSV writer: a header of fields, then each row's values in that order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -336,13 +336,14 @@ def _read_progress(path: Path, seed: int, interval: int,
     """A snapshot's progress.json as (env_step, episode_idx, train_steps,
     last_loss, rows), each value checked as it is read: the counters are
     integers >= 0 (check_seed), last_loss and each row's loss are losses
-    (_loss_from_json), and each row is an object holding every CSV field,
-    whose other fields are finite numbers (check_type).  The rows are those
-    _due_test_points writes: each carries the run's seed, and row i's
-    env_step is at least test point i's, i * interval, and the row before's,
-    and at most env_step.  Other keys, such as
-    older snapshots' next_test, are ignored.  Anything else is a
-    CheckpointError naming the file and the field, such as rows[1].loss."""
+    (_loss_from_json), and each row is an object holding every column of the
+    row table, CSV_FIELDS, each other one of its type there (check_type, which
+    reads a float given as an integer as that float).  Each row is rebuilt
+    from the table's keys.  The rows are those _due_test_points writes: each
+    carries the run's seed, and row i's env_step is at least test point i's,
+    i * interval, and the row before's, and at most env_step.  Other keys, a
+    row's or such as older snapshots' next_test, are dropped.  Anything else
+    is a CheckpointError naming the file and the field, such as rows[1].loss."""
     try:
         progress = read_json(path)
         if not isinstance(progress, dict):
@@ -354,26 +355,25 @@ def _read_progress(path: Path, seed: int, interval: int,
             check_seed(f"{path}: {key}", progress[key])
         rows = progress["rows"]
         if not isinstance(rows, list) or not all(
-                isinstance(row, dict) and row.keys() >= set(CSV_FIELDS) for row in rows):
+                isinstance(row, dict) and row.keys() >= CSV_FIELDS.keys() for row in rows):
             raise ConfigError(f"{path}: rows: expected a list of objects holding each of "
                               f"{', '.join(CSV_FIELDS)}")
         env_step, floor = progress["env_step"], 0
         for i, row in enumerate(rows):
-            for key in CSV_FIELDS:
-                if key != "loss":
-                    check_type(f"{path}: rows[{i}].{key}", float, row[key])
+            where = f"{path}: rows[{i}]"
+            rows[i] = row = {key: _loss_from_json(f"{where}.{key}", row[key]) if key == "loss"
+                             else check_type(f"{where}.{key}", kind, row[key])
+                             for key, kind in CSV_FIELDS.items()}
             if row["seed"] != seed:
-                raise ConfigError(f"{path}: rows[{i}].seed: expected the run's seed {seed}, "
+                raise ConfigError(f"{where}.seed: expected the run's seed {seed}, "
                                   f"got {row['seed']!r}")
             floor = max(floor, i * interval)
             if not floor <= row["env_step"] <= env_step:
-                raise ConfigError(f"{path}: rows[{i}].env_step: expected {floor} to {env_step}, "
+                raise ConfigError(f"{where}.env_step: expected {floor} to {env_step}, "
                                   f"got {row['env_step']!r}")
             floor = row["env_step"]
         return (progress["env_step"], progress["episode_idx"], progress["train_steps"],
-                _loss_from_json(f"{path}: last_loss", progress["last_loss"]),
-                [{**row, "loss": _loss_from_json(f"{path}: rows[{i}].loss", row["loss"])}
-                 for i, row in enumerate(rows)])
+                _loss_from_json(f"{path}: last_loss", progress["last_loss"]), rows)
     except ConfigError as exc:   # read_json's, check_seed's and check_type's too
         raise CheckpointError(str(exc)) from exc
 

@@ -194,7 +194,9 @@ class TestConfigSchema:
         ("exploration", "temperature"),
         ("train", "grad_clip"),
     ])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    # 10 ** 400, an integer no float holds, was an OverflowError traceback
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       pytest.param(10 ** 400, id="10**400")])
     def test_non_finite_float_rejected(self, section, key, value):
         # Python's JSON reader turns NaN and Infinity into these floats
         data = json.loads(json.dumps({section: {key: value}}))
@@ -202,7 +204,9 @@ class TestConfigSchema:
             run_config_from_dict(data)
 
     def test_integer_for_float_field_accepted(self):
-        assert run_config_from_dict({"train": {"gamma": 1, "lr": 0}}).train.gamma == 1
+        train = run_config_from_dict({"train": {"gamma": 1, "lr": 0}}).train
+        assert (train.gamma, train.lr) == (1.0, 0.0)
+        assert type(train.gamma) is float and type(train.lr) is float
 
     def test_matrix_game_payoff_param_accepted(self):
         cfg = run_config_from_dict({"env": {"name": "matrix_game",
@@ -390,6 +394,21 @@ def test_cli_train_refuses_a_setting_that_overflows_float32_in_one_line(
     lines = capsys.readouterr().err.splitlines()
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
     assert key in lines[0] and not (tmp_path / "run").exists()
+
+
+def test_cli_train_refuses_a_payoff_float32_cannot_hold_in_one_line(tmp_path, capsys):
+    # trained to exit 0 with a nan loss in every row; with the warnings an
+    # error, it ended in an "overflow encountered in cast" traceback in td_loss
+    data = run_config_to_dict(toy_config(total_env_steps=40))
+    data["env"] = {"name": "matrix_game", "params": {"payoff": [[1e39, 0.0], [0.0, 0.0]]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # as -W error::RuntimeWarning
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
+    assert "payoff[0][0]" in lines[0] and not (tmp_path / "run").exists()
 
 
 class TestTrainingRun:
@@ -688,6 +707,10 @@ PROGRESS_DAMAGE = {
         {**p["rows"][0], "mean_test_return": float("nan")}, *p["rows"][1:]]}),
     "a string success_rate": ("rows[1].success_rate", lambda p: {**p, "rows": [
         p["rows"][0], {**p["rows"][1], "success_rate": "0.25"}]}),
+    "a float seed": ("rows[0].seed", lambda p: {**p, "rows": [
+        {**p["rows"][0], "seed": 5.0}, *p["rows"][1:]]}),
+    "a float env_step": ("rows[1].env_step", lambda p: {**p, "rows": [
+        p["rows"][0], {**p["rows"][1], "env_step": 40.0}]}),
     "another seed's row": ("rows[0].seed", lambda p: {**p, "rows": [
         {**p["rows"][0], "seed": 99}, *p["rows"][1:]]}),
     "a row past env_step": ("rows[1].env_step", lambda p: {**p, "rows": [
@@ -710,6 +733,39 @@ def test_a_damaged_progress_file_is_a_one_line_checkpoint_error(tmp_path, damage
     message = str(info.value)
     assert len(message.splitlines()) == 1
     assert str(path) in message and field in message
+
+
+def test_a_resume_reads_each_row_by_the_row_table_and_ends_as_the_whole_run(tmp_path):
+    # a key the run never writes is dropped, and an epsilon of 1.0 given as 1
+    # is read as that float: neither reaches metrics.csv or the next snapshot
+    train_one_seed(toy_config(), seed=5, out_dir=tmp_path / "whole")
+    parts = tmp_path / "parts"
+    train_one_seed(toy_config(total_env_steps=40), seed=5, out_dir=parts)
+    path = parts / "state" / "progress.json"
+    progress = json.loads(path.read_text())
+    assert progress["rows"][0]["epsilon"] == 1.0
+    progress["rows"][0].update(epsilon=1, note="kept by hand")
+    path.write_text(json.dumps(progress))
+    assert '"epsilon": 1,' in path.read_text()
+    train_one_seed(toy_config(), seed=5, out_dir=parts, resume=True)
+    assert tree_bytes(parts) == tree_bytes(tmp_path / "whole")
+
+
+def test_a_float_setting_spelled_as_an_integer_runs_and_resumes_as_that_float(tmp_path):
+    # "epsilon_finish": 0 stayed an int: every annealed row of metrics.csv read
+    # 0, and a resume of that run spelling it 0.0 went on to print 0.0
+    def config(finish, total):
+        data = run_config_to_dict(toy_config(total_env_steps=total))
+        data["train"].update(epsilon_finish=finish, anneal_steps=40)
+        return run_config_from_dict(json.loads(json.dumps(data)))
+
+    train_all_seeds(config(0.0, 80), tmp_path / "float")
+    assert "0.0\n" in (tmp_path / "float" / "metrics.csv").read_text()
+    for first, then in ((0, 0), (0, 0.0), (0.0, 0)):
+        out = tmp_path / f"{first}-{then}"
+        train_all_seeds(config(first, 40), out)
+        train_all_seeds(config(then, 80), out, resume=True)
+        assert tree_bytes(out) == tree_bytes(tmp_path / "float"), (first, then)
 
 
 def _refuse_constant(name):

@@ -18,6 +18,7 @@ from marlab.agents import AgentNet, TeamModel, build_inputs, make_team
 from marlab.comm import CommSettings
 from marlab.errors import ContractError
 from marlab.learner import (
+    EPISODE_ARRAYS,
     EpisodeRecord,
     Learner,
     ReplayBuffer,
@@ -138,6 +139,17 @@ class TestEpisodeRecord:
         with pytest.raises(ContractError):
             EpisodeRecord(obs=ep.obs[:-1], states=ep.states, avail=ep.avail,
                           actions=ep.actions, rewards=ep.rewards)
+
+    @pytest.mark.parametrize("change", [1, -1])
+    @pytest.mark.parametrize("key", ["obs", "states", "avail", "actions", "rewards"])
+    def test_each_array_one_entry_off_its_length_is_refused(self, key, change):
+        ep = make_episode(np.random.default_rng(0), length=3)
+        arrays = {name: getattr(ep, name) for name in EPISODE_ARRAYS}
+        assert list(arrays) == ["obs", "states", "avail", "actions", "rewards"]
+        array = arrays[key]
+        arrays[key] = array[:change] if change < 0 else np.concatenate([array, array[:1]])
+        with pytest.raises(ContractError, match="disagree on length"):
+            EpisodeRecord(**arrays)
 
     def test_an_episode_without_steps_is_refused(self):
         # no step for the loss to count, and a terminated one's horizon would be -1
