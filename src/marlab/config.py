@@ -138,6 +138,8 @@ def read_json(path):
         raise ConfigError(f"{path}: not utf-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:   # an integer literal longer than int() reads
+        raise ConfigError(f"{path}: unreadable number ({exc})") from exc
 
 
 def load_run_config(path) -> RunConfig:

@@ -9,14 +9,19 @@ pad_batch, ReplayBuffer.from_state_arrays and runner.rollout_episode all
 read it.  The batch size, t_max, n_agents and n_actions are their shapes.
 Hidden states are re-unrolled from zero for both the online and the frozen
 target networks.  Targets pick the next action with the online network and
-evaluate it with the target network.  After one shared global-norm clip two
+evaluate it with the target network.  Until the next target sync an
+episode's target values are a fixed function of the episode, so the Learner
+computes them per block of one episode's rows (T.per_block), bit for bit
+those of the episode unrolled alone, and caches them until the sync
+(Learner.target_values): a train step unrolls the target network only over
+the episodes not sampled since.  After one shared global-norm clip two
 optimizers step side by side, both built by the Learner from the team's
 modules: RMSProp on the agent network and the mixer, Adam on the
 communication stack.
 
 One horizon per episode, its length L minus terminated (horizons), decides
 what a train step computes and what its loss counts.  Both unrolls run up to
-the batch's largest horizon: once an episode is past its own, unroll_team
+their batch's largest horizon: once an episode is past its own, unroll_team
 drops its rows from the recurrent carry and leaves exact zeros in their Q
 values, and the target unroll returns Q values from step 1 on (step 0 only
 advances its carry).  Transition t bootstraps from step t + 1 iff t + 1 <=
@@ -84,10 +89,11 @@ EPISODE_ARRAYS = {"obs": (1, np.float64, 0), "states": (1, np.float64, 0),
                   "rewards": (0, np.float64, 0)}
 
 
-@dataclass
+@dataclass(eq=False)
 class EpisodeRecord:
     """One complete episode: the arrays of EPISODE_ARRAYS, whose table
-    states how many steps each holds; a comment gives the shape of a step."""
+    states how many steps each holds; a comment gives the shape of a step.
+    Episodes compare and hash by identity, as Learner.target_cache keys them."""
 
     obs: np.ndarray        # (n, obs_dim)
     states: np.ndarray     # (state_dim,)
@@ -311,7 +317,11 @@ def unroll_team(team: TeamModel, batch: dict,
     are carried inside; steps before `first` only advance the recurrent carry
     (no communication, no Q head).  Once an episode is past its horizon, its
     rows are dropped from the carry (T.take_rows) and no later step computes
-    them: their Q values are exact zeros (T.put_rows).
+    them: their Q values are exact zeros (T.put_rows).  The online unroll of
+    a train step runs over its whole batch with 2-D products; the target
+    values come from Learner.target_values, which runs this over the
+    episodes it has not cached, per block of one episode's rows, and keeps
+    each episode's values until the next target sync.
     """
     bsz, _, n = batch["actions"].shape
     n_actions = batch["avail"].shape[-1]
@@ -414,7 +424,8 @@ def td_loss(q_tot: Tensor, targets: np.ndarray, lengths: np.ndarray) -> Tensor:
 class Learner:
     """Owns the optimizers, the target networks, and the training counter.
     The target networks are its own deep copy of the team, whose parameters
-    they copy again every target_update_interval train steps."""
+    they copy again every target_update_interval train steps; their values on
+    each episode are cached until then (target_values)."""
 
     def __init__(self, team: TeamModel, config: TrainConfig, seed: int):
         self.team = team
@@ -426,6 +437,10 @@ class Learner:
                                 decay=config.rmsprop_decay, eps=config.rmsprop_eps)
         self.opt_comm = (Adam(team.comm.parameters(), lr=config.comm_lr)
                          if team.comm is not None else None)
+        # each episode's target values, and the buffer's episodes at the
+        # last target_values call: see target_values
+        self.target_cache: dict[EpisodeRecord, np.ndarray] = {}
+        self._held: list[EpisodeRecord] = []
 
     @property
     def optimizers(self) -> list:
@@ -435,6 +450,49 @@ class Learner:
         """Both optimizers' moment arrays, by name; filling them in place restores them."""
         return {name: arr for opt in self.optimizers
                 for name, arr in opt.state_arrays().items()}
+
+    def drop_target_values(self):
+        """Forget every cached target value: called wherever the target
+        parameters are written (the sync in train_step, SeedRun.load_state)."""
+        self.target_cache, self._held = {}, []
+
+    def target_values(self, episodes: list[EpisodeRecord], buffer: ReplayBuffer) -> list[Tensor]:
+        """The target team's local Q values of steps 1 up to the largest
+        horizon of `episodes`, laid out as unroll_team(target, batch, first=1)
+        lays them out, with exact zeros past each episode's horizon.
+
+        Each episode's values of steps 1..its horizon are cached in
+        target_cache until the target parameters are next written
+        (drop_target_values) or `buffer` evicts the episode, which this call
+        finds in O(evicted): the buffer evicts oldest first, so what left it
+        since the last call is what it then held before its oldest episode
+        now (all of it, for another buffer).  Only the episodes not cached
+        are unrolled, in one unroll_team call under T.per_block(n_agents):
+        each product is formed per block of one episode's rows, so an
+        episode's values are bit for bit those of the episode unrolled alone,
+        whichever episodes share its batch and whether or not it was cached.
+        """
+        held, seen = buffer.episodes, self._held
+        self._held = held
+        gone = next((i for i, ep in enumerate(seen) if ep is held[0]), len(seen))
+        cache = self.target_cache
+        for ep in seen[:gone]:
+            cache.pop(ep, None)
+        if misses := [ep for ep in episodes if ep not in cache]:
+            batch = pad_batch(misses)
+            n, n_actions = batch["actions"].shape[2], batch["avail"].shape[-1]
+            with no_grad(), T.per_block(n):
+                out = unroll_team(self.target, batch, first=1)
+            values = np.array([q.data for q in out], self.target.dtype).reshape(
+                len(out), len(misses), n, n_actions)
+            for j, (ep, h) in enumerate(zip(misses, horizons(batch))):
+                cache[ep] = values[:h, j].copy()
+        entries = [cache[ep] for ep in episodes]
+        target = np.zeros((max(map(len, entries)), len(entries), *entries[0].shape[1:]),
+                          self.target.dtype)
+        for b, entry in enumerate(entries):
+            target[: len(entry), b] = entry
+        return [Tensor(step.reshape(-1, step.shape[-1])) for step in target]
 
     def resume_at(self, train_steps: int):
         """Continue after train_steps train steps.  Both optimizers step once
@@ -456,8 +514,7 @@ class Learner:
         batch = pad_batch(episodes)
 
         online_q = unroll_team(self.team, batch, TrainContext(self.seed, self.train_steps))
-        with no_grad():
-            target_q = unroll_team(self.target, batch, first=1)
+        target_q = self.target_values(episodes, buffer)
 
         q_tot = taken_joint_values(self.team, online_q, batch)
         targets = double_q_targets(batch, online_q[1:], target_q, self.target.mixer, cfg.gamma)
@@ -473,5 +530,6 @@ class Learner:
         self.train_steps += 1
         if self.train_steps % cfg.target_update_interval == 0:
             self.target.copy_from(self.team)
+            self.drop_target_values()
         return {"loss": loss.item(), "grad_norm": grad_norm,
                 "train_steps": self.train_steps}

@@ -18,9 +18,11 @@ leaves the batch when it ends.  Inside the loop the forward products are
 formed per block of one episode's rows (nn.tensor.per_block), so each
 episode's Q values are bit for bit those of the episode played alone: one
 2-D product over the stacked rows lets BLAS pick its kernel, and so the
-last bits, by the batch size.  Training's unrolls keep 2-D products over a
-batch's rows, which at their sizes are faster and which the losses were
-recorded with; its mixing runs per block of one step's rows (learner).
+last bits, by the batch size.  Training's online unroll keeps 2-D products
+over a batch's rows, which at their sizes are faster and which the losses
+were recorded with; its target values are formed per block of one episode's
+rows and cached until the next target sync, and its mixing runs per block of
+one step's rows (learner).
 
 Training runs in learner.TRAIN_DTYPE, float32: the online and target
 teams, and so the optimizer state, are float32, and acting is too.  The
@@ -273,6 +275,7 @@ class SeedRun:
         self.learner.resume_at(train_steps)
         for name, team in (("params", self.team), ("target", self.learner.target)):
             load_records(state_dir / f"{name}.bin", ((p.name, p.data) for p in team.parameters()))
+        self.learner.drop_target_values()
         load_records(state_dir / "optimizer.bin", self.learner.state_arrays().items())
         path = state_dir / "buffer.npz"
         try:   # one lookup per key: each NpzFile lookup reads the whole array again

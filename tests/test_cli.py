@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -134,6 +135,16 @@ class TestTrainCommand:
         path.write_text(json.dumps({"mixer": "qplex"}))
         assert main(["train", "--config", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python reads integer literals of any length")
+    def test_an_integer_literal_too_long_to_read_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        digits = sys.get_int_max_str_digits() + 1
+        path.write_text('{"total_env_steps": 1' + "0" * (digits - 1) + "}")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert_one_line_error(capsys, str(path), "unreadable number")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("overrides, flags", [
         ({"exploration": {"k": 0}}, []),

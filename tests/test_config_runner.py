@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marlab.learner
 import marlab.nn.serialize
+import marlab.nn.tensor
 import marlab.runner
 from marlab.cli import main
 from marlab.config import (
@@ -461,12 +463,30 @@ class TestTrainingRun:
         # a longer budget is allowed, as for train_all_seeds
         SeedRun(toy_config(total_env_steps=120), seed=5, out_dir=tmp_path).load_state()
 
-    def test_resume_matches_uninterrupted_run(self, tmp_path):
+    def test_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch):
         cfg_full = toy_config(total_env_steps=80)
-        full = train_one_seed(cfg_full, seed=5, out_dir=tmp_path / "full")
+        # the episodes the full run's target unroll ran at each train step
+        unrolled, original = [], marlab.learner.unroll_team
+
+        def recording(team, batch, ctx=None, first=0):
+            if marlab.nn.tensor.grad_enabled():   # the online unroll opens a train step
+                unrolled.append(0)
+            else:
+                unrolled[-1] += len(batch["lengths"])
+            return original(team, batch, ctx, first)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(marlab.learner, "unroll_team", recording)
+            full = train_one_seed(cfg_full, seed=5, out_dir=tmp_path / "full")
 
         cfg_half = toy_config(total_env_steps=40)
         train_one_seed(cfg_half, seed=5, out_dir=tmp_path / "parts")
+        at = json.loads((tmp_path / "parts" / "state" / "progress.json").read_text())["train_steps"]
+        # the resume lands between two target syncs, where the full run reads
+        # target values it cached before that point and the resumed run starts
+        # with none
+        interval, batch_size = cfg_full.train.target_update_interval, cfg_full.train.batch_size
+        assert at % interval and unrolled[at] < batch_size
         resumed = train_one_seed(cfg_full, seed=5, out_dir=tmp_path / "parts",
                                  resume=True)
         assert len(resumed) == len(full)

@@ -611,7 +611,13 @@ def test_a_train_step_over_padded_rows_equals_the_no_skip_step(monkeypatch, mixe
         if comm:
             learner.team.comm.out_proj.weight.data[...] = 0.3
     loss = fast.train_step(buf)["loss"]
-    monkeypatch.setattr(learner_module, "unroll_team", per_step_unroll)
+
+    # both of ref's unrolls run every row at every step, cut to the steps
+    # unroll_team returns: up to the batch's largest horizon
+    def no_skip_unroll(team, batch, ctx=None, first=0):
+        return per_step_unroll(team, batch, ctx, first)[: int(horizons(batch).max()) + 1 - first]
+
+    monkeypatch.setattr(learner_module, "unroll_team", no_skip_unroll)
     ref_loss = ref.train_step(buf)["loss"]
     assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
     for a, b in zip(fast.team.parameters(), ref.team.parameters()):
@@ -846,3 +852,136 @@ def test_targets_and_loss_are_those_of_each_episode_unrolled_alone(unroll, mixer
             errors.append(taken - want)
     want_loss = float(np.mean(np.square(errors)))
     assert abs(loss - want_loss) <= 1e-12 * want_loss
+
+
+# -- the target values cache ------------------------------------------------
+
+def target_alone(learner, ep) -> np.ndarray:
+    """The target team's local Q values of steps 1..horizon of one episode
+    unrolled alone, (horizon, n, n_actions)."""
+    batch = pad_batch([ep])
+    with no_grad():
+        out = unroll_team(learner.target, batch, first=1)
+    n_actions = ep.avail.shape[-1]
+    return np.array([q.data for q in out], learner.target.dtype).reshape(
+        len(out), ep.actions.shape[1], n_actions)[: horizons(batch)[0]]
+
+
+def assert_cache_is_fresh(learner, buffer):
+    """Every cached episode is one the buffer holds, and its values are bit
+    for bit those of the current target team on the episode alone."""
+    held = set(buffer.episodes)
+    for ep, values in learner.target_cache.items():
+        assert ep in held
+        assert values.tobytes() == target_alone(learner, ep).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(episodes=st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=2, max_size=6),
+       mixer=st.sampled_from(["vdn", "qmix"]), comm=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_cached_target_values_are_the_batched_target_unroll(episodes, mixer, comm, seed):
+    lengths, terminated = zip(*episodes)
+    (learner, _), buf = learner_pair(lengths, terminated, mixer, comm, seed)
+    held, gen = buf.episodes, np.random.default_rng(seed)
+    for _ in range(3):   # subsets that overlap the episodes cached before them
+        picked = [held[i] for i in gen.permutation(len(held))[: gen.integers(1, len(held) + 1)]]
+        batch = pad_batch(picked)
+        cached = learner.target_values(picked, buf)
+        with no_grad():
+            want = unroll_team(learner.target, batch, first=1)
+        assert len(cached) == len(want) == int(horizons(batch).max())
+        for t, (a, b) in enumerate(zip(cached, want), start=1):
+            live = np.repeat(horizons(batch), 2) >= t
+            assert a.data.dtype == np.float64 and a.shape == b.shape
+            assert np.all(a.data[~live] == 0.0) and np.all(b.data[~live] == 0.0)
+            scale = max(np.abs(b.data).max(), 1.0)
+            assert np.abs(a.data - b.data).max() <= 1e-12 * scale
+    assert len(learner.target_cache) <= len(held)
+
+
+def float32_learner(hidden, seed, batch_size=6, capacity=12, interval=200, lengths=(1, 9)):
+    """A float32 QMIX learner with comm at this hidden width, its target
+    moved off the online team, and a full buffer of mixed episodes."""
+    n, obs_dim, n_actions, state_dim = 3, 4, 3, 5
+    comm = CommSettings(enabled=True, num_layers=1, ffn_dim=16, heads=2, dropout=0.1)
+    team = make_team(obs_dim, n_actions, n, state_dim, hidden, "qmix", comm, seed=seed,
+                     dtype=np.float32)
+    learner = Learner(team, TrainConfig(batch_size=batch_size, buffer_capacity=capacity,
+                                        hidden_dim=hidden, target_update_interval=interval),
+                      seed=seed)
+    gen = np.random.default_rng(seed)
+    for p in learner.target.parameters():
+        p.data += (0.1 * gen.standard_normal(p.shape)).astype(np.float32)
+    buf = ReplayBuffer(capacity)
+    for _ in range(capacity):
+        buf.add(episode_of(gen, int(gen.integers(*lengths)), bool(gen.random() < 0.5),
+                           n=n, obs_dim=obs_dim, n_actions=n_actions, state_dim=state_dim))
+    return learner, buf
+
+
+@pytest.mark.parametrize("hidden", [64, 32])
+def test_an_episodes_float32_target_values_do_not_depend_on_its_batch(hidden):
+    (a, buf), (b, _) = float32_learner(hidden, 7), float32_learner(hidden, 7)
+    eps = buf.episodes
+    a.target_values(eps[:8], buf)          # one batch of 8
+    b.target_values(eps[4:][::-1], buf)    # another of 8, in another order
+    b.target_values(eps[:4], buf)          # and the rest on their own
+    for ep in eps:
+        other = b.target_cache[ep]
+        assert other.dtype == np.float32
+        assert other.tobytes() == target_alone(b, ep).tobytes()
+        if ep in a.target_cache:
+            assert a.target_cache[ep].tobytes() == other.tobytes()
+
+
+def test_the_cache_is_dropped_at_each_target_sync():
+    learner, buf = float32_learner(32, 3, batch_size=6, capacity=8, interval=2)
+    drops = 0
+    for _ in range(7):
+        before = len(learner.target_cache)
+        learner.train_step(buf)
+        drops += before > 0 and not learner.target_cache
+        assert_cache_is_fresh(learner, buf)
+    assert drops == 3   # after train steps 2, 4 and 6
+
+
+def test_the_cache_keeps_only_episodes_the_buffer_holds():
+    learner, buf = float32_learner(32, 4, batch_size=4, capacity=6)
+    gen = np.random.default_rng(4)
+
+    def episode():
+        return episode_of(gen, int(gen.integers(1, 9)), False, n=3, obs_dim=4, n_actions=3,
+                          state_dim=5)
+
+    seen = []
+    for _ in range(12):
+        learner.train_step(buf)
+        assert_cache_is_fresh(learner, buf)
+        seen.extend(learner.target_cache)
+        for _ in range(int(gen.integers(1, 4))):   # each evicts the oldest
+            buf.add(episode())
+    assert set(seen) - set(buf.episodes)   # some cached episode was evicted
+    other = ReplayBuffer(6)   # another buffer, none of whose episodes is cached
+    for _ in range(6):
+        other.add(episode())
+    learner.train_step(other)
+    assert_cache_is_fresh(learner, other)
+
+
+def test_loading_a_snapshot_drops_the_cache(tmp_path):
+    from marlab.config import EnvSpec, RunConfig
+    from marlab.runner import SeedRun
+
+    config = RunConfig(env=EnvSpec("cue_passing", {"n_agents": 2, "num_cues": 2}),
+                       comm=CommSettings(enabled=True, num_layers=1, ffn_dim=8, heads=2),
+                       train=tiny_config(test_interval=40, test_episodes=2,
+                                         target_update_interval=100),
+                       seeds=(1,), total_env_steps=40, out_dir=str(tmp_path))
+    run = SeedRun(config, 1, tmp_path)
+    run.run(snapshot_interval=1)
+    assert run.learner.target_cache   # no sync yet: the values of the last steps
+    run.load_state()
+    assert_cache_is_fresh(run.learner, run.buffer)
+    assert run.learner.train_step(run.buffer) is not None
+    assert_cache_is_fresh(run.learner, run.buffer)
