@@ -7,6 +7,13 @@ catch the corresponding defect:
 
   qmix-signed     monotonic mixer without the weight-positivity transform
   comm-hot-init   communication stack whose output projection is not zero
+
+The three gradient checks compare backprop with central differences
+(nn.gradcheck.max_gradient_error), and a central difference across the
+kink of relu or |.| at 0 is not a derivative.  So each gradient check keeps
+one kink rule: it redraws its inputs until no relu or |.| input, in one
+no-grad evaluation of its loss, lies within KINK_MARGIN (100 finite-difference
+steps) of 0, and its detail reports the number of redraws.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .nn.gradcheck import FD_STEP, max_gradient_error
 from .rng import stream
 
 FAULTS = ("none", "qmix-signed", "comm-hot-init")
+KINK_MARGIN = 100 * FD_STEP   # the kink rule's least distance of a relu or |.| input from 0
 
 
 class _SignedQmix(QmixMixer):
@@ -69,58 +77,67 @@ def _make_comm(seed: int, fault: str, **kw) -> CommStack:
     return stack
 
 
+def _least_kink_input(loss_fn) -> float:
+    """The least |input| of any relu or absolute in one no-grad evaluation of
+    loss_fn, which T.relu and T.absolute record while it runs: every model
+    calls them through T."""
+    least = [np.inf]
+
+    def recorded(op):
+        def run(a):
+            least[0] = min(least[0], float(np.abs(a.data).min()))
+            return op(a)
+        return run
+
+    relu, absolute = T.relu, T.absolute
+    T.relu, T.absolute = recorded(relu), recorded(absolute)
+    try:
+        with no_grad():
+            loss_fn()
+    finally:
+        T.relu, T.absolute = relu, absolute
+    return least[0]
+
+
+def _kink_free(draw, loss_of):
+    """Calls draw() until loss_of(*drawn) keeps the kink rule (module
+    docstring); returns the last draw and the number of redraws."""
+    drawn, redraws = draw(), 0
+    while _least_kink_input(lambda: loss_of(*drawn)) < KINK_MARGIN:
+        drawn, redraws = draw(), redraws + 1
+    return drawn, redraws
+
+
 def check_gradient_layers(seed: int, fault: str) -> tuple[bool, str]:
     gen = stream(seed, "grad-layers")
-    worst = {}
+    worst, ok, redraws = {}, True, 0
+    # each loss weights the layer's output by a drawn matrix, the last shape
+    for name, make, shapes, bound in (
+            ("dense", lambda: Dense(5, 4, gen, "fc"), [(3, 5), (3, 4)], 1e-4),
+            ("gru", lambda: GRUCell(4, 6, gen, "gru"), [(3, 4), (3, 6), (3, 6)], 1e-4),
+            ("attention", lambda: MultiHeadSelfAttention(8, 2, gen, "attn"),
+             [(4, 8), (4, 8)], 1e-4),
+            ("encoder", lambda: EncoderLayer(8, 2, 16, 0.0, gen, "enc"),
+             [(4, 8), (4, 8)], 1e-3)):
+        layer = make()
 
-    dense = Dense(5, 4, gen, "fc")
-    x = Tensor(gen.standard_normal((3, 5)))
-    w = gen.standard_normal((3, 4))
-    worst["dense"] = max_gradient_error(
-        lambda: T.tsum(T.mul(dense(x), w)), dense.parameters())
+        def loss_of(*arrays, layer=layer):
+            return T.tsum(T.mul(layer(*map(Tensor, arrays[:-1])), arrays[-1]))
 
-    gru = GRUCell(4, 6, gen, "gru")
-    gx = Tensor(gen.standard_normal((3, 4)))
-    gh = Tensor(gen.standard_normal((3, 6)))
-    gw = gen.standard_normal((3, 6))
-    worst["gru"] = max_gradient_error(
-        lambda: T.tsum(T.mul(gru(gx, gh), gw)), gru.parameters())
-
-    attn = MultiHeadSelfAttention(8, 2, gen, "attn")
-    ax = Tensor(gen.standard_normal((4, 8)))
-    aw = gen.standard_normal((4, 8))
-    worst["attention"] = max_gradient_error(
-        lambda: T.tsum(T.mul(attn(ax), aw)), attn.parameters())
-
-    single_ok = all(v <= 1e-4 for v in worst.values())
-
-    enc = EncoderLayer(8, 2, 16, 0.0, gen, "enc")
-    ex = Tensor(gen.standard_normal((4, 8)))
-    ew = gen.standard_normal((4, 8))
-    worst["encoder"] = max_gradient_error(
-        lambda: T.tsum(T.mul(enc(ex), ew)), enc.parameters(), samples_per_param=40,
-        rng=gen)
-    ok = single_ok and worst["encoder"] <= 1e-3
+        drawn, n = _kink_free(lambda: [gen.standard_normal(s) for s in shapes], loss_of)
+        worst[name] = max_gradient_error(lambda: loss_of(*drawn), layer.parameters(), gen)
+        ok, redraws = ok and worst[name] <= bound, redraws + n
     detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
-    return ok, detail
+    return ok, f"{detail}, input redraws {redraws}"
 
 
 def check_gradient_qmix(seed: int, fault: str) -> tuple[bool, str]:
     mixer = _make_qmix(seed, fault)
     gen = stream(seed, "grad-qmix")
     q = Parameter(gen.standard_normal((2, 3)), name="q")
-    # |.| has a kink at 0: a central difference across it is not a
-    # derivative, so redraw the state until no pre-|.| weight is near 0
-    redraws, margin = -1, 0.0
-    while margin < 100 * FD_STEP:
-        state = gen.standard_normal((2, 5))
-        redraws += 1
-        with no_grad():
-            margin = min(float(np.abs(w.data).min())
-                         for w in mixer.hyper_weights(Tensor(state)))
-    s = Parameter(state, name="s")
-    err = max_gradient_error(lambda: T.tsum(mixer(q, s)),
-                             mixer.parameters() + [q, s], samples_per_param=25, rng=gen)
+    (s,), redraws = _kink_free(lambda: (Parameter(gen.standard_normal((2, 5)), name="s"),),
+                               lambda s: T.tsum(mixer(q, s)))
+    err = max_gradient_error(lambda: T.tsum(mixer(q, s)), mixer.parameters() + [q, s], gen)
     return err <= 1e-3, f"worst rel err {err:.2e}, state redraws {redraws}"
 
 
@@ -133,29 +150,26 @@ def check_gradient_end_to_end(seed: int, fault: str) -> tuple[bool, str]:
     gen = stream(seed, "grad-e2e")
     team.comm.out_proj.weight.data[...] = gen.standard_normal((8, 8)) * 0.2
 
-    episodes = []
-    for _ in range(2):
-        episodes.append(EpisodeRecord(
+    def draw():
+        batch = pad_batch([EpisodeRecord(
             obs=gen.standard_normal((3, 2, 3)),
             states=gen.standard_normal((3, 4)),
             avail=np.ones((3, 2, 2), dtype=bool),
             actions=gen.integers(0, 2, size=(2, 2)),
-            rewards=gen.standard_normal(2)))
-    batch = pad_batch(episodes)
+            rewards=gen.standard_normal(2)) for _ in range(2)])
+        # freeze the targets first, from step 1 on (entry t after transition t):
+        # they are detached from the online graph, so the probe must hold them fixed too
+        with no_grad():
+            next_q = unroll_team(team, batch, first=1)
+        return batch, double_q_targets(batch, next_q, next_q, team.mixer, 0.9)
 
-    # freeze the targets first, from step 1 on (entry t after transition t):
-    # they are detached from the online graph, so the probe must hold them fixed too
-    with no_grad():
-        next_q = unroll_team(team, batch, first=1)
-    y = double_q_targets(batch, next_q, next_q, team.mixer, 0.9)
-
-    def loss():
+    def loss_of(batch, y):
         q_tot = taken_joint_values(team, unroll_team(team, batch), batch)
         return td_loss(q_tot, y, batch["lengths"])
 
-    err = max_gradient_error(loss, team.parameters(), samples_per_param=12,
-                             rng=gen)
-    return err <= 1e-3, f"worst rel err {err:.2e}"
+    (batch, y), redraws = _kink_free(draw, loss_of)
+    err = max_gradient_error(lambda: loss_of(batch, y), team.parameters(), gen)
+    return err <= 1e-3, f"worst rel err {err:.2e}, episode redraws {redraws}"
 
 
 def check_comm_zero_init_passthrough(seed: int, fault: str) -> tuple[bool, str]:

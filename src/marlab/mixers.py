@@ -58,11 +58,6 @@ class QmixMixer(Module):
         self.v_hidden = self._register(Dense(state_dim, EMBED_DIM, rng, "mixer.v_hidden"))
         self.v_out = self._register(Dense(EMBED_DIM, 1, rng, "mixer.v_out"))
 
-    def hyper_weights(self, state: Tensor) -> tuple[Tensor, Tensor]:
-        """Both mixing layers' weights as the hypernets emit them, before |.|."""
-        return (self.w1_out(T.elu(self.w1_hidden(state))),
-                self.w2_out(T.elu(self.w2_hidden(state))))
-
     def _positivity(self, t: Tensor) -> Tensor:
         # Hook so diagnostics can probe what breaks without this constraint.
         return T.absolute(t)
@@ -70,7 +65,9 @@ class QmixMixer(Module):
     def forward(self, q_locals: Tensor, state: Tensor) -> Tensor:
         if q_locals.cols != self.n_agents:
             raise ShapeError(f"expected {self.n_agents} local values, got {q_locals.shape}")
-        w1, w2 = (self._positivity(w) for w in self.hyper_weights(state))
+        hyper = (self.w1_out(T.elu(self.w1_hidden(state))),
+                 self.w2_out(T.elu(self.w2_hidden(state))))
+        w1, w2 = (self._positivity(w) for w in hyper)
         b1 = self.b1(state)
         hidden = T.elu(T.add(T.block_row_matmul(q_locals, w1), b1))
         v = self.v_out(T.elu(self.v_hidden(state)))

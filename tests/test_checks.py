@@ -1,8 +1,10 @@
-"""Invariant suite: the QMIX gradient check near the |.| kink, the checks of
+"""Invariant suite: the gradient checks near the relu and |.| kinks, each
+backward mutant failing exactly the gradient checks it should, the checks of
 the communication stack's claims catching what they claim to, each seeded
 fault failing exactly its own check, four faults no check catches yet, and an
 unknown fault refused."""
 
+import inspect
 import types
 
 import numpy as np
@@ -12,12 +14,13 @@ import marlab.checks
 import marlab.learner
 from marlab.agents import TeamModel, build_inputs, make_team
 from marlab.checks import (check_comm_param_count_team_size, check_deployment_equivalence,
-                           check_gradient_qmix, run_checks)
+                           check_gradient_end_to_end, check_gradient_layers, check_gradient_qmix,
+                           run_checks)
 from marlab.comm import CommSettings, CommStack
 from marlab.errors import ConfigError
 from marlab.learner import EpisodeRecord, pad_batch
 from marlab.mixers import VdnMixer
-from marlab.nn import Module, Tensor
+from marlab.nn import Module, Parameter, Tensor
 from marlab.nn import tensor as T
 
 
@@ -36,6 +39,86 @@ def test_gradient_qmix_passes_where_a_weight_sits_at_the_kink(seed):
     ok, detail = check_gradient_qmix(seed, "none")
     assert ok, detail
     assert "state redraws 0" not in detail
+
+
+# at these seeds an entrywise probe of the first draw crossed a relu kink:
+# in the encoder at 256 and 452, end to end at 352, 722 and 962
+@pytest.mark.parametrize("seed", [256, 352, 452, 722, 962])
+def test_gradient_checks_pass_where_a_relu_input_sat_at_its_kink(seed):
+    for check in (check_gradient_layers, check_gradient_qmix, check_gradient_end_to_end):
+        ok, detail = check(seed, "none")
+        assert ok, f"{check.__name__}: {detail}"
+
+
+GRADIENT_CHECKS = ["gradient_layers", "gradient_qmix", "gradient_end_to_end"]
+
+# op, a line of its backward, that line broken, the gradient checks that must fail
+BACKWARD_MUTANTS = [
+    ("layer_norm_rows", "row_mean = dxhat.sum(axis=1, keepdims=True) / d",
+     "row_mean = dxhat.sum(axis=1, keepdims=True) / (d + 1)",
+     ["gradient_layers", "gradient_end_to_end"]),
+    ("gru_cell", "_accum_new(nbr, dar.sum(axis=0, keepdims=True))",
+     "_accum_new(nbr, 0.9 * dar.sum(axis=0, keepdims=True))",
+     ["gradient_layers", "gradient_end_to_end"]),
+    ("set_attention", "dk_ = _fold(np.multiply, ds.swapaxes(-1, -2) @ qh, scale_)",
+     "dk_ = ds.swapaxes(-1, -2) @ qh",
+     ["gradient_layers", "gradient_end_to_end"]),
+    ("block_row_matmul", "_accum_new(nq, (w3 @ g[:, :, None])[:, :, 0])",
+     "_accum_new(nq, 1.01 * (w3 @ g[:, :, None])[:, :, 0])",
+     ["gradient_qmix"]),
+    # the whole-batch branch, outside per_block
+    ("affine", "_accum_new(nb, g.sum(axis=0, keepdims=True))",
+     "_accum_new(nb, g.sum(axis=0, keepdims=True) * np.r_[1.05, np.ones(g.shape[1] - 1)])",
+     GRADIENT_CHECKS),
+]
+
+# one call of each mutated op on leaves made by p(rows, cols)
+MUTANT_PROBES = {
+    "layer_norm_rows": lambda p: T.layer_norm_rows(p(3, 4), p(1, 4), p(1, 4)),
+    "gru_cell": lambda p: T.gru_cell(p(3, 2), p(3, 4),
+                                     *[p(*s) for _ in range(3) for s in ((4, 2), (4, 4), (1, 4))]),
+    "set_attention": lambda p: T.set_attention(p(4, 4), p(4, 4), p(4, 4), heads=2, sets=2),
+    "block_row_matmul": lambda p: T.block_row_matmul(p(3, 2), p(3, 6)),
+    "affine": lambda p: T.affine(p(3, 2), p(4, 2), p(1, 4)),
+}
+
+
+def mutant(op, line, broken):
+    """T.<op> compiled from its source with `line`, which must occur once,
+    replaced by `broken`; it runs in T's globals, as T.<op> does."""
+    source = inspect.getsource(getattr(T, op))
+    assert source.count(line) == 1, f"{op}: {line!r} is not in its source exactly once"
+    namespace = {}
+    exec(compile(source.replace(line, broken), T.__file__, "exec"), vars(T), namespace)
+    return namespace[op]
+
+
+def op_gradients(op):
+    """The leaf gradients of a weighted sum of MUTANT_PROBES[op]'s output."""
+    gen = np.random.default_rng(0)
+    leaves = []
+
+    def p(rows, cols):
+        leaves.append(Parameter(gen.standard_normal((rows, cols)), name=f"leaf{len(leaves)}"))
+        return leaves[-1]
+
+    out = MUTANT_PROBES[op](p)
+    T.tsum(T.mul(out, gen.standard_normal(out.shape))).backward()
+    return [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("seed", [0, 115, 311])
+@pytest.mark.parametrize("op, line, broken, caught", BACKWARD_MUTANTS,
+                         ids=[m[0] for m in BACKWARD_MUTANTS])
+def test_each_backward_mutant_fails_exactly_its_gradient_checks(monkeypatch, seed, op, line,
+                                                                 broken, caught):
+    sound = op_gradients(op)
+    monkeypatch.setattr(T, op, mutant(op, line, broken))
+    if all(np.array_equal(a, b) for a, b in zip(op_gradients(op), sound)):
+        pytest.fail("the mutant left every gradient unchanged")
+    failed = [name for name, check in marlab.checks.CHECKS
+              if name in GRADIENT_CHECKS and not check(seed, "none")[0]]
+    assert failed == caught
 
 
 @pytest.mark.parametrize("seed", [0, 115, 311])

@@ -8,8 +8,9 @@ from marlab.comm import CommSettings, CommStack
 from marlab.errors import ConfigError
 from marlab.learner import Learner, TrainConfig
 from marlab.nn import Dense, EncoderLayer, Tensor, TrainContext
-from marlab.nn.gradcheck import max_gradient_error
 from marlab.nn import tensor as T
+
+from gradients import check_op
 
 
 def small_stack(seed, **kw):
@@ -116,9 +117,7 @@ class TestCommunicate:
         stack = warmed_stack(seed=19, dropout=0.0)
         h = Tensor(np.random.default_rng(4).standard_normal((3, 8)))
         w = np.random.default_rng(5).standard_normal((3, 8))
-        err = max_gradient_error(lambda: T.tsum(T.mul(stack(h), w)),
-                                 stack.parameters(), samples_per_param=40)
-        assert err <= 1e-3
+        check_op(lambda: T.tsum(T.mul(stack(h), w)), stack.parameters(), tol=1e-3)
 
     def test_train_mode_uses_dropout_eval_does_not(self):
         stack = warmed_stack(seed=23, dropout=0.5)

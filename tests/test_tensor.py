@@ -18,22 +18,11 @@ from marlab.nn import tensor as T
 from marlab.nn import EncoderLayer, Parameter, Tensor, TrainContext, dropout_mask, no_grad
 from marlab.nn.gradcheck import finite_difference_gradient, relative_errors
 
+from gradients import check_op
+
 
 def param(rng, rows, cols, name="p"):
     return Parameter(rng.standard_normal((rows, cols)), name=name)
-
-
-def check_op(build_loss, params, tol=1e-6):
-    """build_loss() -> scalar Tensor; compares backward to central differences."""
-    for p in params:
-        p.grad = None
-    loss = build_loss()
-    loss.backward()
-    for p in params:
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = finite_difference_gradient(lambda: build_loss().item(), p)
-        err = relative_errors(analytic, numeric).max()
-        assert err <= tol, f"{p.name}: worst relative error {err}"
 
 
 def test_shapes_normalized():
