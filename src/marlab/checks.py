@@ -28,8 +28,14 @@ from .errors import ConfigError
 from .exploration import ExplorationConfig, action_distribution, sample_from
 from .learner import (
     EpisodeRecord,
+    Learner,
+    ReplayBuffer,
+    TrainConfig,
+    batch_major,
     double_q_targets,
+    horizons,
     pad_batch,
+    pad_steps,
     taken_joint_values,
     td_loss,
     unroll_team,
@@ -160,7 +166,7 @@ def check_gradient_end_to_end(seed: int, fault: str) -> tuple[bool, str]:
         # freeze the targets first, from step 1 on (entry t after transition t):
         # they are detached from the online graph, so the probe must hold them fixed too
         with no_grad():
-            next_q = unroll_team(team, batch, first=1)
+            next_q = batch_major(unroll_team(team, batch, first=1), batch)
         return batch, double_q_targets(batch, next_q, next_q, team.mixer, 0.9)
 
     def loss_of(batch, y):
@@ -308,6 +314,74 @@ def check_oracle_learning_targets(seed: int, fault: str) -> tuple[bool, str]:
     return ok, f"two-step optimum {v_two}, cue-passing optimum {v_cue:.4f}"
 
 
+def check_double_q_targets(seed: int, fault: str) -> tuple[bool, str]:
+    """double_q_targets against targets written out by hand on a float64 VDN
+    batch of two 2-step episodes: episode 0 truncated (horizon 2), episode 1
+    terminated (horizon 1).  The online and target next-step values, entry
+    [episode, t, agent] for the step t + 1, pick apart, and agent 1's highest
+    online value at episode 0's step 1 is unavailable."""
+    online = np.array([[[[1., 5., 3.], [0., -1., 2.]], [[4., 0., 1.], [2., 3., 1.]]],
+                       [[[0., 2., 1.], [6., 1., 2.]], [[7., 7., 7.], [7., 7., 7.]]]])
+    target = np.array([[[[9., 2., 4.], [1., 7., 3.]], [[1., 6., 2.], [5., 0., 8.]]],
+                       [[[3., 1., 5.], [2., 4., 9.]], [[50., 50., 50.], [50., 50., 50.]]]])
+    avail = np.ones((2, 3, 2, 3), dtype=bool)
+    avail[0, 1, 1, 2] = False
+    rewards = stream(seed, "double-q").standard_normal((2, 2))
+    batch = pad_batch([EpisodeRecord(obs=np.zeros((3, 2, 1)), states=np.zeros((3, 1)),
+                                     avail=avail[b], actions=np.zeros((2, 2), dtype=int),
+                                     rewards=rewards[b], terminated=bool(b)) for b in range(2)])
+    gamma = 0.9
+    # each agent's online argmax over its available actions, then its target value
+    want = rewards + gamma * np.array([
+        [target[0, 0, 0, 1] + target[0, 0, 1, 0],   # agent 1's action 2 is unavailable
+         target[0, 1, 0, 0] + target[0, 1, 1, 1]],
+        [target[1, 0, 0, 1] + target[1, 0, 1, 0],
+         0.0]])                                     # past the horizon: the reward alone
+    got = double_q_targets(batch, online, target, VdnMixer(2), gamma)
+    err = float(np.abs(got - want).max())
+    return err <= 1e-12, f"max |target - hand-written| {err:.2e}"
+
+
+def check_target_sync(seed: int, fault: str) -> tuple[bool, str]:
+    """A learner with target_update_interval 2 syncs its target network at the
+    second train step, bit for bit, and its target values after the sync are
+    each episode's own target unroll, not values cached before it."""
+    gen = stream(seed, "target-sync")
+    team = make_team(obs_dim=3, n_actions=2, n_agents=2, state_dim=4, hidden_dim=8,
+                     mixer_kind="vdn", comm=CommSettings(enabled=False), seed=seed)
+    learner = Learner(team, TrainConfig(batch_size=4, buffer_capacity=4, hidden_dim=8,
+                                        target_update_interval=2), seed=seed)
+    buffer = ReplayBuffer(4)
+    for length in (1, 2, 3, 2):
+        buffer.add(EpisodeRecord(
+            obs=gen.standard_normal((length + 1, 2, 3)),
+            states=gen.standard_normal((length + 1, 4)),
+            avail=np.ones((length + 1, 2, 2), dtype=bool),
+            actions=gen.integers(0, 2, size=(length, 2)),
+            rewards=gen.standard_normal(length), terminated=bool(length % 2)))
+
+    def differing():
+        return sum(a.data.tobytes() != b.data.tobytes()
+                   for a, b in zip(learner.target.parameters(), team.parameters()))
+
+    learner.train_step(buffer)
+    before = differing()
+    learner.train_step(buffer)
+    after = differing()
+    episodes = buffer.episodes
+    batch = pad_batch(episodes)
+    alone = []
+    for ep in episodes:
+        one = pad_batch([ep])
+        with no_grad():
+            alone.append(batch_major(unroll_team(learner.target, one, first=1), one)[0])
+    want = pad_steps(alone, int(horizons(batch).max()), 0, learner.target.dtype)
+    stale = float(np.abs(learner.target_values(episodes, batch, buffer) - want).max())
+    ok = before > 0 and after == 0 and stale == 0.0
+    return ok, (f"{before} of {len(team.parameters())} target parameters differ after step 1, "
+                f"{after} after the sync; max |target values - unrolled alone| {stale:.2e}")
+
+
 CHECKS = [
     ("gradient_layers", check_gradient_layers),
     ("gradient_qmix", check_gradient_qmix),
@@ -321,6 +395,8 @@ CHECKS = [
     ("exploration_reductions", check_exploration_reductions),
     ("dropout_statistics", check_dropout_statistics),
     ("oracle_learning_targets", check_oracle_learning_targets),
+    ("double_q_targets", check_double_q_targets),
+    ("target_sync", check_target_sync),
 ]
 
 

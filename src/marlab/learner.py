@@ -14,7 +14,11 @@ episode's target values are a fixed function of the episode, so the Learner
 computes them per block of one episode's rows (T.per_block), bit for bit
 those of the episode unrolled alone, and caches them until the sync
 (Learner.target_values): a train step unrolls the target network only over
-the episodes not sampled since.  After one shared global-norm clip two
+the episodes not sampled since, from their rows of the batch it has padded
+once.  The target path keeps the batch's own layout: target_values returns
+one (batch, steps, n_agents, n_actions) array, pad_steps of the cached
+values, and double_q_targets reads it beside the online values in the same
+layout (batch_major).  After one shared global-norm clip two
 optimizers step side by side, both built by the Learner from the team's
 modules: RMSProp on the agent network and the mixer, Adam on the
 communication stack.
@@ -280,24 +284,33 @@ def epsilon(env_step: int, config: TrainConfig) -> float:
     return config.epsilon_start + frac * (config.epsilon_finish - config.epsilon_start)
 
 
+def pad_steps(parts: list[np.ndarray], steps: int, pad, dtype) -> np.ndarray:
+    """Stack per-episode step arrays, each of at most `steps` steps of one
+    shape, batch-major: (len(parts), steps, *step shape), of this dtype, with
+    `pad` past each part's own steps."""
+    out = np.full((len(parts), steps, *parts[0].shape[1:]), pad, dtype)
+    for b, part in enumerate(parts):
+        out[b, : len(part)] = part
+    return out
+
+
 def pad_batch(episodes: list[EpisodeRecord]) -> dict:
     """Stack episodes into the snapshot layout: lengths and terminated, one
     entry per episode, then the arrays of EPISODE_ARRAYS, in its order, dtypes
-    and steps, padded to the longest episode.
+    and steps, each stacked by pad_steps to the longest episode.
 
     Sizes are read from the shapes.  Padded steps hold each array's padding
     value; they lie past their episode's horizon, so no loss term reads them.
+    A train step pads its batch once: the target unroll of the episodes not
+    cached takes their rows of it (Learner.target_values).
     """
     if not episodes:
         raise ContractError("empty batch")
     lengths = np.array([ep.length for ep in episodes])
-    bsz, t_max = len(episodes), int(lengths.max())
+    t_max = int(lengths.max())
     batch = {"lengths": lengths, "terminated": np.array([ep.terminated for ep in episodes])}
     for key, (extra, dtype, pad) in EPISODE_ARRAYS.items():
-        parts = [getattr(ep, key) for ep in episodes]
-        out = batch[key] = np.full((bsz, t_max + extra, *parts[0].shape[1:]), pad, dtype)
-        for b, part in enumerate(parts):
-            out[b, : len(part)] = part
+        batch[key] = pad_steps([getattr(ep, key) for ep in episodes], t_max + extra, pad, dtype)
     return batch
 
 
@@ -355,6 +368,15 @@ def unroll_team(team: TeamModel, batch: dict,
     return out
 
 
+def batch_major(values: list[Tensor], batch: dict) -> np.ndarray:
+    """unroll_team's local Q values of some steps of `batch`, one (batch*n,
+    n_actions) tensor per step, as one (batch, steps, n_agents, n_actions)
+    array: the layout double_q_targets reads."""
+    bsz, _, n = batch["actions"].shape
+    return np.array([q.data for q in values]).reshape(
+        len(values), bsz, n, batch["avail"].shape[-1]).swapaxes(0, 1)
+
+
 def taken_joint_values(team: TeamModel, online_q: list[Tensor], batch: dict) -> Tensor:
     """Mixed value of the actions actually taken, (batch, t_max).
 
@@ -373,38 +395,36 @@ def taken_joint_values(team: TeamModel, online_q: list[Tensor], batch: dict) -> 
     return T.transpose(T.reshape(joint, t_max, bsz))
 
 
-def double_q_targets(batch: dict, online_q: list[Tensor], target_q: list[Tensor],
+def double_q_targets(batch: dict, online_next: np.ndarray, target_next: np.ndarray,
                      mixer, gamma: float) -> np.ndarray:
     """One-step TD targets with decoupled selection and evaluation, (batch, t_max).
 
-    online_q[t] and target_q[t] are unroll_team's local Q values of step t + 1,
-    the step after transition t; the two lists must be of one length.
-    Transition t bootstraps iff it is within the lists and t + 1 is at most
-    its episode's horizon (horizons); every other one keeps its reward.  The
-    next action is the argmax of the ONLINE values over the actions available
-    at t + 1; its value comes from the TARGET values, mixed by `mixer` at that
-    step's state.  Every step is mixed in one mix_values call, per block of
-    one step's rows (T.per_block), so each joint value is that of the step
-    mixed alone.
+    online_next and target_next are two arrays of one shape, (batch, k,
+    n_agents, n_actions): entry [b, t] holds episode b's local Q values of
+    step t + 1, the step after transition t, as unroll_team and
+    Learner.target_values give them; any other shapes are a ContractError.
+    Transition t bootstraps iff t < k and t + 1 is at most its episode's
+    horizon (horizons); every other one keeps its reward, so k = 0 returns a
+    copy of the rewards.  The next action is the argmax of the ONLINE values
+    over the actions available at t + 1; its value comes from the TARGET
+    values, mixed by `mixer` at that step's state.  The chosen values are fed
+    time-major to one mix_values call, per block of one step's rows
+    (T.per_block), so each joint value is that of the step mixed alone.
     """
-    if len(online_q) != len(target_q):
-        raise ContractError(f"double_q_targets: {len(online_q)} online and "
-                            f"{len(target_q)} target steps")
+    if online_next.shape != target_next.shape:
+        raise ContractError(f"double_q_targets: online values of shape {online_next.shape} "
+                            f"and target values of shape {target_next.shape}")
     y = batch["rewards"].copy()
-    k = len(online_q)
+    bsz, k, n = online_next.shape[:3]
     if not k:
         return y
-    bsz, _, n = batch["actions"].shape
-    online = np.stack([q.data for q in online_q]).reshape(k, bsz, n, -1)
-    masked = np.where(batch["avail"][:, 1 : k + 1].swapaxes(0, 1), online, -np.inf)
-    best = masked.argmax(axis=-1)
-    target = np.stack([q.data for q in target_q]).reshape(k, bsz, n, -1)
-    chosen = np.take_along_axis(target, best[..., None], axis=-1)[..., 0]
+    masked = np.where(batch["avail"][:, 1 : k + 1], online_next, -np.inf)
+    chosen = np.take_along_axis(target_next, masked.argmax(axis=-1)[..., None], axis=-1)
     states = batch["states"][:, 1 : k + 1].swapaxes(0, 1).reshape(k * bsz, -1)
     with T.per_block(bsz):
-        joint = mix_values(mixer, chosen.reshape(k * bsz, n), states).reshape(k, bsz).T
+        joint = mix_values(mixer, chosen.swapaxes(0, 1).reshape(k * bsz, n), states)
     bootstrap = np.arange(1, k + 1) <= horizons(batch)[:, None]
-    y[:, :k] += gamma * bootstrap * joint
+    y[:, :k] += gamma * bootstrap * joint.reshape(k, bsz).T
     return y
 
 
@@ -456,10 +476,12 @@ class Learner:
         parameters are written (the sync in train_step, SeedRun.load_state)."""
         self.target_cache, self._held = {}, []
 
-    def target_values(self, episodes: list[EpisodeRecord], buffer: ReplayBuffer) -> list[Tensor]:
+    def target_values(self, episodes: list[EpisodeRecord], batch: dict,
+                      buffer: ReplayBuffer) -> np.ndarray:
         """The target team's local Q values of steps 1 up to the largest
-        horizon of `episodes`, laid out as unroll_team(target, batch, first=1)
-        lays them out, with exact zeros past each episode's horizon.
+        horizon of `episodes`, whose pad_batch is `batch`: one (batch,
+        steps, n_agents, n_actions) array in the layout double_q_targets
+        reads, with exact zeros past each episode's horizon.
 
         Each episode's values of steps 1..its horizon are cached in
         target_cache until the target parameters are next written
@@ -467,10 +489,11 @@ class Learner:
         finds in O(evicted): the buffer evicts oldest first, so what left it
         since the last call is what it then held before its oldest episode
         now (all of it, for another buffer).  Only the episodes not cached
-        are unrolled, in one unroll_team call under T.per_block(n_agents):
-        each product is formed per block of one episode's rows, so an
-        episode's values are bit for bit those of the episode unrolled alone,
-        whichever episodes share its batch and whether or not it was cached.
+        are unrolled, from their rows of `batch`, in one unroll_team call
+        under T.per_block(n_agents): each product is formed per block of one
+        episode's rows, so an episode's values are bit for bit those of the
+        episode unrolled alone, whichever episodes share its batch and
+        whether or not it was cached.
         """
         held, seen = buffer.episodes, self._held
         self._held = held
@@ -478,21 +501,15 @@ class Learner:
         cache = self.target_cache
         for ep in seen[:gone]:
             cache.pop(ep, None)
-        if misses := [ep for ep in episodes if ep not in cache]:
-            batch = pad_batch(misses)
-            n, n_actions = batch["actions"].shape[2], batch["avail"].shape[-1]
-            with no_grad(), T.per_block(n):
-                out = unroll_team(self.target, batch, first=1)
-            values = np.array([q.data for q in out], self.target.dtype).reshape(
-                len(out), len(misses), n, n_actions)
-            for j, (ep, h) in enumerate(zip(misses, horizons(batch))):
-                cache[ep] = values[:h, j].copy()
-        entries = [cache[ep] for ep in episodes]
-        target = np.zeros((max(map(len, entries)), len(entries), *entries[0].shape[1:]),
-                          self.target.dtype)
-        for b, entry in enumerate(entries):
-            target[: len(entry), b] = entry
-        return [Tensor(step.reshape(-1, step.shape[-1])) for step in target]
+        if misses := [b for b, ep in enumerate(episodes) if ep not in cache]:
+            rows = {key: array[misses] for key, array in batch.items()}
+            with no_grad(), T.per_block(batch["actions"].shape[2]):
+                out = unroll_team(self.target, rows, first=1)
+            values = batch_major(out, rows)
+            for j, (b, h) in enumerate(zip(misses, horizons(rows))):
+                cache[episodes[b]] = values[j, :h].copy()
+        return pad_steps([cache[ep] for ep in episodes], int(horizons(batch).max()), 0,
+                         self.target.dtype)
 
     def resume_at(self, train_steps: int):
         """Continue after train_steps train steps.  Both optimizers step once
@@ -514,10 +531,11 @@ class Learner:
         batch = pad_batch(episodes)
 
         online_q = unroll_team(self.team, batch, TrainContext(self.seed, self.train_steps))
-        target_q = self.target_values(episodes, buffer)
+        target_next = self.target_values(episodes, batch, buffer)
 
         q_tot = taken_joint_values(self.team, online_q, batch)
-        targets = double_q_targets(batch, online_q[1:], target_q, self.target.mixer, cfg.gamma)
+        targets = double_q_targets(batch, batch_major(online_q[1:], batch), target_next,
+                                   self.target.mixer, cfg.gamma)
 
         # no zero_grad: both optimizers' step() leave every grad at None
         loss = td_loss(q_tot, targets, batch["lengths"])

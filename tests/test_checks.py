@@ -1,8 +1,8 @@
 """Invariant suite: the gradient checks near the relu and |.| kinks, each
 backward mutant failing exactly the gradient checks it should, the checks of
 the communication stack's claims catching what they claim to, each seeded
-fault failing exactly its own check, four faults no check catches yet, and an
-unknown fault refused."""
+fault failing exactly its own check, faults of the targets caught, two faults
+no check catches yet, and an unknown fault refused."""
 
 import inspect
 import types
@@ -173,7 +173,7 @@ def attention_output():
     return T.set_attention(q, k, v, heads=2, sets=1).data
 
 
-# Four escapes: faults that pass every check today.  Each test asserts what a
+# Two escapes: faults that pass every check today.  Each test asserts what a
 # suite that caught the fault would report; once a check catches it, the
 # strict xfail turns into a failure that asks for the mark to go.
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -186,11 +186,18 @@ def test_attention_without_its_scale_fails_a_check(monkeypatch):
     assert run_checks(0)["passed"] is False
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="no check sees a target network that is never synced")
+def failed_checks():
+    return [name for name, result in run_checks(0)["checks"].items() if not result["passed"]]
+
+
 def test_a_target_network_never_synced_fails_a_check(monkeypatch):
     monkeypatch.setattr(Module, "copy_from", lambda self, other: None)
-    assert run_checks(0)["passed"] is False
+    assert failed_checks() == ["target_sync"]
+
+
+def test_target_values_kept_past_the_sync_fail_a_check(monkeypatch):
+    monkeypatch.setattr(marlab.learner.Learner, "drop_target_values", lambda self: None)
+    assert failed_checks() == ["target_sync"]
 
 
 def double_q_targets_of_one_episode():
@@ -200,24 +207,22 @@ def double_q_targets_of_one_episode():
     batch = pad_batch([EpisodeRecord(
         obs=np.zeros((3, 2, 1)), states=np.zeros((3, 1)), avail=np.ones((3, 2, 3), dtype=bool),
         actions=np.zeros((2, 2), dtype=int), rewards=np.zeros(2), terminated=False)])
-    online, target = ([Tensor(gen.standard_normal((2, 3))) for _ in range(2)] for _ in range(2))
+    online, target = (gen.standard_normal((1, 2, 2, 3)) for _ in range(2))
     return marlab.learner.double_q_targets(batch, online, target, VdnMixer(2), 0.9)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="no check sees double Q picking the next action by the target values")
 def test_double_q_picking_by_the_target_network_fails_a_check(monkeypatch):
     picked_online = double_q_targets_of_one_episode()
     double_q_targets = marlab.learner.double_q_targets
 
-    def picked_by_target(batch, online_q, target_q, mixer, gamma):
-        return double_q_targets(batch, target_q, target_q, mixer, gamma)
+    def picked_by_target(batch, online_next, target_next, mixer, gamma):
+        return double_q_targets(batch, target_next, target_next, mixer, gamma)
 
     for module in (marlab.learner, marlab.checks):
         monkeypatch.setattr(module, "double_q_targets", picked_by_target)
     if np.array_equal(double_q_targets_of_one_episode(), picked_online):
         pytest.fail("the patch left the targets unchanged")
-    assert run_checks(0)["passed"] is False
+    assert failed_checks() == ["double_q_targets"]
 
 
 def comm_team_q_values():

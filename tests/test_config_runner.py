@@ -463,8 +463,10 @@ class TestTrainingRun:
         # a longer budget is allowed, as for train_all_seeds
         SeedRun(toy_config(total_env_steps=120), seed=5, out_dir=tmp_path).load_state()
 
-    def test_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch):
-        cfg_full = toy_config(total_env_steps=80)
+    # QMIX mixes its targets per block of one step's rows (T.per_block); VDN sums them
+    @pytest.mark.parametrize("mixer", ["vdn", "qmix"])
+    def test_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch, mixer):
+        cfg_full = toy_config(total_env_steps=80, mixer=mixer)
         # the episodes the full run's target unroll ran at each train step
         unrolled, original = [], marlab.learner.unroll_team
 
@@ -479,7 +481,7 @@ class TestTrainingRun:
             patch.setattr(marlab.learner, "unroll_team", recording)
             full = train_one_seed(cfg_full, seed=5, out_dir=tmp_path / "full")
 
-        cfg_half = toy_config(total_env_steps=40)
+        cfg_half = toy_config(total_env_steps=40, mixer=mixer)
         train_one_seed(cfg_half, seed=5, out_dir=tmp_path / "parts")
         at = json.loads((tmp_path / "parts" / "state" / "progress.json").read_text())["train_steps"]
         # the resume lands between two target syncs, where the full run reads

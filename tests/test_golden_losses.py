@@ -9,14 +9,20 @@ truncated: its batches have padded rows and rows past their horizon.  The
 second of them is wider (hidden 32, batch 16), a width at which dropping a
 row from the unroll moves the bits of the rows that stay.  A change meant to be
 bit-exact (a faster op, a skipped computation) must leave every one of them
-unchanged.  Only a change that is meant to alter training may rewrite the
-file:
+unchanged.  Only a change that is meant to alter training may rewrite
+entries, and it names each one it rewrites; the others stay as they are:
 
-    PYTHONPATH=src python tests/test_golden_losses.py
+    PYTHONPATH=src python tests/test_golden_losses.py NAME...
+
+Given no name, or one that is not an entry, it writes nothing and exits 2
+naming the four entries.
 """
 
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +106,26 @@ def test_padded_batch_losses_match_golden(name):
     assert padded_losses(*PADDED[name]) == golden
 
 
-if __name__ == "__main__":
-    import tempfile
+@pytest.mark.parametrize("args", [[], ["vdn_comm", "vdn_nocomm"]])
+def test_a_rewrite_without_a_known_entry_name_writes_nothing(args):
+    before = GOLDEN.read_bytes()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 2
+    assert all(name in result.stderr for name in [*RUNS, *PADDED]), result.stderr
+    assert GOLDEN.read_bytes() == before
 
+
+if __name__ == "__main__":
+    names, entries = sys.argv[1:], sorted([*RUNS, *PADDED])
+    if not names or set(names) - set(entries):
+        print(f"usage: {sys.argv[0]} NAME...; each NAME an entry of {GOLDEN.name}: "
+              f"{', '.join(entries)}", file=sys.stderr)
+        sys.exit(2)
+    golden = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        record = {name: first_losses(name, Path(tmp) / name) for name in RUNS}
-    record.update({name: padded_losses(*PADDED[name]) for name in PADDED})
-    record = dict(sorted(record.items()))
-    GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+        golden.update({name: first_losses(name, Path(tmp) / name) if name in RUNS
+                       else padded_losses(*PADDED[name]) for name in names})
+    GOLDEN.write_text(json.dumps(dict(sorted(golden.items())), indent=1) + "\n")
+    print(f"rewrote {', '.join(names)} in {GOLDEN}", file=sys.stderr)

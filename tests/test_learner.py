@@ -23,6 +23,7 @@ from marlab.learner import (
     Learner,
     ReplayBuffer,
     TrainConfig,
+    batch_major,
     double_q_targets,
     epsilon,
     horizons,
@@ -191,20 +192,13 @@ def next_step_batch(rewards, avail_next, lengths=None, terminated=None):
             "states": np.zeros((bsz, t_len + 1, 1))}
 
 
-def per_step(values):
-    """(batch, T, n, actions) values as unroll_team's list of (batch*n, actions) tensors."""
-    bsz, t_len, n, _ = values.shape
-    return [Tensor(values[:, t].reshape(bsz * n, -1)) for t in range(t_len)]
-
-
 class TestDoubleQTargets:
     def test_hand_built_lookahead_case(self):
         # selection must use the online argmax, evaluation the target values
         online_next = np.array([[[[1.0, 2.0], [5.0, 0.0]]]])   # argmax: 1, 0
         target_next = np.array([[[[10.0, 3.0], [7.0, 8.0]]]])  # picked: 3, 7
         batch = next_step_batch(np.array([[0.5]]), np.ones((1, 1, 2, 2), dtype=bool))
-        y = double_q_targets(batch, per_step(online_next), per_step(target_next),
-                             VdnMixer(2), 0.9)
+        y = double_q_targets(batch, online_next, target_next, VdnMixer(2), 0.9)
         assert np.allclose(y, 0.5 + 0.9 * (3.0 + 7.0))
 
     def test_availability_restricts_selection(self):
@@ -212,31 +206,31 @@ class TestDoubleQTargets:
         target_next = np.array([[[[4.0, 3.0], [6.0, 5.0]]]])
         avail = np.array([[[[False, True], [True, True]]]])  # agent 0 cannot take 0
         batch = next_step_batch(np.array([[0.0]]), avail)
-        y = double_q_targets(batch, per_step(online_next), per_step(target_next),
-                             VdnMixer(2), 1.0)
+        y = double_q_targets(batch, online_next, target_next, VdnMixer(2), 1.0)
         assert np.allclose(y, 3.0 + 6.0)
 
     def test_terminal_step_has_no_bootstrap(self):
         batch = next_step_batch(np.array([[2.0]]), np.ones((1, 1, 2, 2), dtype=bool),
                                 lengths=[1], terminated=[True])
-        y = double_q_targets(batch, per_step(np.ones((1, 1, 2, 2))),
-                             per_step(np.ones((1, 1, 2, 2)) * 100), VdnMixer(2), 0.99)
+        y = double_q_targets(batch, np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2)) * 100,
+                             VdnMixer(2), 0.99)
         assert np.allclose(y, 2.0)
 
     def test_gamma_zero_targets_are_rewards(self):
         gen = np.random.default_rng(3)
         rewards = gen.standard_normal((2, 3))
         batch = next_step_batch(rewards, np.ones((2, 3, 2, 2), dtype=bool))
-        y = double_q_targets(batch, per_step(gen.standard_normal((2, 3, 2, 2))),
-                             per_step(gen.standard_normal((2, 3, 2, 2))), VdnMixer(2), 0.0)
+        y = double_q_targets(batch, gen.standard_normal((2, 3, 2, 2)),
+                             gen.standard_normal((2, 3, 2, 2)), VdnMixer(2), 0.0)
         assert np.allclose(y, rewards)
 
     def test_no_values_give_a_copy_of_the_rewards(self):
-        # k = 0: no transition bootstraps, so the lists are empty
+        # k = 0: no transition bootstraps, so the values have no step
         rewards = np.random.default_rng(4).standard_normal((2, 3))
         batch = next_step_batch(rewards.copy(), np.ones((2, 3, 2, 2), dtype=bool),
                                 terminated=[True, True])
-        y = double_q_targets(batch, [], [], VdnMixer(2), 0.9)
+        y = double_q_targets(batch, np.zeros((2, 0, 2, 2)), np.zeros((2, 0, 2, 2)),
+                             VdnMixer(2), 0.9)
         assert y.tobytes() == rewards.tobytes()
         y[...] = 7.0
         assert batch["rewards"].tobytes() == rewards.tobytes()
@@ -246,11 +240,10 @@ class TestDoubleQTargets:
         rewards = gen.standard_normal((2, 3))
         batch = next_step_batch(rewards, np.ones((2, 3, 2, 2), dtype=bool))
         online_next, target_next = (gen.standard_normal((2, 1, 2, 2)) for _ in range(2))
-        y = double_q_targets(batch, per_step(online_next), per_step(target_next),
-                             VdnMixer(2), 0.9)
+        y = double_q_targets(batch, online_next, target_next, VdnMixer(2), 0.9)
         assert y[:, 1:].tobytes() == rewards[:, 1:].tobytes()
-        full = double_q_targets(batch, per_step(np.repeat(online_next, 3, axis=1)),
-                                per_step(np.repeat(target_next, 3, axis=1)), VdnMixer(2), 0.9)
+        full = double_q_targets(batch, np.repeat(online_next, 3, axis=1),
+                                np.repeat(target_next, 3, axis=1), VdnMixer(2), 0.9)
         assert y[:, 0].tobytes() == full[:, 0].tobytes()
 
     def test_a_transition_bootstraps_iff_its_next_step_is_within_the_horizon(self):
@@ -258,15 +251,15 @@ class TestDoubleQTargets:
         rewards = np.arange(6.0).reshape(2, 3)
         batch = next_step_batch(rewards, np.ones((2, 3, 2, 2), dtype=bool),
                                 lengths=[1, 3], terminated=[False, True])
-        y = double_q_targets(batch, per_step(np.ones((2, 3, 2, 2))),
-                             per_step(np.ones((2, 3, 2, 2))), VdnMixer(2), 0.5)
+        y = double_q_targets(batch, np.ones((2, 3, 2, 2)), np.ones((2, 3, 2, 2)),
+                             VdnMixer(2), 0.5)
         assert y.tolist() == [[1.0, 1.0, 2.0], [4.0, 5.0, 5.0]]
 
-    def test_lists_of_different_lengths_are_refused(self):
+    def test_values_of_different_shapes_are_refused(self):
         batch = next_step_batch(np.zeros((1, 2)), np.ones((1, 2, 2, 2), dtype=bool))
-        values = per_step(np.zeros((1, 2, 2, 2)))
-        with pytest.raises(ContractError, match="2 online and 1 target"):
-            double_q_targets(batch, values, values[:1], VdnMixer(2), 0.9)
+        values = np.zeros((1, 2, 2, 2))
+        with pytest.raises(ContractError, match=r"shape \(1, 2, 2, 2\) and .* \(1, 1, 2, 2\)"):
+            double_q_targets(batch, values, values[:, :1], VdnMixer(2), 0.9)
 
 
 class TestTdLoss:
@@ -416,7 +409,8 @@ def reference_train_step(learner, buffer):
             Tensor(batch["states"][:, t]))
         for t in range(t_max)])
 
-    targets = per_step_targets(batch, online_q[1:], target_q, learner.target.mixer, cfg.gamma)
+    targets = per_step_targets(batch, batch_major(online_q[1:], batch),
+                               batch_major(target_q, batch), learner.target.mixer, cfg.gamma)
     loss = td_loss(q_tot, targets, batch["lengths"])
     loss.backward()
     clip_grad_norm(learner.team.parameters(), cfg.grad_clip)
@@ -743,20 +737,19 @@ def per_step_joint_values(team, online_q, batch):
         for t in range(t_max)])
 
 
-def per_step_targets(batch, online_q, target_q, mixer, gamma):
+def per_step_targets(batch, online_next, target_next, mixer, gamma):
     """double_q_targets as one mix_values call per step, with the bootstrap
     rule written out: transition t of an episode of length L bootstraps iff
     t + 1 < L, or t + 1 == L and the episode was truncated."""
-    bsz, _, n = batch["actions"].shape
+    assert online_next.shape == target_next.shape
     y = batch["rewards"].copy()
-    for t, (online, target) in enumerate(zip(online_q, target_q, strict=True)):
+    for t in range(online_next.shape[1]):
         bootstrap = np.array([t + 1 < length or (t + 1 == length and not terminated)
                               for length, terminated in zip(batch["lengths"],
                                                             batch["terminated"])])
-        masked = np.where(batch["avail"][:, t + 1], online.data.reshape(bsz, n, -1), -np.inf)
+        masked = np.where(batch["avail"][:, t + 1], online_next[:, t], -np.inf)
         best = masked.argmax(axis=-1)
-        chosen = np.take_along_axis(target.data.reshape(bsz, n, -1), best[..., None],
-                                    axis=-1)[..., 0]
+        chosen = np.take_along_axis(target_next[:, t], best[..., None], axis=-1)[..., 0]
         joint = mix_values(mixer, chosen, batch["states"][:, t + 1])
         y[:, t] = batch["rewards"][:, t] + gamma * bootstrap * joint
     return y
@@ -789,7 +782,8 @@ def test_one_pass_mixing_is_the_per_step_loop_bit_for_bit(mixer, dtype, lengths,
     with no_grad():
         target_q = unroll_team(target, batch)
     for k in sorted({0, 1, min(2, t_max), t_max}):
-        args = batch, online_qs[0][1 : k + 1], target_q[1 : k + 1], target.mixer, 0.9
+        args = (batch, batch_major(online_qs[0][1 : k + 1], batch),
+                batch_major(target_q[1 : k + 1], batch), target.mixer, 0.9)
         assert double_q_targets(*args).tobytes() == per_step_targets(*args).tobytes(), k
 
 
@@ -832,7 +826,8 @@ def test_targets_and_loss_are_those_of_each_episode_unrolled_alone(unroll, mixer
     batch = pad_batch(episodes)
     with no_grad():
         online_q = unroll(online, batch)
-        y = double_q_targets(batch, online_q[1:], unroll(target, batch, first=1),
+        y = double_q_targets(batch, batch_major(online_q[1:], batch),
+                             batch_major(unroll(target, batch, first=1), batch),
                              target.mixer, gamma)
         loss = td_loss(taken_joint_values(online, online_q, batch), y, batch["lengths"]).item()
 
@@ -861,9 +856,7 @@ def target_alone(learner, ep) -> np.ndarray:
     batch = pad_batch([ep])
     with no_grad():
         out = unroll_team(learner.target, batch, first=1)
-    n_actions = ep.avail.shape[-1]
-    return np.array([q.data for q in out], learner.target.dtype).reshape(
-        len(out), ep.actions.shape[1], n_actions)[: horizons(batch)[0]]
+    return batch_major(out, batch)[0, : horizons(batch)[0]]
 
 
 def assert_cache_is_fresh(learner, buffer):
@@ -886,16 +879,15 @@ def test_cached_target_values_are_the_batched_target_unroll(episodes, mixer, com
     for _ in range(3):   # subsets that overlap the episodes cached before them
         picked = [held[i] for i in gen.permutation(len(held))[: gen.integers(1, len(held) + 1)]]
         batch = pad_batch(picked)
-        cached = learner.target_values(picked, buf)
+        cached = learner.target_values(picked, batch, buf)
         with no_grad():
-            want = unroll_team(learner.target, batch, first=1)
-        assert len(cached) == len(want) == int(horizons(batch).max())
-        for t, (a, b) in enumerate(zip(cached, want), start=1):
-            live = np.repeat(horizons(batch), 2) >= t
-            assert a.data.dtype == np.float64 and a.shape == b.shape
-            assert np.all(a.data[~live] == 0.0) and np.all(b.data[~live] == 0.0)
-            scale = max(np.abs(b.data).max(), 1.0)
-            assert np.abs(a.data - b.data).max() <= 1e-12 * scale
+            want = batch_major(unroll_team(learner.target, batch, first=1), batch)
+        assert cached.dtype == np.float64
+        assert cached.shape == want.shape == (len(picked), horizons(batch).max(), 2, 2)
+        live = np.arange(1, want.shape[1] + 1) <= horizons(batch)[:, None]
+        assert np.all(cached[~live] == 0.0) and np.all(want[~live] == 0.0)
+        scale = max(np.abs(want).max(initial=0.0), 1.0)
+        assert np.all(np.abs(cached - want) <= 1e-12 * scale)
     assert len(learner.target_cache) <= len(held)
 
 
@@ -923,9 +915,10 @@ def float32_learner(hidden, seed, batch_size=6, capacity=12, interval=200, lengt
 def test_an_episodes_float32_target_values_do_not_depend_on_its_batch(hidden):
     (a, buf), (b, _) = float32_learner(hidden, 7), float32_learner(hidden, 7)
     eps = buf.episodes
-    a.target_values(eps[:8], buf)          # one batch of 8
-    b.target_values(eps[4:][::-1], buf)    # another of 8, in another order
-    b.target_values(eps[:4], buf)          # and the rest on their own
+    for learner, picked in ((a, eps[:8]),          # one batch of 8
+                            (b, eps[4:][::-1]),    # another of 8, in another order
+                            (b, eps[:4])):         # and the rest on their own
+        learner.target_values(picked, pad_batch(picked), buf)
     for ep in eps:
         other = b.target_cache[ep]
         assert other.dtype == np.float32
@@ -966,6 +959,16 @@ def test_the_cache_keeps_only_episodes_the_buffer_holds():
         other.add(episode())
     learner.train_step(other)
     assert_cache_is_fresh(learner, other)
+
+
+def test_a_train_step_with_misses_pads_its_batch_once(monkeypatch):
+    (learner, _), buf = learner_pair([2, 5, 3, 1], [True, False, True, False], "qmix", True, 0)
+    calls = []
+    monkeypatch.setattr(learner_module, "pad_batch",
+                        lambda episodes, _f=pad_batch: calls.append(episodes) or _f(episodes))
+    learner.train_step(buf)
+    assert len(learner.target_cache) == 4   # every episode missed, and was unrolled
+    assert len(calls) == 1
 
 
 def test_loading_a_snapshot_drops_the_cache(tmp_path):
