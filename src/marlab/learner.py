@@ -493,8 +493,11 @@ class Learner:
         under T.per_block(n_agents): each product is formed per block of one
         episode's rows, so an episode's values are bit for bit those of the
         episode unrolled alone, whichever episodes share its batch and
-        whether or not it was cached.
+        whether or not it was cached.  A batch whose lengths are not those of
+        `episodes`, in order, is a ContractError.
         """
+        if not np.array_equal([ep.length for ep in episodes], batch["lengths"]):
+            raise ContractError("batch is not the pad_batch of episodes")
         held, seen = buffer.episodes, self._held
         self._held = held
         gone = next((i for i, ep in enumerate(seen) if ep is held[0]), len(seen))
@@ -504,8 +507,7 @@ class Learner:
         if misses := [b for b, ep in enumerate(episodes) if ep not in cache]:
             rows = {key: array[misses] for key, array in batch.items()}
             with no_grad(), T.per_block(batch["actions"].shape[2]):
-                out = unroll_team(self.target, rows, first=1)
-            values = batch_major(out, rows)
+                values = batch_major(unroll_team(self.target, rows, first=1), rows)
             for j, (b, h) in enumerate(zip(misses, horizons(rows))):
                 cache[episodes[b]] = values[j, :h].copy()
         return pad_steps([cache[ep] for ep in episodes], int(horizons(batch).max()), 0,

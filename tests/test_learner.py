@@ -886,8 +886,8 @@ def test_cached_target_values_are_the_batched_target_unroll(episodes, mixer, com
         assert cached.shape == want.shape == (len(picked), horizons(batch).max(), 2, 2)
         live = np.arange(1, want.shape[1] + 1) <= horizons(batch)[:, None]
         assert np.all(cached[~live] == 0.0) and np.all(want[~live] == 0.0)
-        scale = max(np.abs(want).max(initial=0.0), 1.0)
-        assert np.all(np.abs(cached - want) <= 1e-12 * scale)
+        scale = np.maximum(np.abs(want).max(axis=(0, 2, 3), initial=0.0), 1.0)  # per step
+        assert np.all(np.abs(cached - want) <= 1e-12 * scale[None, :, None, None])
     assert len(learner.target_cache) <= len(held)
 
 
@@ -925,6 +925,16 @@ def test_an_episodes_float32_target_values_do_not_depend_on_its_batch(hidden):
         assert other.tobytes() == target_alone(b, ep).tobytes()
         if ep in a.target_cache:
             assert a.target_cache[ep].tobytes() == other.tobytes()
+
+
+def test_target_values_refuse_a_batch_of_other_episodes():
+    learner, buf = float32_learner(32, 5)
+    eps = buf.episodes
+    a, b = next((x, y) for x in eps for y in eps if x.length != y.length)
+    for picked, padded in (([a, b], [a]), ([a, b], [b, a])):
+        with pytest.raises(ContractError, match="not the pad_batch of episodes"):
+            learner.target_values(picked, pad_batch(padded), buf)
+    assert not learner.target_cache
 
 
 def test_the_cache_is_dropped_at_each_target_sync():
